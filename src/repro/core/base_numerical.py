@@ -56,6 +56,13 @@ class ScorePreference(Preference):
     def signature(self) -> tuple:
         return ("score", self.attribute_set, self._name)
 
+    @property
+    def function(self) -> Callable[[Any], Any]:
+        """``f`` itself: bare value -> score for a single attribute,
+        projection tuple -> score otherwise.  For callers that score whole
+        columns and should not pay :meth:`score`'s row normalization."""
+        return self._f
+
     def score(self, value: Any) -> Any:
         """The score ``f(value)``; accepts rows, scalars or tuples."""
         row = as_row(value, self.attributes)

@@ -2,13 +2,14 @@
 
 A second execution representation next to the row engine: relations
 materialize per-attribute column vectors (cached — relations are
-immutable), preferences eligible for vector-skyline evaluation are compiled
-to rank-encoded integer matrices, and dominance runs block-wise vectorized
+immutable), preferences eligible for vector-skyline evaluation — Pareto
+terms over chains and single-attribute weak orders — are compiled to
+integer code matrices, and dominance runs block-wise vectorized
 (NumPy when available, pure Python otherwise) instead of one
 ``pref._lt`` call per row pair.
 
 The planner (:mod:`repro.query.optimizer`) picks this backend automatically
-for large Pareto-of-chains winnows; ``PreferenceQuery.backend("columnar")``
+for such winnows from a few dozen rows up; ``PreferenceQuery.backend("columnar")``
 forces it and ``.using("vsfs")`` / ``.using("vbnl")`` name its kernels
 directly.  See ``docs/architecture.md`` for where the engine sits in the
 layer map.

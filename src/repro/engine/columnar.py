@@ -4,19 +4,27 @@ This is the engine behind the planner's ``backend=columnar`` choice.  The
 pipeline for ``sigma[P](R)``:
 
 1. **Columnarize** — take the relation's cached column vectors
-   (:meth:`Relation.columns`) or columnarize a row list once.
-2. **Deduplicate** — distinct projections over ``P``'s attributes, with the
-   member lists needed to fan maximal projections back out to tuples
-   (BMO keeps every tuple whose projection is maximal).
-3. **Extract axes** — one "bigger is better" value vector per Pareto child
-   (:func:`columnar_axes`), mirroring ``skyline_axes`` in the row engine:
-   valid only when every child is a chain with an injective score on its
-   attribute, so vector dominance *is* the Pareto order and vector equality
-   *is* projection equality.
-4. **Rank-encode** each axis into dense integer codes and run a vectorized
-   kernel (:mod:`repro.engine.vectorized`) — NumPy broadcasting when
-   available, pure-Python block sweeps otherwise.  Results are identical
-   either way.
+   (:meth:`Relation.columns`), or just ``P``'s columns of a relation or
+   row list nobody has columnarized yet.
+2. **Extract axes** (below), then **deduplicate** — distinct projections
+   over ``P``'s attributes, with the inverse needed to fan maximal
+   projections back out to tuples (BMO keeps every tuple whose projection
+   is maximal).
+3. **Extract axes** — one :class:`ColumnAxis` per Pareto child
+   (:func:`columnar_axes`).  A child qualifies when it is a chain with an
+   injective score on its attribute (LOWEST, HIGHEST, ...: one "bigger is
+   better" code) or a *weak order* over one attribute (AROUND, BETWEEN,
+   single-attribute SCORE, POS, NEG, POS/NEG, POS/POS, their duals: a
+   score ranks, value identity decides equality).  A weak order lowers to
+   **two** codes — the ranks of ``(score, id)`` and of ``(score, -id)`` —
+   because ``>=`` on both holds iff the score is better or the value is
+   the same, which is Definition 8's clause for that arm: equidistant
+   AROUND values stay unranked (Example 2), and distinct projections
+   stay distinct vectors.  Either way vector dominance *is* the Pareto
+   order and vector equality *is* projection equality.
+4. **Encode** each axis into integer codes and run a vectorized kernel
+   (:mod:`repro.engine.vectorized`) — NumPy broadcasting when available,
+   pure-Python block sweeps otherwise.  Results are identical either way.
 
 SCORE-representable terms take a short cut: the maxima are the argmax-score
 rows, one columnar pass, no dominance matrix needed.
@@ -29,8 +37,9 @@ any other algorithm.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
+from repro.core.base_nonnumerical import LayeredPreference
 from repro.core.base_numerical import (
     HighestPreference,
     LowestPreference,
@@ -40,23 +49,42 @@ from repro.core.base_numerical import (
 from repro.core.constructors import DualPreference, ParetoPreference
 from repro.core.preference import ChainPreference, Preference
 from repro.engine.backend import get_numpy
-from repro.engine.columns import ColumnStore, encode_axis
+from repro.engine.columns import ColumnStore, encode_axis, encode_weak_axis
 from repro.engine.vectorized import DEFAULT_BLOCK, KERNELS, skyline_2d
 from repro.query.algorithms import ALGORITHMS
 from repro.relations.relation import Relation
 
 Row = dict[str, Any]
 
-#: One skyline dimension: ``(attribute, key or None, sign)``.  The axis
-#: value of a row is ``key(row[attribute])`` (``None`` = the raw value);
-#: ``sign`` +1 means bigger-is-better, -1 the reverse.  Keeping direction
-#: as a sign on the *integer codes* instead of a wrapper on every value
-#: keeps rank encoding on native comparisons.  A *composite* axis — one
-#: Pareto arm that is itself a prioritization of disjoint chains — names a
-#: tuple of attributes and a key over the zipped value tuple; it is
-#: rank-encoded independently like any other axis and re-merged with its
-#: sibling arms inside the skyline kernel.
-ColumnAxis = tuple["str | tuple[str, ...]", "Callable[[Any], Any] | None", int]
+class ColumnAxis(NamedTuple):
+    """One Pareto arm, lowered to column form.
+
+    The arm's value on a row is ``key(row[attribute])`` (``None`` = the raw
+    value); ``sign`` +1 means bigger-is-better, -1 the reverse.  Keeping
+    direction as a sign on the *integer codes* instead of a wrapper on
+    every value keeps rank encoding on native comparisons.
+
+    With ``weak`` false the key is injective on the attribute (a chain) and
+    the arm is one code axis.  A *composite* chain — one arm that is itself
+    a prioritization of disjoint chains — names a tuple of attributes and a
+    key over the zipped value tuple; it is rank-encoded independently like
+    any other axis and re-merged with its sibling arms inside the kernel.
+
+    With ``weak`` true the key is a *score*: it ranks values and may tie
+    distinct ones, which then stay unranked.  Such an arm becomes two code
+    axes (:func:`repro.engine.columns.encode_weak_axis`).  A score that is
+    not equal to itself leaves its value ranked against nothing.
+    """
+
+    attribute: str | tuple[str, ...]
+    key: Callable[[Any], Any] | None
+    sign: int
+    weak: bool = False
+
+    @property
+    def width(self) -> int:
+        """Integer code axes this arm occupies in the kernel matrix."""
+        return 2 if self.weak else 1
 
 
 class NotColumnarError(ValueError):
@@ -66,27 +94,45 @@ class NotColumnarError(ValueError):
 # -- axis extraction ----------------------------------------------------------------
 
 
-def _value_axis(child: Preference) -> ColumnAxis | None:
-    """The :data:`ColumnAxis` of one Pareto child, or None.
+#: The score of a value its weak order ranks against nothing.
+_UNRANKED = float("nan")
 
-    The value-level mirror of ``chain_axis`` in the row engine: only
-    injective chains qualify (LOWEST, HIGHEST, ChainPreference, and duals
-    thereof).  AROUND/BETWEEN/SCORE children are refused — their scores
-    identify distinct values, so a vector skyline over them would merge
-    tuples the Pareto order keeps apart (Example 2 of the paper).
+
+def _value_axis(child: Preference) -> ColumnAxis | None:
+    """The :class:`ColumnAxis` of one Pareto child, or None.
+
+    Injective chains (LOWEST, HIGHEST, ChainPreference, a prioritization
+    of disjoint chains) are one code each, the value-level mirror of
+    ``chain_axis`` in the row engine.  Weak orders over a single attribute
+    — SCORE and its sub-constructors AROUND/BETWEEN, and the layered
+    POS/NEG family — are scored here and pair-encoded later, so that the
+    distinct values their scores identify stay apart (Example 2 of the
+    paper).  A dual flips the sign of either.  EXPLICIT, multi-attribute
+    SCORE and the aggregating constructors have no code-axis form.
     """
     if isinstance(child, HighestPreference):
-        return child.attribute, None, 1
+        return ColumnAxis(child.attribute, None, 1)
     if isinstance(child, LowestPreference):
-        return child.attribute, None, -1
+        return ColumnAxis(child.attribute, None, -1)
     if isinstance(child, ChainPreference):
-        return child.attribute, child.key, 1
+        return ColumnAxis(child.attribute, child.key, 1)
+    if isinstance(child, ScorePreference):
+        if len(child.attributes) != 1:
+            return None
+        return ColumnAxis(child.attributes[0], child.function, 1, weak=True)
+    if isinstance(child, LayeredPreference):
+
+        def layer_score(value: Any) -> float:
+            # A value in no layer is ranked against nothing: NaN says so.
+            index = child.layer_index(value)
+            return _UNRANKED if index is None else -index
+
+        return ColumnAxis(child.attribute, layer_score, 1, weak=True)
     if isinstance(child, DualPreference):
         inner = _value_axis(child.base)
         if inner is None:
             return None
-        attribute, fn, sign = inner
-        return attribute, fn, -sign
+        return inner._replace(sign=-inner.sign)
     from repro.core.constructors import PrioritizedPreference
 
     if isinstance(child, PrioritizedPreference) and child.is_chain() is True:
@@ -106,16 +152,18 @@ def _value_axis(child: Preference) -> ColumnAxis | None:
         def composite(values: tuple) -> Any:
             return arm_axis(dict(zip(attributes, values)))
 
-        return attributes, composite, 1
+        return ColumnAxis(attributes, composite, 1)
     return None
 
 
 def columnar_axes(pref: Preference) -> list[ColumnAxis] | None:
-    """Per-dimension column transforms when winnow = vector skyline.
+    """Per-arm column transforms when winnow = vector skyline.
 
-    Pareto accumulations of injective chains yield one axis per child; a
-    bare injective chain is a one-dimensional skyline.  ``None`` means the
-    term has no columnar dominance evaluation (the score path in
+    Pareto accumulations of chains and weak orders yield one axis per
+    child; a bare injective chain is a one-dimensional skyline.  A bare
+    weak order is not: its maxima are one linear argmax or level pass,
+    which no dominance kernel beats.  ``None`` means the term has no
+    columnar dominance evaluation (the score path in
     :func:`columnar_winnow` may still apply).
     """
     if isinstance(pref, ParetoPreference):
@@ -127,7 +175,7 @@ def columnar_axes(pref: Preference) -> list[ColumnAxis] | None:
             axes.append(axis)
         return axes
     single = _value_axis(pref)
-    return None if single is None else [single]
+    return None if single is None or single.weak else [single]
 
 
 def columnar_profile(pref: Preference) -> str | None:
@@ -174,13 +222,13 @@ def columnar_winnow(
     applies.
     """
     if isinstance(data, Relation):
-        store = ColumnStore.from_relation(data)
+        store = ColumnStore.from_relation(data, pref.attributes)
         template: Relation | None = data
     else:
         # Materialize only the preference's columns: row lists may be
         # heterogeneous on attributes the winnow never reads, and the row
         # engine tolerates that.
-        store = ColumnStore.from_rows(list(data), attributes=pref.attributes)
+        store = ColumnStore.from_rows(data, attributes=pref.attributes)
         template = None
 
     if store.length == 0:
@@ -200,8 +248,8 @@ def columnar_winnow(
         axes = columnar_axes(pref)
         if axes is None:
             raise NotColumnarError(
-                f"{pref!r} is neither a Pareto/chain skyline nor "
-                "SCORE-representable; use the row engine"
+                f"{pref!r} is neither a Pareto of chains and weak orders "
+                "nor SCORE-representable; use the row engine"
             )
         picked = _skyline_rows(store, axes, strategy, block_size, partitions)
 
@@ -210,32 +258,43 @@ def columnar_winnow(
         # Return the caller's own dict objects, matching the identity
         # semantics of the row algorithms (kernels never mutate rows).
         return rows
-    return Relation(template.name, template.schema, rows, validate=False)
+    return template._derive(rows)
 
 
 def _encoded_axes(
     store: ColumnStore, axes: list[ColumnAxis]
-) -> tuple[list[Any], list[bool] | None]:
-    """``(code vectors, incomparable row mask)`` over *all* rows.
+) -> tuple[list[Any], list[Any], list[bool] | None]:
+    """``(code vectors, identity vectors, incomparable row mask)`` over
+    *all* rows.
 
-    One dense int code vector per axis, sign applied.  The mask marks rows
-    with a NaN-like value on *any* axis: such values are unranked against
-    everything, so those rows can neither dominate nor be dominated — they
-    are unconditionally BMO-maximal and must bypass the kernels (whose
-    total integer codes cannot express incomparability).  ``None`` when no
-    such value exists.
+    One int code vector per chain axis and two per weak axis, sign
+    applied; and per axis one dense *identity* vector — equal entries iff
+    equal attribute values — which is what deduplication keys on.  The
+    mask marks rows with a NaN-like value on a *chain* axis: such values
+    are unranked against everything, so those rows can neither dominate
+    nor be dominated — they are unconditionally BMO-maximal and must
+    bypass the kernels (whose total integer codes cannot express
+    incomparability).  ``None`` when no such value exists.  (A weak axis
+    encodes its unranked values itself.)
     """
-    encoded = []
+    encoded: list[Any] = []
+    identities: list[Any] = []
     combined: list[bool] | None = None
-    for attribute, fn, sign in axes:
+    for attribute, fn, sign, weak in axes:
         if isinstance(attribute, tuple):  # composite arm: zip its columns
             column: Sequence[Any] = list(
                 zip(*(store.column(a) for a in attribute))
             )
         else:
             column = store.column(attribute)
+        if weak:
+            upper, lower, identity = encode_weak_axis(column, fn, sign)
+            encoded += [upper, lower]
+            identities.append(identity)
+            continue
         values = column if fn is None else [fn(v) for v in column]
         codes, incomparable = encode_axis(values)
+        identities.append(codes)  # dense ranks of an injective key
         if sign < 0:
             codes = [-c for c in codes] if isinstance(codes, list) else -codes
         encoded.append(codes)
@@ -244,7 +303,25 @@ def _encoded_axes(
                 combined = list(incomparable)
             else:
                 combined = [a or b for a, b in zip(combined, incomparable)]
-    return encoded, combined
+    return encoded, identities, combined
+
+
+def _packed_key(np: Any, identities: list[Any]) -> Any:
+    """One int64 per row, equal iff the rows agree on every identity.
+
+    Identity codes are dense, so the widths multiply into a mixed-radix
+    number; when the next digit would overflow, the key so far is
+    re-densified (at most ``n`` distinct values) and packing continues.
+    """
+    key, width = identities[0], int(identities[0].max()) + 1
+    for identity in identities[1:]:
+        digit = int(identity.max()) + 1
+        if width * digit >= 2**62:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            width = int(key.max()) + 1
+        key = key * digit + identity
+        width *= digit
+    return key
 
 
 def _skyline_rows(
@@ -256,12 +333,12 @@ def _skyline_rows(
 ) -> list[int]:
     """Row indices whose projection is Pareto-maximal, in ascending order.
 
-    Because every preference attribute carries at least one injective axis,
-    code-vector equality coincides with projection equality — so distinct
-    projections (the unit BMO reasons about) are exactly the distinct code
-    vectors, and fan-out back to duplicate-carrying tuples is a membership
-    test on the vector ids.  With NumPy both steps are ``np.unique`` /
-    ``np.isin``; the fallback uses one dict pass.
+    Every arm's codes are injective on its attribute, so code-vector
+    equality coincides with projection equality — distinct projections
+    (the unit BMO reasons about) are exactly the distinct code vectors,
+    and fan-out back to duplicate-carrying tuples is a lookup through the
+    dedup inverse.  With NumPy the dedup is one ``np.unique`` over a packed
+    identity key; the fallback uses one dict pass.
     """
     try:
         kernel = KERNELS[strategy]
@@ -270,7 +347,7 @@ def _skyline_rows(
             f"unknown columnar strategy {strategy!r}; known: {sorted(KERNELS)}"
         ) from None
     local_strategy = strategy
-    if len(axes) == 2:
+    if sum(axis.width for axis in axes) == 2:
         # Both strategies specialize to the O(n log n) two-dimensional
         # sweep: same results, and immune to the O(n * skyline) blow-up
         # the pairwise kernels hit on all-maximal (anti-correlated) data.
@@ -282,8 +359,8 @@ def _skyline_rows(
         return []
 
     def run_kernel(matrix: Any) -> list[int]:
-        # Kernel output feeds a membership test (np.isin / a set), so the
-        # ascending-order contract is paid for once at the end, not here.
+        # Kernel output feeds a membership test, so the ascending-order
+        # contract is paid for once at the end, not here.
         if partitions > 1:
             from repro.engine.parallel import parallel_skyline
 
@@ -292,43 +369,32 @@ def _skyline_rows(
                 block_size=block_size,
             )
         return kernel(matrix, block_size=block_size, ordered=False)
-    encoded, incomparable = _encoded_axes(store, axes)
+    encoded, identities, incomparable = _encoded_axes(store, axes)
     np = get_numpy()
     if np is not None:
-        matrix = np.stack(
-            [np.asarray(codes, dtype=np.int64) for codes in encoded], axis=1
-        )
-        if incomparable is None:
-            clean = None
-        else:
+        encoded = [np.asarray(codes, dtype=np.int64) for codes in encoded]
+        identities = [np.asarray(i, dtype=np.int64) for i in identities]
+        if incomparable is not None:
             # NaN-like rows bypass the kernel: unconditionally maximal,
             # never dominating (their code entries are junk).
-            clean = np.flatnonzero(~np.asarray(incomparable, dtype=bool))
-            matrix = matrix[clean]
-        if not len(matrix):
-            picked_clean: list[int] = []
-        else:
-            distinct, inverse = np.unique(
-                matrix, axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-            # Feed the kernel descending-lex order: a dominator is
-            # lex-greater, so it precedes its victims — the BNL window
-            # never churns and the SFS window check prunes blocks early.
-            kept_reversed = run_kernel(distinct[::-1])
-            last = len(distinct) - 1
-            kept = np.asarray(
-                [last - i for i in kept_reversed], dtype=np.int64
-            )
-            mask = np.isin(inverse, kept)
-            hits = np.flatnonzero(mask)
-            picked_clean = (
-                hits.tolist() if clean is None else clean[hits].tolist()
-            )
+            bad = np.asarray(incomparable, dtype=bool)
+            clean = np.flatnonzero(~bad)
+            if not len(clean):
+                return list(range(store.length))
+            encoded = [codes[clean] for codes in encoded]
+            identities = [identity[clean] for identity in identities]
+        _, first, inverse = np.unique(
+            _packed_key(np, identities),
+            return_index=True, return_inverse=True,
+        )
+        distinct = np.stack([codes[first] for codes in encoded], axis=1)
+        kept = np.zeros(len(first), dtype=bool)
+        kept[run_kernel(distinct)] = True
+        hits = np.flatnonzero(kept[inverse.reshape(-1)])
         if incomparable is None:
-            return picked_clean
-        always = [i for i, bad in enumerate(incomparable) if bad]
-        return sorted(picked_clean + always)
+            return hits.tolist()
+        always = np.flatnonzero(bad)
+        return np.sort(np.concatenate([clean[hits], always])).tolist()
 
     vectors = list(zip(*encoded))
     group_of: dict[tuple, int] = {}
@@ -357,8 +423,7 @@ def _score_rows(store: ColumnStore, pref: Preference) -> list[int]:
     score = score_function_of(pref)
     assert score is not None
     if isinstance(pref, ScorePreference) and len(pref.attributes) == 1:
-        column = store.column(pref.attributes[0])
-        values = [pref.score(v) for v in column]
+        values = list(map(pref.function, store.column(pref.attributes[0])))
     else:
         values = [score(row) for row in store.rows]
     best = None
@@ -387,7 +452,7 @@ def _require_dominance_axes(pref: Preference) -> None:
     if columnar_profile(pref) is None:
         raise NotColumnarError(
             f"no columnar axes for {pref!r}; vsfs/vbnl need a Pareto of "
-            "injective chains or a SCORE-representable term"
+            "chains and weak orders or a SCORE-representable term"
         )
 
 

@@ -39,9 +39,21 @@ class ColumnStore:
         self.length = len(rows)
 
     @classmethod
-    def from_relation(cls, relation: Relation) -> "ColumnStore":
-        """The relation's cached columnar materialization, wrapped."""
-        return cls(relation.columns(), relation._rows)
+    def from_relation(
+        cls, relation: Relation, attributes: Sequence[str] | None = None
+    ) -> "ColumnStore":
+        """The relation's columnar materialization, wrapped.
+
+        A relation that already carries its column cache (a catalog
+        relation queried before) hands it over as is.  One that does not —
+        typically a freshly filtered intermediate that will be read once —
+        materializes only ``attributes`` when given, and caches nothing:
+        building every column to read two is the dominant cost of a small
+        winnow.
+        """
+        if attributes is None or relation._column_cache is not None:
+            return cls(relation.columns(), relation._rows)
+        return cls.from_rows(relation._rows, attributes)
 
     @classmethod
     def from_rows(
@@ -121,8 +133,10 @@ def encode_axis(values: Sequence[Any]) -> tuple[Any, list[bool] | None]:
     and must be masked out by the caller.
 
     The NumPy path is taken only for dtypes that represent the inputs
-    *exactly*: integer/bool/datetime/string kinds, and float arrays built
-    from actual Python floats.  Large Python ints would be silently
+    *exactly*: integer/bool/datetime/string kinds, and float arrays that
+    are either bounded by 2**53 in magnitude (every int in that range has
+    an exact float64, so a mixed int/float column orders the same) or
+    built from actual Python floats.  Larger Python ints would be silently
     promoted to lossy float64 (collapsing 2**63 and 2**63 + 1 onto one
     code); those columns take the exact Python path instead.
     """
@@ -147,7 +161,10 @@ def encode_axis(values: Sequence[Any]) -> tuple[Any, list[bool] | None]:
                     _argsort_codes(np, arr),
                     nat.tolist() if nat.any() else None,
                 )
-            if kind == "f" and all(type(v) is float for v in values):
+            if kind == "f" and (
+                not (np.abs(arr) >= _EXACT_FLOAT).any()
+                or set(map(type, values)) == {float}
+            ):
                 nan = np.isnan(arr)
                 return (
                     _argsort_codes(np, arr),
@@ -171,6 +188,66 @@ def encode_axis(values: Sequence[Any]) -> tuple[Any, list[bool] | None]:
         previous = v
         codes_list[idx] = code
     return codes_list, (incomparable if has_incomparable else None)
+
+
+def encode_weak_axis(
+    values: Sequence[Any], score: Any, sign: int = 1
+) -> tuple[Any, Any, Any]:
+    """``(upper, lower, identity)`` code vectors of one weak-order axis.
+
+    A weak order ranks values by ``score`` and leaves equal-score values
+    unranked, so no single total code can stand for it: Pareto needs
+    "better **or the same value**" per arm (Definition 8), and equal
+    scores of different values are neither.  Two codes can: with ``id``
+    the dense identity code of the value, ``upper`` orders rows by
+    ``(score, id)`` and ``lower`` by ``(score, -id)``, so
+
+        ``a >= b`` on both   iff   ``score_a > score_b  or  value_a = value_b``
+
+    which is exactly the arm's clause.  Distinct values get distinct
+    ``upper`` codes, so vectors stay injective on projections.  A score
+    that does not equal itself (NaN: ranked against nothing) goes above
+    everything in ``upper`` and below everything in ``lower``, which
+    leaves its value comparable to itself alone.  ``sign`` -1 reverses
+    the score order (the dual).  Identity is dict identity — ``==`` plus
+    the same-object shortcut — the same test the row engine's projection
+    tuples apply.  Codes are order-isomorphic to dense ranks but not
+    dense themselves; the kernels only compare and add them.
+    """
+    ids: dict[Any, int] = {}
+    identity = [ids.setdefault(v, len(ids)) for v in values]
+    k = len(ids)
+    ranks, unranked = encode_axis([score(v) for v in ids])
+    from repro.engine.backend import get_numpy
+
+    np = get_numpy()
+    if np is not None:
+        ranks = np.asarray(ranks, dtype=np.int64) * sign
+        above = below = ranks
+        if unranked is not None:
+            mask = np.asarray(unranked, dtype=bool)
+            above = np.where(mask, ranks.max() + 1, ranks)
+            below = np.where(mask, ranks.min() - 1, ranks)
+        own = np.arange(k, dtype=np.int64)
+        upper, lower = above * k + own, below * k + (k - 1 - own)
+        identity = np.asarray(identity, dtype=np.int64)
+        return upper[identity], lower[identity], identity
+    ranks = [sign * r for r in ranks]
+    top, bottom = max(ranks) + 1, min(ranks) - 1
+    upper, lower = [], []
+    for own, rank in enumerate(ranks):
+        loose = unranked is not None and unranked[own]
+        upper.append((top if loose else rank) * k + own)
+        lower.append((bottom if loose else rank) * k + (k - 1 - own))
+    return (
+        [upper[i] for i in identity],
+        [lower[i] for i in identity],
+        identity,
+    )
+
+
+#: Below this magnitude every integer has an exact float64.
+_EXACT_FLOAT = 2.0**53
 
 
 def _argsort_codes(np: Any, arr: Any) -> Any:

@@ -252,11 +252,11 @@ def _merge_locals_numpy(
             continue
         others = [idx for q, idx in enumerate(all_locals) if q != p and len(idx)]
         if not others:
-            survivors.extend(int(i) for i in mine)
+            survivors.extend(mine.tolist())
             continue
         window = m[np.concatenate(others)]
         dominated = _dominated_by_window(np, window, m[mine])
-        survivors.extend(int(i) for i in mine[~dominated])
+        survivors.extend(mine[~dominated].tolist())
     return sorted(survivors)
 
 

@@ -18,9 +18,14 @@ Two correctness subtleties the implementations honour:
 1. Pareto equality is *projection* equality, not score equality.  AROUND(0)
    scores -5 and 5 identically, yet (-5) and (5) are unranked — so a Pareto
    preference over AROUND children is **not** a skyline over score vectors
-   (Example 2 of the paper depends on this).  Vector algorithms therefore
-   apply only when every child is a chain whose score is injective
-   (LOWEST/HIGHEST and friends); :func:`skyline_axes` decides.
+   (Example 2 of the paper depends on this).  The row vector algorithms
+   here (``dc``, ``2d``) therefore apply only when every child is a chain
+   whose score is injective (LOWEST/HIGHEST and friends);
+   :func:`skyline_axes` decides.  The columnar engine goes further: it
+   gives a weak-order child *two* integer axes, the ranks of
+   ``(score, id)`` and ``(score, -id)``, on which ``>=`` holds exactly when
+   the score is better or the value is the same — see
+   :mod:`repro.engine.columnar`.
 2. All algorithms deduplicate by projection first and fan results back out
    to tuples, because BMO keeps every tuple whose projection is maximal.
 """
@@ -289,8 +294,9 @@ def skyline_axes(pref: Preference) -> list[Callable[[Row], Any]] | None:
     Valid only when every Pareto child is a chain with an injective score on
     its attribute (LOWEST, HIGHEST, their duals, ChainPreference): then score
     equality coincides with projection equality and vector dominance is
-    exactly the Pareto order.  AROUND/BETWEEN/SCORE children are refused —
-    their scores identify distinct values (see module docstring).
+    exactly the Pareto order.  AROUND/BETWEEN/SCORE children are refused
+    here — their scores identify distinct values (see module docstring);
+    the columnar engine's pair encoding is what evaluates those.
     """
     if not isinstance(pref, ParetoPreference):
         return None

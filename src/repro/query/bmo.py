@@ -42,7 +42,7 @@ def _unpack(data: Relation | Sequence[Row]) -> tuple[list[Row], Relation | None]
 def _repack(rows: list[Row], template: Relation | None) -> Any:
     if template is None:
         return rows
-    return Relation(template.name, template.schema, rows, validate=False)
+    return template._derive(rows)
 
 
 def _resolve_engine(

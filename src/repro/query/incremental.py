@@ -22,9 +22,11 @@ Deletions are fundamentally harder — a removed maximum may resurrect any
 number of tuples it was dominating — so ``remove`` keeps the full history
 and recomputes the touched group lazily, which is the honest cost model for
 strict partial orders (no dominance counting shortcut is sound for
-arbitrary orders).  Those recomputes are visible in :attr:`stats` (the
-``rebuilds`` / ``resurrected`` counters), so view-refresh metrics built on
-top of them stay honest.
+arbitrary orders).  The recompute is an ordinary full winnow, run the way
+the planner would run it (:func:`repro.query.optimizer.full_winnow`).
+Those recomputes are visible in :attr:`stats` (the ``rebuilds`` /
+``resurrected`` counters), so view-refresh metrics built on top of them
+stay honest.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.base_numerical import ScorePreference
 from repro.core.preference import Preference, Row, as_row, project
-from repro.query.algorithms import block_nested_loop
+from repro.query.optimizer import full_winnow
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,9 @@ class _WindowState:
         self.window[key] = [dict(row)]
         return BMODelta(entered=(dict(row),), exited=tuple(exited))
 
-    def rebuild(self, rows: Sequence[Row]) -> None:
+    def rebuild(self, rows: list[Row]) -> None:
         self.window.clear()
-        for row in block_nested_loop(self.pref, list(rows)):
+        for row in full_winnow(self.pref, rows):
             key = project(row, self.pref.attributes)
             self.window.setdefault(key, []).append(dict(row))
 
@@ -323,10 +325,11 @@ class IncrementalBMO:
             delta = _diff(before, state.result())
         else:
             before = state.result()
-            survivors = [
-                r for r in self._history if self._group_of(r) == group
-            ]
-            state.rebuild(survivors)
+            state.rebuild(
+                [r for r in self._history if self._group_of(r) == group]
+                if self.groupby
+                else self._history
+            )
             self._rebuilds += 1
             delta = _diff(before, state.result())
         if not self._history_has_group(group):

@@ -47,10 +47,18 @@ from repro.algebra.rewriter import rewrite_trace, simplify
 from repro.core.base_numerical import score_function_of
 from repro.core.preference import Preference, Row
 from repro.engine.backend import numpy_available
-from repro.engine.columnar import columnar_axes, columnar_profile
+from repro.engine.columnar import (
+    columnar_axes,
+    columnar_profile,
+    columnar_winnow,
+)
 from repro.engine.parallel import MIN_PARTITION_ROWS, cpu_count
 from repro.query import rewrite as _rewrite
-from repro.query.algorithms import compatible_sort_key, skyline_axes
+from repro.query.algorithms import (
+    ALGORITHMS,
+    compatible_sort_key,
+    skyline_axes,
+)
 from repro.query.plan import (
     ButOnly,
     ColumnarPreferenceSelect,
@@ -77,22 +85,25 @@ BACKENDS = ("auto", "row", "columnar", "parallel")
 
 # -- the cost model -----------------------------------------------------------------
 #
-# All costs are in abstract *comparison units*, calibrated against the
-# benchmark suite: 1.0 ~ one interpreted per-row dominance step on the
-# row engine.  Absolute values are meaningless; only ratios steer the
-# choice, so the constants encode "a broadcasted integer comparison is
-# ~64x cheaper than a pref._lt call", "rank-encoding a value costs a
-# couple of comparisons", and so on.
+# All costs are in *comparison units*: 1.0 ~ one interpreted per-row
+# dominance step on the row engine, which on the calibration host is close
+# to one microsecond.  Only ratios steer the choice.  The constants are
+# measured, not guessed — row ``sfs``/``dc``/``2d`` against the columnar
+# pipeline at 10 to 10 000 rows, and each stage on its own; the table and
+# the method are in docs/performance.md ("Calibrating the cost model").
+# The one exception is PARTITION_OVERHEAD, which needs more cores than
+# the calibration host has: it is rescaled with VEC_COMPARE_COST, so the
+# partitioning decision stays where it was.
 
-ROW_SCAN_COST = 0.2       #: touch one attribute value in a linear row pass
+ROW_SCAN_COST = 1.5       #: touch one attribute value in a linear row pass
 ROW_COMPARE_COST = 1.0    #: one per-axis step of a pref._lt dominance test
-ROW_SWEEP_COST = 1.0      #: one sort-key element in the row 2-d sweep
-ENCODE_COST = 2.0         #: rank-encode one value into an integer code
-VEC_COMPARE_COST = 1 / 64  #: one broadcasted int comparison (NumPy kernels)
-VEC_SWEEP_COST = 1 / 32   #: one element of the vectorized 2-d sweep
-FANOUT_COST = 0.05        #: np.isin membership test per input row
-COLUMNAR_SETUP_COST = 20_000.0  #: fixed: axis extraction, unique, dispatch
-PARTITION_OVERHEAD = 15_000.0   #: per-partition dispatch + merge bookkeeping
+ROW_SWEEP_COST = 0.35     #: one sort-key element in the row 2-d sweep
+ENCODE_COST = 0.25        #: extract + encode one value into one integer code
+VEC_COMPARE_COST = 1 / 512  #: one broadcasted int comparison (NumPy kernels)
+VEC_SWEEP_COST = 1 / 128  #: one element of the vectorized 2-d sweep
+FANOUT_COST = 0.07        #: dedup + fan-out per input row
+COLUMNAR_SETUP_COST = 130.0  #: fixed: axis extraction, dispatch, repack
+PARTITION_OVERHEAD = 1_875.0  #: per-partition dispatch + merge bookkeeping
 
 
 @dataclass(frozen=True)
@@ -137,13 +148,12 @@ class CostEstimate:
 def _axis_attributes(pref: Preference) -> list[str]:
     """Flat attribute list over the term's skyline axes (composite arms
     contribute each stage attribute)."""
-    axes = columnar_axes(pref) or []
     out: list[str] = []
-    for attribute, _, _ in axes:
-        if isinstance(attribute, tuple):
-            out.extend(attribute)
+    for axis in columnar_axes(pref) or []:
+        if isinstance(axis.attribute, tuple):
+            out.extend(axis.attribute)
         else:
-            out.append(attribute)
+            out.append(axis.attribute)
     return out
 
 
@@ -182,7 +192,11 @@ def estimate_cost(
     distinct projection regardless of what the raw statistics say.
     """
     axes = columnar_axes(pref)
+    # Selectivity follows the number of Pareto *arms* (each is one
+    # criterion, however it is encoded); kernel work follows the number of
+    # integer code axes (a weak-order arm occupies two).
     arity = len(axes) if axes else max(1, len(pref.attributes))
+    code_axes = sum(axis.width for axis in axes) if axes else arity
     n = cardinality
 
     distinct = n
@@ -213,17 +227,17 @@ def estimate_cost(
     else:  # dc / sfs / bnl: pay a dominance phase over all rows
         row_cost = ROW_SCAN_COST * n * arity + ROW_COMPARE_COST * n * skyline
 
-    encode = ENCODE_COST * n * arity
-    if arity == 2:
+    encode = ENCODE_COST * n * code_axes
+    if code_axes == 2:
         kernel = VEC_SWEEP_COST * distinct * max(1.0, math.log2(distinct or 1))
     else:
-        kernel = VEC_COMPARE_COST * distinct * skyline * arity
+        kernel = VEC_COMPARE_COST * distinct * skyline * code_axes
     columnar_cost = COLUMNAR_SETUP_COST + encode + kernel + FANOUT_COST * n
 
     cores = cores if cores is not None else cpu_count()
     partitions = _best_partitions(kernel, distinct, cores)
     if partitions > 1:
-        merge = VEC_COMPARE_COST * (partitions * skyline) ** 2 * arity
+        merge = VEC_COMPARE_COST * (partitions * skyline) ** 2 * code_axes
         parallel_cost = (
             columnar_cost
             - kernel
@@ -311,8 +325,10 @@ def choose_backend(
     """Cost-rank row, columnar, and parallel-columnar execution of a winnow.
 
     The columnar engine applies to terms with a vector-skyline form (Pareto
-    over injective chains, or a bare injective chain) and to
-    SCORE-representable terms.  Under ``hint="auto"`` the decision is made
+    over injective chains and single-attribute weak orders — AROUND,
+    BETWEEN, SCORE, the POS/NEG family — or a bare injective chain) and
+    to SCORE-representable terms; EXPLICIT, multi-attribute SCORE and
+    intersection/union arms have none.  Under ``hint="auto"`` the decision is made
     by the **cost model** (:func:`estimate_cost`): estimated kernel cost —
     cardinality x preference arity x expected skyline selectivity, with
     per-column distinct counts from ``stats`` bounding the distinct
@@ -337,7 +353,7 @@ def choose_backend(
         if profile is None:
             raise ValueError(
                 f"{pref!r} has no columnar evaluation (needs a Pareto of "
-                "injective chains or a SCORE-representable term); "
+                "chains and weak orders or a SCORE-representable term); "
                 f"drop the backend={hint!r} hint"
             )
         cost = (
@@ -399,6 +415,21 @@ def choose_backend(
         f"row {estimate.row_cost:,.0f} units",
         cost=estimate,
     )
+
+
+def full_winnow(pref: Preference, rows: list[Row]) -> list[Row]:
+    """``sigma[P](rows)`` the way a plan over ``len(rows)`` rows would run
+    it: backend by the cost model, row algorithm by the term's shape.
+
+    For callers that re-derive a whole BMO set outside a plan (continuous
+    views rebuilding after a delete or a revision), so that one place
+    decides how a full winnow runs.  Returns the caller's own row objects,
+    in input order.
+    """
+    choice = choose_backend(pref, len(rows))
+    if choice.columnar:
+        return columnar_winnow(pref, rows, partitions=choice.partitions)
+    return ALGORITHMS[choose_algorithm(pref)](pref, rows)
 
 
 def _conjuncts(

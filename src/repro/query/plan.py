@@ -191,9 +191,9 @@ class PreferenceSelect(PlanNode):
 class ColumnarPreferenceSelect(PlanNode):
     """``sigma[P](...)`` on the columnar backend (:mod:`repro.engine`).
 
-    Chosen by the planner for large Pareto-of-chains winnows (or forced via
-    ``PreferenceQuery.backend("columnar")``): dominance is evaluated
-    block-wise over rank-encoded column vectors — NumPy-vectorized when
+    Chosen by the planner for Pareto winnows over chains and weak orders
+    (or forced via ``PreferenceQuery.backend("columnar")``): dominance is
+    evaluated block-wise over integer-encoded column vectors — NumPy-vectorized when
     available, pure-Python block sweeps otherwise — instead of per-row-pair
     ``pref._lt`` calls.  Results are identical to the row engine's.
     """

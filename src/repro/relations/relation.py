@@ -3,8 +3,9 @@
 A :class:`Relation` is a named, schema'd bag of rows (duplicates allowed,
 matching SQL practice and the paper's tuple-level BMO semantics: *all* best
 matching tuples are retrieved, including projection-equal ones).  All
-operators return new relations; rows are plain dicts and are copied on the
-way in and handed out read-only (the library never mutates a stored row).
+operators return new relations; rows are plain dicts, copied on the way in
+and copied again on the way out (the library never mutates a stored row and
+never hands one out, so derived relations may share them).
 """
 
 from __future__ import annotations
@@ -77,8 +78,31 @@ class Relation:
             schema = Schema.infer(rows) if rows else Schema(list(attributes))
         return cls(name, schema, rows)
 
+    def _derive(
+        self,
+        rows: list[Row],
+        name: str | None = None,
+        schema: Schema | None = None,
+    ) -> "Relation":
+        """A relation over row dicts this library already owns — no copy.
+
+        For internal derivations only (selections, winnow results,
+        renames): their rows are dicts of an existing relation, which are
+        never mutated and never handed out (:meth:`rows` and iteration
+        copy), so sharing them is as safe as copying them and several
+        times cheaper.  Input from outside goes through ``Relation(...)``,
+        which copies and validates.
+        """
+        derived = Relation.__new__(Relation)
+        derived.name = self.name if name is None else name
+        derived.schema = self.schema if schema is None else schema
+        derived._rows = rows
+        derived._column_cache = None
+        derived._stats_cache = None
+        return derived
+
     def with_name(self, name: str) -> "Relation":
-        return Relation(name, self.schema, self._rows, validate=False)
+        return self._derive(self._rows, name=name)
 
     def declare(self, *constraints: Any) -> "Relation":
         """A copy of this relation with integrity constraints declared.
@@ -89,11 +113,8 @@ class Relation:
         declare what actually holds — declared constraints are *trusted*,
         not re-verified against the rows.
         """
-        return Relation(
-            self.name,
-            self.schema.with_constraints(*constraints),
-            self._rows,
-            validate=False,
+        return self._derive(
+            self._rows, schema=self.schema.with_constraints(*constraints)
         )
 
     # -- basics ----------------------------------------------------------------
@@ -179,12 +200,7 @@ class Relation:
 
     def select(self, predicate: Callable[[Row], bool]) -> "Relation":
         """Hard selection sigma_cond(R): the exact-match world's filter."""
-        return Relation(
-            self.name,
-            self.schema,
-            (r for r in self._rows if predicate(r)),
-            validate=False,
-        )
+        return self._derive([r for r in self._rows if predicate(r)])
 
     def take(self, indices: Iterable[int]) -> "Relation":
         """The sub-relation at the given row positions (in given order).
@@ -194,12 +210,7 @@ class Relation:
         and should not pay a per-row predicate call.
         """
         rows = self._rows
-        return Relation(
-            self.name,
-            self.schema,
-            (rows[i] for i in indices),
-            validate=False,
-        )
+        return self._derive([rows[i] for i in indices])
 
     def project(
         self, attributes: Sequence[str], dedupe: bool = False
@@ -266,11 +277,10 @@ class Relation:
                 if n not in self.schema:
                     raise RelationError(f"unknown attribute {n!r}")
             key_fn = lambda r: tuple(r[n] for n in names)
-        ordered = sorted(self._rows, key=key_fn, reverse=descending)
-        return Relation(self.name, self.schema, ordered, validate=False)
+        return self._derive(sorted(self._rows, key=key_fn, reverse=descending))
 
     def limit(self, k: int) -> "Relation":
-        return Relation(self.name, self.schema, self._rows[:k], validate=False)
+        return self._derive(self._rows[:k])
 
     def group_by(self, attributes: Sequence[str]) -> dict[tuple, "Relation"]:
         """Partition by equal values on ``attributes``.
@@ -285,16 +295,11 @@ class Relation:
         groups: dict[tuple, list[Row]] = {}
         for r in self._rows:
             groups.setdefault(tuple(r[n] for n in names), []).append(r)
-        return {
-            key: Relation(self.name, self.schema, rows, validate=False)
-            for key, rows in groups.items()
-        }
+        return {key: self._derive(rows) for key, rows in groups.items()}
 
     def union_all(self, other: "Relation") -> "Relation":
         self._require_same_attributes(other, "union")
-        return Relation(
-            self.name, self.schema, [*self._rows, *other._rows], validate=False
-        )
+        return self._derive([*self._rows, *other._rows])
 
     def intersect(self, other: "Relation") -> "Relation":
         """Set intersection on full rows (duplicates collapse)."""
@@ -308,7 +313,7 @@ class Relation:
             if key in other_keys and key not in seen:
                 seen.add(key)
                 result.append(r)
-        return Relation(self.name, self.schema, result, validate=False)
+        return self._derive(result)
 
     def difference(self, other: "Relation") -> "Relation":
         """Set difference on full rows."""
@@ -322,7 +327,7 @@ class Relation:
             if key not in other_keys and key not in seen:
                 seen.add(key)
                 result.append(r)
-        return Relation(self.name, self.schema, result, validate=False)
+        return self._derive(result)
 
     def natural_join(self, other: "Relation") -> "Relation":
         """Join on all shared attribute names (hash join)."""

@@ -36,6 +36,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
+# repro.psql and repro.analysis import repro.session / repro.query.api
+# back, so those two load them lazily, inside the first query that needs
+# them — and two first queries on two executor threads then meet inside a
+# half-initialized module (one is refused "cannot import name 'parse'").
+# Importing both packages here, after session and api are complete and
+# before any worker thread exists, leaves the lazy imports nothing to do.
+from repro.analysis.constraints import constraint_registry
+from repro.analysis.diagnostics import DiagnosticError
 from repro.core.base_numerical import ScorePreference
 from repro.core.preference import Preference, Row
 from repro.engine.parallel import shared_executor
@@ -48,6 +56,8 @@ from repro.query.api import PreferenceQuery
 from repro.query.incremental import BMODelta
 from repro.relations.catalog import Catalog
 from repro.server.metrics import ServiceMetrics
+from repro.psql.ast import Comparison
+from repro.psql.translate import translate_where
 from repro.server.views import (
     ContinuousView,
     ViewError,
@@ -228,8 +238,6 @@ class PreferenceService:
         format; SCORE / rank(F) function names resolve against the
         session's function registry.
         """
-        from repro.analysis.diagnostics import DiagnosticError
-
         if (sql is None) == (spec is None):
             raise ServiceError("pass exactly one of sql= or spec=")
         try:
@@ -301,8 +309,6 @@ class PreferenceService:
         return preference_from_dict(dict(data), dict(self.session.functions))
 
     def _where_asts(self, where: Any) -> list[Any]:
-        from repro.psql.ast import Comparison
-
         if where is None:
             return []
         if isinstance(where, Mapping):
@@ -613,8 +619,6 @@ class PreferenceService:
         """The relation's constraint registry scoped to ``pref``'s
         attributes, or None when the snapshot is unavailable."""
         try:
-            from repro.analysis.constraints import constraint_registry
-
             rel = self.session.catalog.get(relation)
             return constraint_registry(rel, pref.attributes)
         except Exception:
@@ -738,8 +742,6 @@ class PreferenceService:
         """Delete rows (bag-matched) or by spec-style ``where`` conditions."""
         predicate: Callable[[Row], bool] | None = None
         if where is not None:
-            from repro.psql.translate import translate_where
-
             predicates = [
                 translate_where(a) for a in self._where_asts(where)
             ]

@@ -57,7 +57,7 @@ def _score_identities(pref: Preference) -> tuple[int, ...]:
         if type(node) is RankPreference:
             out.append(id(node.combine))
         elif type(node) is ScorePreference:
-            out.append(id(node._f))
+            out.append(id(node.function))
         stack.extend(getattr(node, "children", ()) or ())
         for attr in ("base", "first", "second"):
             child = getattr(node, attr, None)

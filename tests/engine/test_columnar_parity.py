@@ -89,6 +89,21 @@ class TestDuplicateFanOut:
         got = columnar_winnow(pref, rows, strategy=strategy)
         assert row_set(got) == expected
 
+    def test_dedup_key_survives_more_identity_bits_than_int64_holds(self):
+        """Eight axes of ~300 distinct values each: the packed identity
+        key would need 66 bits, so it is re-densified on the way."""
+        import random
+
+        rng = random.Random(11)
+        rows = [
+            {f"d{i}": rng.randrange(10**6) for i in range(8)}
+            for _ in range(300)
+        ]
+        rows += [dict(row) for row in rows[:40]]  # duplicate projections
+        pref = pareto(*(HighestPreference(f"d{i}") for i in range(8)))
+        got = columnar_winnow(pref, rows)
+        assert row_set(got) == row_set(block_nested_loop(pref, rows))
+
     def test_extra_attributes_distinguish_tuples(self):
         rows = [
             {"d0": 1, "d1": 1, "tag": "a"},
@@ -216,9 +231,52 @@ class TestScorePath:
 
 
 class TestEligibility:
-    def test_around_children_are_refused_axes(self):
-        pref = pareto(HighestPreference("d0"), AroundPreference("d1", 0))
-        assert columnar_axes(pref) is None
+    @pytest.mark.parametrize("use_numpy", [True, False])
+    def test_around_children_are_pair_encoded_axes(
+        self, monkeypatch, use_numpy
+    ):
+        """Example 2 of the paper: P1 = AROUND(A1, 0), P2 = LOWEST(A2),
+        P3 = HIGHEST(A3) over R = {(-5,3,4), (-5,4,4), (5,1,8), (5,6,6),
+        (-6,0,6), (-6,0,4), (6,2,7)}.  -5 and 5 score alike under P1 yet
+        stay unranked, so val1 and val3 are both Pareto-optimal — a skyline
+        over the bare score vectors would let (5,1,8) swallow (-5,3,4)."""
+        if not use_numpy:
+            monkeypatch.setattr(engine_backend, "_numpy", None)
+        pref = pareto(
+            AroundPreference("a1", 0),
+            LowestPreference("a2"),
+            HighestPreference("a3"),
+        )
+        axes = columnar_axes(pref)
+        assert [(a.attribute, a.weak) for a in axes] == [
+            ("a1", True), ("a2", False), ("a3", False)
+        ]
+        tuples = [(-5, 3, 4), (-5, 4, 4), (5, 1, 8), (5, 6, 6),
+                  (-6, 0, 6), (-6, 0, 4), (6, 2, 7)]
+        rows = [dict(zip(("a1", "a2", "a3"), t)) for t in tuples]
+        for strategy in ("sfs", "bnl"):
+            got = columnar_winnow(pref, rows, strategy=strategy)
+            assert row_set(got) == row_set(naive_nested_loop(pref, rows))
+            assert {(r["a1"], r["a2"], r["a3"]) for r in got} == {
+                (-5, 3, 4), (5, 1, 8), (-6, 0, 6)
+            }
+
+    def test_arms_without_a_code_axis_form_are_refused(self):
+        from repro.core.base_nonnumerical import ExplicitPreference
+        from repro.core.base_numerical import ScorePreference
+        from repro.core.constructors import intersection
+
+        refused = [
+            ExplicitPreference("d1", [(1, 2)]),
+            ScorePreference(("d1", "d2"), sum, name="sum"),
+            intersection(HighestPreference("d1"), AroundPreference("d1", 0)),
+        ]
+        for arm in refused:
+            pref = pareto(HighestPreference("d0"), arm)
+            assert columnar_axes(pref) is None
+            assert columnar_profile(pref) is None
+            with pytest.raises(NotColumnarError):
+                columnar_winnow(pref, [{"d0": 1, "d1": 1, "d2": 1}])
 
     def test_ineligible_raises(self):
         from repro.core.base_nonnumerical import PosPreference

@@ -199,12 +199,27 @@ class TestParallelColumnarWinnow:
         )
 
     def test_parallel_winnow_rejects_non_columnar_terms(self):
-        with pytest.raises(NotColumnarError):
-            parallel_winnow(
-                pareto(AroundPreference("d0", 1), AroundPreference("d1", 1)),
-                [{"d0": 1, "d1": 2}],
-                partitions=2,
-            )
+        """Weak-order arms partition like any other code axes; arms with
+        no code-axis form (EXPLICIT, multi-attribute SCORE) still refuse."""
+        from repro.core.base_nonnumerical import ExplicitPreference
+        from repro.core.base_numerical import ScorePreference
+        from repro.query.algorithms import naive_nested_loop
+
+        around = pareto(AroundPreference("d0", 1), AroundPreference("d1", 1))
+        rows = [{"d0": i % 5, "d1": (i * 3) % 7} for i in range(40)]
+        assert parallel_winnow(around, rows, partitions=2) == (
+            naive_nested_loop(around, rows)
+        )
+        for arm in (
+            ExplicitPreference("d1", [(1, 2)]),
+            ScorePreference(("d0", "d1"), sum, name="sum"),
+        ):
+            with pytest.raises(NotColumnarError):
+                parallel_winnow(
+                    pareto(AroundPreference("d0", 1), arm),
+                    [{"d0": 1, "d1": 2}],
+                    partitions=2,
+                )
 
     @pytest.mark.parametrize("partitions", (2, 8))
     def test_no_numpy_parity(self, monkeypatch, partitions):

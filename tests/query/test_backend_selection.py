@@ -140,7 +140,9 @@ class TestChooseBackend:
             choose_backend(PosPreference("d0", {1}), BIG, "parallel")
 
     def test_auto_small_inputs_stay_row_by_cost(self):
-        choice = choose_backend(SKY3, 50, "auto")
+        # The calibrated crossover (docs/performance.md) sits near 20
+        # rows: below it the columnar pipeline's fixed cost loses.
+        choice = choose_backend(SKY3, 10, "auto")
         assert choice.backend == "row"
         if HAS_NUMPY:
             assert "cost model" in choice.reason
@@ -151,6 +153,34 @@ class TestChooseBackend:
         choice = choose_backend(SKY3, BIG, "auto")
         assert choice.columnar and "cost model" in choice.reason
         assert isinstance(choice.cost, CostEstimate)
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="auto requires numpy")
+    def test_weak_order_arms_go_columnar(self):
+        """The 1.4k-row Pareto the old constants kept on the row engine
+        (31 ms there, 2.7 ms columnar).  Selectivity counts the two arms,
+        the kernel the three code axes AROUND (x2) + HIGHEST occupy."""
+        pref = pareto(AroundPreference("d0", 0.5), HighestPreference("d1"))
+        choice = choose_backend(pref, 1_400, "auto")
+        assert choice.columnar
+        assert choice.cost.arity == 2
+        assert choice.cost.skyline == expected_skyline(1_400, 2)
+        three = estimate_cost(SKY3, 1_400, cores=1)
+        sweep = estimate_cost(SKY, 1_400, cores=1)
+        assert sweep.columnar_cost < choice.cost.columnar_cost
+        assert choice.cost.columnar_cost < three.columnar_cost
+
+    def test_arms_without_code_axes_have_no_columnar_form(self):
+        from repro.core.base_nonnumerical import ExplicitPreference
+        from repro.core.base_numerical import ScorePreference
+
+        for arm in (
+            ExplicitPreference("d1", [(1, 2)]),
+            ScorePreference(("d1", "d2"), sum, name="sum"),
+        ):
+            choice = choose_backend(
+                pareto(HighestPreference("d0"), arm), BIG, "auto"
+            )
+            assert choice == BackendChoice("row", "no columnar dominance form")
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="auto requires numpy")
     def test_auto_parallelizes_huge_inputs_given_cores(self):
@@ -191,6 +221,35 @@ class TestPlannerIntegration:
         assert "cost: row=" in text and "columnar=" in text
         assert "selectivity" in text
         assert "stats=statistics(big)" in text
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="auto requires numpy")
+    def test_paper_signature_query_plans_columnar_from_both_front_ends(self):
+        """``price AROUND z AND HIGHEST(horsepower)`` (Def. 7a x Def. 8),
+        as Preference SQL text and as a wire spec."""
+        from repro.datasets.cars import generate_cars
+        from repro.server.service import PreferenceService
+
+        service = PreferenceService({"car": generate_cars(2_000)})
+        try:
+            sql = service.build_query(
+                sql="SELECT * FROM car WHERE year >= 1992 PREFERRING "
+                    "price AROUND 21000.5 AND HIGHEST(horsepower)"
+            )
+            spec = service.build_query(spec={
+                "relation": "car",
+                "where": [["year", ">=", 1992]],
+                "prefer": {"type": "pareto", "children": [
+                    {"type": "around", "attribute": "price", "z": 21000.5},
+                    {"type": "highest", "attribute": "horsepower"},
+                ]},
+            })
+            for q in (sql, spec):
+                text = q.explain()
+                assert "ColumnarPreferenceSelect" in text
+                assert "decision: cost model: columnar" in text
+            assert sql.run() == spec.run() == sql.backend("row").run()
+        finally:
+            service.close()
 
     def test_small_stays_row(self, session):
         text = session.query("small").prefer(SKY).explain()

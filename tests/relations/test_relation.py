@@ -45,6 +45,49 @@ class TestConstruction:
         assert rel.rows()[0]["price"] == 30000
 
 
+    def test_external_input_is_still_copied(self):
+        source = [{"a": 1}, {"a": 2}]
+        rel = Relation.from_dicts("r", source)
+        source[0]["a"] = 99
+        assert rel.rows() == [{"a": 1}, {"a": 2}]
+
+    def test_derived_relations_share_rows_but_never_leak_them(self):
+        """Internal derivations reuse the parent's row dicts (no per-row
+        copy), which is sound only because nothing hands those dicts out:
+        whatever a caller gets from a derived relation is a copy, so
+        mutating it changes neither the derived relation nor its parent."""
+        from repro.core.base_numerical import HighestPreference, LowestPreference
+        from repro.core.constructors import pareto
+        from repro.engine.columnar import columnar_winnow
+        from repro.query.bmo import winnow
+        from repro.relations.schema import Key
+
+        parent = cars()
+        before = parent.rows()
+        pref = pareto(LowestPreference("price"), HighestPreference("make"))
+        derived = [
+            parent.select(lambda r: r["make"] == "Opel"),
+            parent.take([0, 2]),
+            parent.with_name("auto"),
+            parent.declare(Key(("make", "price"))),
+            winnow(pref, parent),
+            columnar_winnow(pref, parent),
+        ]
+        for child in derived:
+            assert len(child) >= 1
+            snapshot = child.rows()
+            for row in child.rows():
+                row["price"] = -1
+                row["extra"] = "leak"
+            for row in child:
+                row.clear()
+            assert child.rows() == snapshot
+        assert parent.rows() == before
+        # select/take/with_name/declare really do share (that is the saving).
+        assert derived[0]._rows[0] is parent._rows[0]
+        assert derived[2]._rows is parent._rows
+
+
 class TestOperators:
     def test_select(self):
         assert len(cars().select(lambda r: r["make"] == "Opel")) == 2
