@@ -137,10 +137,17 @@ class PreferenceQuery:
             return cls(("relation", data))
         return cls(("rows", tuple(dict(r) for r in data)))
 
+    #: (slot, ``_copy`` keyword) pairs — every clause method copies, so
+    #: the name mangling is done once, not per slot per call.
+    _COPY_FIELDS = tuple((slot, slot.lstrip("_")) for slot in __slots__)
+
     def _copy(self, **changes: Any) -> "PreferenceQuery":
         out = PreferenceQuery.__new__(PreferenceQuery)
-        for name in PreferenceQuery.__slots__:
-            setattr(out, name, changes.get(name.lstrip("_"), getattr(self, name)))
+        for slot, keyword in PreferenceQuery._COPY_FIELDS:
+            setattr(
+                out, slot,
+                changes[keyword] if keyword in changes else getattr(self, slot),
+            )
         return out
 
     # -- fail-fast validation ---------------------------------------------------
@@ -289,7 +296,10 @@ class PreferenceQuery:
         return self._copy(cascades=(*self._cascades, pref))
 
     def personalize(
-        self, pref: Preference | None, canonical: bool = True
+        self,
+        pref: Preference | None,
+        canonical: bool = True,
+        composed: Preference | None = None,
     ) -> "PreferenceQuery":
         """Compose a per-user preference term *over* the query's own.
 
@@ -305,6 +315,11 @@ class PreferenceQuery:
         ``pref=None`` means "no profile": the query is returned with its
         base term canonicalized (when asked), so profiled and unprofiled
         users of equivalent terms still share.
+
+        ``composed`` hands in the finished term when the caller already
+        holds it — the tenancy layer caches ``canonical_form(prio(pref,
+        base))`` per profile revision.  It must be what this method
+        would compute; composition is skipped, validation is not.
         """
         if pref is not None and not isinstance(pref, Preference):
             raise TypeError(
@@ -314,17 +329,10 @@ class PreferenceQuery:
         if pref is None:
             if base is None or not canonical:
                 return self
-            composed = base
-        elif base is None:
-            self._fail_fast("preferring", "PQ101", sorted(pref.attribute_set))
-            composed = pref
         else:
             self._fail_fast("preferring", "PQ101", sorted(pref.attribute_set))
-            composed = PrioritizedPreference((pref, base))
-        if canonical:
-            from repro.algebra.equivalence import canonical_form
-
-            composed = canonical_form(composed)
+        if composed is None:
+            composed = compose_terms(pref, base, canonical)
         return self._copy(pref=composed, cascades=())
 
     def refine(self, pref: Preference) -> "PreferenceQuery":
@@ -789,6 +797,24 @@ class PreferenceQuery:
             order_by=self._order_by,
             limit=self._limit,
         )
+
+
+def compose_terms(
+    pref: Preference | None, base: Preference | None, canonical: bool = True
+) -> Preference | None:
+    """``prio(pref, base)`` — Definition 9: the user's term dominates, the
+    base term breaks ties — or whichever of the two is present (``None``
+    when neither is), normalized by :func:`repro.algebra.equivalence
+    .canonical_form` when ``canonical``."""
+    if pref is None or base is None:
+        composed = pref if base is None else base
+    else:
+        composed = PrioritizedPreference((pref, base))
+    if canonical and composed is not None:
+        from repro.algebra.equivalence import canonical_form
+
+        composed = canonical_form(composed)
+    return composed
 
 
 def _callable_label(fn: Callable) -> str:

@@ -86,7 +86,8 @@ class ServiceMetrics:
 
     * ``queries`` — total queries answered, split into ``from_view``
       (materialized continuous view hits) and ``planned`` (fresh
-      optimizer runs),
+      optimizer runs); ``inline`` counts the view hits answered on the
+      server's event loop, without a worker-pool hand-off,
     * ``mutations`` — inserts / deletes applied,
     * ``subscriptions`` — live delta subscriptions,
     * ``revisions`` — preference revisions applied to continuous views,
@@ -107,6 +108,7 @@ class ServiceMetrics:
         self.queries_total = 0
         self.queries_from_view = 0
         self.queries_planned = 0
+        self.queries_inline = 0
         self.inserts = 0
         self.deletes = 0
         self.rows_inserted = 0
@@ -136,12 +138,16 @@ class ServiceMetrics:
 
     # -- recording --------------------------------------------------------------
 
-    def record_query(self, source: str, elapsed_ns: int) -> None:
-        """Record one answered query; ``source`` is "view" or "plan"."""
+    def record_query(
+        self, source: str, elapsed_ns: int, inline: bool = False
+    ) -> None:
+        """Record one answered query; ``source`` is "view" or "plan",
+        ``inline`` marks a view hit answered without the worker pool."""
         with self._lock:
             self.queries_total += 1
             if source == "view":
                 self.queries_from_view += 1
+                self.queries_inline += inline
                 self._latency["query_view"].record(elapsed_ns)
             else:
                 self.queries_planned += 1
@@ -217,6 +223,7 @@ class ServiceMetrics:
                     "total": self.queries_total,
                     "from_view": self.queries_from_view,
                     "planned": self.queries_planned,
+                    "inline": self.queries_inline,
                 },
                 "mutations": {
                     "inserts": self.inserts,

@@ -94,13 +94,6 @@ class Request:
     params: dict[str, Any] = field(default_factory=dict)
 
 
-def encode_message(message: dict[str, Any]) -> bytes:
-    """One message as an NDJSON line (compact separators, ASCII-safe)."""
-    return (
-        json.dumps(message, separators=(",", ":"), default=_jsonify) + "\n"
-    ).encode("utf-8")
-
-
 def _jsonify(value: Any) -> Any:
     # Sets appear in preference payloads (POS sets); tuples in deltas.
     if isinstance(value, (set, frozenset)):
@@ -108,6 +101,17 @@ def _jsonify(value: Any) -> Any:
     if isinstance(value, tuple):
         return list(value)
     raise TypeError(f"unserializable value {value!r} in protocol message")
+
+
+#: One encoder for every message: ``json.dumps`` with non-default
+#: arguments builds a fresh ``JSONEncoder`` per call.  ``encode`` keeps
+#: no state on the instance, so sharing it across threads is safe.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_jsonify)
+
+
+def encode_message(message: dict[str, Any]) -> bytes:
+    """One message as an NDJSON line (compact separators, ASCII-safe)."""
+    return (_ENCODER.encode(message) + "\n").encode("utf-8")
 
 
 def decode_message(line: bytes | str) -> dict[str, Any]:

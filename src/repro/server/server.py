@@ -2,10 +2,13 @@
 
 One :class:`PreferenceServer` multiplexes any number of concurrent client
 connections over one shared :class:`~repro.server.service
-.PreferenceService`.  The event loop only ever parses lines and routes
-requests; every CPU-bound call (planning, winnows, mutations, view
-seeding) runs on the service's worker pool via ``run_in_executor``, so a
-50k-row skyline never stalls other clients' round trips.
+.PreferenceService`.  The event loop parses lines, routes requests,
+resolves each ``query`` (build, personalize, view key — cheap and pure)
+and answers it on the spot when a current continuous view holds the rows
+and nobody holds that view's lock.  Everything that can take long or
+wait — planning, winnows, mutations, view seeding, a view mid-refresh —
+runs on the service's worker pool via ``run_in_executor``, so a 50k-row
+skyline never stalls other clients' round trips.
 
 Connections are served independently; within one connection requests are
 handled in arrival order (responses never interleave, which keeps the
@@ -26,12 +29,17 @@ import contextvars
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from repro.faults import plan as faults
 from repro.query.incremental import BMODelta
 from repro.server import protocol
-from repro.server.service import PreferenceService, ServiceError
+from repro.server.service import (
+    PreferenceService,
+    QueryAnswer,
+    ServiceError,
+)
 from repro.server.views import ContinuousView, ViewError
 from repro.session import MutationEvent
 from repro.storage.backend import StorageError
@@ -40,9 +48,10 @@ from repro.tenancy.profiles import TenancyError, valid_tenant
 #: The ``server`` field of the hello/ping payload.
 SERVER_NAME = "repro-preference-server"
 
-#: Ops dispatched to the worker pool — the ones admission control and
-#: deadlines govern.  The rest are O(1) event-loop answers that shedding
-#: could only make slower.
+#: Ops that do real work — the ones admission control and deadlines
+#: govern.  All go to the worker pool, except a ``query`` whose answer is
+#: view-resident (see :meth:`PreferenceServer._query`).  The rest are
+#: O(1) event-loop answers that shedding could only make slower.
 CPU_OPS = frozenset({
     "query", "explain", "insert", "delete", "subscribe", "revise",
     "profile", "checkpoint", "metrics",
@@ -51,6 +60,12 @@ CPU_OPS = frozenset({
 #: Default admission watermark: executor dispatches in flight beyond
 #: this are refused with ``code="overloaded"``.
 DEFAULT_MAX_PENDING = 64
+
+#: Consecutive queries one connection may have answered on the event
+#: loop before it yields to it.  A pipelining client's requests are all
+#: in the read buffer already, so without the yield its task would never
+#: suspend and every other connection would wait for the whole burst.
+INLINE_STREAK = 8
 
 #: Default per-connection write-buffer cap (bytes).  A subscriber that
 #: stops reading accumulates unsent deltas in its transport buffer; past
@@ -95,6 +110,9 @@ class _Connection:
         #: Default tenant bound by the ``login`` op (per-request
         #: ``tenant`` fields override it).
         self.tenant: str | None = None
+        #: Queries answered on the event loop since this connection's
+        #: task last gave it up (see :data:`INLINE_STREAK`).
+        self.inline_streak = 0
 
     async def send(self, message: dict[str, Any]) -> None:
         if self.closed:
@@ -333,36 +351,76 @@ class PreferenceServer:
 
     # -- request routing --------------------------------------------------------
 
+    def _shed_if_expired(self, when: str) -> None:
+        assert self._loop is not None
+        deadline = _DEADLINE.get()
+        if deadline is not None and self._loop.time() >= deadline:
+            raise DeadlineExceeded(f"deadline expired {when} execution")
+
     async def _run(self, fn, /, *args: Any, **kwargs: Any) -> Any:
-        """Run a service call on the worker pool, off the event loop.
+        """Run a service call on the worker pool, off the event loop."""
+        return await self._dispatch(
+            getattr(fn, "__name__", str(fn)), partial(fn, *args, **kwargs)
+        )
+
+    async def _dispatch(self, name: str, call: Callable[[], Any]) -> Any:
+        """One worker-pool dispatch; ``name`` is what ``executor.task``
+        fault rules match on.
 
         Enforces the request deadline on both sides of the dispatch: an
         already-expired request never reaches the pool, and a result
         that took longer than its budget is shed instead of sent.
         """
         assert self._loop is not None
-        loop = self._loop
-        deadline = _DEADLINE.get()
-        if deadline is not None and loop.time() >= deadline:
-            raise DeadlineExceeded(
-                "deadline expired before execution"
-            )
-        name = getattr(fn, "__name__", str(fn))
+        self._shed_if_expired("before")
 
         def task() -> Any:
             faults.check("executor.task", name)
-            return fn(*args, **kwargs)
+            return call()
 
         self._pending += 1
         try:
-            result = await loop.run_in_executor(
+            result = await self._loop.run_in_executor(
                 self.service.executor, task
             )
         finally:
             self._pending -= 1
-        if deadline is not None and loop.time() >= deadline:
-            raise DeadlineExceeded("deadline expired during execution")
+        self._shed_if_expired("during")
         return result
+
+    async def _query(
+        self, connection: _Connection, params: dict[str, Any]
+    ) -> QueryAnswer:
+        """Answer one ``query``: resolve it here on the loop, then let the
+        service answer on the spot if a current, uncontended view holds
+        the rows — a lookup does not pay for a worker-pool round trip.
+
+        Anything else — a first sighting, a ``WHERE``, a forced backend,
+        a stale or poisoned view, a view mid-refresh — is dispatched to
+        the pool with the already-resolved query.  The inline lane keeps
+        the pool lane's contract: both deadline checks, and the
+        ``executor.task`` fault site once per request.
+        """
+        service = self.service
+        self._shed_if_expired("before")
+        resolved = service.resolve(
+            sql=params.get("sql"), spec=params.get("spec"),
+            tenant=self._tenant_of(connection, params),
+            term=params.get("term"),
+        )
+        answer = service.answer_resident(resolved)
+        if answer is None:
+            connection.inline_streak = 0
+            return await self._dispatch(
+                "query", partial(service.answer, resolved)
+            )
+        faults.check("executor.task", "query")
+        self._shed_if_expired("during")
+        connection.inline_streak += 1
+        if connection.inline_streak >= INLINE_STREAK:
+            connection.inline_streak = 0
+            await asyncio.sleep(0)
+        return answer
 
     async def handle_request(
         self, connection: _Connection, request: protocol.Request
@@ -439,12 +497,7 @@ class PreferenceServer:
                 payload["profile"] = profile.summary()
             await connection.send(protocol.ok_response(rid, **payload))
         elif op == "query":
-            answer = await self._run(
-                self.service.query,
-                sql=params.get("sql"), spec=params.get("spec"),
-                tenant=self._tenant_of(connection, params),
-                term=params.get("term"),
-            )
+            answer = await self._query(connection, params)
             for message in protocol.rows_chunks(
                 rid, answer.rows, self.chunk_rows,
                 source=answer.source, elapsed_ns=answer.elapsed_ns,

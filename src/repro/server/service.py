@@ -24,8 +24,12 @@ caches) and adds everything a long-running server needs:
   parallel kernels queue on one core-sized worker set instead of
   oversubscribing the machine with nested pools.
 
-The service is synchronous and safe to call from any thread; the asyncio
-server wraps calls in ``run_in_executor``.
+The query path is two steps: :meth:`PreferenceService.resolve` (build,
+personalize, find the view key — cheap and pure) and
+:meth:`PreferenceService.answer`.  The service is synchronous and safe to
+call from any thread; the asyncio server resolves on its event loop,
+answers there too when :meth:`PreferenceService.answer_resident` can, and
+wraps everything else in ``run_in_executor``.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from repro.server.views import (
     ViewSpec,
 )
 from repro.session import MutationEvent, Session
+from repro.tenancy.profiles import valid_tenant
 
 #: Spec/wire comparison operators accepted by ``where`` triples.
 _SPEC_OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
@@ -89,6 +94,20 @@ class ServiceError(ValueError):
 DeltaListener = Callable[
     [ContinuousView, "BMODelta | ViewError", MutationEvent], None
 ]
+
+
+@dataclass(frozen=True)
+class ResolvedQuery:
+    """One request after :meth:`PreferenceService.resolve`: everything the
+    answer step needs, computed once."""
+
+    query: PreferenceQuery  # built and, for a tenant, personalized
+    relation: str
+    #: The continuous view that could answer it (None: not view-shaped).
+    view_spec: ViewSpec | None
+    tenant: str | None = None
+    #: Whether a profile term was composed in (tenant metrics).
+    composed: bool = False
 
 
 @dataclass(frozen=True)
@@ -327,6 +346,43 @@ class PreferenceService:
 
     # -- queries ----------------------------------------------------------------
 
+    def resolve(
+        self,
+        sql: str | None = None,
+        spec: Mapping[str, Any] | None = None,
+        tenant: str | None = None,
+        term: str | None = None,
+    ) -> ResolvedQuery:
+        """The first half of every query: build it, personalize it, and
+        find the continuous view that could answer it.
+
+        With ``tenant``, the tenant's profile term (``term`` names one;
+        default otherwise) composes *over* the base query and the
+        canonicalized result shares continuous views across equivalent
+        tenants (see :class:`~repro.tenancy.manager.TenantManager`).
+
+        Pure and cheap — nothing is seeded, planned or executed, and the
+        only locks taken guard a dict update — so the server runs it on
+        its event loop.
+        """
+        q = self.build_query(sql, spec)
+        if tenant is None:
+            return self._resolved(q)
+        tenant = valid_tenant(tenant)
+        q, composed = self.tenancy.compose(q, tenant, term)
+        return self._resolved(q, tenant, composed)
+
+    def _resolved(
+        self,
+        q: PreferenceQuery,
+        tenant: str | None = None,
+        composed: bool = False,
+    ) -> ResolvedQuery:
+        relation = self._relation_of(q)
+        return ResolvedQuery(
+            q, relation, self._view_spec_of(q, relation), tenant, composed
+        )
+
     def query(
         self,
         sql: str | None = None,
@@ -334,45 +390,64 @@ class PreferenceService:
         tenant: str | None = None,
         term: str | None = None,
     ) -> QueryAnswer:
-        """Answer one query, from a current continuous view when possible.
+        """Answer one query, from a current continuous view when possible:
+        :meth:`resolve` + :meth:`answer`.
 
         View answers apply the query's presentation clauses (order_by /
         select / limit) on top of the maintained window and are identical,
         row for row, to a fresh plan execution.
-
-        With ``tenant``, the query is personalized first: the tenant's
-        profile term (``term`` names one; default otherwise) composes
-        *over* the base query and the canonicalized result shares
-        continuous views across equivalent tenants (see
-        :class:`~repro.tenancy.manager.TenantManager`).
         """
-        if tenant is not None:
-            return self.tenancy.query(tenant, sql=sql, spec=spec, term=term)
-        return self.answer(self.build_query(sql, spec))
+        return self.answer(self.resolve(sql, spec, tenant, term))
 
-    def answer(self, q: PreferenceQuery, auto_view: bool = True) -> QueryAnswer:
-        """Answer one built query (the shared tail of every query path).
+    def answer_resident(self, resolved: ResolvedQuery) -> QueryAnswer | None:
+        """The answer, if a registered view holds it *right now* — healthy,
+        current, and with its lock free; ``None`` otherwise, and the
+        caller takes :meth:`answer`.
 
-        ``auto_view=False`` disables the sighting-counter
-        auto-materialization — the tenancy layer makes its own
-        materialization decisions (quotas, LRU) before calling in.
+        Never waits, seeds or plans (prefcheck PC005 keeps it so): this
+        is what the server runs on its event loop.
         """
         start = time.perf_counter_ns()
-        relation = self._relation_of(q)
-        view = self._answering_view(q, relation, auto_view=auto_view)
-        if view is not None:
-            try:
-                rows = self._present(view.rows(), q)
-            except Exception as exc:
-                # Same error contract as the plan path (e.g. an unknown
-                # order_by/select attribute is a bad request either way).
-                self.metrics.record_error()
-                raise ServiceError(f"query failed: {exc}") from exc
-            elapsed = time.perf_counter_ns() - start
-            self.metrics.record_query("view", elapsed)
-            return QueryAnswer(rows, "view", elapsed, relation)
+        spec = resolved.view_spec
+        if spec is None:
+            return None
+        view = self.views.get(spec)
+        if view is None:
+            return None
+        rows = view.rows_if_free(
+            spec.key, self.session.catalog.version(resolved.relation)
+        )
+        if rows is None:
+            return None
+        return self._view_answer(resolved, rows, start, hit=True, inline=True)
+
+    def answer(
+        self, q: PreferenceQuery | ResolvedQuery, auto_view: bool = True
+    ) -> QueryAnswer:
+        """Answer one resolved query (a bare built query is resolved
+        as anonymous first).
+
+        A view-shaped query nobody holds a view for may materialize one
+        on the way: a tenant's on first sight, within its quota
+        (:meth:`TenantManager.seed_view`); an anonymous one after
+        ``auto_view_threshold`` sightings, which ``auto_view=False``
+        switches off.
+        """
+        start = time.perf_counter_ns()
+        resolved = q if isinstance(q, ResolvedQuery) else self._resolved(q)
+        spec = resolved.view_spec
+        if spec is not None:
+            view = self.views.get(spec)
+            seeded = view is None
+            if view is None:
+                view = self._first_sight(resolved, spec, auto_view)
+            rows = None if view is None else view.rows_at(
+                spec.key, self.session.catalog.version(resolved.relation)
+            )
+            if rows is not None:
+                return self._view_answer(resolved, rows, start, not seeded)
         try:
-            result = q.run()
+            result = resolved.query.run()
         except ServiceError:
             raise
         except Exception as exc:
@@ -381,7 +456,57 @@ class PreferenceService:
         rows = result.rows() if not isinstance(result, list) else result
         elapsed = time.perf_counter_ns() - start
         self.metrics.record_query("plan", elapsed)
-        return QueryAnswer(rows, "plan", elapsed, relation)
+        answer = QueryAnswer(rows, "plan", elapsed, resolved.relation)
+        if resolved.tenant is not None:
+            self.tenancy.record(resolved, answer, hit=False)
+        return answer
+
+    def _view_answer(
+        self,
+        resolved: ResolvedQuery,
+        rows: list[Row],
+        start: int,
+        hit: bool,
+        inline: bool = False,
+    ) -> QueryAnswer:
+        """Present view rows as the answer and account for it."""
+        try:
+            rows = self._present(rows, resolved.query)
+        except Exception as exc:
+            # Same error contract as the plan path (e.g. an unknown
+            # order_by/select attribute is a bad request either way).
+            self.metrics.record_error()
+            raise ServiceError(f"query failed: {exc}") from exc
+        elapsed = time.perf_counter_ns() - start
+        self.metrics.record_query("view", elapsed, inline)
+        answer = QueryAnswer(rows, "view", elapsed, resolved.relation)
+        if resolved.tenant is not None:
+            self.tenancy.record(resolved, answer, hit)
+        return answer
+
+    def _first_sight(
+        self, resolved: ResolvedQuery, spec: ViewSpec, auto_view: bool
+    ) -> ContinuousView | None:
+        """Materialize the missing view of ``spec`` if policy says so."""
+        if resolved.tenant is not None:
+            return self.tenancy.seed_view(resolved.tenant, spec)
+        if (
+            not auto_view
+            or self.auto_view_threshold is None
+            or len(self.views) >= self.max_auto_views
+        ):
+            return None
+        with self._seen_lock:
+            seen = self._seen_specs.pop(spec.key, 0) + 1
+            if seen < self.auto_view_threshold:
+                # Reinsertion keeps the counter recency-ordered; when
+                # full, the coldest sighting goes (bounded memory
+                # under an endless stream of one-off specs).
+                if len(self._seen_specs) >= _SEEN_SPECS_CAP:
+                    self._seen_specs.pop(next(iter(self._seen_specs)))
+                self._seen_specs[spec.key] = seen
+                return None
+        return self._materialize(spec)
 
     def explain(
         self,
@@ -391,18 +516,13 @@ class PreferenceService:
         term: str | None = None,
     ) -> str:
         """The plan text, annotated with the view that would answer it."""
-        if tenant is not None:
-            return self.tenancy.explain(tenant, sql=sql, spec=spec, term=term)
-        return self.explain_query(self.build_query(sql, spec))
-
-    def explain_query(self, q: PreferenceQuery) -> str:
+        resolved = self.resolve(sql, spec, tenant, term)
         try:
-            text = q.explain()
+            text = resolved.query.explain()
         except Exception as exc:
             raise ServiceError(f"explain failed: {exc}") from exc
-        view_spec = self._view_spec_of(q, self._relation_of(q))
-        if view_spec is not None:
-            view = self.views.get(view_spec)
+        if resolved.view_spec is not None:
+            view = self.views.get(resolved.view_spec)
             if view is not None and self._is_current(view):
                 text += (
                     f"\nanswered from view: {view.spec.describe()} "
@@ -453,37 +573,10 @@ class PreferenceService:
             q._top_ties if q._top is not None else "strict",
         )
 
-    def _answering_view(
-        self, q: PreferenceQuery, relation: str, auto_view: bool = True
-    ) -> ContinuousView | None:
-        spec = self._view_spec_of(q, relation)
-        if spec is None:
-            return None
-        view = self.views.get(spec)
-        if (
-            view is None
-            and auto_view
-            and self.auto_view_threshold is not None
-            and len(self.views) < self.max_auto_views
-        ):
-            with self._seen_lock:
-                seen = self._seen_specs.pop(spec.key, 0) + 1
-                if seen < self.auto_view_threshold:
-                    # Reinsertion keeps the counter recency-ordered; when
-                    # full, the coldest sighting goes (bounded memory
-                    # under an endless stream of one-off specs).
-                    if len(self._seen_specs) >= _SEEN_SPECS_CAP:
-                        self._seen_specs.pop(next(iter(self._seen_specs)))
-                    self._seen_specs[spec.key] = seen
-            if seen >= self.auto_view_threshold:
-                view = self._materialize(spec)
-        if view is not None and self._is_current(view):
-            return view
-        return None
-
     def _present(self, rows: list[Row], q: PreferenceQuery) -> list[Row]:
         """Apply presentation clauses (order_by / select / limit) to view
-        rows — the same operators the plan applies above the winnow."""
+        rows — the same operators the plan applies above the winnow.
+        ``rows`` is the view's own snapshot copy, handed on as is."""
         for attribute, descending in reversed(q._order_by):
             rows = sorted(
                 rows, key=lambda r: r[attribute], reverse=descending
@@ -492,7 +585,7 @@ class PreferenceService:
             rows = [{a: r[a] for a in q._select} for r in rows]
         if q._limit is not None:
             rows = rows[: q._limit]
-        return [dict(r) for r in rows]
+        return rows
 
     # -- views ------------------------------------------------------------------
 

@@ -19,6 +19,7 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 from repro.core.base_numerical import ScorePreference
@@ -66,6 +67,12 @@ def _score_identities(pref: Preference) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def term_identity(pref: Preference) -> tuple:
+    """What tells two terms apart as a cache key: the structural signature
+    plus the identities of ad-hoc scoring callables."""
+    return pref.signature, _score_identities(pref)
+
+
 @dataclass(frozen=True)
 class ViewSpec:
     """The standing query a continuous view materializes."""
@@ -76,18 +83,19 @@ class ViewSpec:
     top: int | None = None
     ties: str = "strict"
 
-    @property
+    @cached_property
     def key(self) -> tuple:
         """The registry key: hashable structural identity of the view.
 
         Ad-hoc SCORE/rank callables participate by identity (see
         :func:`_score_identities`), so signature-equal terms with
-        different scoring code never alias to one view.
+        different scoring code never alias to one view.  Computed once
+        per spec — the fields are frozen, and building it walks the
+        whole term.
         """
         return (
             self.relation.lower(),
-            self.pref.signature,
-            _score_identities(self.pref),
+            *term_identity(self.pref),
             self.groupby,
             self.top,
             self.ties,
@@ -209,6 +217,34 @@ class ContinuousView:
             self.served += 1
             return self._live.result()
 
+    def rows_at(self, key: tuple, version: int) -> list[Row] | None:
+        """:meth:`rows`, if the view can answer a query keyed ``key`` at
+        catalog ``version``: healthy, current, and not revised to another
+        preference since the registry lookup.  Checked and read under
+        one hold of the lock, so the check cannot go stale before the
+        read; ``None`` otherwise.
+        """
+        with self._lock:
+            if (
+                self.poisoned is not None
+                or self.version != version
+                or self.spec.key != key
+            ):
+                return None
+            return self.rows()
+
+    def rows_if_free(self, key: tuple, version: int) -> list[Row] | None:
+        """:meth:`rows_at` without waiting: ``None`` at once when another
+        thread holds the lock (a refresh or revision in flight).  The
+        server's event loop reads through this — it must never wait on
+        view maintenance."""
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            return self.rows_at(key, version)
+        finally:
+            self._lock.release()
+
     def snapshot(self) -> tuple[list[Row], int]:
         """The current result together with the version it is current at,
         read atomically — subscribers use the version to discard delta
@@ -257,8 +293,10 @@ class ViewRegistry:
         self._lock = threading.RLock()
 
     def get(self, spec: ViewSpec) -> ContinuousView | None:
-        with self._lock:
-            return self._views.get(spec.key)
+        # One dict read, deliberately lock-free: the server's event loop
+        # looks views up and must not wait.  A reader racing a re-key is
+        # caught by the key check in :meth:`ContinuousView.rows_at`.
+        return self._views.get(spec.key)
 
     def register(
         self, spec: ViewSpec, rows: Sequence[Row], version: int
@@ -297,16 +335,19 @@ class ViewRegistry:
     ) -> tuple[BMODelta, Revision, str]:
         """Revise a registered view in place and re-key the index.
 
-        The old key is dropped and the revised view re-registered under
-        its new key atomically with respect to other registry operations;
-        if another view already occupies the new key, the revised view
-        wins (it carries the subscribers' history).
+        The revision itself runs under the view's lock only — it can be
+        a full re-winnow, and the registry lock must stay cheap to take —
+        then the old key is dropped and the revised view re-registered
+        under its new key in one step.  In between, a reader that finds
+        the view under its old key is turned away by the key check in
+        :meth:`ContinuousView.rows_at`.  If another view already occupies
+        the new key, the revised view wins (it carries the subscribers'
+        history).
         """
+        old_key = view.spec.key
+        outcome = view.revise(new_pref, constraints=constraints)
         with self._lock:
-            old_key = view.spec.key
-            outcome = view.revise(new_pref, constraints=constraints)
-            current = self._views.get(old_key)
-            if current is view:
+            if self._views.get(old_key) is view:
                 del self._views[old_key]
             self._views[view.spec.key] = view
         return outcome

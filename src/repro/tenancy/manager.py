@@ -7,14 +7,16 @@
    .profiles.ProfileStore`),
 2. composes it *over* the submitted base query — ``prio(user_pref,
    base_pref)``, the paper's personalization story (Definition 9: the
-   profile dominates, the base term breaks ties) — via
-   :meth:`~repro.query.api.PreferenceQuery.personalize`, which
-   canonicalizes the composed term,
-3. answers through the service's one planning pipeline, materializing the
-   canonical term's continuous view on first sight (subject to per-tenant
-   quotas and the LRU-bounded :class:`~repro.tenancy.shared
+   profile dominates, the base term breaks ties) — canonicalized, from a
+   bounded cache that recomputes only when the profile is revised
+   (:meth:`TenantManager.compose`),
+3. rides the service's one ``resolve()`` + ``answer()`` path: the
+   service asks :meth:`TenantManager.seed_view` to materialize the
+   canonical term's continuous view on first sight (subject to
+   per-tenant quotas and the LRU-bounded :class:`~repro.tenancy.shared
    .SharedViewIndex>`), so every later tenant with an algebraically
-   equivalent term answers from the shared window.
+   equivalent term answers from the shared window, and reports each
+   answer to :meth:`TenantManager.record`.
 
 Profile revisions migrate the tenant's live subscriptions: when the
 tenant is the sole pinner of the old view, the view is revised *in
@@ -34,14 +36,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.preference import Preference
-from repro.core.constructors import PrioritizedPreference
-from repro.algebra.equivalence import canonical_form
 from repro.engineering.serialization import (
     SerializationError,
     preference_to_dict,
 )
+from repro.query.api import compose_terms
 from repro.query.incremental import BMODelta, _diff
-from repro.server.views import ContinuousView, ViewSpec
+from repro.server.views import ContinuousView, ViewSpec, term_identity
 from repro.tenancy.metrics import TenantMetrics
 from repro.tenancy.profiles import (
     ProfileStore,
@@ -53,7 +54,15 @@ from repro.tenancy.shared import SharedViewIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.query.api import PreferenceQuery
-    from repro.server.service import PreferenceService, QueryAnswer
+    from repro.server.service import (
+        PreferenceService,
+        QueryAnswer,
+        ResolvedQuery,
+    )
+
+#: Composed canonical terms kept before the coldest is dropped;
+#: recomposing is cheap, unbounded growth is not.
+_COMPOSE_CACHE_CAP = 4096
 
 
 @dataclass
@@ -111,6 +120,12 @@ class TenantManager:
         self._lock = threading.RLock()
         #: (tenant, view key) -> recomposition recipe + refcount
         self._subs: dict[tuple[str, tuple], _TenantSub] = {}
+        #: (id of the decoded profile term, base-term identity) ->
+        #: (that profile term, composed canonical term); see
+        #: :meth:`_composed_term`.  Its own lock, held for one dict
+        #: operation at a time: the server's event loop composes here.
+        self._composed: dict[tuple, tuple[Preference | None, Preference]] = {}
+        self._composed_lock = threading.Lock()
 
     # -- composition ------------------------------------------------------
 
@@ -123,26 +138,50 @@ class TenantManager:
         """The query personalized for ``tenant``; also whether a profile
         term was actually composed in."""
         pref = self.profiles.resolve(tenant, term)
-        return q.personalize(pref), pref is not None
+        composed = self._composed_term(pref, q.preference)
+        return q.personalize(pref, composed=composed), pref is not None
+
+    def _composed_term(
+        self, pref: Preference | None, base: Preference | None
+    ) -> Preference | None:
+        """``canonical_form(prio(pref, base))`` from a bounded cache, so a
+        tenant's term is canonicalized once per profile revision, not once
+        per query.
+
+        Keyed on the *identity* of the decoded profile term — the profile
+        store hands out one object per (tenant, term name, profile
+        version), so a profile write of any kind is a miss, including a
+        delete-and-recreate that reuses a version number — and on the
+        base term's structural identity (signature plus ad-hoc SCORE
+        callables, as in :attr:`ViewSpec.key`).  The entry keeps the
+        profile term alive, so its ``id`` cannot be reused under it.
+        """
+        if pref is None and base is None:
+            return None
+        key = (id(pref), None if base is None else term_identity(base))
+        with self._composed_lock:
+            hit = self._composed.get(key)
+        if hit is not None and hit[0] is pref:
+            return hit[1]
+        composed = compose_terms(pref, base)
+        assert composed is not None
+        with self._composed_lock:
+            if len(self._composed) >= _COMPOSE_CACHE_CAP:
+                self._composed.pop(next(iter(self._composed)))
+            self._composed[key] = (pref, composed)
+        return composed
 
     def _composed_pref(
         self, tenant: str, base: Preference | None, term: str | None
     ) -> Preference:
-        """``prio(profile, base)`` canonicalized, outside a query object."""
-        pref = self.profiles.resolve(tenant, term)
-        if pref is None and base is None:
+        """The tenant's composed term outside a query object."""
+        full = self._composed_term(self.profiles.resolve(tenant, term), base)
+        if full is None:
             raise TenancyError(
                 f"tenant {tenant!r} has no applicable profile term and no "
                 "base preference was given"
             )
-        if pref is None:
-            full = base
-        elif base is None:
-            full = pref
-        else:
-            full = PrioritizedPreference((pref, base))
-        assert full is not None
-        return canonical_form(full)
+        return full
 
     # -- queries ----------------------------------------------------------
 
@@ -153,53 +192,41 @@ class TenantManager:
         spec: Mapping[str, Any] | None = None,
         term: str | None = None,
     ) -> "QueryAnswer":
-        """Answer one personalized query, sharing views across tenants.
+        """``service.query(..., tenant=tenant)``, tenant first."""
+        return self.service.query(sql, spec, tenant, term)
 
-        View-shaped canonical terms materialize on first sight (no
-        sighting threshold — the whole point is that the *next*
-        equivalent tenant hits the window), unless the tenant is over its
-        view quota, in which case the query still answers — from a fresh
-        plan — and the denial is counted, without evicting anyone else's
-        views.
+    def seed_view(self, tenant: str, spec: ViewSpec) -> ContinuousView | None:
+        """Materialize the shared view of a canonical term no view holds
+        yet, on behalf of ``tenant``.
+
+        There is no sighting threshold — the whole point is that the
+        *next* equivalent tenant hits the window.  A tenant over its view
+        quota gets ``None``: the query still answers, from a fresh plan,
+        and the denial is counted, without evicting anyone else's views.
         """
-        tenant = valid_tenant(tenant)
-        q = self.service.build_query(sql, spec)
-        q, composed = self.compose(q, tenant, term)
-        relation = self.service._relation_of(q)
-        view_spec = self.service._view_spec_of(q, relation)
-        seeded = False
-        if view_spec is not None and self.service.views.get(view_spec) is None:
-            if self.shared.created_count(tenant) >= self.max_views_per_tenant:
-                self.metrics.record_quota_denial(tenant)
-                view_spec = None  # over quota: plan-answer, touch nothing
-            else:
-                self.service._materialize(view_spec)
-                self.shared.track(view_spec, tenant)
-                seeded = True
-                for dropped in self.shared.evict_overflow():
-                    self.service._forget_view(dropped)
-        answer = self.service.answer(q, auto_view=False)
-        # The query that paid for the seeding is honestly a miss — hit
-        # rate measures how often a tenant rides an *existing* window.
-        hit = answer.source == "view" and not seeded
-        if view_spec is not None:
-            self.shared.note(view_spec, tenant, hit=hit)
-        self.metrics.record_query(
-            tenant, "view" if hit else "plan", answer.elapsed_ns, composed
-        )
-        return answer
+        if self.shared.created_count(tenant) >= self.max_views_per_tenant:
+            self.metrics.record_quota_denial(tenant)
+            return None
+        view = self.service._materialize(spec)
+        self.shared.track(spec, tenant)
+        for dropped in self.shared.evict_overflow():
+            self.service._forget_view(dropped)
+        return view
 
-    def explain(
-        self,
-        tenant: str,
-        sql: str | None = None,
-        spec: Mapping[str, Any] | None = None,
-        term: str | None = None,
-    ) -> str:
-        tenant = valid_tenant(tenant)
-        q = self.service.build_query(sql, spec)
-        q, _ = self.compose(q, tenant, term)
-        return self.service.explain_query(q)
+    def record(
+        self, resolved: "ResolvedQuery", answer: "QueryAnswer", hit: bool
+    ) -> None:
+        """Account one answered tenant query.  ``hit`` is whether it rode
+        an *existing* window — the query that paid for a seeding is
+        honestly a miss."""
+        tenant = resolved.tenant
+        assert tenant is not None
+        if resolved.view_spec is not None:
+            self.shared.note(resolved.view_spec, tenant, hit=hit)
+        self.metrics.record_query(
+            tenant, "view" if hit else "plan", answer.elapsed_ns,
+            resolved.composed,
+        )
 
     # -- subscriptions ----------------------------------------------------
 

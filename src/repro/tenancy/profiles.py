@@ -10,9 +10,11 @@ continuous views, so they survive a server crash and restart.
 
 Terms are validated at *write* time (a profile entry that cannot
 deserialize would otherwise poison every later query) and deserialized
-lazily at *resolve* time through a bounded per-(tenant, term) cache keyed
-on the profile version — a hot tenant's term decodes once per profile
-revision, not once per query.
+lazily at *resolve* time through a bounded per-(tenant, term) cache valid
+for one profile revision — a hot tenant's term decodes once per profile
+revision, not once per query, and every query of that revision gets the
+*same* ``Preference`` object (the tenant manager's composition cache
+keys on its identity).
 """
 
 from __future__ import annotations
@@ -107,8 +109,11 @@ class ProfileStore:
         self._functions = dict(functions or {})
         self._lock = threading.RLock()
         self._profiles: dict[str, TenantProfile] = {}
-        #: (tenant, term-name) -> (profile version, decoded Preference)
-        self._resolved: dict[tuple[str, str], tuple[int, Preference]] = {}
+        #: (tenant, term-name) -> (the profile snapshot the term was
+        #: decoded from, decoded Preference)
+        self._resolved: dict[
+            tuple[str, str], tuple[TenantProfile, Preference]
+        ] = {}
         if binding is not None:
             for payload in binding.pending_profiles():
                 try:
@@ -140,31 +145,37 @@ class ProfileStore:
         term the profile does not hold raises :class:`TenancyError` (a
         typo must not silently serve unpersonalized answers).
         """
-        with self._lock:
-            profile = self._profiles.get(valid_tenant(tenant))
-            if profile is None:
-                if term is not None:
-                    raise TenancyError(f"tenant {tenant!r} has no profile")
-                return None
-            name = term if term is not None else profile.default
-            if name is None:
-                return None
-            data = profile.terms.get(name)
-            if data is None:
-                raise TenancyError(
-                    f"tenant {tenant!r} has no profile term {name!r}; "
-                    f"available: {sorted(profile.terms)}"
-                )
-            cached = self._resolved.get((tenant, name))
-            if cached is not None and cached[0] == profile.version:
-                return cached[1]
-            version = profile.version
-        # Decode outside the lock — terms can be large.
+        # No lock is waited on: the server resolves on its event loop, and
+        # a profile write holds the lock across its WAL append.  Reads
+        # are single dict lookups of immutable snapshots — every write
+        # installs a new TenantProfile — and a cached term is valid only
+        # for the very snapshot it was decoded from.
+        profile = self._profiles.get(valid_tenant(tenant))
+        if profile is None:
+            if term is not None:
+                raise TenancyError(f"tenant {tenant!r} has no profile")
+            return None
+        name = term if term is not None else profile.default
+        if name is None:
+            return None
+        data = profile.terms.get(name)
+        if data is None:
+            raise TenancyError(
+                f"tenant {tenant!r} has no profile term {name!r}; "
+                f"available: {sorted(profile.terms)}"
+            )
+        cached = self._resolved.get((tenant, name))
+        if cached is not None and cached[0] is profile:
+            return cached[1]
         pref = self._decode(data)
-        with self._lock:
-            if len(self._resolved) >= _RESOLVE_CACHE_CAP:
-                self._resolved.pop(next(iter(self._resolved)))
-            self._resolved[(tenant, name)] = (version, pref)
+        if self._lock.acquire(blocking=False):  # busy: cache it next time
+            try:
+                if self._profiles.get(tenant) is profile:
+                    if len(self._resolved) >= _RESOLVE_CACHE_CAP:
+                        self._resolved.pop(next(iter(self._resolved)))
+                    self._resolved[(tenant, name)] = (profile, pref)
+            finally:
+                self._lock.release()
         return pref
 
     def _decode(self, data: Mapping[str, Any]) -> Preference:

@@ -10,6 +10,7 @@ REPO = Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 from prefcheck import (  # noqa: E402
+    check_loop_lane,
     check_repo,
     check_rule_coverage,
     check_source,
@@ -115,6 +116,87 @@ class TestBareExcept:
                     pass
         """)
         assert check_source(source, "src/repro/server/service.py") == []
+
+
+class TestLoopLane:
+    SERVICE = "src/repro/server/service.py"
+    VIEWS = "src/repro/server/views.py"
+
+    def test_waiting_or_working_on_the_loop_lane_flagged(self):
+        service = textwrap.dedent("""
+            class PreferenceService:
+                def resolve(self, sql):
+                    with self._mutation_lock:
+                        return self.build_query(sql)
+
+                def build_query(self, sql):
+                    return self.session.sql_query(sql).plan()
+
+                def answer_resident(self, resolved):
+                    view = self.views.get(resolved.view_spec)
+                    if view is None:
+                        view = self._materialize(resolved.view_spec)
+                    return view.rows_if_free()
+        """)
+        views = textwrap.dedent("""
+            class ContinuousView:
+                def rows_if_free(self):
+                    self._lock.acquire()
+                    return self._live.result()
+
+            class ViewRegistry:
+                def get(self, spec):
+                    return self._views.get(spec.key)
+        """)
+        findings = check_loop_lane({self.SERVICE: service, self.VIEWS: views})
+        assert _codes(findings) == ["PC005"] * 4
+        text = " ".join(f.message for f in findings)
+        assert "resolve() runs on the server's event loop" in text
+        assert "enters the mutation lock" in text
+        assert "build_query() " in text and "calls plan()" in text
+        assert "calls _materialize()" in text
+        assert "ContinuousView.rows_if_free()" in text
+        assert "without blocking=False" in text
+
+    def test_pool_lane_and_lower_layers_are_not_followed(self):
+        service = textwrap.dedent("""
+            class PreferenceService:
+                def resolve(self, sql):
+                    return self.session.query(sql)
+
+                def answer_resident(self, resolved):
+                    view = self.views.get(resolved.view_spec)
+                    return None if view is None else view.rows_if_free()
+
+                def query(self, sql):
+                    return self.answer(self.resolve(sql))
+
+                def answer(self, resolved):
+                    with self._mutation_lock:
+                        view = self._materialize(resolved.view_spec)
+                    return view.rows() or resolved.query.run()
+        """)
+        views = textwrap.dedent("""
+            class ContinuousView:
+                def rows_if_free(self):
+                    if not self._lock.acquire(blocking=False):
+                        return None
+                    try:
+                        return self._live.result()
+                    finally:
+                        self._lock.release()
+
+                def rows(self):
+                    with self._lock:
+                        return self._live.result()
+
+            class ViewRegistry:
+                def get(self, spec):
+                    return self._views.get(spec.key)
+        """)
+        assert check_loop_lane(
+            {self.SERVICE: service, self.VIEWS: views}
+        ) == []
 
 
 class TestRuleCoverage:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """prefcheck: repo-specific lint for the preference-query codebase.
 
-Four AST-level checks encode invariants the test suite cannot express as
+Five AST-level checks encode invariants the test suite cannot express as
 unit tests (they quantify over *all* code, current and future):
 
 * **PC001 — no planning under a session lock.**  Query planning and plan
@@ -21,6 +21,15 @@ unit tests (they quantify over *all* code, current and future):
 * **PC004 — no bare ``except:`` in server paths.**  A bare except in
   ``src/repro/server`` swallows ``KeyboardInterrupt`` / ``SystemExit``
   and can wedge the serving loop; catch ``Exception`` (or narrower).
+* **PC005 — the loop lane never waits or works.**  The server resolves
+  every ``query`` and answers view-resident ones *on its event loop*
+  (``PreferenceService.resolve`` / ``answer_resident``); one blocking
+  call there stalls every connection.  Those two functions, and
+  everything they call inside ``src/repro/server`` and
+  ``src/repro/tenancy``, may not seed, plan or execute
+  (``_materialize*``, ``.seed(``, ``.plan(``, ``.run(``,
+  ``.execute(``), may not enter ``with self._mutation_lock``, and may
+  ``.acquire(`` a lock only with ``blocking=False``.
 
 Usage::
 
@@ -37,7 +46,7 @@ import ast
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -53,6 +62,34 @@ LOCK_ATTRS = {"_lock", "mutation_lock", "_cache_lock"}
 #: Cheap accessors allowed under a lock even though their names collide
 #: with planning verbs elsewhere (none currently; extend deliberately).
 ALLOWED_UNDER_LOCK: set[str] = set()
+
+#: PC005: where the loop lane starts, and the packages it is followed in.
+LOOP_LANE_ROOTS = (
+    ("PreferenceService", "resolve"),
+    ("PreferenceService", "answer_resident"),
+)
+LOOP_LANE_DIRS = ("src/repro/server", "src/repro/tenancy")
+
+#: PC005 follows ``self.f()`` into the caller's own class, a bare ``f()``
+#: into a module-level function, and ``<receiver>.f()`` into the classes
+#: this table names for the receiver's last name (``self.tenancy.compose``
+#: -> ``tenancy``).  Other receivers (``self.session``, a query object)
+#: belong to layers below the server and are not followed.
+LOOP_LANE_RECEIVERS: dict[str, tuple[str, ...]] = {
+    "service": ("PreferenceService",),
+    "tenancy": ("TenantManager",),
+    "profiles": ("ProfileStore",),
+    "shared": ("SharedViewIndex",),
+    "views": ("ViewRegistry",),
+    "view": ("ContinuousView",),
+    "metrics": ("ServiceMetrics", "TenantMetrics"),
+}
+
+#: Calls that seed, plan or execute — work the event loop must not do.
+LOOP_LANE_WORK = {"seed", "plan", "run", "execute"}
+
+#: Lock attributes a loop-lane ``with`` block must not enter.
+LOOP_LANE_LOCKS = {"_mutation_lock", "mutation_lock"}
 
 
 @dataclass(frozen=True)
@@ -151,6 +188,94 @@ def _check_bare_except(tree: ast.AST, path: str) -> list[Finding]:
     return findings
 
 
+def _receiver_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _loop_lane_callees(
+    node: ast.Call, owner: str | None
+) -> list[tuple[str | None, str]]:
+    """The ``(class, function)`` names one call may land on (see
+    :data:`LOOP_LANE_RECEIVERS`)."""
+    fn = node.func
+    if isinstance(fn, ast.Name):
+        return [(None, fn.id)]
+    if not isinstance(fn, ast.Attribute):
+        return []
+    receiver = _receiver_name(fn.value)
+    if receiver == "self" and isinstance(fn.value, ast.Name):
+        return [(owner, fn.attr)]
+    return [(cls, fn.attr) for cls in LOOP_LANE_RECEIVERS.get(receiver or "", ())]
+
+
+def _loop_lane_violations(fn: ast.AST) -> Iterable[tuple[int, str]]:
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                if _receiver_name(item.context_expr) in LOOP_LANE_LOCKS:
+                    yield node.lineno, "enters the mutation lock"
+        if not isinstance(node, ast.Call):
+            continue
+        name = _call_name(node)
+        if name is None:
+            continue
+        if name.startswith("_materialize") or (
+            name in LOOP_LANE_WORK and isinstance(node.func, ast.Attribute)
+        ):
+            yield node.lineno, f"calls {name}() (seeds, plans or executes)"
+        elif name == "acquire" and not any(
+            kw.arg == "blocking"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is False
+            for kw in node.keywords
+        ):
+            yield node.lineno, "calls acquire() without blocking=False"
+
+
+def check_loop_lane(
+    sources: Mapping[str, str],
+    roots: Iterable[tuple[str | None, str]] = LOOP_LANE_ROOTS,
+) -> list[Finding]:
+    """PC005 over ``sources`` (path -> text): nothing reachable from the
+    loop-lane ``roots`` waits, seeds, plans or executes."""
+    defs: dict[tuple[str | None, str], tuple[ast.AST, str]] = {}
+    for path, source in sources.items():
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError:
+            continue  # PC000 reports it
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for member in members:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[(owner, member.name)] = (member, path)
+    findings: list[Finding] = []
+    pending = [key for key in roots if key in defs]
+    lane = set(pending)
+    while pending:
+        owner, name = key = pending.pop()
+        fn, path = defs[key]
+        where = f"{owner}.{name}" if owner else name
+        for line, what in _loop_lane_violations(fn):
+            findings.append(Finding(
+                "PC005", path, line,
+                f"{where}() runs on the server's event loop but {what}; "
+                "move the work to PreferenceService.answer (the pool lane)",
+            ))
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                for callee in _loop_lane_callees(node, owner):
+                    if callee in defs and callee not in lane:
+                        lane.add(callee)
+                        pending.append(callee)
+    return sorted(findings, key=lambda f: (f.path, f.line))
+
+
 def check_source(source: str, path: str = "<string>") -> list[Finding]:
     """All generic per-file checks over one source text.
 
@@ -222,7 +347,8 @@ def iter_python_files(paths: Iterable[Path]) -> Iterable[Path]:
 
 
 def check_repo(paths: Iterable[Path], repo: Path = REPO) -> list[Finding]:
-    """Per-file checks over ``paths`` plus the repo-wide rule-coverage check."""
+    """Per-file checks over ``paths`` plus the repo-wide rule-coverage and
+    loop-lane checks."""
     findings: list[Finding] = []
     for path in iter_python_files(paths):
         try:
@@ -231,6 +357,10 @@ def check_repo(paths: Iterable[Path], repo: Path = REPO) -> list[Finding]:
             rel = str(path)
         findings += check_source(path.read_text(), rel)
     findings += check_rule_coverage(repo)
+    findings += check_loop_lane({
+        str(path.relative_to(repo)): path.read_text()
+        for path in iter_python_files(repo / d for d in LOOP_LANE_DIRS)
+    })
     return findings
 
 
