@@ -7,9 +7,11 @@ full 50k-row relation.  The PR-7 acceptance criterion demands >= 10x;
 view restarts are typically orders of magnitude beyond it.
 
 Every benchmark asserts result parity inline — including the
-incomparable fallback, which must stay *exact* (full recompute, honestly
-counted) rather than fast — so this file doubles as a revision
-correctness run at scale.
+incomparable fallback, which must stay *exact* (a re-winnow of the bag,
+honestly counted) rather than fast — so this file doubles as a revision
+correctness run at scale.  The state under test is the one maintainer,
+:class:`~repro.query.incremental.IncrementalBMO`, seeded from the
+relation it is a winnow of.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.core.base_numerical import HighestPreference, LowestPreference
 from repro.core.constructors import prioritized
 from repro.datasets.cars import generate_cars
 from repro.query import optimizer
-from repro.query.revision import ReviseState
+from repro.query.incremental import IncrementalBMO
 from repro.server import PreferenceService
 
 #: The acceptance-criterion catalog size.
@@ -52,24 +54,29 @@ def cars_50k():
     return generate_cars(N_ROWS, seed=11)
 
 
+def _seeded(pref, relation):
+    state = IncrementalBMO(pref)
+    state.load(relation)  # held by reference: no per-state copy
+    return state
+
+
 def test_refinement_revision_10x_over_replanning(cars_50k):
     """The PR-7 acceptance criterion: revise-from-view vs full re-plan."""
-    rows = cars_50k.rows()
     rounds = 5
 
     # Parity first: the revised state is exactly the fresh plan's answer.
     fresh = optimizer.plan(REFINED, cars_50k).execute()
-    probe = ReviseState(BASE, rows)
-    old_size = len(probe.result())
-    outcome = probe.revise(REFINED)
-    assert outcome.revision.shape == "prio-append"
-    assert outcome.strategy == "view"
-    assert outcome.examined == old_size < N_ROWS
+    probe = _seeded(BASE, cars_50k)
+    old_size = len(probe)
+    _, revision, strategy = probe.revise(REFINED)
+    assert revision.shape == "prio-append"
+    assert strategy == "view"
+    assert probe.stats["examined"] == old_size < N_ROWS
     assert _canon(probe.result()) == _canon(fresh.rows())
 
     # One pre-seeded state per timing round: each revise is a fresh
     # view-restart over the same BMO set, never a warmed-up no-op.
-    states = iter([ReviseState(BASE, rows) for _ in range(rounds)])
+    states = iter([_seeded(BASE, cars_50k) for _ in range(rounds)])
     revised_ns = _median_ns(lambda: next(states).revise(REFINED), rounds)
     replanned_ns = _median_ns(
         lambda: optimizer.plan(REFINED, cars_50k).execute(), rounds
@@ -83,27 +90,25 @@ def test_refinement_revision_10x_over_replanning(cars_50k):
 
 
 def test_incomparable_fallback_is_exact_not_fast(cars_50k):
-    """The fallback contract at scale: an incomparable swap recomputes in
-    full from the retained rows — same answer as a fresh plan, and the
-    stats say so."""
-    rows = cars_50k.rows()
-    state = ReviseState(BASE, rows, frontier_limit=N_ROWS)
-    outcome = state.revise(SWAPPED)
-    assert outcome.revision.kind == "incomparable"
-    assert outcome.strategy == "full"
-    assert state.stats["full_recomputes"] == 1
+    """The fallback contract at scale: an incomparable swap re-winnows
+    the whole bag — same answer as a fresh plan, and the stats say so."""
+    state = _seeded(BASE, cars_50k)
+    _, revision, strategy = state.revise(SWAPPED)
+    assert revision.kind == "incomparable"
+    assert strategy == "full"
+    assert state.stats["examined"] == N_ROWS
     fresh = optimizer.plan(SWAPPED, cars_50k).execute()
     assert _canon(state.result()) == _canon(fresh.rows())
 
 
 def test_contraction_restarts_from_frontier(cars_50k):
-    """Retracting the appended stage resurrects rows from the kept
-    frontier — exact, without reloading the base relation."""
-    rows = cars_50k.rows()
-    state = ReviseState(REFINED, rows, frontier_limit=N_ROWS)
-    outcome = state.revise(BASE)
-    assert outcome.revision.kind == "contraction"
-    assert outcome.strategy == "frontier"
+    """Retracting the appended stage resurrects dominated rows.  The
+    frontier they come from is the bag the maintainer holds — exact at
+    any size, without being handed the relation again."""
+    state = _seeded(REFINED, cars_50k)
+    _, revision, strategy = state.revise(BASE)
+    assert revision.kind == "contraction"
+    assert revision.restart == "frontier" and strategy == "full"
     fresh = optimizer.plan(BASE, cars_50k).execute()
     assert _canon(state.result()) == _canon(fresh.rows())
 

@@ -16,6 +16,7 @@ import itertools
 from typing import Any, Iterable, Sequence
 
 from repro.core.base_nonnumerical import ExplicitPreference, LayeredPreference
+from repro.core.base_numerical import ScorePreference
 from repro.core.constructors import (
     DisjointUnionPreference,
     DualPreference,
@@ -181,3 +182,29 @@ def canonical_signature(pref: Preference) -> tuple:
     """The structural signature of :func:`canonical_form` — a hashable,
     equivalence-respecting registry key for preference terms."""
     return canonical_form(pref).signature
+
+
+def term_identity(pref: Preference) -> tuple:
+    """What tells two terms apart as a cache key: the structural signature
+    plus the identities of the ad-hoc scoring callables inside the term.
+
+    Bare ``SCORE`` / ``rank(F)`` signatures carry only the function
+    *name* — two different lambdas both named ``<lambda>`` would be
+    signature-equal, and a registry keyed on signatures alone would serve
+    one standing query's rows for the other.  Folding the callables'
+    identities in keeps such terms distinct, while structural subclasses
+    (HIGHEST / LOWEST) and registry-resolved wire preferences (one stable
+    function object per name) still compare equal.  View keys, the tenant
+    composition cache and :func:`~repro.query.revision.classify_revision`
+    all key on this.
+    """
+    callables: list[int] = []
+    stack = [pref]
+    while stack:
+        node = stack.pop()
+        if type(node) is RankPreference:
+            callables.append(id(node.combine))
+        elif type(node) is ScorePreference:
+            callables.append(id(node.function))
+        stack.extend(node.children)
+    return pref.signature, tuple(sorted(callables))

@@ -7,9 +7,10 @@ rewrite rules ask:
 * :func:`semantic_prune` — which components of the term are *indifferent*
   on every instance satisfying the constraints?  A component over
   constants compares all rows equal; a BETWEEN whose interval covers the
-  column's proven value range scores every row ``0``.  Dropping them is
-  equivalence preserving, and a term that prunes to nothing makes the
-  winnow the identity.
+  column's proven value range scores every row ``0``.  A term that
+  prunes to nothing makes the winnow the identity; inside a compound
+  only a component over constants may go while its siblings stay (see
+  :func:`semantic_prune`).
 * :func:`weak_order_reduction` — is the (pruned) term provably a **weak
   order** on the constrained instance?  Weak orders evaluate as ``ORDER
   BY + first group`` (one linear argmax pass, no dominance testing), and
@@ -36,12 +37,20 @@ from repro.core.constructors import (
 from repro.core.preference import Preference
 
 
+def over_constants(pref: Preference, constraints: ConstraintSet) -> bool:
+    """Whether all constraint-satisfying rows share one ``pref`` projection."""
+    constants = constraints.constant_attributes()
+    return bool(pref.attribute_set) and pref.attribute_set <= set(constants)
+
+
 def indifference_proof(
     pref: Preference, constraints: ConstraintSet,
 ) -> str | None:
-    """Why ``pref`` compares all constraint-satisfying rows equal, if it does."""
+    """Why ``pref`` orders no two constraint-satisfying rows, if it does:
+    their projections are all equal (constants), or merely all unordered
+    (a BETWEEN covering the value range)."""
     constants = constraints.constant_attributes()
-    if pref.attribute_set and pref.attribute_set <= set(constants):
+    if over_constants(pref, constraints):
         facts = ", ".join(
             f"{check.attribute} = {check.value!r} [{check.source}]"
             for check in (constants[a] for a in sorted(pref.attribute_set))
@@ -71,6 +80,12 @@ def semantic_prune(
     Returns ``(pruned_term, provenance_notes)``; the term is ``None`` when
     the whole preference is indifferent (the winnow is the identity), and
     identical (``is``) to the input when nothing could be pruned.
+
+    A component that survives beside others is dropped only when it is
+    over constants.  One that is indifferent but not equal-valued (the
+    BETWEEN case) still decides Definitions 8 and 9 through their
+    ``x_i = y_i`` clause — rows that differ on it stay incomparable — so
+    it goes only if every sibling goes with it.
     """
     proof = indifference_proof(pref, constraints)
     if proof is not None:
@@ -79,8 +94,12 @@ def semantic_prune(
         kept: list[Preference] = []
         notes: list[str] = []
         changed = False
-        for child in pref.children:
-            pruned, child_notes = semantic_prune(child, constraints)
+        results = [semantic_prune(c, constraints) for c in pref.children]
+        if all(pruned is None for pruned, _ in results):
+            return None, tuple(n for _, ns in results for n in ns)
+        for child, (pruned, child_notes) in zip(pref.children, results):
+            if pruned is None and not over_constants(child, constraints):
+                pruned, child_notes = child, ()
             notes.extend(child_notes)
             if pruned is None:
                 changed = True
@@ -90,8 +109,6 @@ def semantic_prune(
             kept.append(pruned)
         if not changed:
             return pref, ()
-        if not kept:
-            return None, tuple(notes)
         if len(kept) == 1:
             return kept[0], tuple(notes)
         return type(pref)(tuple(kept)), tuple(notes)

@@ -28,41 +28,35 @@ conditions under which ``sigma[P'](R)`` is computable *from*
 :func:`classify_revision` decides the class from canonical forms
 (:mod:`repro.algebra.rewriter` / :mod:`repro.algebra.equivalence`) plus
 the :mod:`repro.analysis` constraint registry (an appended component that
-is provably indifferent on the instance makes the revision a no-op), and
-:class:`ReviseState` maintains the current BMO set together with a
-*bounded* dominated-candidates frontier.  The bound is what keeps the
-state view-sized rather than relation-sized; when it overflows the state
-records the truncation honestly and later frontier-class revisions fall
-back to a full recompute instead of silently returning a subset.
+is provably indifferent on the instance makes the revision a no-op).
+
+This module is pure classification: it reads two terms and names the
+cheapest sound restart.  Acting on it — restarting a maintained result
+from its window, or re-winnowing the bag it is a winnow of — is
+:meth:`repro.query.incremental.IncrementalBMO.revise`; locks, versions
+and registry keys are :mod:`repro.server.views`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
-from repro.algebra.equivalence import mentioned_values, order_pairs
+from repro.algebra.equivalence import (
+    mentioned_values,
+    order_pairs,
+    term_identity,
+)
 from repro.algebra.rewriter import simplify
 from repro.core.base_nonnumerical import ExplicitPreference, LayeredPreference
-from repro.core.base_numerical import ScorePreference
 from repro.core.constructors import (
     DisjointUnionPreference,
     DualPreference,
     IntersectionPreference,
     ParetoPreference,
     PrioritizedPreference,
-    RankPreference,
 )
-from repro.core.preference import AntiChain, Preference, Row
-from repro.query.bmo import winnow, winnow_groupby
-from repro.query.incremental import BMODelta, _diff
-from repro.query.topk import k_best
-
-#: Default bound on the dominated-candidates frontier.  Past this many
-#: dominated rows the state stops remembering candidates and frontier-class
-#: revisions (contractions, Pareto extensions) recompute from scratch.
-DEFAULT_FRONTIER_LIMIT = 4096
+from repro.core.preference import AntiChain, Preference
 
 #: The proving laws, named once so explain()/docs/tests agree verbatim.
 LAW_IDENTITY = (
@@ -103,11 +97,6 @@ LAW_INCOMPARABLE = (
 )
 
 
-class RevisionError(ValueError):
-    """A revision the state cannot answer exactly (truncated frontier and
-    no way to reload the base relation)."""
-
-
 @dataclass(frozen=True)
 class Revision:
     """The classification of one preference delta ``P -> P'``.
@@ -117,8 +106,9 @@ class Revision:
     (``prio-append``, ``chain-append``, ``pareto-extend``, ...); ``law``
     is the algebraic law the proof rests on; ``restart`` is the cheapest
     sound restart point: ``none`` (result unchanged), ``view`` (the old
-    BMO set alone), ``frontier`` (view + dominated candidates) or ``full``
-    (recompute from the base relation).
+    BMO set alone), ``frontier`` (the old BMO set plus the rows it
+    dominated — for a state that holds the whole bag, the bag) or
+    ``full`` (recompute from the base relation).
     """
 
     kind: str
@@ -139,26 +129,6 @@ class Revision:
         return "\n".join(lines)
 
 
-def _callable_identities(pref: Preference) -> tuple[int, ...]:
-    """Identities of ad-hoc scoring callables inside a term (mirrors the
-    view-key rule: signature-equal lambdas are not semantically equal)."""
-    out: list[int] = []
-    stack: list[Any] = [pref]
-    while stack:
-        node = stack.pop()
-        if type(node) is RankPreference:
-            out.append(id(node.combine))
-        elif type(node) is ScorePreference:
-            out.append(id(node._f))
-        stack.extend(getattr(node, "children", ()) or ())
-    return tuple(sorted(out))
-
-
-def _ident(pref: Preference) -> tuple:
-    """Structural identity: signature plus scoring-callable identities."""
-    return (pref.signature, _callable_identities(pref))
-
-
 def _flat(pref: Preference, ctor: type) -> list[Preference]:
     """Flatten an associative accumulation into its stage list."""
     if isinstance(pref, ctor):
@@ -171,7 +141,7 @@ def _flat(pref: Preference, ctor: type) -> list[Preference]:
 
 def _is_prefix(shorter: Sequence[Preference], longer: Sequence[Preference]) -> bool:
     return all(
-        _ident(a) == _ident(b) for a, b in zip(shorter, longer)
+        term_identity(a) == term_identity(b) for a, b in zip(shorter, longer)
     )
 
 
@@ -182,9 +152,9 @@ def _multiset_minus(
     ``remove`` is not contained in ``pool``."""
     out = list(pool)
     for target in remove:
-        key = _ident(target)
+        key = term_identity(target)
         for i, candidate in enumerate(out):
-            if _ident(candidate) == key:
+            if term_identity(candidate) == key:
                 del out[i]
                 break
         else:
@@ -235,18 +205,22 @@ def _probe_containment(old: Preference, new: Preference) -> str | None:
 
 
 def _all_indifferent(
-    appended: Sequence[Preference], constraints: Any
+    appended: Sequence[Preference], constraints: Any, equal_valued: bool
 ) -> str | None:
     """One combined proof when every appended component is indifferent
-    under the instance constraints, else None."""
+    under the instance constraints, else None.  ``equal_valued`` demands
+    components over constants: a Pareto arm that orders nothing still
+    makes rows that differ on it incomparable (Definition 8's ``=``)."""
     if constraints is None or not constraints:
         return None
-    from repro.analysis.semantics import indifference_proof
+    from repro.analysis.semantics import indifference_proof, over_constants
 
     proofs: list[str] = []
     for component in appended:
         proof = indifference_proof(component, constraints)
-        if proof is None:
+        if proof is None or (
+            equal_valued and not over_constants(component, constraints)
+        ):
             return None
         proofs.append(proof)
     return "; ".join(proofs)
@@ -271,17 +245,17 @@ def classify_revision(
                 f"classify_revision needs Preference terms; {name} is "
                 f"{pref!r}"
             )
-    if old is new or _ident(old) == _ident(new):
+    if old is new or term_identity(old) == term_identity(new):
         return Revision("equal", "identity", LAW_IDENTITY, "none")
     old_c, new_c = simplify(old), simplify(new)
-    if _ident(old_c) == _ident(new_c):
+    if term_identity(old_c) == term_identity(new_c):
         return Revision("equal", "canonical", LAW_CANONICAL, "none")
 
     prio_old = _flat(old_c, PrioritizedPreference)
     prio_new = _flat(new_c, PrioritizedPreference)
     if len(prio_new) > len(prio_old) and _is_prefix(prio_old, prio_new):
         appended = prio_new[len(prio_old):]
-        proof = _all_indifferent(appended, constraints)
+        proof = _all_indifferent(appended, constraints, False)
         if proof is not None:
             return Revision(
                 "equal", "prio-append", LAW_INDIFFERENT, "none", proof
@@ -301,7 +275,7 @@ def classify_revision(
     if len(pareto_new) != len(pareto_old):
         appended_p = _multiset_minus(pareto_new, pareto_old)
         if appended_p is not None and len(pareto_new) > len(pareto_old):
-            proof = _all_indifferent(appended_p, constraints)
+            proof = _all_indifferent(appended_p, constraints, True)
             if proof is not None:
                 return Revision(
                     "equal", "pareto-extend", LAW_INDIFFERENT, "none", proof
@@ -329,218 +303,3 @@ def classify_revision(
             "contraction", "layer-drop", LAW_CONTRACTION, "frontier"
         )
     return Revision("incomparable", "unrelated", LAW_INCOMPARABLE, "full")
-
-
-@dataclass(frozen=True)
-class RevisionOutcome:
-    """One executed revision step: the classification, the restart
-    strategy actually used (``full`` when a fallback fired), the visible
-    enter/exit delta, and how many candidate rows were examined."""
-
-    revision: Revision
-    strategy: str
-    delta: BMODelta
-    examined: int
-
-
-def _row_key(row: Row) -> tuple:
-    return tuple(sorted(row.items()))
-
-
-def _bag_subtract(pool: Iterable[Row], remove: Iterable[Row]) -> list[Row]:
-    """Multiset difference ``pool - remove`` (linear, order-preserving)."""
-    counts = Counter(_row_key(r) for r in remove)
-    out: list[Row] = []
-    for row in pool:
-        key = _row_key(row)
-        if counts.get(key, 0) > 0:
-            counts[key] -= 1
-        else:
-            out.append(dict(row))
-    return out
-
-
-class ReviseState:
-    """The current BMO set plus a bounded dominated-candidates frontier.
-
-    Seeded once from the base relation, the state answers every later
-    preference revision from its own rows: order refinements re-winnow
-    only the view, contractions and Pareto extensions re-winnow view +
-    frontier, and only ``incomparable`` deltas (or a truncated frontier)
-    pay a full recompute — via the caller-supplied ``reload`` when the
-    retained rows no longer cover the relation.  Every fallback is
-    recorded in :attr:`stats`, so the speedup claims stay honest.
-
-    Supports the same evaluation shapes as the serving layer: plain
-    winnow, ``groupby`` partitioning (the containment laws apply per
-    group), and ranked ``top``-k for SCORE terms (where only ``equal``
-    deltas avoid recomputation — a revised score function can reorder the
-    whole cut).
-    """
-
-    def __init__(
-        self,
-        pref: Preference,
-        rows: Iterable[Row] = (),
-        *,
-        groupby: Sequence[str] | None = None,
-        top: int | None = None,
-        ties: str = "strict",
-        frontier_limit: int = DEFAULT_FRONTIER_LIMIT,
-        constraints: Any = None,
-    ):
-        if top is not None and not isinstance(pref, ScorePreference):
-            raise TypeError(
-                "ranked revision needs a SCORE preference, got "
-                f"{type(pref).__name__}"
-            )
-        if frontier_limit < 0:
-            raise ValueError(
-                f"frontier_limit must be non-negative, got {frontier_limit}"
-            )
-        self.pref = pref
-        self.groupby: tuple[str, ...] = tuple(groupby) if groupby else ()
-        self.top = top
-        self.ties = ties
-        self.frontier_limit = frontier_limit
-        self.constraints = constraints
-        self.truncated = False
-        self.stats: dict[str, int] = {
-            "revisions": 0,
-            "noop": 0,
-            "from_view": 0,
-            "from_frontier": 0,
-            "full_recomputes": 0,
-            "truncation_fallbacks": 0,
-            "frontier_dropped": 0,
-            "rows_examined": 0,
-        }
-        pool = [dict(r) for r in rows]
-        self._view = self._evaluate(pref, pool)
-        self._frontier: list[Row] = []
-        self._extend_frontier(_bag_subtract(pool, self._view))
-
-    # -- evaluation --------------------------------------------------------------
-
-    def _evaluate(self, pref: Preference, rows: list[Row]) -> list[Row]:
-        if self.top is not None:
-            return [dict(r) for r in k_best(pref, rows, self.top, self.ties)]
-        if self.groupby:
-            return [
-                dict(r) for r in winnow_groupby(pref, self.groupby, rows)
-            ]
-        return [dict(r) for r in winnow(pref, rows)]
-
-    def _extend_frontier(self, rows: list[Row]) -> None:
-        room = self.frontier_limit - len(self._frontier)
-        if len(rows) > room:
-            kept = rows[: max(room, 0)]
-            self.stats["frontier_dropped"] += len(rows) - len(kept)
-            self.truncated = True
-            rows = kept
-        self._frontier.extend(rows)
-
-    # -- inspection --------------------------------------------------------------
-
-    def result(self) -> list[Row]:
-        """The current BMO set (copies)."""
-        return [dict(r) for r in self._view]
-
-    def frontier(self) -> list[Row]:
-        """The retained dominated candidates (copies)."""
-        return [dict(r) for r in self._frontier]
-
-    def __len__(self) -> int:
-        return len(self._view)
-
-    def __repr__(self) -> str:
-        return (
-            f"ReviseState({self.pref!r}, view={len(self._view)}, "
-            f"frontier={len(self._frontier)}"
-            f"{', truncated' if self.truncated else ''})"
-        )
-
-    # -- revision ----------------------------------------------------------------
-
-    def revise(
-        self,
-        new_pref: Preference,
-        reload: Callable[[], Iterable[Row]] | None = None,
-    ) -> RevisionOutcome:
-        """Move the state to ``new_pref``; returns the executed outcome.
-
-        ``reload`` supplies the base relation for full recomputes; when
-        the frontier was never truncated the retained rows *are* the base
-        relation (as a bag) and no reload is needed.  Raises
-        :class:`RevisionError` if an exact answer would need rows the
-        state no longer holds and no ``reload`` was given.
-        """
-        if self.top is not None and not isinstance(new_pref, ScorePreference):
-            raise TypeError(
-                "ranked revision needs a SCORE preference, got "
-                f"{type(new_pref).__name__}"
-            )
-        revision = classify_revision(
-            self.pref, new_pref, constraints=self.constraints
-        )
-        strategy = revision.restart
-        if self.top is not None and strategy in ("view", "frontier"):
-            # Ranked cuts are score-global: containment of the dominance
-            # orders says nothing about a revised score's ordering.
-            strategy = "full"
-        if strategy == "frontier" and self.truncated:
-            strategy = "full"
-            self.stats["truncation_fallbacks"] += 1
-
-        before = self._view
-        if strategy == "none":
-            after = before
-            delta = BMODelta()
-            examined = 0
-            self.stats["noop"] += 1
-        else:
-            reloaded = False
-            if strategy == "view":
-                pool = [dict(r) for r in before]
-                self.stats["from_view"] += 1
-            elif strategy == "frontier":
-                pool = [dict(r) for r in before] + [
-                    dict(r) for r in self._frontier
-                ]
-                self.stats["from_frontier"] += 1
-            else:  # full
-                if reload is not None:
-                    pool = [dict(r) for r in reload()]
-                    reloaded = True
-                elif not self.truncated:
-                    # view + complete frontier is the base relation as a bag.
-                    pool = [dict(r) for r in before] + [
-                        dict(r) for r in self._frontier
-                    ]
-                else:
-                    raise RevisionError(
-                        "frontier was truncated and no reload was given; "
-                        "an exact revision needs the base relation"
-                    )
-                self.stats["full_recomputes"] += 1
-            after = self._evaluate(new_pref, pool)
-            delta = _diff(before, after)
-            examined = len(pool)
-            if strategy == "view":
-                # Demoted rows join the frontier; dominated rows already
-                # there stay dominated under a refinement.
-                self._extend_frontier(_bag_subtract(pool, after))
-            else:
-                # The pool covered every retained (or reloaded) row, so
-                # the frontier is rebuilt from scratch — complete again
-                # after a reload, still truncated otherwise if it was.
-                if reloaded:
-                    self.truncated = False
-                self._frontier = []
-                self._extend_frontier(_bag_subtract(pool, after))
-
-        self.pref = new_pref
-        self._view = after
-        self.stats["revisions"] += 1
-        self.stats["rows_examined"] += examined
-        return RevisionOutcome(revision, strategy, delta, examined)

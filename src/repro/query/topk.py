@@ -24,6 +24,7 @@ from typing import Any, Sequence
 from repro.core.base_numerical import ScorePreference
 from repro.core.constructors import RankPreference
 from repro.core.preference import Row
+from repro.query.algorithms import _Reversed
 from repro.query.bmo import _repack, _unpack
 from repro.relations.relation import Relation
 
@@ -51,7 +52,7 @@ def k_best(
     rows, template = _unpack(data)
     scored = [(pref.score(r), i) for i, r in enumerate(rows)]
     # Stable: sort on score descending, original position ascending.
-    order = sorted(range(len(rows)), key=lambda i: (_Neg(scored[i][0]), i))
+    order = sorted(range(len(rows)), key=lambda i: (_Reversed(scored[i][0]), i))
     cut = order[:k]
     if ties == "all" and len(order) > k and cut:
         kth_score = scored[cut[-1]][0]
@@ -89,21 +90,6 @@ def top_k(
         .optimize(False)
         .run()
     )
-
-
-class _Neg:
-    """Order-reversing sort wrapper for arbitrary comparable scores."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def __lt__(self, other: "_Neg") -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Neg) and self.value == other.value
 
 
 @dataclass
@@ -153,7 +139,7 @@ def threshold_topk(
     ]
     # Sorted access lists: row indices by child score, best first.
     lists = [
-        sorted(range(n), key=lambda i, s=scores: _Neg(s[i]))
+        sorted(range(n), key=lambda i, s=scores: _Reversed(s[i]))
         for scores in child_scores
     ]
 
@@ -182,5 +168,5 @@ def threshold_topk(
         if len(heap) >= k and not (heap[0][0] < threshold):
             break
 
-    best = sorted(heap, key=lambda si: (_Neg(si[0]), si[1]))
+    best = sorted(heap, key=lambda si: (_Reversed(si[0]), si[1]))
     return _repack([rows[i] for _, i in best], template), stats

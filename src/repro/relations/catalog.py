@@ -126,9 +126,9 @@ class Catalog:
         cooked = [dict(r) for r in rows]
         for row in cooked:
             old.schema.validate_row(row)
-        new = Relation(
-            old.name, old.schema, [*old.rows(), *cooked], validate=False
-        )
+        # Stored dicts are shared with the old snapshot (never mutated,
+        # never handed out); only the new rows were copied, on the way in.
+        new = old._derive([*old._rows, *cooked])
         self._quiet += 1
         try:
             self.register(new, replace=True)
@@ -137,7 +137,7 @@ class Catalog:
         key = new.name.lower()
         self._notify(CatalogEvent(
             "insert", key, self._versions[key],
-            relation=new, rows=tuple(cooked),
+            relation=new, rows=tuple(dict(r) for r in cooked),
         ))
         return new
 
@@ -163,11 +163,11 @@ class Catalog:
         kept: list[Row] = []
         deleted: list[Row] = []
         if predicate is not None:
-            for row in old.rows():
+            for row in old._rows:
                 (deleted if predicate(row) else kept).append(row)
         else:
             targets = [dict(r) for r in rows or ()]
-            for row in old.rows():
+            for row in old._rows:
                 for i, target in enumerate(targets):
                     if row == target:
                         del targets[i]
@@ -175,7 +175,8 @@ class Catalog:
                         break
                 else:
                     kept.append(row)
-        new = Relation(old.name, old.schema, kept, validate=False)
+        new = old._derive(kept)
+        deleted = [dict(r) for r in deleted]
         self._quiet += 1
         try:
             self.register(new, replace=True)
@@ -184,7 +185,7 @@ class Catalog:
         key = new.name.lower()
         self._notify(CatalogEvent(
             "delete", key, self._versions[key],
-            relation=new, rows=tuple(dict(r) for r in deleted),
+            relation=new, rows=tuple(deleted),
         ))
         return new, deleted
 

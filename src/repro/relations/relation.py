@@ -10,11 +10,16 @@ never hands one out, so derived relations may share them).
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.relations.schema import Attribute, Schema
 
 Row = dict[str, Any]
+
+#: Publishes a relation's lazily built column store, so that concurrent
+#: first readers of one snapshot all get the same object.
+_PUBLISH = threading.Lock()
 
 
 class RelationError(ValueError):
@@ -41,6 +46,7 @@ class Relation:
         # Lazily built columnar materialization (see columns()).  Relations
         # are immutable, so once built it can never go stale.
         self._column_cache: dict[str, tuple] | None = None
+        self._store_cache: Any = None
         # Lazily built per-column statistics (see stats()); same soundness
         # argument — immutable rows mean the statistics never drift.
         self._stats_cache: Any = None
@@ -98,6 +104,7 @@ class Relation:
         derived.schema = self.schema if schema is None else schema
         derived._rows = rows
         derived._column_cache = None
+        derived._store_cache = None
         derived._stats_cache = None
         return derived
 
@@ -172,15 +179,29 @@ class Relation:
             }
         return dict(self._column_cache)
 
+    def column_store(self) -> Any:
+        """The :class:`repro.engine.columns.ColumnStore` over
+        :meth:`columns` — one object for the relation's lifetime, which
+        :meth:`repro.session.Session.column_store` hands out per catalog
+        version."""
+        if self._store_cache is None:
+            from repro.engine.columns import ColumnStore
+
+            store = ColumnStore.from_relation(self)
+            with _PUBLISH:
+                if self._store_cache is None:
+                    self._store_cache = store
+        return self._store_cache
+
     def stats(self) -> Any:
         """Per-column statistics (:class:`repro.relations.stats.TableStats`).
 
         Built lazily — constructing the object is O(1) and each column's
         statistics are computed on first access — and cached on the
         instance for its (immutable) lifetime.  The planner's cost model
-        reads distinct counts and null fractions from here; the session
-        exposes the same object per ``(name, version)`` via
-        :meth:`repro.session.Session.table_stats`.
+        reads distinct counts and null fractions from here, and
+        :meth:`repro.session.Session.table_stats` hands out the same
+        object.
         """
         if self._stats_cache is None:
             from repro.relations.stats import TableStats

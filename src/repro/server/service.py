@@ -164,11 +164,12 @@ class PreferenceService:
         #: Repeat view-eligible queries materialize after this many
         #: sightings; ``None`` disables auto-materialization.
         self.auto_view_threshold = auto_view_threshold
-        #: Ceiling on the view registry before auto-materialization stops
-        #: (each view's maintainer holds a relation-sized history, and
-        #: every mutation refreshes every view of its relation — both
-        #: must stay bounded).  Explicit ``materialize``/``subscribe``
-        #: are deliberate capacity decisions and are not capped.
+        #: Ceiling on the view registry before auto-materialization stops.
+        #: A view holds its window and a reference to the catalog's
+        #: snapshot, so memory is not what this bounds: every mutation
+        #: refreshes every view of its relation, and that fan-out must
+        #: stay bounded.  Explicit ``materialize``/``subscribe`` are
+        #: deliberate capacity decisions and are not capped.
         self.max_auto_views = max_auto_views
         self._seen_specs: dict[tuple, int] = {}
         self._seen_lock = threading.Lock()
@@ -631,7 +632,7 @@ class PreferenceService:
                     return existing
                 rel, version = self._snapshot(spec.relation)
             view = ContinuousView(spec)
-            view.seed(rel.rows(), version)
+            view.seed(rel, version)
             with self._mutation_lock:
                 if self.session.catalog.version(spec.relation) == version:
                     adopted = self.views.adopt(view)
@@ -641,7 +642,7 @@ class PreferenceService:
         # Constant churn fallback: seed under the lock, guaranteed current.
         with self._mutation_lock:
             rel, version = self._snapshot(spec.relation)
-            registered = self.views.register(spec, rel.rows(), version)
+            registered = self.views.register(spec, rel, version)
             if healing and registered.poisoned is None:
                 self.metrics.record_view_healed()
             return registered

@@ -2,11 +2,16 @@
 
 A :class:`ContinuousView` is a standing preference query over one catalog
 relation — plain winnow, grouped winnow, or ranked top-k — kept current by
-the generalized :class:`~repro.query.incremental.IncrementalBMO` maintainer
-instead of being re-planned per query.  Views are registered per
-``(relation, preference fingerprint, groupby, top, ties)`` in a
-:class:`ViewRegistry`, refreshed on every catalog mutation, and answer
-repeat queries straight from their maintained window.
+the one :class:`~repro.query.incremental.IncrementalBMO` maintainer
+instead of being re-planned per query.  A view *is* its window: the rows
+it is a winnow of stay in the catalog, whose immutable snapshot the
+maintainer is handed at seed time and again with every mutation event, so
+a view costs its answer, not a copy of the relation.  What this module
+adds around the maintainer is what serving needs — a lock, the catalog
+version the window is current at, poison, statistics, and the registry
+key.  Views are registered per ``(relation, preference fingerprint,
+groupby, top, ties)`` in a :class:`ViewRegistry`, refreshed on every
+catalog mutation, and answer repeat queries straight from their window.
 
 Every refresh yields a :class:`~repro.query.incremental.BMODelta` of rows
 entering / leaving the BMO result — the event stream the server pushes to
@@ -22,12 +27,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Sequence
 
-from repro.core.base_numerical import ScorePreference
-from repro.core.constructors import RankPreference
+from repro.algebra.equivalence import term_identity
 from repro.core.preference import Preference, Row
 from repro.faults import plan as faults
 from repro.query.incremental import BMODelta, IncrementalBMO
-from repro.query.revision import Revision, classify_revision
+from repro.query.revision import Revision
+from repro.relations.relation import Relation
 from repro.session import MutationEvent
 
 
@@ -38,39 +43,6 @@ class ViewError:
     silently missing deltas until they next reconcile."""
 
     reason: str
-
-
-def _score_identities(pref: Preference) -> tuple[int, ...]:
-    """Identities of the ad-hoc scoring callables inside a term.
-
-    Bare ``SCORE`` / ``rank(F)`` signatures carry only the function
-    *name* — two different lambdas both named ``<lambda>`` would be
-    signature-equal, and a registry keyed on signatures alone would serve
-    one standing query's rows for the other.  Folding the callables'
-    identities into the view key keeps such terms distinct, while
-    structural subclasses (HIGHEST / LOWEST) and registry-resolved wire
-    preferences (one stable function object per name) still share views.
-    """
-    out: list[int] = []
-    stack: list[Any] = [pref]
-    while stack:
-        node = stack.pop()
-        if type(node) is RankPreference:
-            out.append(id(node.combine))
-        elif type(node) is ScorePreference:
-            out.append(id(node.function))
-        stack.extend(getattr(node, "children", ()) or ())
-        for attr in ("base", "first", "second"):
-            child = getattr(node, attr, None)
-            if isinstance(child, Preference):
-                stack.append(child)
-    return tuple(sorted(out))
-
-
-def term_identity(pref: Preference) -> tuple:
-    """What tells two terms apart as a cache key: the structural signature
-    plus the identities of ad-hoc scoring callables."""
-    return pref.signature, _score_identities(pref)
 
 
 @dataclass(frozen=True)
@@ -88,10 +60,10 @@ class ViewSpec:
         """The registry key: hashable structural identity of the view.
 
         Ad-hoc SCORE/rank callables participate by identity (see
-        :func:`_score_identities`), so signature-equal terms with
-        different scoring code never alias to one view.  Computed once
-        per spec — the fields are frozen, and building it walks the
-        whole term.
+        :func:`~repro.algebra.equivalence.term_identity`), so
+        signature-equal terms with different scoring code never alias
+        to one view.  Computed once per spec — the fields are frozen,
+        and building it walks the whole term.
         """
         return (
             self.relation.lower(),
@@ -139,10 +111,12 @@ class ContinuousView:
         #: again; it heals by being reseeded under the same spec key.
         self.poisoned: str | None = None
 
-    def seed(self, rows: Iterable[Row], version: int) -> None:
-        """Load the view from a relation snapshot at ``version``."""
+    def seed(self, rows: Relation | Iterable[Row], version: int) -> None:
+        """Load the view from a relation snapshot at ``version``: one
+        planner-chosen winnow.  A catalog :class:`Relation` is held by
+        reference; loose rows are copied into a list the view owns."""
         with self._lock:
-            self._live.insert_many(rows)
+            self._live.load(rows)
             self.version = version
 
     def refresh(self, event: MutationEvent) -> BMODelta:
@@ -157,7 +131,8 @@ class ContinuousView:
         with self._lock:
             faults.check("view.refresh", self.spec.relation)
             delta = self._live.apply(
-                inserted=event.inserted, deleted=event.deleted
+                inserted=event.inserted, deleted=event.deleted,
+                bag=event.snapshot,
             )
             self.version = event.version
             elapsed = time.perf_counter_ns() - start
@@ -167,19 +142,21 @@ class ContinuousView:
         return delta
 
     def poison(self, reason: str) -> None:
-        """Quarantine the view: its window can no longer be trusted."""
+        """Quarantine the view: its window can no longer be trusted, and
+        it lets go of the relation snapshot it was a winnow of."""
         with self._lock:
             self.poisoned = reason
+            self._live.load(())
 
     def revise(
         self, new_pref: Preference, constraints: Any = None
     ) -> tuple[BMODelta, Revision, str]:
         """Adopt a revised preference; returns (delta, revision, strategy).
 
-        Classifies the delta (see :func:`~repro.query.revision
-        .classify_revision`), then re-derives the maintained windows from
-        the cheapest sound restart point: the current view rows for
-        proved order refinements, the full kept history otherwise.  The
+        The maintainer classifies the delta and re-derives its windows
+        from the cheapest sound restart (:meth:`~repro.query.incremental
+        .IncrementalBMO.revise`): the current view rows for proved order
+        refinements, the catalog snapshot it holds otherwise.  The
         view's spec is re-pointed at the new preference, so its registry
         key changes — use :meth:`ViewRegistry.revise` to keep the index
         consistent.  Runs under the same per-view lock as refreshes, so
@@ -187,22 +164,9 @@ class ContinuousView:
         """
         start = time.perf_counter_ns()
         with self._lock:
-            revision = classify_revision(
-                self.spec.pref, new_pref, constraints=constraints
+            delta, revision, strategy = self._live.revise(
+                new_pref, constraints=constraints
             )
-            strategy = revision.restart
-            if self.spec.top is not None and strategy in ("view", "frontier"):
-                # Ranked cuts are score-global; only a proved-equal
-                # preference keeps the sorted runs valid.
-                strategy = "full"
-            if strategy in ("none", "view"):
-                candidates: list[Row] | None = self._live.result()
-            else:
-                # The maintainer keeps the full history, so the frontier
-                # restart is simply "everything retained" here.
-                strategy = "full" if strategy == "frontier" else strategy
-                candidates = None
-            delta = self._live.revise(new_pref, candidates=candidates)
             self.spec = dataclasses.replace(self.spec, pref=new_pref)
             elapsed = time.perf_counter_ns() - start
             self.revisions += 1
@@ -255,7 +219,8 @@ class ContinuousView:
 
     def stats(self) -> dict[str, Any]:
         """Maintenance statistics, including the maintainer's own honest
-        counters (rebuilds triggered by deletions included)."""
+        counters (``rebuilds``: re-winnows of the snapshot forced by a
+        delete that took the last carrier of a maximal projection)."""
         with self._lock:
             return {
                 "view": self.spec.describe(),
@@ -299,7 +264,7 @@ class ViewRegistry:
         return self._views.get(spec.key)
 
     def register(
-        self, spec: ViewSpec, rows: Sequence[Row], version: int
+        self, spec: ViewSpec, rows: Relation | Sequence[Row], version: int
     ) -> ContinuousView:
         """Materialize (or return the already-registered) view for
         ``spec``, seeded from ``rows`` at catalog ``version``."""
@@ -307,8 +272,8 @@ class ViewRegistry:
             view = self._views.get(spec.key)
             if view is not None and view.poisoned is None:
                 return view
-        # Seeding is O(snapshot x window) — do it outside the registry
-        # lock; a concurrent same-spec register seeds twice and the
+        # Seeding is a full winnow of the snapshot — do it outside the
+        # registry lock; a concurrent same-spec register seeds twice and the
         # setdefault race picks one winner (both are correct).
         fresh = ContinuousView(spec)
         fresh.seed(rows, version)

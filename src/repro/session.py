@@ -7,8 +7,9 @@ A :class:`Session` owns
 * a memoized plan cache keyed on (query fingerprint, relation name,
   relation version) — repeated queries skip planning entirely, and any
   catalog change to a relation invalidates its cached plans by version,
-* a :meth:`~Session.column_store` accessor exposing the columnar
-  materialization of catalog relations, memoized per (name, version).
+* :meth:`~Session.column_store` / :meth:`~Session.table_stats` accessors
+  reading the columnar materialization and statistics cached on the
+  catalog's immutable relation snapshots.
 
 It is the single entry point the fluent API, the Preference SQL front end,
 and programmatic callers share::
@@ -66,13 +67,17 @@ class MutationEvent:
     """One versioned catalog mutation, as delivered to mutation hooks.
 
     ``inserted`` / ``deleted`` are the row batches the mutation applied;
-    ``version`` is the relation's catalog version *after* the mutation.
+    ``version`` is the relation's catalog version *after* the mutation
+    and ``snapshot`` the catalog's immutable relation at that version —
+    what continuous views re-point their bag at, instead of keeping a
+    copy of their own.
     """
 
     relation: str
     inserted: tuple[Row, ...] = ()
     deleted: tuple[Row, ...] = ()
     version: int = 0
+    snapshot: Relation | None = None
 
 
 class Session:
@@ -107,13 +112,11 @@ class Session:
         self._plan_cache: dict[tuple, Plan] = {}
         self._cache_hits = 0
         self._cache_misses = 0
-        self._column_cache: dict[tuple[str, int], Any] = {}
-        self._stats_cache: dict[tuple[str, int], Any] = {}
-        # One reentrant lock guards the plan cache, the column-store cache,
-        # and catalog mutations, so worker threads (the preference server
-        # runs winnows in an executor) can share one session.  Plan
-        # *execution* never takes the lock — only cache bookkeeping and the
-        # catalog swap do, so concurrent queries stay parallel.
+        # One reentrant lock guards the plan cache and catalog mutations,
+        # so worker threads (the preference server runs winnows in an
+        # executor) can share one session.  Plan *execution* never takes
+        # the lock — only cache bookkeeping and the catalog swap do, so
+        # concurrent queries stay parallel.
         self._lock = threading.RLock()
         #: Serializes whole mutations *including* hook delivery, so hooks
         #: always observe MutationEvents in catalog-version order (the
@@ -212,11 +215,12 @@ class Session:
             with self._lock:
                 new = self.catalog.insert_rows(name, cooked)
                 version = self.catalog.version(name)
-                self._invalidate_locked(name)
+                self._evict_plans(name.lower(), version)
             event = MutationEvent(
                 relation=new.name,
                 inserted=tuple(cooked),
                 version=version,
+                snapshot=new,
             )
             self._fire_mutation(event)
         return event
@@ -240,41 +244,34 @@ class Session:
                     name, rows=rows, predicate=predicate
                 )
                 version = self.catalog.version(name)
-                self._invalidate_locked(name)
+                self._evict_plans(name.lower(), version)
             event = MutationEvent(
                 relation=new.name,
                 deleted=tuple(deleted),
                 version=version,
+                snapshot=new,
             )
             self._fire_mutation(event)
         return event
 
     def invalidate(self, name: str) -> None:
-        """Eagerly drop cached plans and column stores for one relation.
+        """Eagerly drop the cached plans of one relation's old versions.
 
         Mutations call this automatically; it exists for callers that
         mutate the catalog directly (``session.catalog.register(...,
-        replace=True)``) and want the caches trimmed now rather than at
-        the next version-keyed miss.
+        replace=True)``) and want the cache trimmed now rather than at
+        the next version-keyed miss.  (Column stores and statistics live
+        on the relation snapshot and go with it.)
         """
         with self._lock:
-            self._invalidate_locked(name)
+            self._evict_plans(name.lower(), self.catalog.version(name))
 
-    def _invalidate_locked(self, name: str) -> None:
-        key = name.lower()
-        version = self.catalog.version(key)
+    def _evict_plans(self, name: str, version: int) -> None:
+        """Drop ``name``'s cached plans older than ``version`` (lock held)."""
         for k in [
-            k for k in self._plan_cache if k[1] == key and k[2] < version
+            k for k in self._plan_cache if k[1] == name and k[2] < version
         ]:
             del self._plan_cache[k]
-        for k in [
-            k for k in self._column_cache if k[0] == key and k[1] < version
-        ]:
-            del self._column_cache[k]
-        for k in [
-            k for k in self._stats_cache if k[0] == key and k[1] < version
-        ]:
-            del self._stats_cache[k]
 
     # -- durability -------------------------------------------------------------
 
@@ -383,12 +380,7 @@ class Session:
         # the identical results race benignly into the cache.
         plan = build()
         with self._lock:
-            _, name, version = key
-            stale = [
-                k for k in self._plan_cache if k[1] == name and k[2] < version
-            ]
-            for k in stale:
-                del self._plan_cache[k]
+            self._evict_plans(key[1], key[2])
             self._plan_cache[key] = plan
         return plan
 
@@ -412,67 +404,31 @@ class Session:
         """The columnar materialization of a catalog relation, for callers.
 
         Returns a :class:`repro.engine.columns.ColumnStore` over the
-        current version of ``name``, memoized per ``(name, version)``:
-        re-registering or dropping the relation bumps its catalog version,
-        which both retires stale entries and keys the fresh one.
+        current version of ``name``.  The store lives on the catalog's
+        immutable relation snapshot (one instance per ``(name,
+        version)``), so the same version returns the same object and a
+        mutation, re-registration or drop retires it with the snapshot.
 
         This is a *convenience accessor* for programmatic use of the
-        engine; columnar plan execution does not route through it — it
-        reads :meth:`Relation.columns` directly, which caches the vectors
-        on the (immutable, per-version) relation instance, so winnows pay
-        materialization once per catalog version either way.  The store
-        returned here shares those same cached vectors.
+        engine; columnar plan execution reads :meth:`Relation.columns`
+        directly, and the store returned here shares those same cached
+        vectors — winnows pay materialization once per catalog version
+        either way.
         """
-        from repro.engine.columns import ColumnStore
-
-        with self._lock:
-            key = (name.lower(), self.catalog.version(name))
-            store = self._column_cache.get(key)
-            relation = None if store is not None else self.catalog.get(name)
-        if store is None:
-            # Materialization runs outside the lock; a concurrent
-            # same-version build produces an identical store.
-            store = ColumnStore.from_relation(relation)
-            with self._lock:
-                stale = [
-                    k for k in self._column_cache
-                    if k[0] == key[0] and k[1] < key[1]
-                ]
-                for k in stale:
-                    del self._column_cache[k]
-                self._column_cache.setdefault(key, store)
-                store = self._column_cache[key]
-        return store
+        return self.catalog.get(name).column_store()
 
     def table_stats(self, name: str) -> Any:
         """Per-column statistics of a catalog relation, for the cost model.
 
-        Returns a :class:`repro.relations.stats.TableStats` over the
-        current version of ``name``, memoized per ``(name, version)`` —
-        mutations bump the version, retiring stale statistics exactly
-        like cached plans and column stores.  Statistics are *lazy*: the
+        Returns the :class:`repro.relations.stats.TableStats` cached on
+        the current snapshot of ``name`` (:meth:`Relation.stats` — the
+        object plan building reads), so mutations retire stale statistics
+        with the snapshot they describe.  Statistics are *lazy*: the
         object is O(1) to build and each column is profiled on first
         access, so registering a huge relation costs nothing until the
         planner actually consults a column.
-
-        Plan building reads :meth:`Relation.stats` directly (cached on
-        the immutable per-version relation instance — the same object
-        this accessor returns), so winnows pay each column's statistics
-        pass once per catalog version either way.
         """
-        with self._lock:
-            key = (name.lower(), self.catalog.version(name))
-            stats = self._stats_cache.get(key)
-            if stats is None:
-                stats = self.catalog.get(name).stats()
-                stale = [
-                    k for k in self._stats_cache
-                    if k[0] == key[0] and k[1] < key[1]
-                ]
-                for k in stale:
-                    del self._stats_cache[k]
-                self._stats_cache[key] = stats
-        return stats
+        return self.catalog.get(name).stats()
 
     def __repr__(self) -> str:
         return (

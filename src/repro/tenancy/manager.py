@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+from repro.algebra.equivalence import term_identity
 from repro.core.preference import Preference
 from repro.engineering.serialization import (
     SerializationError,
@@ -42,7 +43,7 @@ from repro.engineering.serialization import (
 )
 from repro.query.api import compose_terms
 from repro.query.incremental import BMODelta, _diff
-from repro.server.views import ContinuousView, ViewSpec, term_identity
+from repro.server.views import ContinuousView, ViewSpec
 from repro.tenancy.metrics import TenantMetrics
 from repro.tenancy.profiles import (
     ProfileStore,

@@ -87,3 +87,35 @@ class TestCanonicalProbe:
         p1 = PosPreference("c", {"red"})
         p2 = PosPreference("c", {"red", "blue"})
         assert not equivalent_on(p1, p2, canonical_probe(p2))
+
+
+class TestTermIdentity:
+    """The one cache-key identity: view keys, the tenant composition
+    cache and ``classify_revision`` all call it."""
+
+    def test_signature_equal_lambdas_stay_apart(self):
+        from repro.algebra.equivalence import term_identity
+        from repro.core.base_numerical import ScorePreference
+        from repro.query.revision import classify_revision
+
+        up = ScorePreference("x", lambda v: v)
+        down = ScorePreference("x", lambda v: -v)
+        assert up.signature == down.signature
+        assert term_identity(up) != term_identity(down)
+        assert term_identity(up) == term_identity(up)
+        assert classify_revision(up, down).kind != "equal"
+
+    def test_structural_terms_compare_by_signature(self):
+        from repro.algebra.equivalence import term_identity
+
+        a = pareto(HighestPreference("x"), LowestPreference("y"))
+        b = pareto(HighestPreference("x"), LowestPreference("y"))
+        assert term_identity(a) == term_identity(b) == (a.signature, ())
+
+    def test_every_sub_term_is_visited_once(self):
+        from repro.algebra.equivalence import term_identity
+        from repro.core.base_numerical import ScorePreference
+
+        score = ScorePreference("x", lambda v: v)
+        nested = prioritized(dual(score), LowestPreference("y"))
+        assert term_identity(nested)[1] == (id(score.function),)

@@ -84,6 +84,33 @@ class TestSemanticPrune:
         assert pruned is pref
 
 
+    def test_unordered_arm_with_distinct_values_is_kept(self):
+        """A BETWEEN covering the value range orders nothing, but rows
+        that differ on it are incomparable under Definition 8's ``=``
+        clause — dropping the arm would let its siblings decide alone."""
+        covered = _cs(Check("a", ">=", 0), Check("a", "<=", 1))
+        between = BetweenPreference("a", 0, 1)
+        for build in (pareto, prioritized):
+            pref = build(between, LowestPreference("b"))
+            assert semantic_prune(pref, covered) == (pref, ())
+        rows = [{"a": 0, "b": 0}, {"a": 1, "b": 1}]
+        from repro.query.api import PreferenceQuery
+        from repro.query.bmo import winnow
+
+        pref = pareto(LowestPreference("b"), between)
+        assert PreferenceQuery.over(rows).prefer(pref).run() == winnow(
+            pref, rows, algorithm="naive"
+        ) == rows
+
+    def test_all_unordered_arms_still_make_the_winnow_the_identity(self):
+        covered = _cs(
+            Check("a", ">=", 0), Check("a", "<=", 1), Check("b", "=", 5),
+        )
+        pref = pareto(BetweenPreference("a", 0, 1), LowestPreference("b"))
+        pruned, notes = semantic_prune(pref, covered)
+        assert pruned is None and len(notes) == 2
+
+
 class TestWeakOrder:
     def test_chains_and_scores_are_weak_orders(self):
         assert is_weak_order(HighestPreference("a"))

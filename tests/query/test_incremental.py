@@ -48,7 +48,7 @@ class TestExample9Live:
         assert live.stats == {
             "inserted": 4, "rejected": 1, "evicted": 1,
             "removed": 0, "resurrected": 0, "rebuilds": 0,
-            "revisions": 0,
+            "revisions": 0, "examined": 0,
         }
         # projection-equal duplicates share the maximal slot
         assert len(live) == 2 and live.result_size() == 1
@@ -184,31 +184,57 @@ class TestRevise:
     def test_refinement_from_view_candidates(self):
         live = IncrementalBMO(HighestPreference("x"))
         live.insert_many([{"x": 3, "y": 1}, {"x": 3, "y": 5}, {"x": 1, "y": 9}])
-        view = live.result()
-        delta = live.revise(
-            HighestPreference("x") & HighestPreference("y"),
-            candidates=view,
+        delta, revision, strategy = live.revise(
+            HighestPreference("x") & HighestPreference("y")
         )
+        assert revision.shape == "prio-append" and strategy == "view"
         assert _canon(live.result()) == _canon([{"x": 3, "y": 5}])
         assert delta.exited == ({"x": 3, "y": 1},) and delta.entered == ()
         assert live.stats["revisions"] == 1
+        # Restarted from the two old maxima, not from the three-row bag.
+        assert live.stats["examined"] == 2
 
     def test_full_revision_rebuilds_from_history(self):
         live = IncrementalBMO(HighestPreference("x"))
         live.insert_many([{"x": 3, "y": 1}, {"x": 1, "y": 9}])
-        delta = live.revise(HighestPreference("y"))
+        delta, revision, strategy = live.revise(HighestPreference("y"))
+        assert revision.kind == "incomparable" and strategy == "full"
         assert _canon(live.result()) == _canon([{"x": 1, "y": 9}])
         assert _canon(delta.entered) == _canon([{"x": 1, "y": 9}])
         assert _canon(delta.exited) == _canon([{"x": 3, "y": 1}])
+        assert live.stats["examined"] == 2
 
     def test_history_survives_revision(self):
         live = IncrementalBMO(HighestPreference("x"))
         live.insert_many([{"x": 1}, {"x": 2}])
-        live.revise(HighestPreference("x"), candidates=live.result())
-        assert live.seen() == 2
-        # Deletions after a revision still rebuild from full history.
+        delta, _, strategy = live.revise(HighestPreference("x"))
+        assert strategy == "none" and not delta
+        assert live.seen() == 2 and live.stats["examined"] == 0
+        # Deletions after a revision still rebuild from the whole bag.
         live.remove({"x": 2})
         assert _canon(live.result()) == _canon([{"x": 1}])
+
+    def test_contraction_rewinnows_the_bag(self):
+        refined = HighestPreference("x") & HighestPreference("y")
+        live = IncrementalBMO(refined)
+        live.insert_many([{"x": 3, "y": 1}, {"x": 3, "y": 5}, {"x": 1, "y": 9}])
+        delta, revision, strategy = live.revise(HighestPreference("x"))
+        # The dominated frontier of a maintainer that holds the bag is
+        # the bag: classified ``frontier``, run (and reported) as ``full``.
+        assert revision.restart == "frontier" and strategy == "full"
+        assert delta.entered == ({"x": 3, "y": 1},) and delta.exited == ()
+        assert live.stats["examined"] == 3
+
+    def test_failed_revision_keeps_the_old_result(self):
+        import pytest
+
+        live = IncrementalBMO(HighestPreference("x"))
+        live.insert_many([{"x": 1}, {"x": 2}])
+        with pytest.raises(KeyError):
+            live.revise(HighestPreference("missing"))
+        assert live.pref == HighestPreference("x")
+        assert live.result() == [{"x": 2}]
+        assert live.insert({"x": 3}) and live.result() == [{"x": 3}]
 
     def test_grouped_revision(self):
         live = IncrementalBMO(HighestPreference("x"), groupby=("g",))

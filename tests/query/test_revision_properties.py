@@ -1,15 +1,14 @@
 """Metamorphic property suite for preference revision.
 
 The ground truth is always the from-scratch evaluation: after any chain of
-revisions, a :class:`~repro.query.revision.ReviseState` must hold exactly
-``winnow(P', R)`` (element-wise, duplicates included) — whether the
-revision restarted from the view, from the view + frontier, or fell back
-to a full recompute.  Hypothesis drives random base relations and random
+revisions, the one maintainer (:class:`~repro.query.incremental
+.IncrementalBMO`) must hold exactly ``winnow(P', R)`` (element-wise,
+duplicates included) — whether the revision restarted from the view or
+re-winnowed the bag.  Hypothesis drives random base relations and random
 refinement / contraction chains over arbitrary preference terms (SV-style
 ties included via the layered constructors), plus the grouped and ranked
-top-k shapes; the fallback paths (incomparable deltas, truncated
-frontiers) are exercised explicitly and asserted via the state's honest
-stats.
+top-k shapes; which restart ran, and how many rows it read, is asserted
+via the returned strategy and the maintainer's honest stats.
 """
 
 from __future__ import annotations
@@ -33,11 +32,8 @@ from repro.core.base_numerical import (
 )
 from repro.core.constructors import ParetoPreference, PrioritizedPreference
 from repro.query.bmo import winnow, winnow_groupby
-from repro.query.revision import (
-    ReviseState,
-    RevisionError,
-    classify_revision,
-)
+from repro.query.incremental import IncrementalBMO
+from repro.query.revision import classify_revision
 from repro.query.topk import k_best
 
 
@@ -106,6 +102,31 @@ def test_chain_append_layer_extension():
     assert back.restart == "frontier"
 
 
+def test_unordered_pareto_arm_is_not_a_noop():
+    """An appended Pareto arm that orders nothing on the instance (a
+    BETWEEN covering the value range) still separates rows that differ
+    on it, so only an arm over constants upgrades to ``equal``; a
+    prioritized tail that orders nothing does."""
+    from repro.analysis.constraints import ConstraintSet
+    from repro.core.base_numerical import BetweenPreference
+    from repro.relations.schema import Check
+
+    low = LowestPreference("b")
+    between = BetweenPreference("a", 0, 1)
+    covered = ConstraintSet([Check("a", ">=", 0), Check("a", "<=", 1)])
+    constant = ConstraintSet([Check("a", "=", 1)])
+    extended = ParetoPreference((low, between))
+    assert classify_revision(low, extended, covered).restart == "frontier"
+    assert classify_revision(low, extended, constant).restart == "none"
+    appended = PrioritizedPreference((low, between))
+    assert classify_revision(low, appended, covered).restart == "none"
+    rows = [{"a": 0, "b": 0, "c": 0}, {"a": 1, "b": 1, "c": 0}]
+    state = IncrementalBMO(low)
+    state.load(rows)
+    state.revise(extended, constraints=covered)
+    assert canon_rows(state.result()) == canon_rows(winnow(extended, rows))
+
+
 def test_rejects_non_preferences():
     with pytest.raises(TypeError):
         classify_revision(PosPreference("a", {1}), "not a preference")
@@ -114,34 +135,42 @@ def test_rejects_non_preferences():
 # -- revision-from-view equals from-scratch ----------------------------------------
 
 
+def _seeded(pref, rows, **modes):
+    state = IncrementalBMO(pref, **modes)
+    state.load(rows)
+    return state
+
+
 def _assert_exact(state, pref, rows):
     assert canon_rows(state.result()) == canon_rows(winnow(pref, rows))
 
 
 @given(preference_st(max_depth=2), base_preference_st, rows_st)
 def test_refinement_from_view_equals_scratch(pref, stage, rows):
-    state = ReviseState(pref, rows)
+    state = _seeded(pref, rows)
+    view_size = len(state)
     refined = PrioritizedPreference((pref, stage))
-    outcome = state.revise(refined)
+    _, revision, strategy = state.revise(refined)
     _assert_exact(state, refined, rows)
-    if outcome.revision.shape == "prio-append":
-        assert outcome.strategy == "view"
-        assert state.stats["from_view"] == 1
-        assert state.stats["full_recomputes"] == 0
+    if revision.shape == "prio-append":
+        assert strategy == "view"
+        assert state.stats["examined"] == view_size
 
 
 @given(preference_st(max_depth=2), base_preference_st, rows_st)
 def test_contraction_from_frontier_equals_scratch(pref, stage, rows):
-    state = ReviseState(PrioritizedPreference((pref, stage)), rows)
-    outcome = state.revise(pref)
+    state = _seeded(PrioritizedPreference((pref, stage)), rows)
+    _, revision, strategy = state.revise(pref)
     _assert_exact(state, pref, rows)
-    if outcome.revision.kind == "contraction":
-        assert outcome.strategy == "frontier"
+    if revision.kind == "contraction":
+        # The frontier of a maintainer that holds the bag is the bag.
+        assert revision.restart == "frontier" and strategy == "full"
+        assert state.stats["examined"] == len(rows)
 
 
 @given(preference_st(max_depth=2), base_preference_st, rows_st)
 def test_pareto_extension_equals_scratch(pref, extra, rows):
-    state = ReviseState(pref, rows)
+    state = _seeded(pref, rows)
     extended = ParetoPreference((pref, extra))
     state.revise(extended)
     _assert_exact(state, extended, rows)
@@ -151,12 +180,12 @@ def test_pareto_extension_equals_scratch(pref, extra, rows):
 def test_incomparable_fallback_is_exact(old, new, rows):
     """Whatever the classification, the revised state is exact — and a
     full recompute is recorded honestly when it happens."""
-    state = ReviseState(old, rows)
-    outcome = state.revise(new)
+    state = _seeded(old, rows)
+    _, revision, strategy = state.revise(new)
     _assert_exact(state, new, rows)
-    if outcome.revision.kind == "incomparable":
-        assert outcome.strategy == "full"
-        assert state.stats["full_recomputes"] == 1
+    if revision.kind == "incomparable":
+        assert strategy == "full"
+        assert state.stats["examined"] == len(rows)
 
 
 @given(
@@ -171,7 +200,7 @@ def test_incomparable_fallback_is_exact(old, new, rows):
 def test_revision_chains_stay_exact(pref, chain, rows):
     """Random refinement/contraction chains: the state equals the
     from-scratch winnow after every single step."""
-    state = ReviseState(pref, rows)
+    state = _seeded(pref, rows)
     current = pref
     for kind, stage in chain:
         if kind == "prio":
@@ -191,11 +220,11 @@ def test_sv_ties_survive_revision(values):
     equally good; refining by a tiebreaker keeps exactly the right ones."""
     rows = [{"a": v, "b": i % 3, "c": 0} for i, v in enumerate(values)]
     pos = PosPreference("a", {3, 4})
-    state = ReviseState(pos, rows)
+    state = _seeded(pos, rows)
     refined = PrioritizedPreference((pos, HighestPreference("b")))
-    outcome = state.revise(refined)
+    _, _, strategy = state.revise(refined)
     _assert_exact(state, refined, rows)
-    assert outcome.strategy in ("none", "view")
+    assert strategy in ("none", "view")
 
 
 # -- grouped and ranked shapes -----------------------------------------------------
@@ -204,7 +233,7 @@ def test_sv_ties_survive_revision(values):
 @given(preference_st(max_depth=2), base_preference_st, nonempty_rows_st)
 def test_grouped_revision_equals_scratch(pref, stage, rows):
     groupby = ("c",) if "c" not in pref.attributes else ("a",)
-    state = ReviseState(pref, rows, groupby=groupby)
+    state = _seeded(pref, rows, groupby=groupby)
     refined = PrioritizedPreference((pref, stage))
     state.revise(refined)
     assert canon_rows(state.result()) == canon_rows(
@@ -217,13 +246,13 @@ def test_grouped_revision_equals_scratch(pref, stage, rows):
 def test_ranked_revision_equals_k_best(rows, k, ties):
     score = ScorePreference("a", lambda v: v, name="up")
     flipped = ScorePreference("a", lambda v: -v, name="down")
-    state = ReviseState(score, rows, top=k, ties=ties)
+    state = _seeded(score, rows, top=k, ties=ties)
     assert canon_rows(state.result()) == canon_rows(
         k_best(score, rows, k, ties=ties)
     )
-    outcome = state.revise(flipped)
+    _, _, strategy = state.revise(flipped)
     # A changed score function reorders the whole cut: never view-class.
-    assert outcome.strategy == "full"
+    assert strategy == "full"
     assert canon_rows(state.result()) == canon_rows(
         k_best(flipped, rows, k, ties=ties)
     )
@@ -232,65 +261,46 @@ def test_ranked_revision_equals_k_best(rows, k, ties):
 def test_ranked_identity_revision_is_noop():
     score = HighestPreference("a")
     rows = [{"a": v} for v in (5, 1, 3, 2)]
-    state = ReviseState(score, rows, top=2)
-    outcome = state.revise(score)
-    assert outcome.strategy == "none" and not outcome.delta
-    assert state.stats["noop"] == 1
+    state = _seeded(score, rows, top=2)
+    delta, _, strategy = state.revise(score)
+    assert strategy == "none" and not delta
+    assert state.stats["examined"] == 0
 
 
 def test_ranked_state_rejects_non_score_terms():
     with pytest.raises(TypeError):
-        ReviseState(
+        IncrementalBMO(
             ParetoPreference(
                 (HighestPreference("a"), HighestPreference("b"))
             ),
-            [],
             top=2,
         )
 
 
-# -- fallback paths, asserted via stats --------------------------------------------
-
-
-@given(nonempty_rows_st)
-def test_truncated_frontier_falls_back_and_stays_exact(rows):
-    low = LowestPreference("a")
-    state = ReviseState(low, rows, frontier_limit=0)
-    contracted_from = PrioritizedPreference((low, HighestPreference("b")))
-    # Re-anchor on a prioritized term so the next revision contracts.
-    state.revise(contracted_from, reload=lambda: rows)
-    outcome = state.revise(low, reload=lambda: rows)
-    _assert_exact(state, low, rows)
-    if state.truncated and outcome.revision.restart == "frontier":
-        assert outcome.strategy == "full"
-        assert state.stats["truncation_fallbacks"] >= 1
-        assert state.stats["frontier_dropped"] >= 1
-
-
-def test_truncated_frontier_without_reload_raises():
-    rows = [{"a": v, "b": 0, "c": 0} for v in range(10)]
-    low = LowestPreference("a")
-    state = ReviseState(low, rows, frontier_limit=2)
-    assert state.truncated and state.stats["frontier_dropped"] == 7
-    with pytest.raises(RevisionError):
-        state.revise(HighestPreference("b"))
+# -- the restarts, asserted via stats ----------------------------------------------
 
 
 def test_full_recompute_from_retained_rows_needs_no_reload():
-    """view + complete frontier is the base relation as a bag, so an
-    incomparable delta recomputes exactly without touching the source."""
+    """The maintainer holds the bag, so an incomparable delta recomputes
+    exactly without being handed the relation again."""
     rows = [{"a": v, "b": 9 - v, "c": 0} for v in range(10)]
-    state = ReviseState(LowestPreference("a"), rows)
-    assert not state.truncated
-    outcome = state.revise(LowestPreference("b"))
-    assert outcome.strategy == "full"
+    state = _seeded(LowestPreference("a"), rows)
+    _, _, strategy = state.revise(LowestPreference("b"))
+    assert strategy == "full"
     _assert_exact(state, LowestPreference("b"), rows)
 
 
 @given(rows_st)
 def test_frontier_plus_view_is_the_relation(rows):
-    state = ReviseState(LowestPreference("a"), rows)
-    assert canon_rows(state.result() + state.frontier()) == canon_rows(rows)
+    """What a frontier-class revision draws from is the whole bag — so it
+    is exact for any relation size, with nothing to truncate."""
+    low = LowestPreference("a")
+    state = _seeded(PrioritizedPreference((low, HighestPreference("b"))), rows)
+    assert state.seen() == len(rows)
+    _, revision, _ = state.revise(low)
+    assert revision.restart == "frontier"
+    assert state.stats["examined"] == len(rows)
+    _assert_exact(state, low, rows)
 
 
 @settings(max_examples=20)
@@ -299,8 +309,10 @@ def test_view_restart_examines_fewer_rows(rows):
     """The point of the exercise: a proved refinement looks only at the
     view, never at the whole relation."""
     low = LowestPreference("a")
-    state = ReviseState(low, rows)
+    state = _seeded(low, rows)
     view_size = len(state.result())
-    outcome = state.revise(PrioritizedPreference((low, LowestPreference("b"))))
-    if outcome.strategy == "view":
-        assert outcome.examined == view_size <= len(rows)
+    _, _, strategy = state.revise(
+        PrioritizedPreference((low, LowestPreference("b")))
+    )
+    if strategy == "view":
+        assert state.stats["examined"] == view_size <= len(rows)

@@ -18,6 +18,7 @@ revised view key.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import base_preference_st, canon_rows, row_st
@@ -244,5 +245,29 @@ def test_revision_answers_queries_under_the_new_key():
         assert canon_rows(answer.rows) == canon_rows(
             [{"price": 1, "power": 5}]
         )
+    finally:
+        service.close()
+
+
+def test_a_failed_revision_leaves_the_view_on_its_old_preference():
+    """A revision that throws part-way (here: a term over an attribute
+    the relation lacks) must not leave the view answering for the old
+    key with a half-built window of the new term."""
+    rows = [{"price": p, "power": w} for p, w in [(1, 1), (1, 5), (2, 9)]]
+    service = PreferenceService({"car": rows}, auto_view_threshold=None)
+    try:
+        low = LowestPreference("price")
+        view = service.materialize("car", low)
+        with pytest.raises(KeyError):
+            service.revise("car", low, HighestPreference("no_such_column"))
+        assert service.views.get(ViewSpec("car", low)) is view
+        answer = service.query(spec={
+            "relation": "car",
+            "prefer": {"type": "lowest", "attribute": "price"},
+        })
+        assert answer.source == "view"
+        assert canon_rows(answer.rows) == canon_rows(rows[:2])
+        service.insert("car", [{"price": 0, "power": 0}])
+        assert view.rows() == [{"price": 0, "power": 0}]
     finally:
         service.close()

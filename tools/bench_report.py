@@ -343,29 +343,33 @@ def bench_revision(report: dict, n_rows: int, rounds: int) -> None:
     from repro.core.constructors import prioritized
     from repro.datasets.cars import generate_cars
     from repro.query import optimizer
-    from repro.query.revision import ReviseState
+    from repro.query.incremental import IncrementalBMO
 
     relation = generate_cars(n_rows, seed=11)
-    rows = relation.rows()
     base = LowestPreference("price")
     refined = prioritized(base, HighestPreference("horsepower"))
 
     def canon(out):
         return sorted(tuple(sorted(r.items())) for r in out)
 
+    def seeded():
+        state = IncrementalBMO(base)
+        state.load(relation)  # held by reference: no per-state copy
+        return state
+
     fresh = optimizer.plan(refined, relation).execute()
-    probe = ReviseState(base, rows)
-    outcome = probe.revise(refined)
-    assert outcome.strategy == "view"
+    probe = seeded()
+    assert probe.revise(refined)[2] == "view"
     assert canon(probe.result()) == canon(fresh.rows())
-    # The incomparable fallback stays exact: full recompute, counted.
-    swap = ReviseState(base, rows, frontier_limit=n_rows)
-    assert swap.revise(HighestPreference("mileage")).strategy == "full"
+    # The incomparable fallback stays exact: the bag re-winnowed, counted.
+    swap = seeded()
+    assert swap.revise(HighestPreference("mileage"))[2] == "full"
+    assert swap.stats["examined"] == n_rows
     assert canon(swap.result()) == canon(
         optimizer.plan(HighestPreference("mileage"), relation).execute().rows()
     )
 
-    states = iter([ReviseState(base, rows) for _ in range(rounds)])
+    states = iter([seeded() for _ in range(rounds)])
     revised = median_ns(lambda: next(states).revise(refined), rounds)
     replanned = median_ns(
         lambda: optimizer.plan(refined, relation).execute(), rounds
