@@ -1,28 +1,27 @@
 """ALG-CMP: evaluation algorithms across the skyline distributions.
 
 Expected shape ([BKS01]/[TEO01], and the paper's efficiency discussion):
-BNL / SFS / D&C clearly beat the naive evaluator; anti-correlated data is
-the hard case (largest skylines, smallest speedups); correlated data is
-nearly free.
+BNL / SFS and the code kernels clearly beat the naive evaluator;
+anti-correlated data is the hard case (largest skylines, smallest
+speedups); correlated data is nearly free.
 """
 
 import pytest
 
 from repro.core.base_numerical import HighestPreference
 from repro.core.constructors import pareto
+from repro.engine.columnar import columnar_winnow
 from repro.query.algorithms import (
     block_nested_loop,
-    divide_and_conquer,
     naive_nested_loop,
     sort_filter_skyline,
-    two_d_sweep,
 )
 
 ENGINES = {
     "naive": naive_nested_loop,
     "bnl": block_nested_loop,
     "sfs": sort_filter_skyline,
-    "dc": divide_and_conquer,
+    "vsfs": columnar_winnow,
 }
 
 
@@ -31,7 +30,7 @@ def _pref(dims: int):
 
 
 @pytest.mark.parametrize("kind", ["independent", "correlated", "anticorrelated"])
-@pytest.mark.parametrize("engine", ["naive", "bnl", "sfs", "dc"])
+@pytest.mark.parametrize("engine", ["naive", "bnl", "sfs", "vsfs"])
 def test_skyline_3d(benchmark, skyline_sets, kind, engine):
     relation = skyline_sets[(kind, 1000, 3)]
     rows = relation.rows()
@@ -47,13 +46,14 @@ def test_skyline_3d(benchmark, skyline_sets, kind, engine):
 
 @pytest.mark.parametrize("kind", ["independent", "anticorrelated"])
 def test_two_d_sweep_vs_bnl(benchmark, skyline_sets, kind):
+    """Two code axes: the engine's O(n log n) sweep."""
     relation = skyline_sets[(kind, 1000, 2)]
     rows = relation.rows()
     pref = _pref(2)
     reference = {tuple(sorted(r.items())) for r in block_nested_loop(pref, rows)}
 
     result = benchmark.pedantic(
-        lambda: two_d_sweep(pref, rows), rounds=3, iterations=1
+        lambda: columnar_winnow(pref, rows), rounds=3, iterations=1
     )
     assert {tuple(sorted(r.items())) for r in result} == reference
 

@@ -77,14 +77,13 @@ def test_columnar_5x_over_bnl_50k(skyline_50k, kind):
 
 
 @pytest.mark.parametrize("kind", ["independent", "correlated", "anticorrelated"])
-@pytest.mark.parametrize("strategy", ["sfs", "bnl"])
-def test_columnar_strategies_50k(benchmark, skyline_50k, kind, strategy):
+def test_columnar_winnow_50k(benchmark, skyline_50k, kind):
     relation = skyline_50k[kind]
     pref = _pref(DIMS)
     reference = _row_set(block_nested_loop(pref, relation.rows()))
 
     result = benchmark.pedantic(
-        lambda: columnar_winnow(pref, relation, strategy=strategy),
+        lambda: columnar_winnow(pref, relation),
         rounds=3,
         iterations=1,
     )
@@ -105,16 +104,16 @@ def test_python_fallback_5k(benchmark, monkeypatch, kind):
 
     monkeypatch.setattr(engine_backend, "_numpy", None)
     result = benchmark.pedantic(
-        lambda: columnar_winnow(pref, relation, strategy="sfs"),
+        lambda: columnar_winnow(pref, relation),
         rounds=3,
         iterations=1,
     )
     assert _row_set(result.rows()) == reference
 
 
-@pytest.mark.skipif(not numpy_available(), reason="auto choice needs NumPy")
 def test_planner_auto_picks_columnar_50k(benchmark, skyline_50k):
-    """End-to-end: Session auto-chooses the columnar backend at this scale."""
+    """End-to-end: Session auto-chooses the columnar backend (on whichever
+    leg this platform has)."""
     from repro.session import Session
 
     session = Session({"sky": skyline_50k["independent"]})

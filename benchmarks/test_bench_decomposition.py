@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.base_numerical import AroundPreference, LowestPreference
 from repro.core.constructors import pareto, prioritized
-from repro.query.bmo import bmo
+from repro.query.bmo import winnow
 from repro.query.decomposition import (
     eval_pareto_decomposition,
     eval_prioritized_cascade,
@@ -39,12 +39,12 @@ class TestProp12Pareto:
     def test_direct_bnl(self, benchmark, car_rows):
         pref = pareto(P1, P2)
         out = benchmark.pedantic(
-            lambda: bmo(pref, car_rows, algorithm="bnl"), rounds=3, iterations=1
+            lambda: winnow(pref, car_rows, algorithm="bnl"), rounds=3, iterations=1
         )
         assert out
 
     def test_decomposed(self, benchmark, car_rows):
-        direct = _proj_set(bmo(pareto(P1, P2), car_rows))
+        direct = _proj_set(winnow(pareto(P1, P2), car_rows))
         out = benchmark.pedantic(
             lambda: eval_pareto_decomposition(P1, P2, car_rows),
             rounds=3,
@@ -56,7 +56,7 @@ class TestProp12Pareto:
 class TestProp10And11Prioritized:
     def test_grouping_route(self, benchmark, car_rows):
         pref = prioritized(P1, P2)
-        direct = _proj_set(bmo(pref, car_rows))
+        direct = _proj_set(winnow(pref, car_rows))
         out = benchmark.pedantic(
             lambda: eval_prioritized_grouping(P1, P2, car_rows),
             rounds=3,
@@ -67,7 +67,7 @@ class TestProp10And11Prioritized:
     def test_cascade_route(self, benchmark, car_rows):
         # P2 (a chain) leads, so Proposition 11 applies.
         pref = prioritized(P2, P1)
-        direct = _proj_set(bmo(pref, car_rows))
+        direct = _proj_set(winnow(pref, car_rows))
         out = benchmark.pedantic(
             lambda: eval_prioritized_cascade(P2, P1, car_rows),
             rounds=3,
@@ -78,6 +78,6 @@ class TestProp10And11Prioritized:
     def test_direct_prioritized(self, benchmark, car_rows):
         pref = prioritized(P1, P2)
         out = benchmark.pedantic(
-            lambda: bmo(pref, car_rows, algorithm="bnl"), rounds=3, iterations=1
+            lambda: winnow(pref, car_rows, algorithm="bnl"), rounds=3, iterations=1
         )
         assert out

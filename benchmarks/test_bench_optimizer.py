@@ -12,7 +12,7 @@ from repro.core.base_nonnumerical import PosPreference
 from repro.core.base_numerical import AroundPreference, LowestPreference
 from repro.core.constructors import dual, pareto, prioritized
 from repro.query.algorithms import block_nested_loop, sort_filter_skyline
-from repro.query.bmo import bmo
+from repro.query.bmo import winnow
 from repro.query.optimizer import execute
 
 
@@ -62,7 +62,7 @@ def test_cascade_on(benchmark, cars):
 
 def test_cascade_off_generic_bnl(benchmark, cars):
     out = benchmark.pedantic(
-        lambda: bmo(CHAIN_HEADED, cars, algorithm="bnl"), rounds=3, iterations=1
+        lambda: winnow(CHAIN_HEADED, cars, algorithm="bnl"), rounds=3, iterations=1
     )
     assert len(out) > 0
 
@@ -93,6 +93,6 @@ def test_bnl_no_presort(benchmark, cars):
 def test_sort_based_for_score_term(benchmark, cars):
     pref = AroundPreference("price", 25000)
     out = benchmark.pedantic(
-        lambda: bmo(pref, cars, algorithm="sort"), rounds=3, iterations=1
+        lambda: winnow(pref, cars, algorithm="sort"), rounds=3, iterations=1
     )
     assert len(out) >= 1

@@ -20,7 +20,7 @@ from repro.core.constructors import intersection, pareto, prioritized, rank
 from repro.core.graph import BetterThanGraph
 from repro.core.preference import AntiChain
 from repro.datasets.cars import example6_preferences
-from repro.query.bmo import bmo, perfect_matches
+from repro.query.bmo import perfect_matches, winnow
 from repro.query.decomposition import eval_prioritized_grouping, yy_set
 from repro.relations.relation import Relation
 
@@ -108,7 +108,7 @@ def test_ex6_engineering_scenario(benchmark, cars_1k):
 
     def run():
         return {
-            key: len(bmo(prefs[key], cars_1k))
+            key: len(winnow(prefs[key], cars_1k))
             for key in ("Q1", "Q2", "Q1_star", "Q2_star")
         }
 
@@ -145,7 +145,7 @@ def test_ex8_bmo_query(benchmark):
         "R", ["Color"], [("yellow",), ("red",), ("green",), ("black",)]
     )
 
-    best = benchmark(lambda: bmo(pref, r))
+    best = benchmark(lambda: winnow(pref, r))
     assert sorted(row["Color"] for row in best) == ["red", "yellow"]
     assert [row["Color"] for row in perfect_matches(pref, r)] == ["red"]
 
@@ -166,7 +166,7 @@ def test_ex9_non_monotonicity(benchmark):
         return [
             sorted(
                 r["Nickname"]
-                for r in bmo(pref, [dict(zip(attrs, t)) for t in state])
+                for r in winnow(pref, [dict(zip(attrs, t)) for t in state])
             )
             for state in states
         ]
@@ -194,7 +194,7 @@ def test_ex11_yy_term(benchmark):
 
     def run():
         yy = yy_set(prioritized(p1, p2), prioritized(p2, p1), r)
-        full = bmo(pareto(p1, p2), r)
+        full = winnow(pareto(p1, p2), r)
         return yy, full
 
     yy, full = benchmark(run)

@@ -7,7 +7,7 @@ point), while returning exactly the same k-best set as a full scan.
 
 from repro.core.base_numerical import ScorePreference
 from repro.core.constructors import rank
-from repro.query.topk import threshold_topk, top_k
+from repro.query.topk import k_best, threshold_topk
 
 
 def _rank_pref():
@@ -22,7 +22,7 @@ def _rank_pref():
 def test_full_scan_topk(benchmark, cars_5k):
     pref = _rank_pref()
     out = benchmark.pedantic(
-        lambda: top_k(pref, cars_5k, 10), rounds=3, iterations=1
+        lambda: k_best(pref, cars_5k, 10), rounds=3, iterations=1
     )
     assert len(out) == 10
 
@@ -30,7 +30,7 @@ def test_full_scan_topk(benchmark, cars_5k):
 def test_threshold_topk(benchmark, cars_5k):
     pref = _rank_pref()
     expected_scores = sorted(
-        (pref.score(r) for r in top_k(pref, cars_5k, 10)), reverse=True
+        (pref.score(r) for r in k_best(pref, cars_5k, 10)), reverse=True
     )
 
     def run():

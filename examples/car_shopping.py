@@ -12,7 +12,7 @@ SQL92 rewriting the commercial product used.
 from repro.datasets.cars import example6_preferences, generate_cars
 from repro.engineering import PreferenceRepository
 from repro.psql import PreferenceSQL, parse, to_sql92
-from repro.query import bmo
+from repro.query import winnow
 from repro.relations import Catalog
 
 
@@ -29,11 +29,11 @@ def main() -> None:
     print(f"preference repository: {repo!r}")
 
     for name in ("Q1", "Q2", "Q1_star", "Q2_star"):
-        best = bmo(prefs[name], cars)
+        best = winnow(prefs[name], cars)
         print(f"{name:8s} -> {len(best):3d} best matches "
               f"out of {len(cars)} cars")
 
-    q2_best = bmo(prefs["Q2_star"], cars)
+    q2_best = winnow(prefs["Q2_star"], cars)
     print("\nthe final shortlist (Q2*):")
     print(q2_best.project(
         ["make", "category", "color", "price", "horsepower", "year"]

@@ -17,7 +17,7 @@ from repro.engineering import (
     mine_preferences,
     negotiate,
 )
-from repro.query import bmo
+from repro.query import winnow
 
 
 def main() -> None:
@@ -55,7 +55,7 @@ def main() -> None:
 
     mined_wish = profile.combined()
     assert mined_wish is not None
-    shortlist = bmo(mined_wish, cars)
+    shortlist = winnow(mined_wish, cars)
     print(f"\nshopping with the mined profile: {len(shortlist)} best matches")
     print(shortlist.project(["make", "price", "color"]).head(5))
 

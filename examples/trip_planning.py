@@ -15,11 +15,11 @@ from repro.datasets.trips import generate_trips
 from repro.psql import PreferenceSQL
 from repro.query import (
     QualityCondition,
-    bmo,
     but_only,
     explain_quality,
+    k_best,
     threshold_topk,
-    top_k,
+    winnow,
 )
 from repro.relations import Catalog
 
@@ -33,7 +33,7 @@ def main() -> None:
         AROUND("start_date", datetime.date(2001, 11, 23)),
         AROUND("duration", 14),
     )
-    best = bmo(wish, trips)
+    best = winnow(wish, trips)
     print(f"\nBMO result: {len(best)} candidate trips")
     print(best.project(["destination", "start_date", "duration", "price"]).head())
 
@@ -70,7 +70,7 @@ def main() -> None:
         SCORE("price", lambda p: -p / 100.0, name="cheapness"),
         name="deal_score",
     )
-    shortlist = top_k(cheap_and_soon, trips, 5)
+    shortlist = k_best(cheap_and_soon, trips, 5)
     print("\ntop-5 deals by combined score:")
     print(shortlist.project(["destination", "start_date", "price"]).head())
 

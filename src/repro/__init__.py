@@ -26,8 +26,9 @@ builder above, Preference SQL (:class:`~repro.psql.executor.PreferenceSQL`
 or ``Session.sql``), and Preference XPath — funnels through one lazily
 evaluated planning pipeline with a per-session plan cache.
 
-Migrating from the pre-Session functional helpers (still available as
-deprecated shims):
+Migrating from the pre-Session functional helpers (``bmo``, ``bmo_groupby``
+and ``top_k`` are removed; ``repro.query.winnow`` / ``winnow_groupby`` /
+``k_best`` take the same arguments without planning):
 
 ===================================  =========================================
 old entry point                      fluent equivalent

@@ -1,12 +1,15 @@
 """The engine's array backend gate: NumPy when present, pure Python otherwise.
 
-NumPy is an *optional* accelerator, never a dependency: every columnar code
-path has a pure-Python fallback operating on the same rank-encoded integer
-matrices, so results are bit-identical with or without it.  All NumPy access
-in :mod:`repro.engine` funnels through :func:`get_numpy` so that
+NumPy is an *optional* accelerator, never a dependency: every stage of the
+columnar winnow has a NumPy leg and an interpreted leg over the same
+rank-encoded integer codes, so results — and plans — are identical with or
+without it.  :func:`repro.engine.columnar.columnar_winnow` picks the leg
+once per winnow and hands it to every stage as ``np`` (:data:`DETECT` is
+the stages' default for direct callers).  All NumPy access in
+:mod:`repro.engine` funnels through :func:`get_numpy` so that
 
-* a missing installation degrades silently to the fallback kernels,
-* tests can force the fallback by monkeypatching :data:`_numpy` (or by
+* a missing installation runs the interpreted leg, silently,
+* tests can force that leg by monkeypatching :data:`_numpy` (or by
   reloading this module with a blocked import),
 * operators can force it fleet-wide with ``REPRO_NO_NUMPY=1`` when chasing
   a suspected NumPy-specific discrepancy.
@@ -40,8 +43,13 @@ def get_numpy() -> Any:
     return _numpy
 
 
+#: Default ``np`` of the kernels and encoders: "ask :func:`get_numpy` now".
+#: The module, or ``None`` (interpreted leg), is a decision made upstream.
+DETECT: Any = object()
+
+
 def numpy_available() -> bool:
-    """Whether the vectorized (NumPy) kernels will be used."""
+    """Whether the NumPy leg of the kernels can run at all."""
     return get_numpy() is not None
 
 

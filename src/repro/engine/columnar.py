@@ -1,7 +1,9 @@
 """The columnar winnow: BMO evaluation over per-attribute score vectors.
 
-This is the engine behind the planner's ``backend=columnar`` choice.  The
-pipeline for ``sigma[P](R)``:
+This is the evaluator of every term that lowers to integer code axes
+(:func:`columnar_axes`) — in plans, in view seeds and rebuilds, and per
+group in grouped winnows, with NumPy or without.  The pipeline for
+``sigma[P](R)``:
 
 1. **Columnarize** — take the relation's cached column vectors
    (:meth:`Relation.columns`), or just ``P``'s columns of a relation or
@@ -22,17 +24,18 @@ pipeline for ``sigma[P](R)``:
    AROUND values stay unranked (Example 2), and distinct projections
    stay distinct vectors.  Either way vector dominance *is* the Pareto
    order and vector equality *is* projection equality.
-4. **Encode** each axis into integer codes and run a vectorized kernel
-   (:mod:`repro.engine.vectorized`) — NumPy broadcasting when available,
-   pure-Python block sweeps otherwise.  Results are identical either way.
+4. **Encode** each axis into integer codes and run the SFS kernel — the
+   2-d sweep for two code axes — of :mod:`repro.engine.vectorized`.  Every
+   stage has a NumPy leg and a pure-Python leg with identical results;
+   :func:`columnar_winnow` picks one per winnow, from NumPy's presence
+   and the input size (:data:`NUMPY_MIN_ROWS`), and every stage follows.
 
 SCORE-representable terms take a short cut: the maxima are the argmax-score
 rows, one columnar pass, no dominance matrix needed.
 
-The kernels are also registered in the row-level algorithm registry as
-``"vsfs"`` and ``"vbnl"``, so ``PreferenceQuery.using("vsfs")``,
-``winnow(..., algorithm="vbnl")`` and grouped winnows can name them like
-any other algorithm.
+The winnow is registered in the algorithm registry as ``"vsfs"``, which is
+how cascade stages, grouped winnows and ``PreferenceQuery.using("vsfs")``
+name it.
 """
 
 from __future__ import annotations
@@ -50,11 +53,23 @@ from repro.core.constructors import DualPreference, ParetoPreference
 from repro.core.preference import ChainPreference, Preference
 from repro.engine.backend import get_numpy
 from repro.engine.columns import ColumnStore, encode_axis, encode_weak_axis
-from repro.engine.vectorized import DEFAULT_BLOCK, KERNELS, skyline_2d
+from repro.engine.vectorized import (
+    DEFAULT_BLOCK,
+    KERNELS,
+    skyline_2d,
+    skyline_sfs,
+)
 from repro.query.algorithms import ALGORITHMS
 from repro.relations.relation import Relation
 
 Row = dict[str, Any]
+
+#: Inputs with fewer rows take the interpreted leg even with NumPy
+#: installed: a NumPy winnow pays ~60 us of array construction and dispatch
+#: up front, the interpreted leg pays per row.  Measured crossing: ~48 rows
+#: for 3-5 code axes, ~80 for two (docs/performance.md, "The leg switch").
+NUMPY_MIN_ROWS = 48
+
 
 class ColumnAxis(NamedTuple):
     """One Pareto arm, lowered to column form.
@@ -209,60 +224,83 @@ def columnar_winnow(
 ) -> Any:
     """``sigma[P](R)`` over column vectors; same results as the row winnow.
 
-    ``strategy`` names a kernel from
-    :data:`repro.engine.vectorized.KERNELS` (``"sfs"`` — presorted
-    grow-only window, the default — or ``"bnl"``); SCORE-representable
-    terms ignore it and take the argmax path.  ``partitions > 1`` runs
-    the dominance kernel via the partition-and-merge executor
+    SCORE-representable terms take the argmax path; everything else must
+    lower to code axes (:func:`columnar_axes`) or :class:`NotColumnarError`
+    is raised — callers wanting automatic fallback go through the planner,
+    which only picks this evaluator when it applies.  ``partitions > 1``
+    runs the dominance kernel via the partition-and-merge executor
     (:func:`repro.engine.parallel.parallel_skyline`) — identical results,
     the dominance phase split across workers; the argmax path is already
-    linear and ignores it.  Raises :class:`NotColumnarError` for terms
-    with neither evaluation — callers wanting automatic fallback should
-    go through the planner, which only picks this backend when it
-    applies.
+    linear and ignores it.  ``strategy`` names the kernel, and
+    :data:`repro.engine.vectorized.KERNELS` has one.  NumPy or
+    interpreted is chosen once per winnow and handed to every stage:
+    NumPy when importable and the input has :data:`NUMPY_MIN_ROWS` rows.
     """
-    if isinstance(data, Relation):
-        store = ColumnStore.from_relation(data, pref.attributes)
-        template: Relation | None = data
-    else:
-        # Materialize only the preference's columns: row lists may be
-        # heterogeneous on attributes the winnow never reads, and the row
-        # engine tolerates that.
-        store = ColumnStore.from_rows(data, attributes=pref.attributes)
-        template = None
+    if strategy not in KERNELS:
+        raise ValueError(
+            f"unknown columnar strategy {strategy!r}; known: {sorted(KERNELS)}"
+        )
+    return lowered_winnow(pref)(data, block_size, partitions)
 
-    if store.length == 0:
-        return [] if template is None else template
-    for a in pref.attributes:
-        if a not in store.columns:
-            raise KeyError(
-                f"preference attribute {a!r} missing from input columns"
-            )
 
+def lowered_winnow(pref: Preference) -> Callable[..., Any]:
+    """Lower ``pref`` once; the returned ``run(data, block_size, partitions)``
+    is :func:`columnar_winnow` for that term — a grouped winnow calls it
+    per group instead of lowering per group.
+    """
     # Score first (same precedence as columnar_profile / choose_algorithm):
     # for terms that are both — a bare HIGHEST is a 1-d skyline too — the
     # single argmax pass beats the dominance kernel.
-    if score_function_of(pref) is not None:
-        picked = _score_rows(store, pref)
-    else:
-        axes = columnar_axes(pref)
-        if axes is None:
-            raise NotColumnarError(
-                f"{pref!r} is neither a Pareto of chains and weak orders "
-                "nor SCORE-representable; use the row engine"
-            )
-        picked = _skyline_rows(store, axes, strategy, block_size, partitions)
+    score = score_function_of(pref)
+    axes = columnar_axes(pref) if score is None else None
+    if score is None and axes is None:
+        raise NotColumnarError(
+            f"{pref!r} is neither a Pareto of chains and weak orders "
+            "nor SCORE-representable; use the row engine"
+        )
+    attributes = pref.attributes
 
-    rows = [store.rows[i] for i in picked]
-    if template is None:
-        # Return the caller's own dict objects, matching the identity
-        # semantics of the row algorithms (kernels never mutate rows).
-        return rows
-    return template._derive(rows)
+    def run(
+        data: Relation | Sequence[Row],
+        block_size: int = DEFAULT_BLOCK,
+        partitions: int = 1,
+    ) -> Any:
+        if isinstance(data, Relation):
+            store = ColumnStore.from_relation(data, attributes)
+            template: Relation | None = data
+        else:
+            # Materialize only the preference's columns: row lists may be
+            # heterogeneous on attributes the winnow never reads, and the
+            # row engine tolerates that.
+            store = ColumnStore.from_rows(data, attributes=attributes)
+            template = None
+
+        if store.length == 0:
+            return [] if template is None else template
+        for a in attributes:
+            if a not in store.columns:
+                raise KeyError(
+                    f"preference attribute {a!r} missing from input columns"
+                )
+
+        if axes is None:
+            picked = _score_rows(store, pref)
+        else:
+            np = get_numpy() if store.length >= NUMPY_MIN_ROWS else None
+            picked = _skyline_rows(store, axes, np, block_size, partitions)
+
+        rows = [store.rows[i] for i in picked]
+        if template is None:
+            # Return the caller's own dict objects, matching the identity
+            # semantics of the row algorithms (kernels never mutate rows).
+            return rows
+        return template._derive(rows)
+
+    return run
 
 
 def _encoded_axes(
-    store: ColumnStore, axes: list[ColumnAxis]
+    store: ColumnStore, axes: list[ColumnAxis], np: Any
 ) -> tuple[list[Any], list[Any], list[bool] | None]:
     """``(code vectors, identity vectors, incomparable row mask)`` over
     *all* rows.
@@ -288,12 +326,12 @@ def _encoded_axes(
         else:
             column = store.column(attribute)
         if weak:
-            upper, lower, identity = encode_weak_axis(column, fn, sign)
+            upper, lower, identity = encode_weak_axis(column, fn, sign, np)
             encoded += [upper, lower]
             identities.append(identity)
             continue
         values = column if fn is None else [fn(v) for v in column]
-        codes, incomparable = encode_axis(values)
+        codes, incomparable = encode_axis(values, np)
         identities.append(codes)  # dense ranks of an injective key
         if sign < 0:
             codes = [-c for c in codes] if isinstance(codes, list) else -codes
@@ -327,7 +365,7 @@ def _packed_key(np: Any, identities: list[Any]) -> Any:
 def _skyline_rows(
     store: ColumnStore,
     axes: list[ColumnAxis],
-    strategy: str,
+    np: Any,
     block_size: int,
     partitions: int = 1,
 ) -> list[int]:
@@ -337,26 +375,14 @@ def _skyline_rows(
     equality coincides with projection equality — distinct projections
     (the unit BMO reasons about) are exactly the distinct code vectors,
     and fan-out back to duplicate-carrying tuples is a lookup through the
-    dedup inverse.  With NumPy the dedup is one ``np.unique`` over a packed
-    identity key; the fallback uses one dict pass.
+    dedup inverse.  On the NumPy leg (``np`` is the module) the dedup is
+    one ``np.unique`` over a packed identity key; the interpreted leg
+    (``np`` is None) uses one dict pass.
     """
-    try:
-        kernel = KERNELS[strategy]
-    except KeyError:
-        raise ValueError(
-            f"unknown columnar strategy {strategy!r}; known: {sorted(KERNELS)}"
-        ) from None
-    local_strategy = strategy
-    if sum(axis.width for axis in axes) == 2:
-        # Both strategies specialize to the O(n log n) two-dimensional
-        # sweep: same results, and immune to the O(n * skyline) blow-up
-        # the pairwise kernels hit on all-maximal (anti-correlated) data.
-        kernel = lambda matrix, block_size, ordered=True: skyline_2d(  # noqa: E731
-            matrix, ordered=ordered
-        )
-        local_strategy = "2d"
-    if store.length == 0:
-        return []
+    # Two code axes take the O(n log n) sweep: same results, and immune
+    # to the O(n * skyline) blow-up the pairwise kernel hits on
+    # all-maximal (anti-correlated) data.
+    two_d = sum(axis.width for axis in axes) == 2
 
     def run_kernel(matrix: Any) -> list[int]:
         # Kernel output feeds a membership test, so the ascending-order
@@ -365,12 +391,14 @@ def _skyline_rows(
             from repro.engine.parallel import parallel_skyline
 
             return parallel_skyline(
-                matrix, partitions, strategy=local_strategy,
-                block_size=block_size,
+                matrix, partitions, strategy="2d" if two_d else "sfs",
+                block_size=block_size, np=np,
             )
-        return kernel(matrix, block_size=block_size, ordered=False)
-    encoded, identities, incomparable = _encoded_axes(store, axes)
-    np = get_numpy()
+        if two_d:
+            return skyline_2d(matrix, ordered=False, np=np)
+        return skyline_sfs(matrix, block_size, ordered=False, np=np)
+
+    encoded, identities, incomparable = _encoded_axes(store, axes, np)
     if np is not None:
         encoded = [np.asarray(codes, dtype=np.int64) for codes in encoded]
         identities = [np.asarray(i, dtype=np.int64) for i in identities]
@@ -433,27 +461,4 @@ def _score_rows(store: ColumnStore, pref: Preference) -> list[int]:
     return [i for i, s in enumerate(values) if not (s < best)]
 
 
-# -- row-level algorithm adapters ---------------------------------------------------
-
-
-def columnar_sfs(pref: Preference, rows: list[Row]) -> list[Row]:
-    """ALGORITHMS adapter: the columnar winnow with the SFS kernel."""
-    _require_dominance_axes(pref)
-    return columnar_winnow(pref, rows, strategy="sfs")
-
-
-def columnar_bnl(pref: Preference, rows: list[Row]) -> list[Row]:
-    """ALGORITHMS adapter: the columnar winnow with the block-BNL kernel."""
-    _require_dominance_axes(pref)
-    return columnar_winnow(pref, rows, strategy="bnl")
-
-
-def _require_dominance_axes(pref: Preference) -> None:
-    if columnar_profile(pref) is None:
-        raise NotColumnarError(
-            f"no columnar axes for {pref!r}; vsfs/vbnl need a Pareto of "
-            "chains and weak orders or a SCORE-representable term"
-        )
-
-
-ALGORITHMS.update({"vsfs": columnar_sfs, "vbnl": columnar_bnl})
+ALGORITHMS["vsfs"] = columnar_winnow

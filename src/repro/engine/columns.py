@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
+from repro.engine.backend import DETECT, get_numpy
 from repro.relations.relation import Relation
 
 Row = dict[str, Any]
@@ -121,8 +122,11 @@ def rank_code_vector(values: Sequence[Any]) -> Any:
     return codes
 
 
-def encode_axis(values: Sequence[Any]) -> tuple[Any, list[bool] | None]:
-    """``(codes, incomparable)`` for one axis column.
+def encode_axis(
+    values: Sequence[Any], np: Any = DETECT
+) -> tuple[Any, list[bool] | None]:
+    """``(codes, incomparable)`` for one axis column, on the ``np`` leg
+    (the NumPy module, ``None`` for pure Python, default: ask now).
 
     ``codes`` are dense order-preserving integers (int64 ndarray on the
     NumPy fast path, list otherwise).  ``incomparable`` marks values that
@@ -143,9 +147,8 @@ def encode_axis(values: Sequence[Any]) -> tuple[Any, list[bool] | None]:
     n = len(values)
     if n == 0:
         return [], None
-    from repro.engine.backend import get_numpy
-
-    np = get_numpy()
+    if np is DETECT:
+        np = get_numpy()
     if np is not None:
         try:
             arr = np.asarray(values)
@@ -191,7 +194,7 @@ def encode_axis(values: Sequence[Any]) -> tuple[Any, list[bool] | None]:
 
 
 def encode_weak_axis(
-    values: Sequence[Any], score: Any, sign: int = 1
+    values: Sequence[Any], score: Any, sign: int = 1, np: Any = DETECT
 ) -> tuple[Any, Any, Any]:
     """``(upper, lower, identity)`` code vectors of one weak-order axis.
 
@@ -217,10 +220,9 @@ def encode_weak_axis(
     ids: dict[Any, int] = {}
     identity = [ids.setdefault(v, len(ids)) for v in values]
     k = len(ids)
-    ranks, unranked = encode_axis([score(v) for v in ids])
-    from repro.engine.backend import get_numpy
-
-    np = get_numpy()
+    if np is DETECT:
+        np = get_numpy()
+    ranks, unranked = encode_axis([score(v) for v in ids], np)
     if np is not None:
         ranks = np.asarray(ranks, dtype=np.int64) * sign
         above = below = ranks

@@ -17,7 +17,7 @@ Three executions live here, all bit-identical to their serial forms:
 * :func:`parallel_skyline` — the kernel-level partition/merge over a
   rank-encoded code matrix (the representation
   :mod:`repro.engine.vectorized` consumes).  Partitions run the existing
-  SFS/BNL kernels (or the 2-d sweep) on a shared thread pool when NumPy
+  SFS kernel (or the 2-d sweep) on a shared thread pool when NumPy
   is live — the broadcasted comparisons release the GIL, so threads scale
   — with a process-pool + ``multiprocessing.shared_memory`` path for
   large pure-Python inputs, where threads cannot overlap.
@@ -43,14 +43,13 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
-from repro.engine.backend import get_numpy
+from repro.engine.backend import DETECT, get_numpy
 from repro.engine.vectorized import (
     DEFAULT_BLOCK,
     Matrix,
     _dominated_by_window,
     _dominates,
     skyline_2d,
-    skyline_bnl,
     skyline_sfs,
 )
 
@@ -63,12 +62,11 @@ MIN_PARTITION_ROWS = 2048
 #: (fork + shared-memory setup costs more than the sweep saves).
 PROCESS_POOL_MIN_ROWS = 50_000
 
-#: Strategy name -> (kernel, ordered-capable) for partition-local runs.
+#: Strategy name -> kernel for partition-local runs.
 _LOCAL_KERNELS: dict[str, Callable[..., list[int]]] = {
     "sfs": skyline_sfs,
-    "bnl": skyline_bnl,
-    "2d": lambda matrix, block_size=DEFAULT_BLOCK, ordered=True: skyline_2d(
-        matrix, ordered=ordered
+    "2d": lambda matrix, block_size, ordered=True, np=DETECT: skyline_2d(
+        matrix, ordered=ordered, np=np
     ),
 }
 
@@ -170,6 +168,7 @@ def parallel_skyline(
     block_size: int = DEFAULT_BLOCK,
     executor: ThreadPoolExecutor | None = None,
     mode: str = "auto",
+    np: Any = DETECT,
 ) -> list[int]:
     """Indices of Pareto-maximal rows via partitioned kernels + merge.
 
@@ -185,7 +184,9 @@ def parallel_skyline(
     serialize on the GIL), or ``"auto"`` (processes only when NumPy is
     absent and the input is ≥ :data:`PROCESS_POOL_MIN_ROWS`).  The
     process path degrades silently to threads when the platform refuses
-    shared memory (sandboxes, exotic start methods).
+    shared memory (sandboxes, exotic start methods).  ``np`` is the leg
+    the caller already chose (the module, or None for interpreted
+    kernels); by default it is detected here.
     """
     kernel = _LOCAL_KERNELS.get(strategy)
     if kernel is None:
@@ -193,14 +194,15 @@ def parallel_skyline(
             f"unknown parallel strategy {strategy!r}; "
             f"known: {sorted(_LOCAL_KERNELS)}"
         )
+    if np is DETECT:
+        np = get_numpy()
     n = len(matrix)
     spans = partition_spans(n, partitions)
     if len(spans) <= 1:
-        return kernel(matrix, block_size=block_size)
+        return kernel(matrix, block_size=block_size, np=np)
     if mode not in ("auto", "threads", "processes"):
         raise ValueError(f"mode must be auto/threads/processes, got {mode!r}")
 
-    np = get_numpy()
     if mode == "processes" or (
         mode == "auto" and np is None and n >= PROCESS_POOL_MIN_ROWS
     ):
@@ -215,7 +217,7 @@ def parallel_skyline(
 
     def local_thunk(source: Any, a: int, b: int) -> Callable[[], list[int]]:
         return lambda: kernel(
-            source[a:b], block_size=block_size, ordered=False
+            source[a:b], block_size=block_size, ordered=False, np=np
         )
 
     if np is not None:
@@ -284,7 +286,7 @@ def _process_worker(
     """Run one partition's pure-Python kernel over the shared matrix."""
     from multiprocessing import shared_memory
 
-    from repro.engine.vectorized import _bnl_python, _sfs_python, _sweep_2d_python
+    from repro.engine.vectorized import _sfs_python, _sweep_2d_python
 
     shm = shared_memory.SharedMemory(name=shm_name)
     view = memoryview(shm.buf).cast("q")
@@ -295,9 +297,7 @@ def _process_worker(
     finally:
         view.release()
         shm.close()
-    fn = {"sfs": _sfs_python, "bnl": _bnl_python, "2d": _sweep_2d_python}[
-        strategy
-    ]
+    fn = {"sfs": _sfs_python, "2d": _sweep_2d_python}[strategy]
     return [start + i for i in fn(rows, ordered=False)]
 
 
@@ -396,7 +396,7 @@ def parallel_winnow_groupby(
     input order within each group) — bit-identical to
     :func:`repro.query.bmo.winnow_groupby`.
     """
-    from repro.query.bmo import _repack, _resolve_engine, _unpack
+    from repro.query.bmo import _bind_engine, _repack, _unpack
 
     rows, template = _unpack(data)
     parts = partitions if partitions is not None else cpu_count()
@@ -409,12 +409,12 @@ def parallel_winnow_groupby(
             groups[key] = []
             order.append(key)
         groups[key].append(row)
-    engine = _resolve_engine(algorithm)
+    evaluate = _bind_engine(algorithm, pref)
     parts = max(1, min(parts, len(order))) if order else 1
     if parts <= 1:
         out: list[Row] = []
         for key in order:
-            out.extend(engine(pref, groups[key]))
+            out.extend(evaluate(groups[key]))
         return _repack(out, template)
 
     buckets: list[list[tuple]] = [[] for _ in range(parts)]
@@ -422,7 +422,7 @@ def parallel_winnow_groupby(
         buckets[hash(key) % parts].append(key)
 
     def bucket_thunk(keys: list[tuple]) -> Callable[[], dict]:
-        return lambda: {key: engine(pref, groups[key]) for key in keys}
+        return lambda: {key: evaluate(groups[key]) for key in keys}
 
     if executor is None:
         executor = shared_executor()

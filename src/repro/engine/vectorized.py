@@ -17,32 +17,36 @@ never by a kernel.  Distinctness lets the NumPy kernels drop the
 kernels directly must uphold it.  Codes need not be dense — the kernels
 only compare and add them.
 
-Two kernels, each with a NumPy and a pure-Python implementation:
+One kernel and its two-dimensional special case, each with a NumPy leg
+and a pure-Python leg that return the same indices:
 
-* :func:`skyline_sfs` — vectorized sort-filter-skyline: presort descending
-  by the code sum (a dominance-compatible key: dominance strictly increases
-  the sum), then sweep candidate *blocks* against a grow-only window.
-  Accepted window members are final, so each block needs one broadcasted
-  ``window x block`` comparison; only candidates that survive it are
+* :func:`skyline_sfs` — sort-filter-skyline: presort descending by the code
+  sum (a dominance-compatible key: dominance strictly increases the sum),
+  then sweep candidates against a grow-only window whose members are
+  final.  The NumPy leg sweeps candidate *blocks*, one broadcasted
+  ``window x block`` comparison each; only candidates that survive it are
   cross-checked among themselves (sound by transitivity: a candidate
   dominated by a window victim is dominated by the window too).
-* :func:`skyline_bnl` — block-wise vectorized BNL: no presort; window
-  members dominated by later candidates are evicted.  Kept as a
-  cross-check and for callers that need input order untouched.
+* :func:`skyline_2d` — the O(n log n) sweep for two code axes.
+
+Which leg runs is the ``np`` argument: the NumPy module, ``None`` for pure
+Python, or (the default) whatever :func:`~repro.engine.backend.get_numpy`
+says at the call.  :func:`repro.engine.columnar.columnar_winnow` decides
+once per winnow and passes its decision to every stage.
 
 Both return the indices of maximal rows in ascending order, making results
-deterministic and directly comparable across kernels and backends.  Callers
-that re-sort anyway (the columnar winnow maps kernel output through an
-``np.isin`` membership test; the parallel merge re-sorts the union once)
-can pass ``ordered=False`` to skip the final sort and take the indices in
-kernel order.
+deterministic and directly comparable across legs and backends.  Callers
+that re-sort anyway (the columnar winnow maps kernel output through a
+membership test; the parallel merge re-sorts the union once) can pass
+``ordered=False`` to skip the final sort and take the indices in kernel
+order.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.engine.backend import get_numpy
+from repro.engine.backend import DETECT, get_numpy
 
 #: Candidates compared per broadcasted batch.  The ``window x block`` and
 #: ``block x block`` boolean temporaries stay small enough to live in
@@ -73,10 +77,14 @@ def _dominates(a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def skyline_sfs(
-    matrix: Matrix, block_size: int = DEFAULT_BLOCK, ordered: bool = True
+    matrix: Matrix,
+    block_size: int = DEFAULT_BLOCK,
+    ordered: bool = True,
+    np: Any = DETECT,
 ) -> list[int]:
-    """Indices of Pareto-maximal rows via vectorized SFS (NumPy if present)."""
-    np = get_numpy()
+    """Indices of Pareto-maximal rows via SFS, on the ``np`` leg."""
+    if np is DETECT:
+        np = get_numpy()
     if np is not None:
         return _sfs_numpy(np, matrix, block_size, ordered)
     return _sfs_python(matrix, ordered)
@@ -179,7 +187,9 @@ def _sfs_python(matrix: Matrix, ordered: bool = True) -> list[int]:
 # -- the two-dimensional sweep ------------------------------------------------------
 
 
-def skyline_2d(matrix: Matrix, ordered: bool = True) -> list[int]:
+def skyline_2d(
+    matrix: Matrix, ordered: bool = True, np: Any = DETECT
+) -> list[int]:
     """Maxima of *distinct* 2-d code vectors by the classic [KLP75] sweep.
 
     Sort lex-descending; within one axis-0 group only the max-axis-1 row
@@ -187,9 +197,10 @@ def skyline_2d(matrix: Matrix, ordered: bool = True) -> list[int]:
     maximal, and it is iff its axis-1 value beats every strictly-greater
     axis-0 group — one running maximum.  O(n log n), no pairwise matrix:
     this is what makes all-maximal inputs (perfect anti-correlation)
-    cheap where the generic kernels degrade to O(n * skyline).
+    cheap where the generic kernel degrades to O(n * skyline).
     """
-    np = get_numpy()
+    if np is DETECT:
+        np = get_numpy()
     if np is not None:
         return _sweep_2d_numpy(np, matrix, ordered)
     return _sweep_2d_python(matrix, ordered)
@@ -232,75 +243,5 @@ def _sweep_2d_python(matrix: Matrix, ordered: bool = True) -> list[int]:
     return sorted(kept) if ordered else kept
 
 
-# -- block-nested-loops -------------------------------------------------------------
-
-
-def skyline_bnl(
-    matrix: Matrix, block_size: int = DEFAULT_BLOCK, ordered: bool = True
-) -> list[int]:
-    """Indices of Pareto-maximal rows via block-wise vectorized BNL."""
-    np = get_numpy()
-    if np is not None:
-        return _bnl_numpy(np, matrix, block_size, ordered)
-    return _bnl_python(matrix, ordered)
-
-
-def _bnl_numpy(
-    np: Any, matrix: Matrix, block_size: int, ordered: bool = True
-) -> list[int]:
-    m = np.ascontiguousarray(matrix, dtype=np.int64)
-    n = len(m)
-    if n == 0:
-        return []
-    window = np.empty((0, m.shape[1]), dtype=np.int64)
-    window_idx = np.empty((0,), dtype=np.int64)
-    indices = np.arange(n)
-    # Unlike SFS, blocks stay fixed-size: the input order is the caller's,
-    # so nothing bounds how many of a block's rows are still undominated,
-    # and the intra-block check is quadratic in that number.
-    for start in range(0, n, block_size):
-        block = m[start : start + block_size]
-        alive = _survivors(np, window, block)
-        arrivals = block[alive]
-        arrival_idx = indices[start : start + len(block)][alive]
-        if not len(arrivals):
-            continue
-        if len(window):
-            # Evict window members dominated by a new arrival
-            # (window-chunked, same memory bound as _dominated_by_window).
-            evicted = np.zeros(len(window), dtype=bool)
-            for wstart in range(0, len(window), WINDOW_CHUNK):
-                chunk = window[wstart : wstart + WINDOW_CHUNK]
-                evicted[wstart : wstart + len(chunk)] = _ge_all(
-                    arrivals, chunk
-                ).any(axis=0)
-            window = window[~evicted]
-            window_idx = window_idx[~evicted]
-        window = np.concatenate([window, arrivals])
-        window_idx = np.concatenate([window_idx, arrival_idx])
-    out = window_idx.tolist()
-    return sorted(out) if ordered else out
-
-
-def _bnl_python(matrix: Matrix, ordered: bool = True) -> list[int]:
-    window: list[tuple[int, Sequence[int]]] = []
-    for i, candidate in enumerate(matrix):
-        dominated = False
-        survivors: list[tuple[int, Sequence[int]]] = []
-        for entry in window:
-            if _dominates(entry[1], candidate):
-                dominated = True
-                survivors = window
-                break
-            if not _dominates(candidate, entry[1]):
-                survivors.append(entry)
-        if dominated:
-            continue
-        survivors.append((i, candidate))
-        window = survivors
-    out = (i for i, _ in window)
-    return sorted(out) if ordered else list(out)
-
-
 #: Kernel registry keyed by the planner's strategy names.
-KERNELS = {"sfs": skyline_sfs, "bnl": skyline_bnl}
+KERNELS = {"sfs": skyline_sfs}

@@ -23,7 +23,7 @@ from typing import Sequence
 from repro.core.constructors import ParetoPreference
 from repro.core.graph import BetterThanGraph
 from repro.core.preference import Preference, Row
-from repro.query.bmo import _unpack, winnow
+from repro.query.bmo import winnow
 from repro.relations.relation import Relation
 
 
@@ -99,7 +99,8 @@ def negotiate(
     """
     if len(party_preferences) < 2:
         raise ValueError("negotiation needs at least two parties")
-    rows, _ = _unpack(data)
+    # The outcome hands rows to the caller: work on copies throughout.
+    rows = data.rows() if isinstance(data, Relation) else [dict(r) for r in data]
 
     solo = [winnow(p, rows) for p in party_preferences]
     solo_keys = [{_row_key(r) for r in s} for s in solo]

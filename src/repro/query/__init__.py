@@ -7,10 +7,10 @@ Public surface:
   ``Session(catalog).query(name)`` or ``PreferenceQuery.over(rows)``),
 * :func:`~repro.query.bmo.winnow` / :func:`~repro.query.bmo.winnow_groupby`
   — the engine-level operators ``sigma[P](R)`` and
-  ``sigma[P groupby A](R)`` (the historical ``bmo`` / ``bmo_groupby`` /
-  ``top_k`` helpers remain as deprecated shims),
-* :mod:`repro.query.algorithms` — naive / BNL / SFS / 2-d sweep / divide &
-  conquer / sort-based engines,
+  ``sigma[P groupby A](R)``,
+* :mod:`repro.query.algorithms` — naive / BNL / SFS / sort-based
+  evaluators for arbitrary strict partial orders (terms that lower to
+  integer code axes run on :mod:`repro.engine` instead),
 * :mod:`repro.query.decomposition` — Propositions 8-12 as executable
   evaluation strategies,
 * :mod:`repro.query.topk` — the ranked (k-best) query model with a
@@ -25,17 +25,12 @@ from repro.query.algorithms import (
     ComparisonCounter,
     block_nested_loop,
     compatible_sort_key,
-    divide_and_conquer,
     naive_nested_loop,
-    skyline_axes,
     sort_based_maxima,
     sort_filter_skyline,
-    two_d_sweep,
 )
 from repro.query.api import PreferenceQuery
 from repro.query.bmo import (
-    bmo,
-    bmo_groupby,
     is_dream,
     perfect_matches,
     result_size,
@@ -62,7 +57,7 @@ from repro.query.quality import (
     explain_quality,
     level_of,
 )
-from repro.query.topk import ThresholdStats, k_best, threshold_topk, top_k
+from repro.query.topk import ThresholdStats, k_best, threshold_topk
 
 __all__ = [
     "ALGORITHMS",
@@ -74,13 +69,10 @@ __all__ = [
     "ThresholdStats",
     "better_than_in",
     "block_nested_loop",
-    "bmo",
-    "bmo_groupby",
     "but_only",
     "choose_algorithm",
     "compatible_sort_key",
     "distance_of",
-    "divide_and_conquer",
     "eval_by_decomposition",
     "eval_intersection",
     "eval_pareto_decomposition",
@@ -99,12 +91,9 @@ __all__ = [
     "perfect_matches",
     "plan",
     "result_size",
-    "skyline_axes",
     "sort_based_maxima",
     "sort_filter_skyline",
     "threshold_topk",
-    "top_k",
-    "two_d_sweep",
     "winnow",
     "winnow_groupby",
     "yy_set",

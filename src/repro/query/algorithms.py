@@ -1,31 +1,33 @@
-"""Maxima algorithms: the engines behind BMO queries (Sections 5-6).
+"""Maxima algorithms for arbitrary strict partial orders (Sections 5-6).
 
 The paper notes the naive approach needs O(n^2) better-than tests and points
-at the skyline literature ([KLP75], [BKS01], [TEO01]) for efficient
-evaluation.  This module implements that landscape:
+at the skyline literature ([BKS01]) for efficient evaluation.  These are the
+evaluators that need nothing of a term but its ``_lt`` — what Chomicki's
+"Preference Queries" shows winnow needs in general — plus the one-pass
+evaluation of SCORE terms:
 
-* :func:`naive_nested_loop` — the declarative definition, verbatim,
+* :func:`naive_nested_loop` — the declarative definition, verbatim; the
+  reference every other evaluator is tested against,
 * :func:`block_nested_loop` — BNL with an elimination window ([BKS01]);
   correct for *any* strict partial order,
 * :func:`sort_filter_skyline` — SFS: presort by a dominance-compatible key,
   then a grow-only window,
-* :func:`two_d_sweep` — the O(n log n) two-dimensional special case,
-* :func:`divide_and_conquer` — maxima of vector sets after [KLP75],
 * :func:`sort_based_maxima` — one-pass evaluation for SCORE preferences.
+
+A term that lowers to integer code axes — every Pareto of chains and
+single-attribute weak orders — is not evaluated here but by the code
+kernels of :mod:`repro.engine.columnar`, registered below as ``"vsfs"``.
 
 Two correctness subtleties the implementations honour:
 
 1. Pareto equality is *projection* equality, not score equality.  AROUND(0)
    scores -5 and 5 identically, yet (-5) and (5) are unranked — so a Pareto
    preference over AROUND children is **not** a skyline over score vectors
-   (Example 2 of the paper depends on this).  The row vector algorithms
-   here (``dc``, ``2d``) therefore apply only when every child is a chain
-   whose score is injective (LOWEST/HIGHEST and friends);
-   :func:`skyline_axes` decides.  The columnar engine goes further: it
-   gives a weak-order child *two* integer axes, the ranks of
-   ``(score, id)`` and ``(score, -id)``, on which ``>=`` holds exactly when
-   the score is better or the value is the same — see
-   :mod:`repro.engine.columnar`.
+   (Example 2 of the paper depends on this).  The algorithms here only ever
+   ask ``pref._lt``, which decides it; the code engine gives a weak-order
+   child *two* integer axes, the ranks of ``(score, id)`` and
+   ``(score, -id)``, on which ``>=`` holds exactly when the score is better
+   or the value is the same — see :mod:`repro.engine.columnar`.
 2. All algorithms deduplicate by projection first and fan results back out
    to tuples, because BMO keeps every tuple whose projection is maximal.
 """
@@ -46,9 +48,9 @@ from repro.core.constructors import (
 )
 from repro.core.preference import AntiChain, ChainPreference, Preference, Row
 
-#: Registry of row-level maxima algorithms by name (filled at module end).
-#: The columnar engine (:mod:`repro.engine.columnar`) registers its
-#: vectorized kernels here too, as ``"vsfs"`` and ``"vbnl"``.
+#: Registry of maxima algorithms by name (filled at module end).  The
+#: code engine (:mod:`repro.engine.columnar`) registers its winnow here
+#: too, as ``"vsfs"``.
 ALGORITHMS: dict[str, Callable[[Preference, list[Row]], list[Row]]] = {}
 
 
@@ -150,11 +152,9 @@ def block_nested_loop(pref: Preference, rows: list[Row]) -> list[Row]:
 # -- sort-filter skyline ---------------------------------------------------------------
 
 class _Reversed:
-    """Order-reversing wrapper so duals of arbitrary ordered keys sort.
-
-    Implements the full comparison protocol: the divide & conquer median
-    split compares axis values with ``>=`` / ``<=``, not only ``<``.
-    """
+    """Order-reversing wrapper so duals of arbitrary ordered keys sort
+    (``<`` / ``>`` / ``==``: what ``sorted``, ``max`` and tuple comparison
+    ask of a key)."""
 
     __slots__ = ("value",)
 
@@ -164,14 +164,8 @@ class _Reversed:
     def __lt__(self, other: "_Reversed") -> bool:
         return other.value < self.value
 
-    def __le__(self, other: "_Reversed") -> bool:
-        return not (self.value < other.value)
-
     def __gt__(self, other: "_Reversed") -> bool:
         return self.value < other.value
-
-    def __ge__(self, other: "_Reversed") -> bool:
-        return not (other.value < self.value)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversed) and self.value == other.value
@@ -286,35 +280,16 @@ def sort_filter_skyline(
     return _fan_out(pref, rows, members, window)
 
 
-# -- vector skylines (Pareto of injective chains) -----------------------------------
-
-def skyline_axes(pref: Preference) -> list[Callable[[Row], Any]] | None:
-    """Per-dimension "bigger is better" axes, when Pareto = vector skyline.
-
-    Valid only when every Pareto child is a chain with an injective score on
-    its attribute (LOWEST, HIGHEST, their duals, ChainPreference): then score
-    equality coincides with projection equality and vector dominance is
-    exactly the Pareto order.  AROUND/BETWEEN/SCORE children are refused
-    here — their scores identify distinct values (see module docstring);
-    the columnar engine's pair encoding is what evaluates those.
-    """
-    if not isinstance(pref, ParetoPreference):
-        return None
-    axes: list[Callable[[Row], Any]] = []
-    for child in pref.children:
-        axis = chain_axis(child)
-        if axis is None:
-            return None
-        axes.append(axis)
-    return axes
-
+# -- injective chain axes -------------------------------------------------------------
 
 def chain_axis(child: Preference) -> Callable[[Row], Any] | None:
     """The "bigger is better" row-axis of one injective chain, or None.
 
-    Public seam shared with the columnar engine's composite-arm support
-    (:func:`repro.engine.columnar.columnar_axes` builds its value-level
-    axes on top of these row-level ones).
+    Only chains with an injective score on their attributes qualify
+    (LOWEST, HIGHEST, ChainPreference, their duals, prioritizations of
+    those): score equality is then projection equality.  The code
+    engine's composite-arm support builds on this
+    (:func:`repro.engine.columnar.columnar_axes`).
     """
     from repro.core.base_numerical import HighestPreference, LowestPreference
 
@@ -336,144 +311,14 @@ def chain_axis(child: Preference) -> Callable[[Row], Any] | None:
         # attributes is itself a chain — its order is lexicographic, so a
         # tuple of the per-stage axis values is an injective axis for the
         # whole arm (tuple equality is projection equality because every
-        # component axis is injective on its own attribute).  This is what
-        # lets the decompose_pareto rule evaluate Pareto terms with
-        # compound arms as vector skylines: one composite axis per arm.
+        # component axis is injective on its own attribute): one composite
+        # code axis per compound Pareto arm.
         stage_axes = [chain_axis(c) for c in child.children]
         if any(axis is None for axis in stage_axes):
             return None
         axes = tuple(stage_axes)
         return lambda row: tuple(axis(row) for axis in axes)  # type: ignore[misc]
     return None
-
-
-def _vector_dominates(a: tuple, b: tuple) -> bool:
-    """All components >=, at least one strictly >."""
-    strict = False
-    for av, bv in zip(a, b):
-        if av == bv:
-            continue
-        if bv < av:
-            strict = True
-        else:
-            return False
-    return strict
-
-
-def _bnl_vectors(indexed: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
-    window: list[tuple[int, tuple]] = []
-    for item in indexed:
-        dominated = False
-        survivors = []
-        for w in window:
-            if _vector_dominates(w[1], item[1]):
-                dominated = True
-                survivors = window
-                break
-            if not _vector_dominates(item[1], w[1]):
-                survivors.append(w)
-        if dominated:
-            continue
-        survivors.append(item)
-        window = survivors
-    return window
-
-
-def divide_and_conquer(
-    pref: Preference, rows: list[Row], leaf_size: int = 16
-) -> list[Row]:
-    """Maxima of a vector set by divide & conquer, after [KLP75]/[BKS01].
-
-    Split at the median of the first axis; the upper half's skyline stands
-    on its own (nothing below the median can dominate it), the lower half's
-    skyline is filtered against it.  Degenerate splits (all values equal on
-    the split axis) strip that axis and recurse on the rest.
-    """
-    axes = skyline_axes(pref)
-    if axes is None:
-        raise ValueError(
-            f"{pref!r} is not a Pareto preference over injective chains; "
-            "divide & conquer does not apply (see skyline_axes)"
-        )
-    reps, members = _distinct_projections(pref, rows)
-    indexed = [
-        (i, tuple(axis(row) for axis in axes)) for i, row in enumerate(reps)
-    ]
-    maximal = _dc_recurse(indexed, leaf_size)
-    return _fan_out(pref, rows, members, [reps[i] for i, _ in maximal])
-
-
-def _dc_recurse(
-    indexed: list[tuple[int, tuple]], leaf_size: int
-) -> list[tuple[int, tuple]]:
-    if len(indexed) <= leaf_size:
-        return _bnl_vectors(indexed)
-    dims = len(indexed[0][1])
-    ordered = sorted(indexed, key=lambda iv: iv[1][0], reverse=True)
-    values = [iv[1][0] for iv in ordered]
-    if values[0] == values[-1]:
-        # Degenerate on this axis: dominance is decided by the rest.
-        if dims == 1:
-            return indexed  # all equal vectors: mutually unranked, all maximal
-        stripped = [(i, v[1:]) for i, v in indexed]
-        kept = {i for i, _ in _dc_recurse(stripped, leaf_size)}
-        return [iv for iv in indexed if iv[0] in kept]
-    # Median split with the tie block on the upper side so B is non-empty
-    # and strictly below every A value on axis 0.
-    mid = len(ordered) // 2
-    pivot = values[mid]
-    upper = [iv for iv in ordered if iv[1][0] >= pivot]
-    lower = [iv for iv in ordered if iv[1][0] < pivot]
-    if not lower:  # pivot is the minimum: shift the boundary above it
-        upper = [iv for iv in ordered if iv[1][0] > pivot]
-        lower = [iv for iv in ordered if iv[1][0] == pivot]
-    sky_upper = _dc_recurse(upper, leaf_size)
-    sky_lower = _dc_recurse(lower, leaf_size)
-    merged = list(sky_upper)
-    for item in sky_lower:
-        if not any(_vector_dominates(w[1], item[1]) for w in sky_upper):
-            merged.append(item)
-    return merged
-
-
-def two_d_sweep(pref: Preference, rows: list[Row]) -> list[Row]:
-    """The classic O(n log n) two-dimensional maxima sweep ([KLP75]).
-
-    Sort descending on axis 0; within the prefix of strictly greater axis-0
-    values only the best axis-1 value can dominate, so one running maximum
-    suffices.
-    """
-    axes = skyline_axes(pref)
-    if axes is None or len(axes) != 2:
-        raise ValueError(
-            f"two_d_sweep needs a 2-dimensional Pareto of injective chains, "
-            f"got {pref!r}"
-        )
-    reps, members = _distinct_projections(pref, rows)
-    indexed = [
-        (i, (axes[0](row), axes[1](row))) for i, row in enumerate(reps)
-    ]
-    indexed.sort(key=lambda iv: (iv[1][0], iv[1][1]), reverse=True)
-
-    maximal: list[int] = []
-    best1_before: Any = None  # max axis-1 over strictly-greater axis-0 groups
-    pos = 0
-    while pos < len(indexed):
-        group_end = pos
-        v0 = indexed[pos][1][0]
-        while group_end < len(indexed) and indexed[group_end][1][0] == v0:
-            group_end += 1
-        group = indexed[pos:group_end]
-        group_best1 = group[0][1][1]  # sorted desc on axis 1 within the group
-        for i, (a0, a1) in group:
-            beats_earlier = best1_before is None or best1_before < a1
-            best_in_group = not (a1 < group_best1)
-            if beats_earlier and best_in_group:
-                maximal.append(i)
-        if best1_before is None or best1_before < group_best1:
-            best1_before = group_best1
-        pos = group_end
-    return _fan_out(pref, rows, members, [reps[i] for i in maximal])
 
 
 # -- score-based one-pass evaluation --------------------------------------------------
@@ -508,8 +353,6 @@ ALGORITHMS.update(
         "naive": naive_nested_loop,
         "bnl": block_nested_loop,
         "sfs": sort_filter_skyline,
-        "dc": divide_and_conquer,
-        "2d": two_d_sweep,
         "sort": sort_based_maxima,
     }
 )

@@ -468,9 +468,9 @@ class PreferenceQuery:
         """Force one evaluation engine (an ALGORITHMS name or a callable),
         bypassing automatic selection and cascade splitting.
 
-        The columnar kernels are reachable here by name too (``"vsfs"``,
-        ``"vbnl"``); for planner-driven backend choice use :meth:`backend`
-        instead.  Mutually exclusive with a non-``"auto"`` backend hint.
+        The code kernels are reachable here by name too (``"vsfs"``); for
+        planner-driven backend choice use :meth:`backend` instead.
+        Mutually exclusive with a non-``"auto"`` backend hint.
         """
         return self._copy(algorithm=algorithm)
 
@@ -479,24 +479,25 @@ class PreferenceQuery:
     ) -> "PreferenceQuery":
         """Steer the winnow between execution backends (default ``"auto"``).
 
-        * ``"auto"`` — the planner's statistics-driven cost model ranks
-          the row engine against serial and partitioned columnar
-          execution and takes the cheapest (see
+        * ``"auto"`` — a term that lowers to integer code axes runs on
+          the columnar engine, anything else on the row engine; the
+          planner's cost model only decides whether to partition (see
           :func:`repro.query.optimizer.choose_backend`),
-        * ``"columnar"`` — force the columnar engine (pure-Python kernels
-          when NumPy is absent); planning raises ``ValueError`` if the
-          preference has no columnar form,
+        * ``"columnar"`` — force the columnar engine, SCORE terms
+          included; planning raises ``ValueError`` if the preference has
+          no columnar form,
         * ``"parallel"`` — force partition-and-merge parallel execution
           (:mod:`repro.engine.parallel`); ``partitions`` fixes the worker
           count (default: the visible core count).  Dominance winnows
           need a columnar form; grouped winnows partition by group hash
           and top-k by row range, so they take any term,
-        * ``"row"`` — never columnarize.
+        * ``"row"`` — never columnarize: the general row path
+          (``sort`` / ``sfs`` / ``bnl``).
 
         Results are identical across backends; only the evaluation
         representation changes.  The choice is visible in
         :meth:`explain` (columnar plans print
-        ``backend=columnar kernel=...`` plus the cost-model rationale).
+        ``backend=columnar kernel=...`` plus the decision and estimate).
         """
         from repro.query.optimizer import BACKENDS
 

@@ -10,14 +10,13 @@ Functions here accept either a :class:`~repro.relations.relation.Relation`
 or a plain list of dict rows, and return the same shape they were given.
 
 :func:`winnow` / :func:`winnow_groupby` are the engine-level operators used
-by plan nodes; the historical :func:`bmo` / :func:`bmo_groupby` helpers are
-deprecated shims that route through the unified
-:class:`~repro.query.api.PreferenceQuery` pipeline.
+by plan nodes; :class:`~repro.query.api.PreferenceQuery` is the planned
+entry point on top of them.
 """
 
 from __future__ import annotations
 
-import warnings
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.core.base_nonnumerical import ExplicitPreference, LayeredPreference
@@ -34,8 +33,15 @@ from repro.relations.relation import Relation
 
 
 def _unpack(data: Relation | Sequence[Row]) -> tuple[list[Row], Relation | None]:
+    """``(rows to read, relation to :func:`_repack` results into)``.
+
+    A relation's stored rows are read in place: the evaluators never
+    mutate a row, and results go back through ``_derive``, which shares
+    them under the same never-handed-out rule.  Rows from outside are
+    copied, so a caller's later edits cannot reach a result.
+    """
     if isinstance(data, Relation):
-        return data.rows(), data
+        return data._rows, data
     return [dict(r) for r in data], None
 
 
@@ -58,6 +64,20 @@ def _resolve_engine(
         ) from None
 
 
+def _bind_engine(
+    algorithm: str | Callable[[Preference, list[Row]], list[Row]],
+    pref: Preference,
+) -> Callable[[list[Row]], list[Row]]:
+    """The evaluator of one term as a function of rows alone — what a
+    grouped winnow calls once per group.  The code engine lowers the term
+    here, once, instead of inside every call."""
+    if algorithm == "vsfs":
+        from repro.engine.columnar import lowered_winnow
+
+        return lowered_winnow(pref)
+    return partial(_resolve_engine(algorithm), pref)
+
+
 def winnow(
     pref: Preference,
     data: Relation | Sequence[Row],
@@ -67,9 +87,9 @@ def winnow(
 
     The engine-level winnow operator (Chomicki's name for the paper's BMO
     selection).  ``algorithm`` picks an engine from
-    :data:`repro.query.algorithms.ALGORITHMS` ("naive", "bnl", "sfs", "dc",
-    "2d", "sort", plus the columnar "vsfs"/"vbnl") or is a callable; "bnl"
-    is the default because it is correct for every strict partial order.  Use
+    :data:`repro.query.algorithms.ALGORITHMS` ("naive", "bnl", "sfs",
+    "sort", plus the code engine's "vsfs") or is a callable; "bnl" is the
+    default because it is correct for every strict partial order.  Use
     :class:`~repro.query.api.PreferenceQuery` (or
     :func:`repro.query.optimizer.execute`) for automatic selection.
     """
@@ -100,70 +120,11 @@ def winnow_groupby(
             groups[key] = []
             order.append(key)
         groups[key].append(row)
-    engine = _resolve_engine(algorithm)
+    evaluate = _bind_engine(algorithm, pref)
     out: list[Row] = []
     for key in order:
-        out.extend(engine(pref, groups[key]))
+        out.extend(evaluate(groups[key]))
     return _repack(out, template)
-
-
-# -- deprecated functional entry points ----------------------------------------------
-
-def bmo(
-    pref: Preference,
-    data: Relation | Sequence[Row],
-    algorithm: str | Callable[[Preference, list[Row]], list[Row]] = "bnl",
-) -> Any:
-    """Deprecated shim for ``sigma[P](R)``.
-
-    Use ``PreferenceQuery.over(data).prefer(pref).run()`` or
-    ``Session(catalog).query(name).prefer(pref).run()`` instead; the shim
-    routes through the same unified planning pipeline.
-    """
-    warnings.warn(
-        "bmo() is deprecated; use PreferenceQuery.over(data).prefer(pref)"
-        ".run() (see repro.query.api) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.query.api import PreferenceQuery
-
-    return (
-        PreferenceQuery.over(data)
-        .prefer(pref)
-        .using(algorithm)
-        .optimize(False)
-        .run()
-    )
-
-
-def bmo_groupby(
-    pref: Preference,
-    by: Sequence[str],
-    data: Relation | Sequence[Row],
-    algorithm: str = "bnl",
-) -> Any:
-    """Deprecated shim for ``sigma[P groupby A](R)``.
-
-    Use ``PreferenceQuery.over(data).prefer(pref).groupby(*by).run()``
-    instead; the shim routes through the same unified planning pipeline.
-    """
-    warnings.warn(
-        "bmo_groupby() is deprecated; use PreferenceQuery.over(data)"
-        ".prefer(pref).groupby(*by).run() (see repro.query.api) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.query.api import PreferenceQuery
-
-    return (
-        PreferenceQuery.over(data)
-        .prefer(pref)
-        .groupby(*by)
-        .using(algorithm)
-        .optimize(False)
-        .run()
-    )
 
 
 def result_size(

@@ -4,23 +4,22 @@ Given a preference term and a database set, the optimizer
 
 1. simplifies the term with the algebra's rewrite rules (so e.g.
    ``P & P``, ``P (x) P^d`` or dual-of-dual never reach execution),
-2. picks an evaluation strategy:
+2. picks the evaluator of each winnow by one structural rule
+   (:func:`row_reason` / :func:`choose_algorithm`):
 
    * SCORE-representable terms -> one-pass :func:`sort_based_maxima`,
    * prioritized terms with chain heads -> a Proposition-11 cascade,
-   * Pareto over injective chains -> vector skylines (2-d sweep for two
-     dimensions, divide & conquer otherwise),
-   * terms with a dominance-compatible sort key -> SFS,
+   * terms that lower to integer code axes (Pareto over chains and
+     single-attribute weak orders) -> the code kernels of
+     :mod:`repro.engine.columnar`, at every size, with or without NumPy,
+   * other terms with a dominance-compatible sort key -> SFS,
    * everything else -> BNL (always correct),
 
-3. chooses an execution *backend* for dominance-heavy winnows with a
-   **statistics-driven cost model** (:func:`choose_backend` /
-   :func:`estimate_cost`): per-column table statistics
-   (:mod:`repro.relations.stats`) feed estimated kernel costs —
-   cardinality x preference arity x expected skyline selectivity — and
-   the cheapest of row, columnar, and *parallel-columnar* execution wins,
-   partition count included (overridable per query via
-   ``PreferenceQuery.backend``),
+3. asks the **cost model** (:func:`estimate_cost`) the one question that
+   depends on the data: into how many partitions to split a code-kernel
+   winnow.  Per-column table statistics (:mod:`repro.relations.stats`)
+   feed the estimate — cardinality x preference arity x expected skyline
+   selectivity (overridable per query via ``PreferenceQuery.backend``),
 
 4. places hard selections below the preference operator and quality
    filters (BUT ONLY) above it, and top-k on top for ranked queries,
@@ -54,11 +53,7 @@ from repro.engine.columnar import (
 )
 from repro.engine.parallel import MIN_PARTITION_ROWS, cpu_count
 from repro.query import rewrite as _rewrite
-from repro.query.algorithms import (
-    ALGORITHMS,
-    compatible_sort_key,
-    skyline_axes,
-)
+from repro.query.algorithms import ALGORITHMS, compatible_sort_key
 from repro.query.plan import (
     ButOnly,
     ColumnarPreferenceSelect,
@@ -85,19 +80,16 @@ BACKENDS = ("auto", "row", "columnar", "parallel")
 
 # -- the cost model -----------------------------------------------------------------
 #
-# All costs are in *comparison units*: 1.0 ~ one interpreted per-row
-# dominance step on the row engine, which on the calibration host is close
-# to one microsecond.  Only ratios steer the choice.  The constants are
-# measured, not guessed — row ``sfs``/``dc``/``2d`` against the columnar
-# pipeline at 10 to 10 000 rows, and each stage on its own; the table and
-# the method are in docs/performance.md ("Calibrating the cost model").
-# The one exception is PARTITION_OVERHEAD, which needs more cores than
-# the calibration host has: it is rescaled with VEC_COMPARE_COST, so the
-# partitioning decision stays where it was.
+# Which evaluator runs a winnow is structural (row_reason below); the cost
+# model only sizes the partitioning of a code-kernel winnow.  All costs
+# are in units close to one microsecond on the calibration host; only
+# ratios steer the choice.  The constants are measured stage by stage on
+# the NumPy kernels, at 10 to 10 000 rows; the table and the method are in
+# docs/performance.md ("Calibrating the cost model").  The one exception
+# is PARTITION_OVERHEAD, which needs more cores than the calibration host
+# has: it is rescaled with VEC_COMPARE_COST, so the partitioning decision
+# stays where it was.
 
-ROW_SCAN_COST = 1.5       #: touch one attribute value in a linear row pass
-ROW_COMPARE_COST = 1.0    #: one per-axis step of a pref._lt dominance test
-ROW_SWEEP_COST = 0.35     #: one sort-key element in the row 2-d sweep
 ENCODE_COST = 0.25        #: extract + encode one value into one integer code
 VEC_COMPARE_COST = 1 / 512  #: one broadcasted int comparison (NumPy kernels)
 VEC_SWEEP_COST = 1 / 128  #: one element of the vectorized 2-d sweep
@@ -108,11 +100,12 @@ PARTITION_OVERHEAD = 1_875.0  #: per-partition dispatch + merge bookkeeping
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """The cost model's working: estimated effort of each execution.
+    """The cost model's working: estimated effort of a code-kernel winnow.
 
     ``selectivity`` is the expected skyline fraction of the distinct
-    projections; ``parallel_cost`` is the cost at ``partitions`` workers
-    (equal to ``columnar_cost`` when partitioning does not pay).
+    projections; ``columnar_cost`` is the serial cost and
+    ``parallel_cost`` the cost at ``partitions`` workers (the same
+    number when partitioning does not pay).
     ``stats_source`` records provenance — ``statistics(<relation>)`` when
     per-column statistics informed the estimate, ``cardinality-only``
     when only the row count was known.
@@ -123,7 +116,6 @@ class CostEstimate:
     distinct: int
     skyline: int
     selectivity: float
-    row_cost: float
     columnar_cost: float
     parallel_cost: float
     partitions: int
@@ -137,8 +129,7 @@ class CostEstimate:
             else "parallel=n/a"
         )
         return (
-            f"cost: row={self.row_cost:,.0f} "
-            f"columnar={self.columnar_cost:,.0f} {parallel} units; "
+            f"cost: columnar={self.columnar_cost:,.0f} {parallel} units; "
             f"est. skyline {self.skyline}/{self.distinct} distinct "
             f"(selectivity {self.selectivity:.2%}); "
             f"stats={self.stats_source}"
@@ -178,15 +169,15 @@ def estimate_cost(
     cores: int | None = None,
     constraints: Any = None,
 ) -> CostEstimate:
-    """Cost the row, columnar, and parallel-columnar evaluations of a
-    dominance winnow over ``cardinality`` rows.
+    """Cost the serial and the partitioned evaluation of a code-kernel
+    winnow over ``cardinality`` rows.
 
     ``stats`` is a :class:`repro.relations.stats.TableStats` (or None):
     per-axis distinct counts bound the number of distinct projections —
-    the unit the dedup'ing columnar kernels actually sweep — so
-    duplicate-heavy relations columnarize earlier and all-distinct ones
-    honestly pay full freight.  ``cores`` caps the candidate partition
-    count (default: the visible machine).  ``constraints`` (a
+    the unit the dedup'ing kernels actually sweep — so duplicate-heavy
+    relations are not partitioned for work they will not do.  ``cores``
+    caps the candidate partition count (default: the visible machine).
+    ``constraints`` (a
     :class:`repro.analysis.constraints.ConstraintSet`, or None) narrows
     the estimate further: an attribute proved constant contributes one
     distinct projection regardless of what the raw statistics say.
@@ -219,14 +210,6 @@ def estimate_cost(
     skyline = expected_skyline(distinct, arity)
     selectivity = (skyline / distinct) if distinct else 0.0
 
-    algorithm = choose_algorithm(pref)
-    if algorithm == "sort":
-        row_cost = ROW_SCAN_COST * n * arity
-    elif algorithm == "2d":
-        row_cost = ROW_SWEEP_COST * n * max(1.0, math.log2(n or 1))
-    else:  # dc / sfs / bnl: pay a dominance phase over all rows
-        row_cost = ROW_SCAN_COST * n * arity + ROW_COMPARE_COST * n * skyline
-
     encode = ENCODE_COST * n * code_axes
     if code_axes == 2:
         kernel = VEC_SWEEP_COST * distinct * max(1.0, math.log2(distinct or 1))
@@ -255,7 +238,6 @@ def estimate_cost(
         distinct=distinct,
         skyline=skyline,
         selectivity=selectivity,
-        row_cost=row_cost,
         columnar_cost=columnar_cost,
         parallel_cost=parallel_cost,
         partitions=partitions,
@@ -277,13 +259,40 @@ def _best_partitions(kernel_cost: float, rows: int, cores: int) -> int:
     return max(1, min(ideal, cores, rows // MIN_PARTITION_ROWS))
 
 
-def choose_algorithm(pref: Preference) -> str:
-    """Pick the cheapest known-correct row algorithm for a preference term."""
+def row_reason(pref: Preference) -> str | None:
+    """Why ``pref`` stays off the integer-code kernels, or None when it
+    runs on them — the one question that picks a dominance evaluator.
+
+    A term runs on the code kernels exactly when it lowers to code axes
+    (:func:`repro.engine.columnar.columnar_profile` says ``"skyline"``:
+    a Pareto of chains and single-attribute weak orders, or a bare
+    injective chain) — at every input size, with or without NumPy.  The
+    one lowerable shape held back is a bare prioritization of chains,
+    which has a better plan: ``split_prio`` cascades it into linear
+    argmax stages (its composite axis earns its keep as a Pareto *arm*).
+    """
+    from repro.core.constructors import PrioritizedPreference
+
+    if columnar_profile(pref) != "skyline":
+        return "no columnar dominance form"
+    if isinstance(pref, PrioritizedPreference):
+        return "chain prioritization cascades on the row engine"
+    return None
+
+
+def choose_algorithm(pref: Preference, backend: str = "auto") -> str:
+    """The evaluator of one winnow, as a name in ``ALGORITHMS``.
+
+    SCORE terms take the one-pass ``sort``; terms with a code form take
+    the code kernels (``vsfs``) unless ``backend="row"`` asks for the
+    general row path; that path is ``sfs`` when a dominance-compatible
+    key exists and ``bnl`` — correct for any strict partial order —
+    otherwise.
+    """
     if score_function_of(pref) is not None:
         return "sort"
-    axes = skyline_axes(pref)
-    if axes is not None:
-        return "2d" if len(axes) == 2 else "dc"
+    if backend != "row" and row_reason(pref) is None:
+        return "vsfs"
     if compatible_sort_key(pref) is not None:
         return "sfs"
     return "bnl"
@@ -322,34 +331,29 @@ def choose_backend(
     partitions: int | None = None,
     constraints: Any = None,
 ) -> BackendChoice:
-    """Cost-rank row, columnar, and parallel-columnar execution of a winnow.
+    """Row or code-kernel ("columnar") execution of a winnow, and into how
+    many partitions.
 
-    The columnar engine applies to terms with a vector-skyline form (Pareto
-    over injective chains and single-attribute weak orders — AROUND,
-    BETWEEN, SCORE, the POS/NEG family — or a bare injective chain) and
-    to SCORE-representable terms; EXPLICIT, multi-attribute SCORE and
-    intersection/union arms have none.  Under ``hint="auto"`` the decision is made
-    by the **cost model** (:func:`estimate_cost`): estimated kernel cost —
-    cardinality x preference arity x expected skyline selectivity, with
-    per-column distinct counts from ``stats`` bounding the distinct
-    projections — ranks the row engine against serial and partitioned
-    columnar execution, and the cheapest wins.  SCORE terms stay on the
-    already-linear row ``sort`` path, and without NumPy auto never
-    columnarizes (the fallback kernels are correct but don't beat the row
-    engine).
+    Under ``hint="auto"`` the backend is structural (:func:`row_reason`):
+    input size and NumPy's presence do not enter — the code engine picks
+    between its own legs.  The **cost model** (:func:`estimate_cost`)
+    decides the partition count, from cardinality x preference arity x
+    expected skyline selectivity with per-column distinct counts from
+    ``stats``; interpreted kernels hold the GIL, so without NumPy auto
+    never partitions.
 
-    ``hint="columnar"`` forces serial columnar execution (pure-Python
-    kernels included) and raises ``ValueError`` for ineligible terms;
-    ``hint="parallel"`` additionally forces partitioning (``partitions``
-    workers, default the visible core count); ``hint="row"`` never
-    columnarizes.
+    ``hint="columnar"`` forces serial columnar execution (SCORE terms
+    included: the argmax path) and raises ``ValueError`` for ineligible
+    terms; ``hint="parallel"`` additionally forces partitioning
+    (``partitions`` workers, default the visible core count);
+    ``hint="row"`` forces the general row path.
     """
     if hint not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {hint!r}")
-    profile = columnar_profile(pref)
     if hint == "row":
         return BackendChoice("row", "backend=row requested")
     if hint in ("columnar", "parallel"):
+        profile = columnar_profile(pref)
         if profile is None:
             raise ValueError(
                 f"{pref!r} has no columnar evaluation (needs a Pareto of "
@@ -372,54 +376,55 @@ def choose_backend(
             partitions=max(1, forced),
             cost=cost,
         )
-    if profile != "skyline":
-        return BackendChoice("row", "no columnar dominance form")
-    from repro.core.constructors import PrioritizedPreference
-
-    if isinstance(pref, PrioritizedPreference):
-        # A bare prioritization of chains has a columnar form (one
-        # composite lexicographic axis) but a better row plan: split_prio
-        # cascades it into linear argmax stages.  The composite axes earn
-        # their keep as Pareto *arms*, where they unlock the vector
-        # skyline for the whole term.
-        return BackendChoice(
-            "row", "chain prioritization cascades on the row engine"
-        )
-    estimate = estimate_cost(pref, cardinality, stats, constraints=constraints)
-    if not numpy_available():
-        return BackendChoice(
-            "row",
-            "NumPy unavailable (fallback kernels don't beat the row engine)",
-            cost=estimate,
-        )
-    if estimate.row_cost <= min(estimate.columnar_cost, estimate.parallel_cost):
-        return BackendChoice(
-            "row",
-            f"cost model: row {estimate.row_cost:,.0f} <= "
-            f"columnar {estimate.columnar_cost:,.0f} units",
-            cost=estimate,
-        )
-    if estimate.parallel_cost < estimate.columnar_cost:
+    reason = row_reason(pref)
+    if reason is not None:
+        return BackendChoice("row", reason)
+    estimate = estimate_cost(
+        pref, cardinality, stats, constraints=constraints,
+        cores=None if numpy_available() else 1,
+    )
+    if estimate.partitions > 1:
         return BackendChoice(
             "columnar",
-            f"cost model: parallel[{estimate.partitions}] "
-            f"{estimate.parallel_cost:,.0f} < columnar "
-            f"{estimate.columnar_cost:,.0f} < row "
-            f"{estimate.row_cost:,.0f} units",
+            f"lowers to code axes; cost model: parallel"
+            f"[{estimate.partitions}] {estimate.parallel_cost:,.0f} < "
+            f"serial {estimate.columnar_cost:,.0f} units",
             partitions=estimate.partitions,
             cost=estimate,
         )
-    return BackendChoice(
-        "columnar",
-        f"cost model: columnar {estimate.columnar_cost:,.0f} < "
-        f"row {estimate.row_cost:,.0f} units",
-        cost=estimate,
+    return BackendChoice("columnar", "lowers to code axes", cost=estimate)
+
+
+def winnow_node(
+    child: PlanNode,
+    pref: Preference,
+    cardinality: int,
+    backend: str = "auto",
+    stats: Any = None,
+    partitions: int | None = None,
+    constraints: Any = None,
+) -> PlanNode:
+    """The plan node of one plain winnow ``sigma[pref](child)``: the
+    :func:`choose_backend` decision turned into its operator.  The planner
+    and every rewrite rule that changes a winnow's term build through
+    here, so a rewritten node is decided on exactly what the original was.
+    """
+    choice = choose_backend(
+        pref, cardinality, backend, stats=stats, partitions=partitions,
+        constraints=constraints,
+    )
+    if choice.columnar:
+        return ColumnarPreferenceSelect(
+            child, pref, partitions=choice.partitions, cost=choice
+        )
+    return PreferenceSelect(
+        child, pref, algorithm=choose_algorithm(pref, "row"), cost=choice
     )
 
 
 def full_winnow(pref: Preference, rows: list[Row]) -> list[Row]:
     """``sigma[P](rows)`` the way a plan over ``len(rows)`` rows would run
-    it: backend by the cost model, row algorithm by the term's shape.
+    it: evaluator by the term's shape, partitions by the cost model.
 
     For callers that re-derive a whole BMO set outside a plan (continuous
     views rebuilding after a delete or a revision), so that one place
@@ -429,7 +434,7 @@ def full_winnow(pref: Preference, rows: list[Row]) -> list[Row]:
     choice = choose_backend(pref, len(rows))
     if choice.columnar:
         return columnar_winnow(pref, rows, partitions=choice.partitions)
-    return ALGORITHMS[choose_algorithm(pref)](pref, rows)
+    return ALGORITHMS[choose_algorithm(pref, "row")](pref, rows)
 
 
 def _conjuncts(
@@ -498,7 +503,7 @@ def plan(
     if algorithm is not None and backend != "auto":
         raise ValueError(
             "algorithm= already forces an engine; drop the backend= hint "
-            "(the columnar kernels are algorithms 'vsfs' and 'vbnl')"
+            "(the code kernels are algorithm 'vsfs')"
         )
     if partitions is not None:
         if backend != "parallel":
@@ -631,15 +636,15 @@ def plan(
         group_algorithm = algorithm
         if group_algorithm is None:
             if backend == "columnar":
-                # Eligibility check only; per-group sizes are unknown, so an
-                # explicit hint is the one way groups go columnar.
+                # Eligibility check; a forced hint also takes SCORE terms
+                # to the engine's argmax path.
                 choose_backend(pref, len(relation), backend, stats=stats)
                 group_algorithm = "vsfs"
             else:
-                group_algorithm = choose_algorithm(pref)
+                group_algorithm = choose_algorithm(pref, backend)
         # Grouped winnows partition by group hash (no merge needed) under
         # the "parallel" hint; per-group sizes are unknown to the cost
-        # model, so auto stays serial here too.
+        # model, so auto stays serial.
         node = GroupedPreferenceSelect(
             node, pref, tuple(groupby), algorithm=group_algorithm,
             partitions=requested_partitions,
@@ -647,18 +652,10 @@ def plan(
     elif algorithm is not None:
         node = PreferenceSelect(node, pref, algorithm=algorithm)
     else:
-        choice = choose_backend(
-            pref, cardinality, backend, stats=stats, partitions=partitions,
-            constraints=constraints,
+        node = winnow_node(
+            node, pref, cardinality, backend, stats=stats,
+            partitions=partitions, constraints=constraints,
         )
-        if choice.columnar:
-            node = ColumnarPreferenceSelect(
-                node, pref, partitions=choice.partitions, cost=choice,
-            )
-        else:
-            node = PreferenceSelect(
-                node, pref, algorithm=choose_algorithm(pref), cost=choice
-            )
     for predicate, label, ast in lifted:
         node = HardSelect(node, predicate, label, ast)
 

@@ -191,11 +191,12 @@ class PreferenceSelect(PlanNode):
 class ColumnarPreferenceSelect(PlanNode):
     """``sigma[P](...)`` on the columnar backend (:mod:`repro.engine`).
 
-    Chosen by the planner for Pareto winnows over chains and weak orders
-    (or forced via ``PreferenceQuery.backend("columnar")``): dominance is
-    evaluated block-wise over integer-encoded column vectors — NumPy-vectorized when
-    available, pure-Python block sweeps otherwise — instead of per-row-pair
-    ``pref._lt`` calls.  Results are identical to the row engine's.
+    Chosen by the planner for every Pareto winnow over chains and weak
+    orders (or forced via ``PreferenceQuery.backend("columnar")``):
+    dominance is evaluated over integer-encoded column vectors — on the
+    engine's NumPy leg or its interpreted leg, which the engine picks per
+    winnow — instead of per-row-pair ``pref._lt`` calls.  Results are
+    identical to the row engine's.
     """
 
     child: PlanNode
@@ -204,8 +205,8 @@ class ColumnarPreferenceSelect(PlanNode):
     #: >1 = partition-and-merge parallel execution on the shared worker
     #: pool (:mod:`repro.engine.parallel`); results are identical.
     partitions: int = 1
-    #: The planner's :class:`~repro.query.optimizer.BackendChoice`, when
-    #: the backend decision was cost-modelled (explain() prints it).
+    #: The planner's :class:`~repro.query.optimizer.BackendChoice`
+    #: (explain() prints its reason and estimate).
     cost: Any = None
 
     def execute(self) -> Relation:

@@ -34,8 +34,8 @@ Rule catalog (names as they appear in the trace):
     Pareto accumulations whose arms are themselves prioritizations of
     chains over pairwise disjoint attributes (chains by Proposition 3h)
     decompose into one composite skyline axis per arm — each arm is
-    rank-encoded independently and the vector kernel re-merges them, so
-    the whole term evaluates as a vector skyline (columnar when large).
+    rank-encoded independently and the code kernel re-merges them, so
+    the whole term evaluates as a vector skyline.
 
 ``prune_constant_pref``
     Equality selections below the winnow fix attributes to constants on
@@ -529,15 +529,7 @@ def _rule_prune_constant(
         return None  # a forced engine may not accept the pruned term
     if not isinstance(node, (PreferenceSelect, ColumnarPreferenceSelect)):
         return None
-    fixed: frozenset[str] = frozenset()
-    below = node.child
-    while isinstance(below, HardSelect):
-        if below.ast is not None:
-            fixed |= fixed_attributes(below.ast)
-        below = below.child
-    if isinstance(below, StorageScan):
-        for _, _, ast in below.conjuncts:
-            fixed |= fixed_attributes(ast)
+    fixed = _fixed_below(node)
     if not fixed:
         return None
     pruned = prune_constant(node.pref, fixed)
@@ -549,44 +541,33 @@ def _rule_prune_constant(
         )
     if pruned.signature == node.pref.signature:
         return None
-    from repro.query.optimizer import choose_algorithm, choose_backend
+    from repro.query.optimizer import winnow_node
 
     try:
-        # Re-run backend choice under the caller's own hint: a forced
-        # backend("columnar") must survive pruning.
-        choice = choose_backend(
-            pruned, ctx.cardinality, ctx.backend, stats=ctx.stats,
-            partitions=ctx.partitions,
+        # The planner's own decision, re-made for the pruned term under
+        # the caller's own hint: a forced backend("columnar") must
+        # survive pruning.
+        new_node = winnow_node(
+            node.child, pruned, ctx.cardinality, ctx.backend,
+            stats=ctx.stats, partitions=ctx.partitions,
+            constraints=ctx.constraints,
         )
     except ValueError:
         # The pruned term would lose its (user-forced) columnar form;
         # honoring the hint beats the pruning win, so leave the node be.
         return None
-    new_node: PlanNode
-    if choice.columnar:
-        if isinstance(node, ColumnarPreferenceSelect):
-            new_node = _replace(
-                node, pref=pruned, partitions=choice.partitions, cost=choice
-            )
-        else:
-            new_node = ColumnarPreferenceSelect(
-                node.child, pruned, partitions=choice.partitions, cost=choice
-            )
-    else:
-        new_node = PreferenceSelect(
-            node.child, pruned, algorithm=choose_algorithm(pruned), cost=choice
-        )
     return new_node, _head(node), _head(new_node)
 
 
 def cascade_stages(
-    pref: Preference,
+    pref: Preference, backend: str = "auto"
 ) -> tuple[tuple[Preference, str], ...] | None:
     """Split ``P1 & ... & Pn`` into Proposition-11 cascade stages.
 
     Every stage except the last must be a (statically known) chain; the
     remaining suffix becomes one final stage.  Returns None when the head
-    is not a chain (no cascade advantage).
+    is not a chain (no cascade advantage).  ``backend`` is the planning
+    hint each stage's evaluator is chosen under.
     """
     from repro.query.optimizer import choose_algorithm
 
@@ -596,12 +577,12 @@ def cascade_stages(
     stages: list[tuple[Preference, str]] = []
     while len(children) > 1 and children[0].is_chain() is True:
         head = children.pop(0)
-        stages.append((head, choose_algorithm(head)))
+        stages.append((head, choose_algorithm(head, backend)))
     if not stages:
         return None
     rest: Preference
     rest = children[0] if len(children) == 1 else PrioritizedPreference(tuple(children))
-    stages.append((rest, choose_algorithm(rest)))
+    stages.append((rest, choose_algorithm(rest, backend)))
     return tuple(stages)
 
 
@@ -613,7 +594,7 @@ def _rule_split_prio(
         return None
     if not isinstance(node, PreferenceSelect):
         return None
-    stages = cascade_stages(node.pref)
+    stages = cascade_stages(node.pref, ctx.backend)
     if stages is None:
         return None
     cascade = Cascade(node.child, stages)
@@ -625,14 +606,14 @@ def _rule_decompose_pareto(
 ) -> tuple[PlanNode, str, str] | None:
     """Record Pareto arms decomposed into composite skyline axes.
 
-    The capability lives in the engines (``skyline_axes`` /
-    ``columnar_axes`` accept prioritizations of disjoint chains as one
-    lexicographic axis per arm); this rule surfaces in the trace *that* a
-    plan's Pareto went vectorized only because its compound arms
-    decomposed.  The node is already targeted correctly by the builder,
-    so the rewrite is a certification, not a structural change.
+    The capability lives in the code engine (``columnar_axes`` accepts a
+    prioritization of disjoint chains as one lexicographic axis per arm);
+    this rule surfaces in the trace *that* a plan's Pareto runs on the
+    code kernels only because its compound arms decomposed.  The node is
+    already targeted correctly by the builder, so the rewrite is a
+    certification, not a structural change.
     """
-    if not isinstance(node, (PreferenceSelect, ColumnarPreferenceSelect)):
+    if not isinstance(node, ColumnarPreferenceSelect):
         return None
     pref = node.pref
     if not isinstance(pref, ParetoPreference):
@@ -640,9 +621,9 @@ def _rule_decompose_pareto(
     composite = [c for c in pref.children if len(c.attributes) > 1]
     if not composite:
         return None
-    from repro.query.algorithms import skyline_axes
+    from repro.engine.columnar import columnar_axes
 
-    if skyline_axes(pref) is None:
+    if columnar_axes(pref) is None:
         return None
     arms = ", ".join(repr(c) for c in composite)
     return (

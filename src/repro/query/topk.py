@@ -6,8 +6,7 @@ semantics: the top ``k`` objects by combined score, deliberately including
 some non-maximal ones.  This module implements
 
 * :func:`k_best` — the k-best retrieval itself, with a tie policy (the
-  engine-level operator; the historical :func:`top_k` helper is a
-  deprecated shim through :class:`~repro.query.api.PreferenceQuery`),
+  engine-level operator behind ``PreferenceQuery.top``),
 * :func:`threshold_topk` — a Quick-Combine / threshold-style algorithm
   ([GBK00]) that answers top-k from per-feature sorted access without
   scoring the whole database, plus access statistics (the Section 6.2
@@ -17,7 +16,6 @@ some non-maximal ones.  This module implements
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -62,34 +60,6 @@ def k_best(
             else:
                 break
     return _repack([rows[i] for i in cut], template)
-
-
-def top_k(
-    pref: ScorePreference,
-    data: Relation | Sequence[Row],
-    k: int,
-    ties: str = "strict",
-) -> Any:
-    """Deprecated shim for k-best retrieval.
-
-    Use ``PreferenceQuery.over(data).prefer(pref).top(k, ties=ties).run()``
-    instead; the shim routes through the same unified planning pipeline.
-    """
-    warnings.warn(
-        "top_k() is deprecated; use PreferenceQuery.over(data).prefer(pref)"
-        ".top(k, ties=ties).run() (see repro.query.api) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.query.api import PreferenceQuery
-
-    return (
-        PreferenceQuery.over(data)
-        .prefer(pref)
-        .top(k, ties=ties)
-        .optimize(False)
-        .run()
-    )
 
 
 @dataclass

@@ -240,3 +240,59 @@ def distinct_matrix(
     if shuffle:
         return sorted(seen, key=lambda _: rng.random())
     return sorted(seen)
+
+
+# -- terms that lower to integer code axes -----------------------------------------
+
+#: One term per shape the code engine lowers (attributes ``n0``/``n1``
+#: numeric with NaNs, ``w`` words, ``p0``/``p1`` NaN-free), shared by the
+#: engine parity table and the planner's both-platform checks.
+LOWERED_TERMS = {
+    "2-chains": ParetoPreference(
+        (HighestPreference("n0"), LowestPreference("n1"))
+    ),
+    "3-chains": ParetoPreference(
+        (HighestPreference("n0"), LowestPreference("n1"),
+         HighestPreference("p0"))
+    ),
+    "4-chains": ParetoPreference(
+        (HighestPreference("n0"), LowestPreference("n1"),
+         HighestPreference("p0"), LowestPreference("p1"))
+    ),
+    "around-highest": ParetoPreference(
+        (AroundPreference("n0", 2), HighestPreference("n1"))
+    ),
+    "around-highest-pos": ParetoPreference(
+        (AroundPreference("n0", 2), HighestPreference("n1"),
+         PosPreference("w", {"elm", "oak"}))
+    ),
+    "dual-arms": ParetoPreference(
+        (DualPreference(AroundPreference("n0", 2)),
+         DualPreference(LowestPreference("n1")))
+    ),
+    "composite-arm": ParetoPreference(
+        (PrioritizedPreference(
+            (LowestPreference("p0"), HighestPreference("p1"))
+         ),
+         AroundPreference("n0", 3))
+    ),
+}
+
+
+def lowered_rows(n: int, seed: int) -> list[dict]:
+    """``n`` rows for :data:`LOWERED_TERMS`: a domain small enough that
+    duplicate projections, score ties and equidistant AROUND values all
+    occur, a fresh NaN on ``n1`` (a chain axis of most terms) in every
+    seventh row, and a ``tag`` that tells duplicate-projection rows apart."""
+    rng = random.Random(seed)
+    return [
+        {
+            "n0": rng.randrange(6),
+            "n1": float("nan") if i % 7 == 3 else rng.randrange(6),
+            "w": rng.choice(("ash", "bay", "elm", "fir", "oak")),
+            "p0": rng.randrange(3),
+            "p1": rng.randrange(3),
+            "tag": i,
+        }
+        for i in range(n)
+    ]

@@ -62,12 +62,12 @@ class TestExample6Preferences:
         }
 
     def test_terms_run_on_catalog(self):
-        from repro.query.bmo import bmo
+        from repro.query.bmo import winnow
 
         prefs = example6_preferences()
         cars = generate_cars(200, seed=7)
         for key in ("Q1", "Q2", "Q1_star", "Q2_star"):
-            best = bmo(prefs[key], cars)
+            best = winnow(prefs[key], cars)
             assert 0 < len(best) <= len(cars)
 
 
@@ -86,13 +86,13 @@ class TestSkylineData:
         # The defining property: anticorrelated >> independent >> correlated.
         from repro.core.base_numerical import HighestPreference
         from repro.core.constructors import pareto
-        from repro.query.bmo import bmo
+        from repro.query.bmo import winnow
 
         pref = pareto(*(HighestPreference(f"d{i}") for i in range(3)))
         sizes = {}
         for kind in ("anticorrelated", "independent", "correlated"):
             rel = skyline_relation(kind, 400, 3, seed=13)
-            sizes[kind] = len(bmo(pref, rel))
+            sizes[kind] = len(winnow(pref, rel))
         assert sizes["anticorrelated"] > sizes["independent"] > sizes["correlated"]
 
     def test_unknown_kind(self):

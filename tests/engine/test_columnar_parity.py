@@ -1,9 +1,9 @@
 """Row/columnar parity: identical winnow results across backends.
 
 Property-style sweep over the paper's example preferences and the skyline
-dataset generators: for every (preference, dataset, strategy) combination
-the columnar winnow must return exactly the row engine's BMO set — with
-NumPy and with the pure-Python fallback.
+dataset generators: for every (preference, dataset, row reference)
+combination the columnar winnow must return exactly the BMO set of the
+row engine's ``sfs`` and ``bnl`` — with NumPy and on the interpreted leg.
 """
 
 import pytest
@@ -19,14 +19,27 @@ from repro.core.constructors import dual, pareto
 from repro.core.preference import ChainPreference
 from repro.datasets.skyline_data import DISTRIBUTIONS
 from repro.engine import backend as engine_backend
+from repro.engine import columnar
 from repro.engine.columnar import (
     NotColumnarError,
     columnar_axes,
     columnar_profile,
     columnar_winnow,
 )
-from repro.query.algorithms import block_nested_loop, naive_nested_loop
+from repro.query.algorithms import (
+    ALGORITHMS,
+    block_nested_loop,
+    naive_nested_loop,
+)
 from repro.relations.relation import Relation
+
+
+@pytest.fixture(autouse=True)
+def leg_by_toggle_alone(monkeypatch):
+    """Every case here runs on the leg its NumPy toggle names, however few
+    rows it has (the size switch has its own cases in
+    ``test_weak_order_lowering.py``)."""
+    monkeypatch.setattr(columnar, "NUMPY_MIN_ROWS", 0)
 
 
 PREFERENCES = {
@@ -57,37 +70,36 @@ PREFERENCES = {
 class TestSkylineDatasetParity:
     @pytest.mark.parametrize("kind", sorted(DISTRIBUTIONS))
     @pytest.mark.parametrize("dims", [2, 3])
-    @pytest.mark.parametrize("strategy", ["sfs", "bnl"])
-    def test_matches_row_engine(self, kind, dims, strategy):
+    @pytest.mark.parametrize("reference", ["sfs", "bnl"])
+    def test_matches_row_engine(self, kind, dims, reference):
         rows = DISTRIBUTIONS[kind](300, dims, seed=31)
         for pref in PREFERENCES[dims]:
-            expected = row_set(block_nested_loop(pref, rows))
-            got = columnar_winnow(pref, rows, strategy=strategy)
-            assert row_set(got) == expected, (kind, dims, strategy, pref)
+            expected = row_set(ALGORITHMS[reference](pref, rows))
+            got = columnar_winnow(pref, rows)
+            assert row_set(got) == expected, (kind, dims, reference, pref)
 
-    @pytest.mark.parametrize("strategy", ["sfs", "bnl"])
-    def test_matches_without_numpy(self, monkeypatch, strategy):
+    @pytest.mark.parametrize("reference", ["sfs", "bnl"])
+    def test_matches_without_numpy(self, monkeypatch, reference):
         monkeypatch.setattr(engine_backend, "_numpy", None)
         rows = DISTRIBUTIONS["anticorrelated"](200, 3, seed=7)
         for pref in PREFERENCES[3]:
-            expected = row_set(block_nested_loop(pref, rows))
-            got = columnar_winnow(pref, rows, strategy=strategy)
-            assert row_set(got) == expected
+            expected = row_set(ALGORITHMS[reference](pref, rows))
+            assert row_set(columnar_winnow(pref, rows)) == expected
 
 
 class TestDuplicateFanOut:
-    @pytest.mark.parametrize("strategy", ["sfs", "bnl"])
+    @pytest.mark.parametrize("reference", ["sfs", "bnl"])
     @pytest.mark.parametrize("use_numpy", [True, False])
     def test_every_carrying_tuple_is_kept(
-        self, monkeypatch, strategy, use_numpy
+        self, monkeypatch, reference, use_numpy
     ):
         if not use_numpy:
             monkeypatch.setattr(engine_backend, "_numpy", None)
         rows = grid_rows(400, 2, seed=3)
         pref = pareto(HighestPreference("d0"), LowestPreference("d1"))
         expected = row_set(naive_nested_loop(pref, rows))
-        got = columnar_winnow(pref, rows, strategy=strategy)
-        assert row_set(got) == expected
+        assert row_set(ALGORITHMS[reference](pref, rows)) == expected
+        assert row_set(columnar_winnow(pref, rows)) == expected
 
     def test_dedup_key_survives_more_identity_bits_than_int64_holds(self):
         """Eight axes of ~300 distinct values each: the packed identity
@@ -139,9 +151,9 @@ class TestPathologicalValues:
 
     @pytest.mark.parametrize("use_numpy", [True, False])
     @pytest.mark.parametrize("dims", [2, 3])
-    @pytest.mark.parametrize("strategy", ["sfs", "bnl"])
+    @pytest.mark.parametrize("reference", ["sfs", "bnl"])
     def test_nan_rows_are_maximal_like_the_row_engine(
-        self, monkeypatch, use_numpy, dims, strategy
+        self, monkeypatch, use_numpy, dims, reference
     ):
         if not use_numpy:
             monkeypatch.setattr(engine_backend, "_numpy", None)
@@ -158,8 +170,8 @@ class TestPathologicalValues:
                 for i in range(dims)
             )
         )
-        expected = block_nested_loop(pref, rows)
-        got = columnar_winnow(pref, rows, strategy=strategy)
+        expected = ALGORITHMS[reference](pref, rows)
+        got = columnar_winnow(pref, rows)
         key = lambda r: tuple(sorted((k, repr(v)) for k, v in r.items()))
         assert sorted(map(key, got)) == sorted(map(key, expected))
 
@@ -254,12 +266,11 @@ class TestEligibility:
         tuples = [(-5, 3, 4), (-5, 4, 4), (5, 1, 8), (5, 6, 6),
                   (-6, 0, 6), (-6, 0, 4), (6, 2, 7)]
         rows = [dict(zip(("a1", "a2", "a3"), t)) for t in tuples]
-        for strategy in ("sfs", "bnl"):
-            got = columnar_winnow(pref, rows, strategy=strategy)
-            assert row_set(got) == row_set(naive_nested_loop(pref, rows))
-            assert {(r["a1"], r["a2"], r["a3"]) for r in got} == {
-                (-5, 3, 4), (5, 1, 8), (-6, 0, 6)
-            }
+        got = columnar_winnow(pref, rows)
+        assert row_set(got) == row_set(naive_nested_loop(pref, rows))
+        assert {(r["a1"], r["a2"], r["a3"]) for r in got} == {
+            (-5, 3, 4), (5, 1, 8), (-6, 0, 6)
+        }
 
     def test_arms_without_a_code_axis_form_are_refused(self):
         from repro.core.base_nonnumerical import ExplicitPreference
@@ -286,8 +297,9 @@ class TestEligibility:
 
     def test_unknown_strategy_raises(self):
         pref = pareto(HighestPreference("d0"), HighestPreference("d1"))
-        with pytest.raises(ValueError, match="unknown columnar strategy"):
-            columnar_winnow(pref, [{"d0": 1, "d1": 1}], strategy="zap")
+        for strategy in ("zap", "bnl"):
+            with pytest.raises(ValueError, match="unknown columnar strategy"):
+                columnar_winnow(pref, [{"d0": 1, "d1": 1}], strategy=strategy)
 
     def test_missing_attribute_raises(self):
         pref = pareto(HighestPreference("d0"), HighestPreference("nope"))
@@ -295,17 +307,14 @@ class TestEligibility:
             columnar_winnow(pref, [{"d0": 1, "d1": 1}])
 
     def test_registered_algorithm_names(self):
-        from repro.query.algorithms import ALGORITHMS
-
-        assert "vsfs" in ALGORITHMS and "vbnl" in ALGORITHMS
+        assert set(ALGORITHMS) == {"naive", "bnl", "sfs", "sort", "vsfs"}
 
     def test_algorithm_adapters_reject_ineligible(self):
         from repro.core.base_nonnumerical import PosPreference
-        from repro.engine.columnar import columnar_bnl, columnar_sfs
 
-        for adapter in (columnar_sfs, columnar_bnl):
+        for rows in ([{"d0": 1}], []):
             with pytest.raises(NotColumnarError):
-                adapter(PosPreference("d0", {1}), [{"d0": 1}])
+                ALGORITHMS["vsfs"](PosPreference("d0", {1}), rows)
 
 
 class TestGroupedWinnow:

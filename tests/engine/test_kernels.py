@@ -6,12 +6,14 @@ Kernel inputs are matrices of *distinct* integer code rows — the contract
 projections distinct vectors).
 """
 
+from functools import partial
+
 import pytest
 
 from tests.conftest import distinct_matrix
 
 from repro.engine import backend as engine_backend
-from repro.engine.vectorized import KERNELS, skyline_bnl, skyline_sfs
+from repro.engine.vectorized import KERNELS, skyline_2d, skyline_sfs
 
 
 def brute_force(matrix):
@@ -27,7 +29,10 @@ def brute_force(matrix):
     )
 
 
-@pytest.mark.parametrize("kernel", [skyline_sfs, skyline_bnl])
+@pytest.mark.parametrize(
+    "kernel",
+    [skyline_sfs, pytest.param(partial(skyline_sfs, np=None), id="interpreted")],
+)
 class TestKernels:
     def test_empty(self, kernel):
         assert kernel([]) == []
@@ -70,4 +75,19 @@ class TestKernels:
 
 
 def test_registry_names():
-    assert set(KERNELS) == {"sfs", "bnl"}
+    assert set(KERNELS) == {"sfs"}
+
+
+@pytest.mark.parametrize("use_numpy", [True, False])
+def test_2d_sweep_agrees_with_sfs_on_both_legs(monkeypatch, use_numpy):
+    if not use_numpy:
+        monkeypatch.setattr(engine_backend, "_numpy", None)
+    for seed in range(5):
+        matrix = distinct_matrix(200, 2, 30, seed=seed, shuffle=True)
+        assert skyline_2d(matrix) == skyline_sfs(matrix) == brute_force(matrix)
+
+
+def test_np_argument_names_the_leg_of_the_sweep():
+    """``np=None`` is the interpreted leg whatever is installed."""
+    pairs = distinct_matrix(150, 2, 30, seed=3, shuffle=True)
+    assert skyline_2d(pairs, np=None) == skyline_2d(pairs) == brute_force(pairs)

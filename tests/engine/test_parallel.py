@@ -35,7 +35,8 @@ from repro.engine.parallel import (
     parallel_winnow_groupby,
     partition_spans,
 )
-from repro.engine.vectorized import skyline_bnl, skyline_sfs
+from repro.engine.vectorized import skyline_sfs
+from repro.query.algorithms import block_nested_loop
 from repro.query.bmo import winnow_groupby
 from repro.query.topk import k_best
 
@@ -67,12 +68,18 @@ class TestPartitionSpans:
 
 class TestParallelSkyline:
     @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
-    @pytest.mark.parametrize("strategy", ["sfs", "bnl"])
-    def test_matches_serial_kernel(self, partitions, strategy):
+    @pytest.mark.parametrize("reference", ["sfs", "bnl"])
+    def test_matches_serial_kernel(self, partitions, reference):
+        """Against the serial code kernel, and against the row engine's
+        BNL over the same vectors."""
         matrix = distinct_matrix(600, 3, 40, seed=partitions)
-        expected = skyline_sfs(matrix)
-        assert skyline_bnl(matrix) == expected  # kernel cross-check
-        assert parallel_skyline(matrix, partitions, strategy) == expected
+        if reference == "sfs":
+            expected = skyline_sfs(matrix)
+        else:
+            rows = [dict(zip("abc", v), i=i) for i, v in enumerate(matrix)]
+            top = pareto(*(HighestPreference(a) for a in "abc"))
+            expected = sorted(r["i"] for r in block_nested_loop(top, rows))
+        assert parallel_skyline(matrix, partitions) == expected
 
     @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
     def test_2d_sweep_strategy(self, partitions):
@@ -151,13 +158,10 @@ class TestParallelSkyline:
             max_size=60,
         ),
         partitions=st.integers(1, 16),
-        strategy=st.sampled_from(["sfs", "bnl"]),
     )
-    def test_hypothesis_parity(self, rows, partitions, strategy):
+    def test_hypothesis_parity(self, rows, partitions):
         matrix = sorted(rows)
-        assert parallel_skyline(matrix, partitions, strategy) == skyline_sfs(
-            matrix
-        )
+        assert parallel_skyline(matrix, partitions) == skyline_sfs(matrix)
 
 
 class TestParallelColumnarWinnow:

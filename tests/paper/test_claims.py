@@ -26,7 +26,7 @@ from repro.core.constructors import (
 )
 from repro.datasets.cars import example6_preferences, generate_cars
 from repro.query.algorithms import ComparisonCounter, naive_nested_loop
-from repro.query.bmo import bmo, result_size
+from repro.query.bmo import result_size, winnow
 
 
 class TestProposition13FilterEffects:
@@ -151,10 +151,10 @@ class TestExample6Scenario:
     def test_wish_lists_compose_and_run(self):
         prefs = example6_preferences()
         cars = generate_cars(400, seed=7)
-        q1 = bmo(prefs["Q1"], cars)
-        q2 = bmo(prefs["Q2"], cars)
-        q1s = bmo(prefs["Q1_star"], cars)
-        q2s = bmo(prefs["Q2_star"], cars)
+        q1 = winnow(prefs["Q1"], cars)
+        q2 = winnow(prefs["Q2"], cars)
+        q1s = winnow(prefs["Q1_star"], cars)
+        q2s = winnow(prefs["Q2_star"], cars)
         for res in (q1, q2, q1s, q2s):
             assert 0 < len(res) < len(cars)
         # Refining Q1 with Michael's P6/P7 prioritizations can only narrow
@@ -167,15 +167,15 @@ class TestExample6Scenario:
         # Mixing them (Q1*) must simply work — desideratum 4.
         prefs = example6_preferences()
         cars = generate_cars(100, seed=3)
-        assert len(bmo(prefs["Q1_star"], cars)) > 0
+        assert len(winnow(prefs["Q1_star"], cars)) > 0
 
     def test_vendor_preference_respected_last(self):
         prefs = example6_preferences()
         cars = generate_cars(400, seed=7)
-        q2 = bmo(prefs["Q2"], cars)
+        q2 = winnow(prefs["Q2"], cars)
         # Within Q2's result, commission refined groups that Q1 & P6 left
         # tied; Q2 is a subset of the Q1 & P6 result.
-        q1_p6 = bmo(prioritized(prioritized(prefs["Q1"], prefs["P6"]),
+        q1_p6 = winnow(prioritized(prioritized(prefs["Q1"], prefs["P6"]),
                                 prefs["P7"]), cars)
         key = lambda r: tuple(sorted(r.items()))
         assert {key(r) for r in q2} == {key(r) for r in q1_p6}

@@ -27,7 +27,7 @@ from repro.core.constructors import (
 )
 from repro.core.graph import BetterThanGraph
 from repro.core.preference import AntiChain
-from repro.query.bmo import bmo, perfect_matches
+from repro.query.bmo import perfect_matches, winnow
 from repro.query.decomposition import (
     eval_prioritized_grouping,
     yy_set,
@@ -107,7 +107,7 @@ class TestExample2:
     def test_every_component_contributes_a_maximum(self):
         # The paper notes each of P1, P2, P3 places a maximal value in the
         # Pareto-optimal set: A1 = +-5, A2 = 0, A3 = 8.
-        best = bmo(self.pref(), example2_rows())
+        best = winnow(self.pref(), example2_rows())
         assert {r["A1"] for r in best} >= {-5, 5}
         assert 0 in {r["A2"] for r in best}
         assert 8 in {r["A3"] for r in best}
@@ -206,7 +206,7 @@ class TestExample5:
     def test_discrimination_observation(self):
         # The top performer val4 = (5, 6) does not carry the maximal
         # f1-value 6 — rank(F) "discriminates against P1".
-        best = bmo(self.pref(), self.rows())
+        best = winnow(self.pref(), self.rows())
         assert all(abs(r["A1"]) != 6 for r in best)
 
 
@@ -272,7 +272,7 @@ class TestExample8:
         r = Relation.from_tuples(
             "R", ["Color"], [("yellow",), ("red",), ("green",), ("black",)]
         )
-        best = bmo(pref, r)
+        best = winnow(pref, r)
         assert sorted(row["Color"] for row in best) == ["red", "yellow"]
         perfect = perfect_matches(pref, r)
         assert [row["Color"] for row in perfect] == ["red"]
@@ -293,11 +293,11 @@ class TestExample9:
         shark = {"Fuel_Economy": 50, "Insurance_Rating": 10, "Nickname": "shark"}
         turtle = {"Fuel_Economy": 100, "Insurance_Rating": 10,
                   "Nickname": "turtle"}
-        state1 = bmo(self.pref(), [frog, cat])
+        state1 = winnow(self.pref(), [frog, cat])
         assert [r["Nickname"] for r in state1] == ["frog"]
-        state2 = bmo(self.pref(), [frog, cat, shark])
+        state2 = winnow(self.pref(), [frog, cat, shark])
         assert sorted(r["Nickname"] for r in state2) == ["frog", "shark"]
-        state3 = bmo(self.pref(), [frog, cat, shark, turtle])
+        state3 = winnow(self.pref(), [frog, cat, shark, turtle])
         assert [r["Nickname"] for r in state3] == ["turtle"]
 
 
@@ -315,7 +315,7 @@ class TestExample10:
         p2 = AroundPreference("Price", 40000)
         result = eval_prioritized_grouping(p1, p2, cars)
         assert sorted(r["Oid"] for r in result) == [1, 2, 3]
-        direct = bmo(prioritized(p1, p2), cars)
+        direct = winnow(prioritized(p1, p2), cars)
         assert sorted(r["Oid"] for r in direct) == [1, 2, 3]
 
 
@@ -326,7 +326,7 @@ class TestExample11:
         p1, p2 = LowestPreference("A"), HighestPreference("A")
         r = Relation.from_tuples("R", ["A"], [(3,), (6,), (9,)])
         # sigma[P1 (x) P2](R) = R (Props 6, 3d, 3g).
-        result = bmo(pareto(p1, p2), r)
+        result = winnow(pareto(p1, p2), r)
         assert sorted(row["A"] for row in result) == [3, 6, 9]
         # The YY term contributes exactly {6}.
         yy = yy_set(prioritized(p1, p2), prioritized(p2, p1), r)

@@ -7,7 +7,7 @@ import pytest
 from repro.psql.parser import parse
 from repro.psql.sqlgen import to_sql92
 from repro.psql.translate import translate_preferring, translate_where
-from repro.query.bmo import bmo
+from repro.query.bmo import winnow
 
 
 class TestStructure:
@@ -73,7 +73,7 @@ class TestStructure:
 
 class TestSemanticsViaInterpretation:
     """Interpret the generated better-than condition by running the same
-    NOT EXISTS semantics in Python and comparing against bmo()."""
+    NOT EXISTS semantics in Python and comparing against winnow()."""
 
     ROWS = [
         {"category": "roadster", "price": 38000, "power": 110},
@@ -96,7 +96,7 @@ class TestSemanticsViaInterpretation:
     def test_not_exists_equals_bmo(self, preferring):
         query = parse(f"SELECT * FROM car PREFERRING {preferring}")
         pref = translate_preferring(query.preferring)
-        expected = bmo(pref, self.ROWS, algorithm="naive")
+        expected = winnow(pref, self.ROWS, algorithm="naive")
         # NOT EXISTS u better than t — evaluated with the preference itself,
         # which the generated SQL mirrors clause by clause.
         survivors = [

@@ -16,15 +16,14 @@ from repro.core.base_numerical import (
 from repro.core.constructors import dual, pareto, prioritized, rank
 from repro.core.preference import AntiChain, ChainPreference
 from repro.query.algorithms import (
+    ALGORITHMS,
     ComparisonCounter,
     block_nested_loop,
+    chain_axis,
     compatible_sort_key,
-    divide_and_conquer,
     naive_nested_loop,
-    skyline_axes,
     sort_based_maxima,
     sort_filter_skyline,
-    two_d_sweep,
 )
 
 
@@ -32,7 +31,6 @@ def _key(rows):
     return sorted(tuple(sorted(r.items())) for r in rows)
 
 
-SKYLINE_2D = pareto(HighestPreference("a"), LowestPreference("b"))
 SKYLINE_3D = pareto(
     HighestPreference("a"), LowestPreference("b"), HighestPreference("c")
 )
@@ -67,15 +65,11 @@ class TestAgreementProperties:
         )
 
     @given(nonempty_rows_st)
-    def test_dc_agrees_on_3d_skyline(self, rows):
-        assert _key(divide_and_conquer(SKYLINE_3D, rows, leaf_size=2)) == _key(
-            naive_nested_loop(SKYLINE_3D, rows)
-        )
-
-    @given(nonempty_rows_st)
     def test_2d_sweep_agrees(self, rows):
-        assert _key(two_d_sweep(SKYLINE_2D, rows)) == _key(
-            naive_nested_loop(SKYLINE_2D, rows)
+        """Two code axes: ``vsfs`` runs the engine's 2-d sweep."""
+        pref = pareto(HighestPreference("a"), LowestPreference("b"))
+        assert _key(ALGORITHMS["vsfs"](pref, rows)) == _key(
+            naive_nested_loop(pref, rows)
         )
 
     @given(nonempty_rows_st)
@@ -132,33 +126,33 @@ class TestCompatibleSortKey:
 
 
 class TestSkylineAxes:
+    """``chain_axis``: the injective axis of one chain arm, which the code
+    engine builds its composite arms on."""
+
     def test_chains_accepted(self):
-        assert skyline_axes(SKYLINE_3D) is not None
-        assert len(skyline_axes(SKYLINE_3D)) == 3
+        axes = [chain_axis(child) for child in SKYLINE_3D.children]
+        assert all(axis is not None for axis in axes)
+        better, worse = {"a": 2, "b": 1, "c": 2}, {"a": 1, "b": 2, "c": 1}
+        assert all(axis(worse) < axis(better) for axis in axes)
 
     def test_around_children_refused(self):
-        # Score equality is not projection equality for AROUND — vector
-        # skylines would be wrong (Example 2), so they must be refused.
-        pref = pareto(AroundPreference("a", 0), HighestPreference("b"))
-        assert skyline_axes(pref) is None
-
-    def test_non_pareto_refused(self):
-        assert skyline_axes(HighestPreference("a")) is None
+        # Score equality is not projection equality for AROUND — one axis
+        # would rank -5 with 5 (Example 2), so it must be refused (the
+        # code engine gives such an arm two axes instead).
+        assert chain_axis(AroundPreference("a", 0)) is None
 
     def test_dual_and_chain_preference_children(self):
-        pref = pareto(
-            dual(LowestPreference("a")), ChainPreference("b", key=lambda v: v)
-        )
-        assert skyline_axes(pref) is not None
+        flipped = chain_axis(dual(LowestPreference("a")))
+        assert flipped({"a": 1}) < flipped({"a": 2})
+        keyed = chain_axis(ChainPreference("b", key=lambda v: -v))
+        assert keyed({"b": 2}) < keyed({"b": 1})
 
-    def test_dc_refuses_non_vector_preference(self):
-        pref = pareto(AroundPreference("a", 0), HighestPreference("b"))
-        with pytest.raises(ValueError):
-            divide_and_conquer(pref, [{"a": 1, "b": 1}])
-
-    def test_2d_refuses_wrong_arity(self):
-        with pytest.raises(ValueError):
-            two_d_sweep(SKYLINE_3D, [{"a": 1, "b": 1, "c": 1}])
+    def test_prioritized_chain_is_one_lexicographic_axis(self):
+        arm = prioritized(LowestPreference("a"), HighestPreference("b"))
+        axis = chain_axis(arm)
+        assert axis({"a": 2, "b": 9}) < axis({"a": 1, "b": 0})
+        assert axis({"a": 1, "b": 0}) < axis({"a": 1, "b": 1})
+        assert chain_axis(prioritized(PosPreference("a", {1}), arm)) is None
 
 
 class TestSortBased:

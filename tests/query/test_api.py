@@ -17,9 +17,9 @@ from repro.core.base_numerical import (
 from repro.core.constructors import dual, pareto, prioritized
 from repro.query import optimizer
 from repro.query.api import PreferenceQuery, preference_to_ast
-from repro.query.bmo import bmo, bmo_groupby, winnow
+from repro.query.bmo import winnow, winnow_groupby
 from repro.query.quality import QualityCondition
-from repro.query.topk import top_k
+from repro.query.topk import k_best
 from repro.relations.relation import Relation
 from repro.session import Session
 
@@ -175,8 +175,9 @@ class TestExplain:
             ))
         )
         text = q.explain()
-        assert "PreferenceSelect" in text
-        assert "algorithm=" in text
+        assert "ColumnarPreferenceSelect" in text
+        assert "kernel=vsfs" in text
+        assert "decision: lowers to code axes" in text
         assert "rewrites applied:" in text
         assert "HardSelect[make = 'Opel']" in text
 
@@ -266,39 +267,42 @@ class TestToSql:
 
 
 class TestDeprecatedShims:
-    def test_bmo_warns_and_matches_fluent(self):
-        pref = pareto(PosPreference("color", {"red"}), LowestPreference("price"))
-        with pytest.deprecated_call():
-            old = bmo(pref, CAR_ROWS)
-        assert old == PreferenceQuery.over(CAR_ROWS).prefer(pref).run()
-
-    def test_bmo_respects_explicit_algorithm(self):
-        pref = LowestPreference("price")
-        with pytest.deprecated_call():
-            out = bmo(pref, CAR_ROWS, algorithm="naive")
-        assert oids(out) == [3]
-        with pytest.raises(ValueError):
-            with pytest.deprecated_call():
-                bmo(pref, CAR_ROWS, algorithm="magic")
-
-    def test_bmo_groupby_warns_and_matches_fluent(self):
-        pref = AroundPreference("price", 40000)
-        with pytest.deprecated_call():
-            old = bmo_groupby(pref, ["make"], CAR_ROWS)
-        new = PreferenceQuery.over(CAR_ROWS).prefer(pref).groupby("make").run()
-        assert old == new
-
-    def test_top_k_warns_and_matches_fluent(self):
-        pref = HighestPreference("power")
-        with pytest.deprecated_call():
-            old = top_k(pref, CAR_ROWS, 2)
-        new = PreferenceQuery.over(CAR_ROWS).prefer(pref).top(2).run()
-        assert old == new
-        assert [r["oid"] for r in new] == [4, 2]
+    """``bmo`` / ``bmo_groupby`` / ``top_k`` are gone; the operators they
+    wrapped were never shims."""
 
     def test_winnow_is_the_engine_and_does_not_warn(self, recwarn):
         assert oids(winnow(LowestPreference("price"), CAR_ROWS)) == [3]
         assert not [w for w in recwarn if w.category is DeprecationWarning]
+
+    def test_shims_are_gone(self):
+        import repro.query as query
+
+        for name in ("bmo", "bmo_groupby", "top_k"):
+            # (``query.bmo`` is the module the operators live in.)
+            assert not callable(getattr(query, name, None))
+
+
+class TestEngineOperators:
+    """The engine-level operators return what the planned pipeline does."""
+
+    def test_winnow_matches_fluent(self):
+        pref = pareto(PosPreference("color", {"red"}), LowestPreference("price"))
+        assert winnow(pref, CAR_ROWS) == (
+            PreferenceQuery.over(CAR_ROWS).prefer(pref).run()
+        )
+
+    def test_winnow_groupby_matches_fluent(self):
+        pref = AroundPreference("price", 40000)
+        old = winnow_groupby(pref, ["make"], CAR_ROWS)
+        new = PreferenceQuery.over(CAR_ROWS).prefer(pref).groupby("make").run()
+        assert old == new
+
+    def test_k_best_matches_fluent(self):
+        pref = HighestPreference("power")
+        old = k_best(pref, CAR_ROWS, 2)
+        new = PreferenceQuery.over(CAR_ROWS).prefer(pref).top(2).run()
+        assert old == new
+        assert [r["oid"] for r in new] == [4, 2]
 
 
 class TestUnifiedPipeline:
@@ -338,9 +342,4 @@ class TestUnifiedPipeline:
         )
         out = PreferenceXPath(doc).query("/CARS/CAR #[(@price) lowest]#")
         assert [n.get("price") for n in out] == [1]
-        assert len(plan_spy) == 1
-
-    def test_shims_use_planner_too(self, plan_spy):
-        with pytest.deprecated_call():
-            bmo(LowestPreference("price"), CAR_ROWS)
         assert len(plan_spy) == 1

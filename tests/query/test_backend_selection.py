@@ -1,4 +1,5 @@
-"""Planner backend choice: the statistics-driven cost model, surfaced.
+"""Planner backend choice: the structural rule and the partition cost
+model, surfaced.
 
 Covers :func:`repro.query.optimizer.choose_backend` and
 :func:`~repro.query.optimizer.estimate_cost`, the ``backend=`` hint on the
@@ -9,6 +10,8 @@ fingerprinting, and the session's columnar-store / statistics caches.
 """
 
 import pytest
+
+from tests.conftest import LOWERED_TERMS, lowered_rows
 
 from repro.core.base_nonnumerical import PosPreference
 from repro.core.base_numerical import (
@@ -35,11 +38,6 @@ SKY = pareto(HighestPreference("d0"), LowestPreference("d1"))
 SKY3 = pareto(
     HighestPreference("d0"), LowestPreference("d1"), HighestPreference("d2")
 )
-# Env-aware: a REPRO_NO_NUMPY=1 run exercises the fallback suite-wide and
-# skips the numpy-only expectations just like a NumPy-less install does.
-HAS_NUMPY = engine_backend.numpy_available()
-
-#: Large enough that the cost model picks columnar for 3-d skylines.
 BIG = 5000
 
 
@@ -68,7 +66,6 @@ class TestCostModel:
     def test_estimate_monotone_in_cardinality(self):
         small = estimate_cost(SKY3, 1_000, cores=1)
         large = estimate_cost(SKY3, 100_000, cores=1)
-        assert large.row_cost > small.row_cost
         assert large.columnar_cost > small.columnar_cost
         assert small.stats_source == "cardinality-only"
 
@@ -110,7 +107,7 @@ class TestCostModel:
 
     def test_describe_names_every_decision_input(self):
         text = estimate_cost(SKY3, 10_000, cores=4).describe()
-        for needle in ("row=", "columnar=", "selectivity", "stats="):
+        for needle in ("columnar=", "parallel", "selectivity", "stats="):
             assert needle in text
 
 
@@ -139,22 +136,17 @@ class TestChooseBackend:
         with pytest.raises(ValueError, match="no columnar evaluation"):
             choose_backend(PosPreference("d0", {1}), BIG, "parallel")
 
-    def test_auto_small_inputs_stay_row_by_cost(self):
-        # The calibrated crossover (docs/performance.md) sits near 20
-        # rows: below it the columnar pipeline's fixed cost loses.
-        choice = choose_backend(SKY3, 10, "auto")
-        assert choice.backend == "row"
-        if HAS_NUMPY:
-            assert "cost model" in choice.reason
-            assert choice.cost is not None
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="auto requires numpy")
     def test_auto_goes_columnar_when_big(self):
         choice = choose_backend(SKY3, BIG, "auto")
-        assert choice.columnar and "cost model" in choice.reason
+        assert choice.columnar and choice.reason == "lowers to code axes"
         assert isinstance(choice.cost, CostEstimate)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="auto requires numpy")
+    def test_auto_is_structural_not_sized(self):
+        for cardinality in (0, 1, 10, BIG):
+            assert choose_backend(SKY3, cardinality, "auto") == BackendChoice(
+                "columnar", "lowers to code axes"
+            )
+
     def test_weak_order_arms_go_columnar(self):
         """The 1.4k-row Pareto the old constants kept on the row engine
         (31 ms there, 2.7 ms columnar).  Selectivity counts the two arms,
@@ -182,19 +174,24 @@ class TestChooseBackend:
             )
             assert choice == BackendChoice("row", "no columnar dominance form")
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="auto requires numpy")
-    def test_auto_parallelizes_huge_inputs_given_cores(self):
+    def test_auto_parallelizes_huge_inputs_given_cores(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CPUS", "8")
         choice = choose_backend(SKY3, 500_000, "auto")
         serial = estimate_cost(SKY3, 500_000, cores=1)
-        if choice.cost.partitions > 1:  # enough visible cores
-            assert choice.parallel
-            assert choice.cost.parallel_cost < serial.columnar_cost
+        if not engine_backend.numpy_available():
+            assert choice.columnar and not choice.parallel
+            return
+        assert choice.parallel and "cost model: parallel" in choice.reason
+        assert choice.cost.parallel_cost < serial.columnar_cost
 
-    def test_auto_stays_row_without_numpy(self, monkeypatch):
+    def test_auto_never_partitions_without_numpy(self, monkeypatch):
+        """Interpreted kernels hold the GIL: the one planning decision
+        NumPy's absence changes."""
+        monkeypatch.setenv("REPRO_CPUS", "8")
         monkeypatch.setattr(engine_backend, "_numpy", None)
-        choice = choose_backend(SKY3, BIG * 4, "auto")
-        assert choice.backend == "row"
-        assert "NumPy unavailable" in choice.reason
+        choice = choose_backend(SKY3, 500_000, "auto")
+        assert choice == BackendChoice("columnar", "lowers to code axes")
+        assert choice.partitions == 1 and choice.cost.partitions == 1
 
     def test_score_terms_stay_row_on_auto(self):
         choice = choose_backend(AroundPreference("d0", 1), BIG * 4, "auto")
@@ -208,21 +205,19 @@ class TestChooseBackend:
 
 
 class TestPlannerIntegration:
-    @pytest.mark.skipif(not HAS_NUMPY, reason="auto requires numpy")
     def test_big_skyline_plans_columnar(self, session):
         q = session.query("big").prefer(SKY3)
         assert "ColumnarPreferenceSelect" in q.explain()
         assert "backend=columnar" in q.explain()
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="auto requires numpy")
     def test_explain_shows_decision_costs_and_stats(self, session):
         text = session.query("big").prefer(SKY3).explain()
-        assert "decision: cost model" in text
-        assert "cost: row=" in text and "columnar=" in text
+        assert "decision: lowers to code axes" in text
+        assert "cost: columnar=" in text
+        assert "NumPy unavailable" not in text
         assert "selectivity" in text
         assert "stats=statistics(big)" in text
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="auto requires numpy")
     def test_paper_signature_query_plans_columnar_from_both_front_ends(self):
         """``price AROUND z AND HIGHEST(horsepower)`` (Def. 7a x Def. 8),
         as Preference SQL text and as a wire spec."""
@@ -246,18 +241,21 @@ class TestPlannerIntegration:
             for q in (sql, spec):
                 text = q.explain()
                 assert "ColumnarPreferenceSelect" in text
-                assert "decision: cost model: columnar" in text
+                assert "decision: lowers to code axes" in text
             assert sql.run() == spec.run() == sql.backend("row").run()
         finally:
             service.close()
 
-    def test_small_stays_row(self, session):
+    def test_small_plans_like_big(self, session):
         text = session.query("small").prefer(SKY).explain()
-        assert "ColumnarPreferenceSelect" not in text
+        assert "ColumnarPreferenceSelect" in text
+        rows = session.query("small").prefer(SKY).run()
+        assert rows == session.query("small").prefer(SKY).backend("row").run()
 
     def test_backend_row_overrides_auto(self, session):
         text = session.query("big").prefer(SKY3).backend("row").explain()
         assert "ColumnarPreferenceSelect" not in text
+        assert "algorithm=sfs" in text
 
     def test_backend_columnar_forces_small(self, session):
         text = session.query("small").prefer(SKY).backend("columnar").explain()
@@ -310,7 +308,6 @@ class TestPlannerIntegration:
         p = plan(pref, rel)
         assert isinstance(p.root, Cascade)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="auto mode needs NumPy")
     def test_composite_pareto_arm_goes_columnar_when_big(self, session):
         """Prioritized-chain *arms* of a Pareto term do go columnar: the
         decompose_pareto rule encodes each arm as one composite axis."""
@@ -362,6 +359,12 @@ class TestPlannerIntegration:
         assert "algorithm=vsfs" in q.explain()
         assert q.run() == session.query("big").prefer(SKY).groupby("d0").run()
 
+    def test_auto_groupby_runs_the_code_kernels_per_group(self, session):
+        base = session.query("big").prefer(SKY3).groupby("d0")
+        assert "algorithm=vsfs" in base.explain()
+        assert "algorithm=sfs" in base.backend("row").explain()
+        assert base.run() == base.backend("row").run()
+
     def test_using_vsfs_names_columnar_kernel(self, session):
         q = session.query("small").prefer(SKY).using("vsfs")
         assert "algorithm=vsfs" in q.explain()
@@ -375,6 +378,36 @@ class TestPlannerIntegration:
         )
         with pytest.raises(ValueError, match="no columnar evaluation"):
             q.explain()
+
+
+class TestOnePlanOnBothPlatforms:
+    """NumPy's presence changes which leg the engine runs, never the plan."""
+
+    @pytest.mark.parametrize("name", sorted(LOWERED_TERMS))
+    def test_same_node_and_evaluator_with_and_without_numpy(
+        self, name, monkeypatch
+    ):
+        from repro.relations.relation import Relation
+
+        pref = LOWERED_TERMS[name]
+        rel = Relation.from_dicts("t", lowered_rows(200, seed=2))
+
+        def decisions():
+            plain, grouped = plan(pref, rel), plan(pref, rel, groupby=["w"])
+            assert "NumPy unavailable" not in plain.explain()
+            node = plain.root
+            return (
+                type(node), node.strategy, node.partitions,
+                node.cost.backend, node.cost.reason,
+                type(grouped.root), grouped.root.algorithm,
+            )
+
+        monkeypatch.setenv("REPRO_CPUS", "8")
+        with_numpy = decisions()
+        monkeypatch.setattr(engine_backend, "_numpy", None)
+        assert decisions() == with_numpy
+        assert with_numpy[:3] == (ColumnarPreferenceSelect, "sfs", 1)
+        assert with_numpy[-1] == "vsfs"
 
 
 class TestFingerprintAndCache:

@@ -11,19 +11,46 @@ from repro.core.base_numerical import (
 )
 from repro.core.constructors import pareto, prioritized
 from repro.core.preference import AntiChain
-from repro.query.bmo import bmo, bmo_groupby, is_dream, perfect_matches, result_size
+from repro.query.bmo import (
+    is_dream,
+    perfect_matches,
+    result_size,
+    winnow,
+    winnow_groupby,
+)
 from repro.relations.relation import Relation
 
 
 class TestBmo:
     def test_returns_relation_for_relation(self):
         rel = Relation.from_dicts("r", [{"x": 1}, {"x": 2}])
-        out = bmo(HighestPreference("x"), rel)
+        out = winnow(HighestPreference("x"), rel)
         assert isinstance(out, Relation)
         assert out.rows() == [{"x": 2}]
 
+    def test_reads_a_relation_in_place_and_hands_out_copies(self, monkeypatch):
+        """No defensive copy on the way in (the evaluators only read);
+        the copy a caller may edit is made on the way out, by rows()."""
+        rel = Relation.from_dicts("r", [{"x": 1}, {"x": 2}, {"x": 2}])
+        copies = []
+        inner = Relation.rows
+
+        def spy(self):
+            copies.append(self)
+            return inner(self)
+
+        monkeypatch.setattr(Relation, "rows", spy)
+        out = winnow(HighestPreference("x"), rel)
+        grouped = winnow_groupby(HighestPreference("x"), ["x"], rel)
+        assert copies == []
+        assert len(out) == 2 and len(grouped) == 3
+        for row in out.rows():
+            row["x"] = -1
+        assert rel.rows() == [{"x": 1}, {"x": 2}, {"x": 2}]
+        assert out.rows() == [{"x": 2}, {"x": 2}]
+
     def test_returns_list_for_list(self):
-        out = bmo(HighestPreference("x"), [{"x": 1}, {"x": 2}])
+        out = winnow(HighestPreference("x"), [{"x": 1}, {"x": 2}])
         assert out == [{"x": 2}]
 
     def test_keeps_all_tuples_of_maximal_projection(self):
@@ -32,20 +59,20 @@ class TestBmo:
             {"x": 2, "tag": "second"},
             {"x": 1, "tag": "loser"},
         ]
-        out = bmo(HighestPreference("x"), rows)
+        out = winnow(HighestPreference("x"), rows)
         assert {r["tag"] for r in out} == {"first", "second"}
 
     def test_empty_input(self):
-        assert bmo(HighestPreference("x"), []) == []
+        assert winnow(HighestPreference("x"), []) == []
 
     def test_never_empty_on_nonempty_input(self):
         # BMO solves the empty-result problem: some maximum always exists.
         rows = [{"x": v} for v in (5, 1, 9)]
-        assert bmo(AroundPreference("x", 100), rows)
+        assert winnow(AroundPreference("x", 100), rows)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            bmo(HighestPreference("x"), [{"x": 1}], algorithm="magic")
+            winnow(HighestPreference("x"), [{"x": 1}], algorithm="magic")
 
     def test_callable_algorithm(self):
         called = []
@@ -54,7 +81,7 @@ class TestBmo:
             called.append(len(rows))
             return rows
 
-        bmo(HighestPreference("x"), [{"x": 1}], algorithm=engine)
+        winnow(HighestPreference("x"), [{"x": 1}], algorithm=engine)
         assert called == [1]
 
     def test_example9_non_monotonicity(self):
@@ -65,11 +92,11 @@ class TestBmo:
         cat = {"fuel_economy": 50, "insurance": 3, "name": "cat"}
         shark = {"fuel_economy": 50, "insurance": 10, "name": "shark"}
         turtle = {"fuel_economy": 100, "insurance": 10, "name": "turtle"}
-        assert {r["name"] for r in bmo(pref, [frog, cat])} == {"frog"}
-        assert {r["name"] for r in bmo(pref, [frog, cat, shark])} == {
+        assert {r["name"] for r in winnow(pref, [frog, cat])} == {"frog"}
+        assert {r["name"] for r in winnow(pref, [frog, cat, shark])} == {
             "frog", "shark",
         }
-        assert {r["name"] for r in bmo(pref, [frog, cat, shark, turtle])} == {
+        assert {r["name"] for r in winnow(pref, [frog, cat, shark, turtle])} == {
             "turtle",
         }
 
@@ -81,15 +108,15 @@ class TestGroupby:
             {"make": "BMW", "price": 35000},
             {"make": "BMW", "price": 50000},
         ]
-        out = bmo_groupby(AroundPreference("price", 40000), ["make"], rows)
+        out = winnow_groupby(AroundPreference("price", 40000), ["make"], rows)
         assert len(out) == 2
         assert {r["price"] for r in out} == {40000, 35000}
 
     def test_groupby_equals_antichain_prioritized(self, probe_rows):
         # sigma[P groupby A](R) == sigma[A<-> & P](R), by definition.
         pref = AroundPreference("b", 2)
-        grouped = bmo_groupby(pref, ["a"], probe_rows[::3])
-        via_term = bmo(prioritized(AntiChain("a"), pref), probe_rows[::3])
+        grouped = winnow_groupby(pref, ["a"], probe_rows[::3])
+        via_term = winnow(prioritized(AntiChain("a"), pref), probe_rows[::3])
         key = lambda r: (r["a"], r["b"], r["c"])
         assert sorted(map(key, grouped)) == sorted(map(key, via_term))
 
@@ -115,7 +142,7 @@ class TestPerfectMatches:
         rows = [{"color": c} for c in ("yellow", "red", "green", "black")]
         perfect = perfect_matches(pref, rows)
         assert [r["color"] for r in perfect] == ["red"]
-        best = bmo(pref, rows)
+        best = winnow(pref, rows)
         # Perfect matches are best matches, not conversely: yellow is best
         # available but not a dream (white beats it in the domain).
         assert {r["color"] for r in best} == {"yellow", "red"}

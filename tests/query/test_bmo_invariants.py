@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from tests.conftest import nonempty_rows_st, preference_st
 
-from repro.query.bmo import bmo
+from repro.query.bmo import winnow
 
 
 def _key(row):
@@ -24,28 +24,28 @@ def _key(row):
 @given(preference_st(max_depth=3), nonempty_rows_st)
 @settings(max_examples=60)
 def test_never_empty(pref, rows):
-    assert bmo(pref, rows)
+    assert winnow(pref, rows)
 
 
 @given(preference_st(max_depth=3), nonempty_rows_st)
 @settings(max_examples=60)
 def test_answers_come_from_the_input(pref, rows):
     input_keys = {_key(r) for r in rows}
-    assert all(_key(r) in input_keys for r in bmo(pref, rows))
+    assert all(_key(r) in input_keys for r in winnow(pref, rows))
 
 
 @given(preference_st(max_depth=3), nonempty_rows_st)
 @settings(max_examples=60)
 def test_idempotent(pref, rows):
-    once = bmo(pref, rows)
-    twice = bmo(pref, once)
+    once = winnow(pref, rows)
+    twice = winnow(pref, once)
     assert sorted(map(_key, once)) == sorted(map(_key, twice))
 
 
 @given(preference_st(max_depth=3), nonempty_rows_st)
 @settings(max_examples=60)
 def test_sound_and_complete(pref, rows):
-    answer = {_key(r) for r in bmo(pref, rows)}
+    answer = {_key(r) for r in winnow(pref, rows)}
     for candidate in rows:
         dominated = any(pref.lt(candidate, other) for other in rows)
         if dominated:
@@ -57,7 +57,7 @@ def test_sound_and_complete(pref, rows):
 @given(preference_st(max_depth=3), nonempty_rows_st)
 @settings(max_examples=40)
 def test_projection_equal_tuples_share_fate(pref, rows):
-    answer_keys = {_key(r) for r in bmo(pref, rows)}
+    answer_keys = {_key(r) for r in winnow(pref, rows)}
     attrs = pref.attributes
     by_projection: dict[tuple, list] = {}
     for row in rows:

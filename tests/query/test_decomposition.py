@@ -24,7 +24,7 @@ from repro.core.constructors import (
     prioritized,
 )
 from repro.core.preference import AntiChain
-from repro.query.bmo import bmo
+from repro.query.bmo import winnow
 from repro.query.decomposition import (
     better_than_in,
     eval_by_decomposition,
@@ -70,7 +70,7 @@ class TestProposition8:
         rows = [{"x": v} for v in (1, 2, 3, 4)]
         out = eval_union(p1, p2, rows)
         assert _distinct_keys(out) == _distinct_keys(
-            bmo(DisjointUnionPreference((p1, p2)), rows)
+            winnow(DisjointUnionPreference((p1, p2)), rows)
         )
 
     @given(nonempty_rows_st)
@@ -78,7 +78,7 @@ class TestProposition8:
         # Disjoint ranges via explicit orders on separate value islands.
         p1 = ExplicitPreference("a", [(0, 1)], rank_others=False)
         p2 = ExplicitPreference("a", [(3, 4)], rank_others=False)
-        direct = bmo(DisjointUnionPreference((p1, p2)), rows)
+        direct = winnow(DisjointUnionPreference((p1, p2)), rows)
         decomposed = eval_union(p1, p2, rows)
         assert _distinct_keys(direct) == _distinct_keys(decomposed)
 
@@ -89,7 +89,7 @@ class TestProposition9:
     def test_intersection_property(self, rows):
         p1 = AroundPreference("a", 2)
         p2 = LowestPreference("a")
-        direct = bmo(IntersectionPreference((p1, p2)), rows)
+        direct = winnow(IntersectionPreference((p1, p2)), rows)
         decomposed = eval_intersection(p1, p2, rows)
         assert _distinct_keys(direct) == _distinct_keys(decomposed)
 
@@ -100,7 +100,7 @@ class TestProposition9:
         # (needed by Proposition 12's third term).
         p1 = prioritized(HighestPreference("a"), LowestPreference("b"))
         p2 = prioritized(LowestPreference("b"), HighestPreference("a"))
-        direct = bmo(pareto(HighestPreference("a"), LowestPreference("b")), rows)
+        direct = winnow(pareto(HighestPreference("a"), LowestPreference("b")), rows)
         decomposed = eval_intersection(p1, p2, rows)
         assert _distinct_keys(direct) == _distinct_keys(decomposed)
 
@@ -123,7 +123,7 @@ class TestProposition10:
     def test_grouping_property(self, rows):
         p1 = PosPreference("a", {1, 2})
         p2 = AroundPreference("b", 2)
-        direct = bmo(prioritized(p1, p2), rows)
+        direct = winnow(prioritized(p1, p2), rows)
         decomposed = eval_prioritized_grouping(p1, p2, rows)
         assert _distinct_keys(direct) == _distinct_keys(decomposed)
 
@@ -133,7 +133,7 @@ class TestProposition10:
         p2 = PosPreference("a", {2})
         rows = [{"a": v} for v in (1, 2, 3)]
         out = eval_prioritized_grouping(p1, p2, rows)
-        assert _distinct_keys(out) == _distinct_keys(bmo(p1, rows))
+        assert _distinct_keys(out) == _distinct_keys(winnow(p1, rows))
 
     def test_partial_overlap_rejected(self):
         p1 = pareto(PosPreference("a", {1}), PosPreference("b", {1}))
@@ -148,7 +148,7 @@ class TestProposition11:
     def test_cascade_property(self, rows):
         p1 = LowestPreference("a")  # a chain
         p2 = AroundPreference("b", 2)
-        direct = bmo(prioritized(p1, p2), rows)
+        direct = winnow(prioritized(p1, p2), rows)
         cascaded = eval_prioritized_cascade(p1, p2, rows)
         assert _distinct_keys(direct) == _distinct_keys(cascaded)
 
@@ -165,7 +165,7 @@ class TestProposition12:
     def test_pareto_master_theorem(self, rows):
         p1 = AroundPreference("a", 2)
         p2 = LowestPreference("b")
-        direct = bmo(pareto(p1, p2), rows)
+        direct = winnow(pareto(p1, p2), rows)
         decomposed = eval_pareto_decomposition(p1, p2, rows)
         assert _distinct_keys(direct) == _distinct_keys(decomposed)
 
@@ -174,14 +174,14 @@ class TestProposition12:
     def test_pareto_master_theorem_layered(self, rows):
         p1 = PosPreference("a", {1, 4})
         p2 = PosPreference("b", {2})
-        direct = bmo(pareto(p1, p2), rows)
+        direct = winnow(pareto(p1, p2), rows)
         decomposed = eval_pareto_decomposition(p1, p2, rows)
         assert _distinct_keys(direct) == _distinct_keys(decomposed)
 
     def test_example11_full_result(self):
         p1, p2 = LowestPreference("A"), HighestPreference("A")
         rel = Relation.from_tuples("R", ["A"], [(3,), (6,), (9,)])
-        out = bmo(pareto(p1, p2), rel)
+        out = winnow(pareto(p1, p2), rel)
         assert sorted(r["A"] for r in out) == [3, 6, 9]
 
 
@@ -190,13 +190,13 @@ class TestDispatch:
         rows = [{"a": v, "b": w} for v in (0, 1) for w in (0, 1)]
         pref = prioritized(LowestPreference("a"), HighestPreference("b"))
         out = eval_by_decomposition(pref, rows)
-        assert _distinct_keys(out) == _distinct_keys(bmo(pref, rows))
+        assert _distinct_keys(out) == _distinct_keys(winnow(pref, rows))
 
     def test_dispatch_shared_attribute_pareto_uses_prop6(self):
         pref = pareto(AroundPreference("a", 1), LowestPreference("a"))
         rows = [{"a": v} for v in (0, 1, 2, 3)]
         out = eval_by_decomposition(pref, rows)
-        assert _distinct_keys(out) == _distinct_keys(bmo(pref, rows))
+        assert _distinct_keys(out) == _distinct_keys(winnow(pref, rows))
 
     def test_dispatch_rejects_leaves(self):
         with pytest.raises(ValueError):

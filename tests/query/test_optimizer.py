@@ -13,7 +13,7 @@ from repro.core.base_numerical import (
     LowestPreference,
 )
 from repro.core.constructors import dual, pareto, prioritized, rank
-from repro.query.bmo import bmo
+from repro.query.bmo import winnow
 from repro.query.optimizer import choose_algorithm, execute, explain, plan
 from repro.query.plan import Cascade, PreferenceSelect, TopK
 from repro.query.quality import QualityCondition
@@ -34,9 +34,9 @@ class TestChooseAlgorithm:
         ) == "sort"
 
     def test_2d_skyline(self):
-        assert choose_algorithm(
-            pareto(HighestPreference("x"), LowestPreference("y"))
-        ) == "2d"
+        pref = pareto(HighestPreference("x"), LowestPreference("y"))
+        assert choose_algorithm(pref) == "vsfs"
+        assert choose_algorithm(pref, backend="row") == "sfs"
 
     def test_multi_d_skyline(self):
         assert choose_algorithm(
@@ -45,10 +45,23 @@ class TestChooseAlgorithm:
                 LowestPreference("y"),
                 HighestPreference("z"),
             )
-        ) == "dc"
+        ) == "vsfs"
+
+    def test_weak_order_arms_lower_to_codes(self):
+        pref = pareto(PosPreference("c", {"x"}), AroundPreference("p", 1))
+        assert choose_algorithm(pref) == "vsfs"
 
     def test_sfs_when_key_exists(self):
-        pref = pareto(PosPreference("c", {"x"}), AroundPreference("p", 1))
+        """An EXPLICIT arm has no code axes but a level key."""
+        from repro.core.base_nonnumerical import ExplicitPreference
+
+        pref = pareto(
+            ExplicitPreference("c", [("x", "y")]), AroundPreference("p", 1)
+        )
+        assert choose_algorithm(pref) == "sfs"
+
+    def test_bare_chain_prioritization_stays_row(self):
+        pref = prioritized(LowestPreference("x"), HighestPreference("y"))
         assert choose_algorithm(pref) == "sfs"
 
     def test_bnl_fallback(self):
@@ -154,5 +167,5 @@ class TestOptimizerCorrectnessProperty:
     def test_optimized_equals_naive(self, pref, rows):
         relation = Relation.from_dicts("r", rows)
         optimized = execute(pref, relation)
-        naive = bmo(pref, relation, algorithm="naive")
+        naive = winnow(pref, relation, algorithm="naive")
         assert optimized == naive

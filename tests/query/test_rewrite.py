@@ -25,6 +25,7 @@ from repro.query.plan import (
     ColumnarPreferenceSelect,
     HardSelect,
     PreferenceSelect,
+    Scan,
 )
 from repro.query.rewrite import (
     RULESET_VERSION,
@@ -312,6 +313,55 @@ class TestPlanRules:
         assert "decompose_pareto" in q.explain()
         reference = winnow(pref, data, algorithm="bnl")
         assert row_set(q.run().rows()) == row_set(reference)
+
+    def test_decompose_pareto_certifies_beside_a_weak_order_arm(self):
+        """The code engine accepts what the deleted row vector skyline
+        refused: a composite arm next to an AROUND arm."""
+        data = [
+            {"a": i % 17, "b": (i * 3) % 19, "c": (i * 7) % 23}
+            for i in range(600)
+        ]
+        pref = pareto(
+            prioritized(LowestPreference("a"), HighestPreference("b")),
+            AroundPreference("c", 11),
+        )
+        q = Session({"t": data}).query("t").prefer(pref)
+        assert "decompose_pareto" in q.plan().rewrite_rules()
+        assert "composite axes" in q.explain()
+        reference = winnow(pref, data, algorithm="naive")
+        assert row_set(q.run().rows()) == row_set(reference)
+
+    def test_pruned_winnow_is_decided_like_a_planned_one(self):
+        """prune_constant_pref rebuilds its node through the planner's own
+        ``winnow_node``: same decision, same estimate — constraints
+        included — as planning the pruned term directly."""
+        from repro.analysis.constraints import constraint_registry
+        from repro.query.optimizer import winnow_node
+        from repro.query.rewrite import RewriteContext, _rule_prune_constant
+        from repro.relations.relation import Relation
+
+        rel = Relation.from_dicts("t", [
+            {"a": i % 2, "b": i % 17, "c": (i * 3) % 19, "d": 7}
+            for i in range(400)
+        ])
+        pref = pareto(
+            HighestPreference("a"), HighestPreference("b"),
+            LowestPreference("c"), HighestPreference("d"),
+        )
+        constraints = constraint_registry(rel, ["a", "b", "c", "d"])
+        assert constraints.constant("d")
+        facts = dict(cardinality=len(rel), stats=rel.stats(),
+                     constraints=constraints)
+        select = HardSelect(
+            Scan(rel), lambda r: r["a"] == 1, "a = 1", Comparison("a", "=", 1)
+        )
+        node = winnow_node(select, pref, **facts)
+        pruned_node, _, _ = _rule_prune_constant(node, RewriteContext(**facts))
+        direct = winnow_node(select, pruned_node.pref, **facts)
+        assert pruned_node.pref.attributes == ("b", "c", "d")
+        assert pruned_node == direct
+        assert pruned_node.cost.cost == direct.cost.cost
+        assert pruned_node.cost.cost.stats_source.endswith("+constraints")
 
     def test_forced_algorithm_disables_plan_rules(self, session):
         q = (

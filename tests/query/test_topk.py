@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.base_numerical import HighestPreference, ScorePreference
 from repro.core.constructors import rank
-from repro.query.topk import threshold_topk, top_k
+from repro.query.topk import k_best, threshold_topk
 from repro.relations.relation import Relation
 
 
@@ -14,34 +14,34 @@ def scored_rows(n: int = 20):
 
 class TestTopK:
     def test_best_first(self):
-        out = top_k(HighestPreference("x"), scored_rows(), 3)
+        out = k_best(HighestPreference("x"), scored_rows(), 3)
         assert [r["x"] for r in out] == [19, 18, 17]
 
     def test_relation_in_relation_out(self):
         rel = Relation.from_dicts("r", scored_rows())
-        out = top_k(HighestPreference("x"), rel, 2)
+        out = k_best(HighestPreference("x"), rel, 2)
         assert isinstance(out, Relation) and len(out) == 2
 
     def test_ties_strict_vs_all(self):
         rows = [{"x": 5, "i": 1}, {"x": 5, "i": 2}, {"x": 4, "i": 3}]
-        strict = top_k(HighestPreference("x"), rows, 1, ties="strict")
+        strict = k_best(HighestPreference("x"), rows, 1, ties="strict")
         assert len(strict) == 1
-        all_ties = top_k(HighestPreference("x"), rows, 1, ties="all")
+        all_ties = k_best(HighestPreference("x"), rows, 1, ties="all")
         assert {r["i"] for r in all_ties} == {1, 2}
 
     def test_k_larger_than_input(self):
-        out = top_k(HighestPreference("x"), scored_rows(3), 10)
+        out = k_best(HighestPreference("x"), scored_rows(3), 10)
         assert len(out) == 3
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            top_k(HighestPreference("x"), scored_rows(), 0)
+            k_best(HighestPreference("x"), scored_rows(), 0)
         with pytest.raises(ValueError):
-            top_k(HighestPreference("x"), scored_rows(), 1, ties="fuzzy")
+            k_best(HighestPreference("x"), scored_rows(), 1, ties="fuzzy")
         from repro.core.base_nonnumerical import PosPreference
 
         with pytest.raises(TypeError):
-            top_k(PosPreference("x", {1}), scored_rows(), 1)
+            k_best(PosPreference("x", {1}), scored_rows(), 1)
 
 
 class TestThresholdTopK:
@@ -56,7 +56,7 @@ class TestThresholdTopK:
     def test_matches_full_scan(self):
         rows = scored_rows(50)
         pref = self.rank_pref()
-        expected = top_k(pref, rows, 5)
+        expected = k_best(pref, rows, 5)
         got, _ = threshold_topk(pref, rows, 5)
         assert sorted(pref.score(r) for r in got) == sorted(
             pref.score(r) for r in expected

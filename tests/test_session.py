@@ -216,7 +216,7 @@ class TestPaperExamples:
         q = s.query("car").prefer(wish)
         assert oids(q.run()) == [1, 3]
         text = q.explain()
-        assert "algorithm=" in text and "rewrites applied:" in text
+        assert "kernel=vsfs" in text and "rewrites applied:" in text
 
     def test_example15_grouped_query_and_explain(self):
         s = Session({"car": ROWS})
