@@ -10,8 +10,7 @@ asserted unconditionally: partitioned results must be bit-identical to
 serial execution on every machine.
 
 Core counts are reported honestly: every benchmark prints the visible
-core count (``repro.engine.parallel.cpu_count()``, which respects the
-``REPRO_CPUS`` override) next to its timings.
+core count (``repro.engine.parallel.cpu_count()``) next to its timings.
 
 Row-engine BNL joins the comparison on the correlated workload, where its
 window stays small enough to finish in benchmark time at 200k rows; the

@@ -174,7 +174,11 @@ class HighestPreference(ScorePreference):
 
 
 class LowestPreference(ScorePreference):
-    """``LOWEST(A)``: as low as possible — a chain (Definition 7c)."""
+    """``LOWEST(A)``: as low as possible — a chain (Definition 7c).
+
+    The score negates, which only numbers support; the order itself is
+    ``x < y iff x > y`` on any ordered domain, as the definition says.
+    """
 
     def __init__(self, attribute: str, domain: Domain | None = None):
         super().__init__((attribute,), _negate, name="-x", domain=domain)
@@ -182,6 +186,9 @@ class LowestPreference(ScorePreference):
     @property
     def attribute(self) -> str:
         return self.attributes[0]
+
+    def _lt(self, x: Row, y: Row) -> bool:
+        return y[self.attributes[0]] < x[self.attributes[0]]
 
     @property
     def signature(self) -> tuple:

@@ -59,7 +59,7 @@ from repro.engine.vectorized import (
     skyline_2d,
     skyline_sfs,
 )
-from repro.query.algorithms import ALGORITHMS
+from repro.query.algorithms import ALGORITHMS, best_positions
 from repro.relations.relation import Relation
 
 Row = dict[str, Any]
@@ -228,10 +228,10 @@ def columnar_winnow(
     lower to code axes (:func:`columnar_axes`) or :class:`NotColumnarError`
     is raised — callers wanting automatic fallback go through the planner,
     which only picks this evaluator when it applies.  ``partitions > 1``
-    runs the dominance kernel via the partition-and-merge executor
-    (:func:`repro.engine.parallel.parallel_skyline`) — identical results,
-    the dominance phase split across workers; the argmax path is already
-    linear and ignores it.  ``strategy`` names the kernel, and
+    splits the dominance kernel across the shared thread pool
+    (:func:`repro.engine.parallel.parallel_skyline`) on the NumPy leg —
+    identical results; the interpreted leg and the linear argmax path run
+    serially whatever it says.  ``strategy`` names the kernel, and
     :data:`repro.engine.vectorized.KERNELS` has one.  NumPy or
     interpreted is chosen once per winnow and handed to every stage:
     NumPy when importable and the input has :data:`NUMPY_MIN_ROWS` rows.
@@ -447,18 +447,17 @@ def _skyline_rows(
 
 
 def _score_rows(store: ColumnStore, pref: Preference) -> list[int]:
-    """Argmax-score row indices — one pass, mirroring sort_based_maxima."""
+    """Argmax-score row indices, mirroring sort_based_maxima (LOWEST by
+    its minimum value)."""
     score = score_function_of(pref)
     assert score is not None
+    if isinstance(pref, LowestPreference):
+        return best_positions(store.column(pref.attribute), lowest=True)
     if isinstance(pref, ScorePreference) and len(pref.attributes) == 1:
         values = list(map(pref.function, store.column(pref.attributes[0])))
     else:
         values = [score(row) for row in store.rows]
-    best = None
-    for s in values:
-        if best is None or best < s:
-            best = s
-    return [i for i, s in enumerate(values) if not (s < best)]
+    return best_positions(values)
 
 
 ALGORITHMS["vsfs"] = columnar_winnow

@@ -37,7 +37,12 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.core.base_nonnumerical import ExplicitPreference, LayeredPreference
-from repro.core.base_numerical import ScorePreference
+from repro.core.base_numerical import (
+    HighestPreference,
+    LowestPreference,
+    ScorePreference,
+    score_function_of,
+)
 from repro.core.constructors import (
     DisjointUnionPreference,
     DualPreference,
@@ -187,6 +192,8 @@ def compatible_sort_key(pref: Preference) -> Callable[[Row], Any] | None:
     guarantees no row is dominated by a later row, which is exactly what
     :func:`sort_filter_skyline` needs.  Built structurally:
 
+    * HIGHEST / LOWEST: the value, order-reversed for LOWEST (its score
+      negates, which only numbers support),
     * SCORE family: the score itself,
     * layered / EXPLICIT: negated level (level 1 is best),
     * Pareto / prioritized / intersection: tuple of child keys
@@ -196,6 +203,8 @@ def compatible_sort_key(pref: Preference) -> Callable[[Row], Any] | None:
     * linear sum: (which-world flag, child key),
     * disjoint union: no general construction -> None.
     """
+    if isinstance(pref, (HighestPreference, LowestPreference)):
+        return chain_axis(pref)
     if isinstance(pref, ScorePreference):
         return lambda row: pref.score(row)
     if isinstance(pref, LayeredPreference):
@@ -262,7 +271,11 @@ def sort_filter_skyline(
 
     After the descending presort no later row can dominate an earlier one,
     so accepted window members are final — each candidate needs only
-    one-directional tests against the window.
+    one-directional tests against the window.  A row whose key holds a
+    NaN has no place in that order; such rows skip the presort and meet
+    the window in one BNL pass at the end (a sorted row outside the
+    window is dominated by a window member, so by transitivity the
+    window is all they need to meet).
     """
     if key is None:
         key = compatible_sort_key(pref)
@@ -272,12 +285,31 @@ def sort_filter_skyline(
                 "use block_nested_loop instead"
             )
     reps, members = _distinct_projections(pref, rows)
-    ordered = sorted(reps, key=key, reverse=True)
+    sortable: list[tuple[Any, Row]] = []
+    unplaced: list[Row] = []
+    for row in reps:
+        k = key(row)
+        if _unordered(k):
+            unplaced.append(row)
+        else:
+            sortable.append((k, row))
+    sortable.sort(key=lambda pair: pair[0], reverse=True)
     window: list[Row] = []
-    for cand in ordered:
+    for _, cand in sortable:
         if not any(pref._lt(cand, w) for w in window):
             window.append(cand)
+    if unplaced:
+        window = block_nested_loop(pref, window + unplaced)
     return _fan_out(pref, rows, members, window)
+
+
+def _unordered(key: Any) -> bool:
+    """Whether a sort key holds a NaN, which no sort can place."""
+    if isinstance(key, tuple):
+        return any(_unordered(part) for part in key)
+    if isinstance(key, _Reversed):
+        return _unordered(key.value)
+    return key != key
 
 
 # -- injective chain axes -------------------------------------------------------------
@@ -291,8 +323,6 @@ def chain_axis(child: Preference) -> Callable[[Row], Any] | None:
     engine's composite-arm support builds on this
     (:func:`repro.engine.columnar.columnar_axes`).
     """
-    from repro.core.base_numerical import HighestPreference, LowestPreference
-
     if isinstance(child, HighestPreference):
         attr = child.attribute
         return lambda row: row[attr]
@@ -327,25 +357,36 @@ def sort_based_maxima(pref: Preference, rows: list[Row]) -> list[Row]:
     """One-pass maxima for SCORE preferences: keep the argmax score set.
 
     For a SCORE preference (which includes AROUND, BETWEEN, LOWEST, HIGHEST
-    and rank(F)) the maxima are exactly the rows of maximal score.
+    and rank(F)) the maxima are exactly the rows of maximal score (and the
+    NaN-scored ones, see :func:`best_positions`).  LOWEST takes its
+    minimum value instead of its maximal negation, so it runs on any
+    ordered domain.
     """
-    from repro.core.base_numerical import score_function_of
-
     score = score_function_of(pref)
     if score is None:
         raise ValueError(f"{pref!r} has no score function; use another algorithm")
     reps, members = _distinct_projections(pref, rows)
-    if not reps:
-        return []
-    best = None
-    argmax: list[Row] = []
-    for row in reps:
-        s = score(row)
-        if best is None or best < s:
-            best, argmax = s, [row]
-        elif not (s < best):
-            argmax.append(row)
-    return _fan_out(pref, rows, members, argmax)
+    if isinstance(pref, LowestPreference):
+        attr = pref.attribute
+        picked = best_positions([row[attr] for row in reps], lowest=True)
+    else:
+        picked = best_positions([score(row) for row in reps])
+    return _fan_out(pref, rows, members, [reps[i] for i in picked])
+
+
+def best_positions(scores: Sequence[Any], lowest: bool = False) -> list[int]:
+    """Positions of the best score (the highest, or the lowest) plus every
+    NaN score, ascending — the maxima of every one-pass argmax evaluator.
+
+    A score not equal to itself ranks against nothing: its row is neither
+    better nor worse than any other, so it is maximal on its own, beside
+    the best-scored group.
+    """
+    ranked = [s for s in scores if s == s]
+    if not ranked:
+        return list(range(len(scores)))
+    best = min(ranked) if lowest else max(ranked)
+    return [i for i, s in enumerate(scores) if s == best or s != s]
 
 
 ALGORITHMS.update(

@@ -94,7 +94,7 @@ class PreferenceQuery:
     __slots__ = (
         "_session", "_source", "_pref", "_cascades", "_wheres", "_groupby",
         "_quality", "_top", "_top_ties", "_select", "_order_by", "_limit",
-        "_algorithm", "_backend", "_partitions", "_use_rewriter", "_sql_ast",
+        "_algorithm", "_backend", "_use_rewriter", "_sql_ast",
         "_revised_from",
     )
 
@@ -117,7 +117,6 @@ class PreferenceQuery:
         self._limit: int | None = None
         self._algorithm: Any = None
         self._backend: str = "auto"
-        self._partitions: int | None = None
         self._use_rewriter: bool = True
         self._sql_ast: Any = None  # original psql ast.Query, when parsed
         self._revised_from: Preference | None = None  # pre-revision term
@@ -474,23 +473,16 @@ class PreferenceQuery:
         """
         return self._copy(algorithm=algorithm)
 
-    def backend(
-        self, name: str, partitions: int | None = None
-    ) -> "PreferenceQuery":
+    def backend(self, name: str) -> "PreferenceQuery":
         """Steer the winnow between execution backends (default ``"auto"``).
 
         * ``"auto"`` — a term that lowers to integer code axes runs on
           the columnar engine, anything else on the row engine; the
-          planner's cost model only decides whether to partition (see
-          :func:`repro.query.optimizer.choose_backend`),
-        * ``"columnar"`` — force the columnar engine, SCORE terms
-          included; planning raises ``ValueError`` if the preference has
-          no columnar form,
-        * ``"parallel"`` — force partition-and-merge parallel execution
-          (:mod:`repro.engine.parallel`); ``partitions`` fixes the worker
-          count (default: the visible core count).  Dominance winnows
-          need a columnar form; grouped winnows partition by group hash
-          and top-k by row range, so they take any term,
+          planner's cost model alone decides whether to split the kernel
+          across cores (see :func:`repro.query.optimizer.choose_backend`),
+        * ``"columnar"`` — force the columnar engine (serial), SCORE
+          terms included; planning raises ``ValueError`` if the preference
+          has no columnar form,
         * ``"row"`` — never columnarize: the general row path
           (``sort`` / ``sfs`` / ``bnl``).
 
@@ -503,16 +495,7 @@ class PreferenceQuery:
 
         if name not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
-        if partitions is not None:
-            if name != "parallel":
-                raise ValueError(
-                    "partitions= only applies to backend('parallel')"
-                )
-            if partitions < 1:
-                raise ValueError(
-                    f"partitions must be positive, got {partitions}"
-                )
-        return self._copy(backend=name, partitions=partitions)
+        return self._copy(backend=name)
 
     def optimize(self, enabled: bool = True) -> "PreferenceQuery":
         """Toggle the algebraic rewriter (on by default)."""
@@ -561,7 +544,6 @@ class PreferenceQuery:
             self._limit,
             self._algorithm,
             self._backend,
-            self._partitions,
             self._use_rewriter,
             self._storage_identity(),
         )
@@ -665,7 +647,6 @@ class PreferenceQuery:
             use_rewriter=self._use_rewriter,
             algorithm=self._algorithm,
             backend=self._backend,
-            partitions=self._partitions,
             storage=self._storage_backend(),
             source_name=self._catalog_source_name(),
         )

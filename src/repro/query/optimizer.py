@@ -17,9 +17,10 @@ Given a preference term and a database set, the optimizer
 
 3. asks the **cost model** (:func:`estimate_cost`) the one question that
    depends on the data: into how many partitions to split a code-kernel
-   winnow.  Per-column table statistics (:mod:`repro.relations.stats`)
-   feed the estimate — cardinality x preference arity x expected skyline
-   selectivity (overridable per query via ``PreferenceQuery.backend``),
+   winnow on the shared thread pool (:mod:`repro.engine.parallel`).  It
+   reads only what the planner can observe — cardinality, per-column
+   table statistics (:mod:`repro.relations.stats`), the visible core
+   count and whether NumPy is present; no query option overrides it,
 
 4. places hard selections below the preference operator and quality
    filters (BUT ONLY) above it, and top-k on top for ranked queries,
@@ -72,11 +73,9 @@ from repro.query.plan import (
 from repro.query.quality import QualityCondition
 from repro.relations.relation import Relation
 
-#: Valid values of the ``backend`` planning hint.  ``"parallel"`` forces
-#: the partition-and-merge executor (:mod:`repro.engine.parallel`);
-#: ``"auto"`` picks it by cost when the machine has the cores to pay for
-#: the dispatch.
-BACKENDS = ("auto", "row", "columnar", "parallel")
+#: Valid values of the ``backend`` planning hint.  Partitioning is not a
+#: hint: under ``"auto"`` the cost model decides it.
+BACKENDS = ("auto", "row", "columnar")
 
 # -- the cost model -----------------------------------------------------------------
 #
@@ -86,9 +85,10 @@ BACKENDS = ("auto", "row", "columnar", "parallel")
 # ratios steer the choice.  The constants are measured stage by stage on
 # the NumPy kernels, at 10 to 10 000 rows; the table and the method are in
 # docs/performance.md ("Calibrating the cost model").  The one exception
-# is PARTITION_OVERHEAD, which needs more cores than the calibration host
-# has: it is rescaled with VEC_COMPARE_COST, so the partitioning decision
-# stays where it was.
+# is PARTITION_OVERHEAD, rescaled with VEC_COMPARE_COST so the
+# partitioning decision stays where it was; what the thread leg actually
+# gains on two cores is measured in docs/performance.md ("Parallel
+# execution").
 
 ENCODE_COST = 0.25        #: extract + encode one value into one integer code
 VEC_COMPARE_COST = 1 / 512  #: one broadcasted int comparison (NumPy kernels)
@@ -328,7 +328,6 @@ def choose_backend(
     cardinality: int,
     hint: str = "auto",
     stats: Any = None,
-    partitions: int | None = None,
     constraints: Any = None,
 ) -> BackendChoice:
     """Row or code-kernel ("columnar") execution of a winnow, and into how
@@ -344,38 +343,26 @@ def choose_backend(
 
     ``hint="columnar"`` forces serial columnar execution (SCORE terms
     included: the argmax path) and raises ``ValueError`` for ineligible
-    terms; ``hint="parallel"`` additionally forces partitioning
-    (``partitions`` workers, default the visible core count);
-    ``hint="row"`` forces the general row path.
+    terms; ``hint="row"`` forces the general row path.
     """
     if hint not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {hint!r}")
     if hint == "row":
         return BackendChoice("row", "backend=row requested")
-    if hint in ("columnar", "parallel"):
+    if hint == "columnar":
         profile = columnar_profile(pref)
         if profile is None:
             raise ValueError(
                 f"{pref!r} has no columnar evaluation (needs a Pareto of "
                 "chains and weak orders or a SCORE-representable term); "
-                f"drop the backend={hint!r} hint"
+                "drop the backend='columnar' hint"
             )
         cost = (
             estimate_cost(pref, cardinality, stats, constraints=constraints)
             if profile == "skyline"
             else None
         )
-        if hint == "columnar":
-            return BackendChoice(
-                "columnar", "backend=columnar requested", cost=cost
-            )
-        forced = partitions if partitions is not None else max(2, cpu_count())
-        return BackendChoice(
-            "columnar",
-            f"backend=parallel requested ({forced} partitions)",
-            partitions=max(1, forced),
-            cost=cost,
-        )
+        return BackendChoice("columnar", "backend=columnar requested", cost=cost)
     reason = row_reason(pref)
     if reason is not None:
         return BackendChoice("row", reason)
@@ -401,7 +388,6 @@ def winnow_node(
     cardinality: int,
     backend: str = "auto",
     stats: Any = None,
-    partitions: int | None = None,
     constraints: Any = None,
 ) -> PlanNode:
     """The plan node of one plain winnow ``sigma[pref](child)``: the
@@ -410,8 +396,7 @@ def winnow_node(
     here, so a rewritten node is decided on exactly what the original was.
     """
     choice = choose_backend(
-        pref, cardinality, backend, stats=stats, partitions=partitions,
-        constraints=constraints,
+        pref, cardinality, backend, stats=stats, constraints=constraints
     )
     if choice.columnar:
         return ColumnarPreferenceSelect(
@@ -474,7 +459,6 @@ def plan(
     use_rewriter: bool = True,
     algorithm: Any | None = None,
     backend: str = "auto",
-    partitions: int | None = None,
     storage: Any = None,
     source_name: str | None = None,
 ) -> Plan:
@@ -484,11 +468,9 @@ def plan(
     projection, limit only).  ``algorithm`` forces one evaluation engine —
     a name from :data:`repro.query.algorithms.ALGORITHMS` or a callable —
     bypassing both automatic selection and cascade splitting.  ``backend``
-    ("auto" / "row" / "columnar" / "parallel") steers the winnow between
-    the row engine, the columnar engine, and partition-and-merge parallel
-    execution (see :func:`choose_backend`; ``partitions`` fixes the worker
-    count for the "parallel" hint); it cannot be combined with a forced
-    ``algorithm``, which already names an engine.
+    ("auto" / "row" / "columnar") steers the winnow between the row engine
+    and the columnar engine (see :func:`choose_backend`); it cannot be
+    combined with a forced ``algorithm``, which already names an engine.
 
     With ``use_rewriter=True`` (the default) the plan is rewritten by
     :func:`repro.query.rewrite.rewrite_plan`: WHERE conjuncts proven rigid
@@ -505,14 +487,6 @@ def plan(
             "algorithm= already forces an engine; drop the backend= hint "
             "(the code kernels are algorithm 'vsfs')"
         )
-    if partitions is not None:
-        if backend != "parallel":
-            raise ValueError(
-                "partitions= only applies to backend='parallel' "
-                f"(got backend={backend!r})"
-            )
-        if partitions < 1:
-            raise ValueError(f"partitions must be positive, got {partitions}")
     conjuncts = _conjuncts(hard, hard_label, wheres)
     node: PlanNode = Scan(relation)
 
@@ -616,22 +590,13 @@ def plan(
             if conjunct_ast is not None:
                 profiled |= _rewrite.fixed_attributes(conjunct_ast)
         constraints = constraint_registry(relation, sorted(profiled))
-    requested_partitions = (
-        max(1, partitions if partitions is not None else cpu_count())
-        if backend == "parallel"
-        else 1
-    )
     if top_k is not None:
         if backend == "columnar":
             raise ValueError(
                 "top-k is ranked by scores, not dominance; the columnar "
                 "backend does not apply (drop the backend='columnar' hint)"
             )
-        # Ranked retrieval is score-and-sort — linear, and trivially
-        # partitionable (local k-bests merge by one more k-best): the
-        # "parallel" hint partitions it, auto leaves it serial.
-        node = TopK(node, pref, top_k, ties=top_ties,
-                    partitions=requested_partitions)
+        node = TopK(node, pref, top_k, ties=top_ties)
     elif groupby:
         group_algorithm = algorithm
         if group_algorithm is None:
@@ -642,19 +607,15 @@ def plan(
                 group_algorithm = "vsfs"
             else:
                 group_algorithm = choose_algorithm(pref, backend)
-        # Grouped winnows partition by group hash (no merge needed) under
-        # the "parallel" hint; per-group sizes are unknown to the cost
-        # model, so auto stays serial.
         node = GroupedPreferenceSelect(
-            node, pref, tuple(groupby), algorithm=group_algorithm,
-            partitions=requested_partitions,
+            node, pref, tuple(groupby), algorithm=group_algorithm
         )
     elif algorithm is not None:
         node = PreferenceSelect(node, pref, algorithm=algorithm)
     else:
         node = winnow_node(
             node, pref, cardinality, backend, stats=stats,
-            partitions=partitions, constraints=constraints,
+            constraints=constraints,
         )
     for predicate, label, ast in lifted:
         node = HardSelect(node, predicate, label, ast)
@@ -674,7 +635,6 @@ def plan(
             backend=backend,
             cardinality=cardinality,
             stats=stats,
-            partitions=partitions,
             constraints=constraints,
         )
         node, plan_steps = _rewrite.rewrite_plan(node, ctx)

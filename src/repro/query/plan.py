@@ -202,7 +202,7 @@ class ColumnarPreferenceSelect(PlanNode):
     child: PlanNode
     pref: Preference
     strategy: str = "sfs"
-    #: >1 = partition-and-merge parallel execution on the shared worker
+    #: >1 = the cost model split the kernel across the shared thread
     #: pool (:mod:`repro.engine.parallel`); results are identical.
     partitions: int = 1
     #: The planner's :class:`~repro.query.optimizer.BackendChoice`
@@ -241,30 +241,17 @@ class GroupedPreferenceSelect(PlanNode):
     pref: Preference
     by: tuple[str, ...]
     algorithm: Any = "bnl"
-    #: >1 = groups hashed onto this many workers (no merge needed).
-    partitions: int = 1
 
     def execute(self) -> Relation:
-        if self.partitions > 1:
-            from repro.engine.parallel import parallel_winnow_groupby
-
-            return parallel_winnow_groupby(
-                self.pref, self.by, self.child.execute(),
-                algorithm=self.algorithm, partitions=self.partitions,
-            )
         return winnow_groupby(
             self.pref, self.by, self.child.execute(), algorithm=self.algorithm
         )
 
     def lines(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
-        parallel = (
-            f" partitions={self.partitions}" if self.partitions > 1 else ""
-        )
         return [
             f"{pad}GroupedPreferenceSelect[{self.pref!r} groupby "
-            f"{list(self.by)}] algorithm={_algorithm_label(self.algorithm)}"
-            f"{parallel}",
+            f"{list(self.by)}] algorithm={_algorithm_label(self.algorithm)}",
             *self.child.lines(indent + 1),
         ]
 
@@ -307,8 +294,10 @@ class SortedWinnow(PlanNode):
     input can be, the BMO set is exactly the first ORDER BY group — no
     dominance testing is needed.  Execution is a single argmax pass: rank
     every row by the term's score (or a chain's order-compatible key) and
-    keep the rows achieving the best rank.  ``constraint`` records the
-    proof's provenance and is printed by ``explain()``.
+    keep the rows achieving the best rank, plus every row whose rank is
+    NaN — such a row is comparable to nothing but itself, so it is
+    maximal on its own.  ``constraint`` records the proof's provenance
+    and is printed by ``explain()``.
     """
 
     child: PlanNode
@@ -319,7 +308,7 @@ class SortedWinnow(PlanNode):
     singleton: bool = False
 
     def execute(self) -> Relation:
-        from repro.query.algorithms import compatible_sort_key
+        from repro.query.algorithms import best_positions, compatible_sort_key
         from repro.core.base_numerical import (
             HighestPreference,
             LowestPreference,
@@ -333,31 +322,22 @@ class SortedWinnow(PlanNode):
         # the cached column vector (builtin max/min, no per-row closures).
         pref = self.pref
         if isinstance(pref, (HighestPreference, LowestPreference)):
-            attribute = pref.attributes[0]
             try:
-                values = rel.columns()[attribute]
-                best = (
-                    max(values) if isinstance(pref, HighestPreference)
-                    else min(values)
-                )
+                return rel.take(best_positions(
+                    rel.columns()[pref.attributes[0]],
+                    lowest=isinstance(pref, LowestPreference),
+                ))
             except (TypeError, KeyError):
                 pass  # nulls / mixed types: fall through to the row scan
-            else:
-                return rel.take(
-                    i for i, v in enumerate(values) if v == best
-                )
         score = score_function_of(pref)
         if score is None:
             score = compatible_sort_key(pref)
         if score is None:  # unreachable for rule-built nodes; stay safe
             return winnow(pref, rel)
-        rows = rel.rows()
         try:
-            ranked = [score(row) for row in rows]
-            best = max(ranked)
+            return rel.take(best_positions([score(row) for row in rel.rows()]))
         except TypeError:
             return winnow(pref, rel)
-        return rel.take(i for i, r in enumerate(ranked) if r == best)
 
     def lines(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
@@ -379,27 +359,14 @@ class TopK(PlanNode):
     pref: Preference
     k: int
     ties: str = "strict"
-    #: >1 = per-partition local k-bests merged by one final k-best.
-    partitions: int = 1
 
     def execute(self) -> Relation:
-        if self.partitions > 1:
-            from repro.engine.parallel import parallel_k_best
-
-            return parallel_k_best(
-                self.pref, self.child.execute(), self.k, ties=self.ties,
-                partitions=self.partitions,
-            )
         return k_best(self.pref, self.child.execute(), self.k, ties=self.ties)
 
     def lines(self, indent: int = 0) -> list[str]:
         pad = "  " * indent
-        parallel = (
-            f" partitions={self.partitions}" if self.partitions > 1 else ""
-        )
         return [
-            f"{pad}TopK[k={self.k}, ties={self.ties}, {self.pref!r}]"
-            f"{parallel}",
+            f"{pad}TopK[k={self.k}, ties={self.ties}, {self.pref!r}]",
             *self.child.lines(indent + 1),
         ]
 

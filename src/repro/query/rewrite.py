@@ -360,8 +360,6 @@ class RewriteContext:
     #: :class:`repro.relations.stats.TableStats`), for rules that re-run
     #: the cost-based backend choice on a rewritten term.
     stats: Any = None
-    #: Explicit partition count of a backend="parallel" hint, if any.
-    partitions: int | None = None
     #: Integrity constraints proved for the planned relation (a
     #: :class:`repro.analysis.constraints.ConstraintSet`: declared schema
     #: constraints plus statistics-derived keys/constants/bounds).  The
@@ -549,8 +547,7 @@ def _rule_prune_constant(
         # survive pruning.
         new_node = winnow_node(
             node.child, pruned, ctx.cardinality, ctx.backend,
-            stats=ctx.stats, partitions=ctx.partitions,
-            constraints=ctx.constraints,
+            stats=ctx.stats, constraints=ctx.constraints,
         )
     except ValueError:
         # The pruned term would lose its (user-forced) columnar form;
@@ -721,7 +718,7 @@ def _rule_winnow_to_sort(
     """Weak order under constraints ⇒ ORDER BY + first group."""
     if ctx.forced_algorithm is not None:
         return None
-    if ctx.backend in ("columnar", "parallel"):
+    if ctx.backend == "columnar":
         return None  # honor the caller's explicit engine hint
     constraints = ctx.constraints
     if not constraints:

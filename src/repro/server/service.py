@@ -18,10 +18,10 @@ caches) and adds everything a long-running server needs:
   to a fresh plan execution.
 * **A worker pool** — CPU-bound winnows run on :attr:`executor` threads so
   the asyncio front end (:mod:`repro.server.server`) never blocks its
-  event loop.  By default this is the engine's **shared parallel
-  executor** (:func:`repro.engine.parallel.shared_executor`) — the same
-  pool partitioned winnows fan out on — so concurrent clients and
-  parallel kernels queue on one core-sized worker set instead of
+  event loop.  By default this is the engine's **shared executor**
+  (:func:`repro.engine.parallel.shared_executor`) — the same pool the
+  cost model's partitioned kernels fan out on — so concurrent clients and
+  partitioned kernels queue on one core-sized worker set instead of
   oversubscribing the machine with nested pools.
 
 The query path is two steps: :meth:`PreferenceService.resolve` (build,
@@ -182,7 +182,7 @@ class PreferenceService:
         self._mutation_lock = self.session.mutation_lock
         self._mutation_hook = self.session.on_mutation(self._on_mutation)
         # max_workers=None adopts the engine-wide shared executor — the
-        # pool the parallel winnow executor fans partitions out on — so
+        # pool partitioned code kernels fan out on — so
         # service queries and partitioned kernels share one core-sized
         # worker set.  An explicit max_workers gets a private pool (and
         # close() then owns its shutdown).
@@ -248,11 +248,7 @@ class PreferenceService:
              "top": 5, "ties": "all",
              "but_only": [["distance", "price", "<=", 2000]],
              "order_by": [["price", false]], "select": [...], "limit": 10,
-             "backend": "parallel", "partitions": 4}
-
-        ``partitions`` implies (and is only meaningful with) the
-        ``"parallel"`` backend; giving it with ``backend`` absent or
-        ``"auto"`` upgrades the hint to ``"parallel"``.
+             "backend": "auto"}                       # or "row" / "columnar"
 
         Preference dicts use the :mod:`repro.engineering.serialization`
         format; SCORE / rank(F) function names resolve against the
@@ -277,11 +273,13 @@ class PreferenceService:
         known = {
             "relation", "where", "prefer", "cascade", "groupby", "top",
             "ties", "but_only", "order_by", "select", "limit", "backend",
-            "partitions",
         }
         unknown = sorted(set(spec) - known)
         if unknown:
-            raise ServiceError(f"unknown spec field(s) {unknown}")
+            raise ServiceError(
+                f"unknown spec field(s) {unknown}; valid fields: "
+                f"{sorted(known)}"
+            )
         relation = spec.get("relation")
         if not isinstance(relation, str) or not relation:
             raise ServiceError("spec needs a 'relation' name")
@@ -308,15 +306,8 @@ class PreferenceService:
             q = q.select(*spec["select"])
         if spec.get("limit") is not None:
             q = q.limit(int(spec["limit"]))
-        backend = spec.get("backend")
-        partitions = spec.get("partitions")
-        if partitions is not None and backend in (None, "auto"):
-            backend = "parallel"  # partitions implies the parallel hint
-        if backend:
-            q = q.backend(
-                backend,
-                partitions=int(partitions) if partitions is not None else None,
-            )
+        if spec.get("backend"):
+            q = q.backend(spec["backend"])
         return q
 
     def _pref(self, data: Any) -> Preference:

@@ -1,16 +1,18 @@
-"""Parallel-vs-serial parity: the partitioned executor is bit-identical.
+"""Parallel-vs-serial parity: the partitioned code kernel is bit-identical.
 
 The partition-and-merge executor (:mod:`repro.engine.parallel`) must be an
-*implementation detail*: for every preference, dataset, partition count
-(1-16), tie policy, and backend substrate (NumPy / pure Python), results
-equal the serial engines exactly — same rows, same order.  Degenerate
-paths get their own cases: one core, one row, empty inputs, more
-partitions than rows, and the forced pure-Python fallback.
+*implementation detail*: for every preference, dataset and partition count
+(1-16), results equal the serial kernel exactly — same rows, same order.
+Partitions run on the NumPy leg only; the interpreted leg runs the serial
+kernel whatever it is asked.  Degenerate paths get their own cases: one
+core, one row, empty inputs, more partitions than rows, a saturated pool.
 """
 
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,19 +28,13 @@ from repro.core.base_numerical import (
 from repro.core.constructors import pareto
 from repro.datasets.skyline_data import skyline_relation
 from repro.engine import backend as engine_backend
+from repro.engine import columnar
 from repro.engine import parallel as P
 from repro.engine.columnar import NotColumnarError, columnar_winnow
-from repro.engine.parallel import (
-    parallel_k_best,
-    parallel_skyline,
-    parallel_winnow,
-    parallel_winnow_groupby,
-    partition_spans,
-)
+from repro.engine.parallel import parallel_skyline, partition_spans
 from repro.engine.vectorized import skyline_sfs
+from repro.query import optimizer
 from repro.query.algorithms import block_nested_loop
-from repro.query.bmo import winnow_groupby
-from repro.query.topk import k_best
 
 PARTITION_COUNTS = (1, 2, 3, 4, 8, 16)
 
@@ -101,53 +97,6 @@ class TestParallelSkyline:
         with pytest.raises(ValueError, match="unknown parallel strategy"):
             parallel_skyline([(1, 2)], 2, strategy="quantum")
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode must be"):
-            parallel_skyline(distinct_matrix(10, 2, 9, 1), 2, mode="fibers")
-
-    @pytest.mark.parametrize("partitions", (2, 5, 16))
-    def test_pure_python_threads(self, monkeypatch, partitions):
-        monkeypatch.setattr(engine_backend, "_numpy", None)
-        matrix = distinct_matrix(300, 3, 20, seed=4)
-        expected = skyline_sfs(matrix)
-        assert parallel_skyline(matrix, partitions, mode="threads") == expected
-
-    def test_process_pool_path(self, monkeypatch):
-        try:
-            from multiprocessing import shared_memory
-
-            probe = shared_memory.SharedMemory(create=True, size=8)
-            probe.close()
-            probe.unlink()
-        except Exception:
-            pytest.skip("shared memory unavailable on this platform")
-        monkeypatch.setattr(engine_backend, "_numpy", None)
-        matrix = distinct_matrix(400, 3, 25, seed=5)
-        expected = skyline_sfs(matrix)
-        got = parallel_skyline(matrix, 4, mode="processes")
-        assert got == expected
-
-    def test_explicit_process_mode_honored_with_numpy(self):
-        # mode="processes" is a contract, not a hint: it must take the
-        # shared-memory path (or its thread fallback) even when NumPy is
-        # importable, and agree with the serial kernel either way.
-        matrix = distinct_matrix(300, 3, 25, seed=12)
-        assert parallel_skyline(matrix, 3, mode="processes") == skyline_sfs(
-            matrix
-        )
-
-    def test_process_pool_refusal_falls_back(self, monkeypatch):
-        # A platform refusing shared memory must degrade to threads, not
-        # raise: simulate by making the pool setup fail outright.
-        monkeypatch.setattr(engine_backend, "_numpy", None)
-        monkeypatch.setattr(
-            P, "_process_pool_skyline", lambda *a, **k: None
-        )
-        matrix = distinct_matrix(200, 3, 15, seed=6)
-        assert parallel_skyline(matrix, 4, mode="processes") == skyline_sfs(
-            matrix
-        )
-
     @settings(max_examples=40, deadline=None)
     @given(
         rows=st.sets(
@@ -195,13 +144,6 @@ class TestParallelColumnarWinnow:
         serial = columnar_winnow(PREF2, rows)
         assert columnar_winnow(PREF2, rows, partitions=partitions) == serial
 
-    def test_parallel_winnow_wrapper(self):
-        relation = skyline_relation("independent", 800, 3, seed=13)
-        assert (
-            parallel_winnow(PREF3, relation, partitions=4).rows()
-            == columnar_winnow(PREF3, relation).rows()
-        )
-
     def test_parallel_winnow_rejects_non_columnar_terms(self):
         """Weak-order arms partition like any other code axes; arms with
         no code-axis form (EXPLICIT, multi-attribute SCORE) still refuse."""
@@ -211,7 +153,7 @@ class TestParallelColumnarWinnow:
 
         around = pareto(AroundPreference("d0", 1), AroundPreference("d1", 1))
         rows = [{"d0": i % 5, "d1": (i * 3) % 7} for i in range(40)]
-        assert parallel_winnow(around, rows, partitions=2) == (
+        assert columnar_winnow(around, rows, partitions=2) == (
             naive_nested_loop(around, rows)
         )
         for arm in (
@@ -219,7 +161,7 @@ class TestParallelColumnarWinnow:
             ScorePreference(("d0", "d1"), sum, name="sum"),
         ):
             with pytest.raises(NotColumnarError):
-                parallel_winnow(
+                columnar_winnow(
                     pareto(AroundPreference("d0", 1), arm),
                     [{"d0": 1, "d1": 2}],
                     partitions=2,
@@ -234,105 +176,82 @@ class TestParallelColumnarWinnow:
         assert parallel.rows() == serial.rows()
 
 
-class TestParallelGroupby:
-    @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
-    def test_grouped_parity_exact_order(self, partitions):
-        rng = random.Random(23)
-        rows = [
-            {
-                "g": rng.randrange(9),
-                "d0": rng.randrange(50),
-                "d1": rng.randrange(50),
-            }
-            for _ in range(700)
-        ]
-        serial = winnow_groupby(PREF2, ["g"], rows, algorithm="bnl")
-        parallel = parallel_winnow_groupby(
-            PREF2, ["g"], rows, algorithm="bnl", partitions=partitions
-        )
-        assert parallel == serial  # same rows, same order
-
-    def test_empty_input(self):
-        assert parallel_winnow_groupby(PREF2, ["g"], [], partitions=4) == []
-
-    def test_single_group(self):
-        rows = [{"g": 1, "d0": i, "d1": -i} for i in range(50)]
-        serial = winnow_groupby(PREF2, ["g"], rows)
-        assert parallel_winnow_groupby(PREF2, ["g"], rows, partitions=8) == serial
-
-
-class TestParallelTopK:
-    @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
-    @pytest.mark.parametrize("ties", ["strict", "all"])
-    def test_top_k_parity_exact_order(self, partitions, ties):
-        rng = random.Random(31)
-        # Heavy score ties on purpose: the stable global cut is the part
-        # partitioning could plausibly break.
-        rows = [{"s": rng.randrange(12), "i": i} for i in range(400)]
-        pref = HighestPreference("s")
-        for k in (1, 5, 17, 400, 1000):
-            serial = k_best(pref, rows, k, ties=ties)
-            parallel = parallel_k_best(
-                pref, rows, k, ties=ties, partitions=partitions
-            )
-            assert parallel == serial
-
-    def test_empty_input(self):
-        assert parallel_k_best(HighestPreference("s"), [], 3, partitions=4) == []
-
-
 class TestExecutorPlumbing:
-    def test_cpu_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CPUS", "3")
-        assert P.cpu_count() == 3
-        monkeypatch.setenv("REPRO_CPUS", "not-a-number")
-        assert P.cpu_count() >= 1
-
     def test_shared_executor_is_shared_and_survives(self):
         first = P.shared_executor()
         assert P.shared_executor() is first
 
     def test_single_visible_core_still_correct(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CPUS", "1")
-        matrix = distinct_matrix(300, 3, 30, seed=41)
-        assert parallel_skyline(matrix, 4) == skyline_sfs(matrix)
+        monkeypatch.setattr(P, "cpu_count", lambda: 1)
+        monkeypatch.setattr(P, "_executor", None)
+        try:
+            matrix = distinct_matrix(300, 3, 30, seed=41)
+            assert parallel_skyline(matrix, 4) == skyline_sfs(matrix)
+        finally:
+            P.shared_executor().shutdown(wait=False)
 
-    def test_saturated_pool_cannot_deadlock(self):
+    def test_saturated_pool_cannot_deadlock(self, monkeypatch):
         # Simulate the nested case: the calling task itself occupies every
-        # worker of a one-thread pool — partition thunks must be stolen
-        # back and run inline instead of waiting forever.
-        from concurrent.futures import ThreadPoolExecutor
-
-        matrix = distinct_matrix(500, 3, 30, seed=43)
-        expected = skyline_sfs(matrix)
+        # worker of a one-thread shared pool — partition thunks must be
+        # stolen back and run inline instead of waiting forever.
+        relation = skyline_relation("anticorrelated", 600, 3, seed=43)
+        expected = columnar_winnow(PREF3, relation).rows()
         pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(P, "shared_executor", lambda: pool)
         try:
             blocked = pool.submit(
-                lambda: parallel_skyline(matrix, 4, executor=pool)
+                lambda: columnar_winnow(PREF3, relation, partitions=4)
             )
-            assert blocked.result(timeout=30) == expected
+            assert blocked.result(timeout=30).rows() == expected
         finally:
             pool.shutdown(wait=False)
+
+
+class TestOnlyThePlannerPartitions:
+    def test_interpreted_leg_calls_no_pool(self, monkeypatch):
+        """Interpreted kernels hold the GIL, so the interpreted leg runs
+        the serial kernel however many partitions it is asked for."""
+        relation = skyline_relation("independent", 1200, 3, seed=5)
+        expected = columnar_winnow(PREF3, relation).rows()
+        monkeypatch.setattr(engine_backend, "_numpy", None)
+        calls = []
+        monkeypatch.setattr(
+            P, "shared_executor", lambda: calls.append("pool") or None
+        )
+        monkeypatch.setattr(
+            P, "_map_partitions", lambda *a: calls.append("map") or []
+        )
+        assert columnar_winnow(PREF3, relation, partitions=4).rows() == expected
+        assert calls == []
+
+    def test_explain_never_partitions_without_numpy(self, monkeypatch):
+        """Four chains over 10 000 rows: worth two partitions to the cost
+        model on two cores with NumPy, and never without it."""
+        pref = pareto(*(HighestPreference(f"d{i}") for i in range(4)))
+        relation = skyline_relation("independent", 10_000, 4, seed=7)
+        monkeypatch.setattr(optimizer, "cpu_count", lambda: 2)
+        if engine_backend.numpy_available():
+            assert "partitions=2" in optimizer.explain(pref, relation)
+        monkeypatch.setattr(engine_backend, "_numpy", None)
+        assert "partitions=" not in optimizer.explain(pref, relation)
 
 
 class TestHypothesisQueryParity:
     @settings(max_examples=30, deadline=None)
     @given(
         data=st.lists(
-            st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3)),
+            st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
             min_size=0,
             max_size=80,
         ),
         partitions=st.integers(1, 16),
     )
-    def test_winnow_and_groupby_parity(self, data, partitions):
-        rows = [{"d0": a, "d1": b, "g": g} for a, b, g in data]
-        serial = columnar_winnow(PREF2, rows) if rows else []
-        assert columnar_winnow(PREF2, rows, partitions=partitions) == serial
-        grouped_serial = winnow_groupby(PREF2, ["g"], rows)
-        assert (
-            parallel_winnow_groupby(
-                PREF2, ["g"], rows, partitions=partitions
-            )
-            == grouped_serial
-        )
+    def test_winnow_parity(self, data, partitions):
+        rows = [{"d0": a, "d1": b, "d2": c} for a, b, c in data]
+        for pref in (PREF2, PREF3):
+            serial = columnar_winnow(pref, rows)
+            # Every size takes the NumPy leg, so the partitions do run.
+            with mock.patch.object(columnar, "NUMPY_MIN_ROWS", 0):
+                assert columnar_winnow(
+                    pref, rows, partitions=partitions
+                ) == serial

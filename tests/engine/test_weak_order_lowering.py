@@ -9,9 +9,9 @@ that equidistant values, score ties, duplicate projections, NaN values and
 values in no layer all occur in most examples.  The oracle is
 ``naive_nested_loop``; the legs are the NumPy kernels, the interpreted
 kernels (which inputs this small take by themselves, and
-``REPRO_NO_NUMPY=1`` forces), a planner-forced ``backend("parallel")``, and
-the three ways a term reaches the engine: ``full_winnow``, a planned query
-and a grouped winnow.
+``REPRO_NO_NUMPY=1`` forces), the kernel split into three partitions, and
+the three ways a term reaches the engine: ``full_winnow``, a planned
+(rewritten) query and a grouped winnow.
 
 A table then walks the size switch between the two legs: one term per
 lowered shape, at 0, 1 and N-1 / N / N+1 rows around
@@ -135,25 +135,17 @@ def test_columnar_winnow_is_the_definitional_bmo_set(pref, rows):
     assert _bag(columnar_winnow(pref, rows)) == expected
     with mock.patch.object(columnar, "NUMPY_MIN_ROWS", 0):
         assert _bag(columnar_winnow(pref, rows)) == expected
+        assert _bag(columnar_winnow(pref, rows, partitions=3)) == expected
     with mock.patch.dict("os.environ", {"REPRO_NO_NUMPY": "1"}):
         assert _bag(columnar_winnow(pref, rows)) == expected
-    forced = (
-        PreferenceQuery.over(rows)
-        .prefer(pref)
-        .optimize(False)  # the term as drawn, not its simplification
-        .backend("parallel", 3)
-    )
-    assert "partitions=3" in forced.explain()
-    assert _bag(forced.run()) == expected
-    # Unrewritten: winnow_to_sort's SortedWinnow does not take NaN scores.
-    _check_every_entry(pref, rows, expected, optimize=False)
+    _check_every_entry(pref, rows, expected)
 
 
-def _check_every_entry(pref, rows, expected, optimize=True):
+def _check_every_entry(pref, rows, expected):
     """``full_winnow``, a planned query and a grouped winnow (all of
     ``rows`` as one group beside a second, smaller one) against the oracle."""
     assert _bag(full_winnow(pref, rows)) == expected
-    planned = PreferenceQuery.over(rows).prefer(pref).optimize(optimize)
+    planned = PreferenceQuery.over(rows).prefer(pref)
     assert _bag(planned.run()) == expected
     grouped = [dict(row, g=0) for row in rows]
     grouped += [dict(row, g=1) for row in rows[:5]]

@@ -172,6 +172,66 @@ class TestSortBased:
         assert out == [{"a": 0, "b": 3}]
 
 
+class TestNaNScores:
+    """A NaN score ranks against nothing: its row is maximal on its own,
+    whatever position it holds in the input."""
+
+    ROWS = [{"n": float("nan"), "i": 0}, {"n": 0, "i": 1}, {"n": 1, "i": 2},
+            {"n": 3, "i": 3}, {"n": float("nan"), "i": 4}]
+
+    @pytest.mark.parametrize("pref", [
+        dual(ScorePreference(("n",), lambda v: v % 3, name="mod3")),
+        AroundPreference("n", 0),
+    ])
+    def test_argmax_keeps_the_best_and_every_nan(self, pref):
+        for rows in (self.ROWS, self.ROWS[::-1]):
+            assert _key(sort_based_maxima(pref, rows)) == _key(
+                naive_nested_loop(pref, rows)
+            )
+
+    def test_sfs_places_rows_its_key_cannot_order(self):
+        """A NaN inside the presort key leaves ``sorted`` no consistent
+        order; in some input orders 3 would land after 1, its dominator."""
+        import itertools
+
+        from repro.core.constructors import intersection
+
+        mod3 = ScorePreference(("n",), lambda v: v % 3, name="mod3")
+        pref = intersection(mod3, AroundPreference("n", 0))
+        for order in itertools.permutations(self.ROWS[1:] + self.ROWS[:1]):
+            rows = list(order)
+            assert {r["i"] for r in sort_filter_skyline(pref, rows)} == {
+                0, 1, 2, 4,
+            }
+            assert _key(sort_filter_skyline(pref, rows)) == _key(
+                naive_nested_loop(pref, rows)
+            )
+
+
+class TestLowestOnAnyOrderedDomain:
+    """LOWEST is ``x < y iff x > y`` (Definition 7c); only its score
+    negates.  The simplifier writes ``HIGHEST(w)^d`` as ``LOWEST(w)``, so
+    every evaluator must take it over words too."""
+
+    ROWS = [{"w": w, "i": i} for i, w in enumerate(("bay", "elm", "ash"))]
+
+    def test_every_row_evaluator(self):
+        pref = LowestPreference("w")
+        expected = [{"w": "ash", "i": 2}]
+        assert naive_nested_loop(pref, self.ROWS) == expected
+        assert sort_based_maxima(pref, self.ROWS) == expected
+        assert ALGORITHMS["vsfs"](pref, self.ROWS) == expected
+
+    def test_planned_dual_of_highest(self):
+        from repro.query.api import PreferenceQuery
+
+        pref = pareto(PosPreference("w", {"bay", "ash"}),
+                      dual(HighestPreference("w")))
+        planned = PreferenceQuery.over(self.ROWS).prefer(pref)
+        assert "LOWEST(w)" in planned.explain()
+        assert _key(planned.run()) == _key(naive_nested_loop(pref, self.ROWS))
+
+
 class TestComparisonCounter:
     def test_counts_lt_calls(self):
         counter = ComparisonCounter()

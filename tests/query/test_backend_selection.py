@@ -3,8 +3,7 @@ model, surfaced.
 
 Covers :func:`repro.query.optimizer.choose_backend` and
 :func:`~repro.query.optimizer.estimate_cost`, the ``backend=`` hint on the
-fluent API (including ``"parallel"`` with explicit partitions), the
-ColumnarPreferenceSelect plan node, explain() output (decision rationale,
+fluent API, the ColumnarPreferenceSelect plan node, explain() output (decision rationale,
 cost estimates, partition count, stats provenance), plan-cache
 fingerprinting, and the session's columnar-store / statistics caches.
 """
@@ -98,6 +97,24 @@ class TestCostModel:
         assert big.partitions > 1
         assert big.parallel_cost < big.columnar_cost
 
+    def test_served_terms_stay_serial_on_two_cores(self):
+        """The benchmark's winnow terms over the relations it serves, at
+        10 000 rows: the cost model splits none of them on two cores."""
+        from bench.workloads import WORKLOADS
+
+        from repro.relations.relation import Relation
+
+        data = WORKLOADS["adhoc"].relations(10_000)
+        sky = Relation.from_dicts("sky", data["sky"])
+        car = Relation.from_dicts("car", data["car"])
+        for pref, rel in (
+            (pareto(*(LowestPreference(f"d{i}") for i in range(3))), sky),
+            (pareto(AroundPreference("price", 25_000.5),
+                    HighestPreference("horsepower")), car),
+        ):
+            estimate = estimate_cost(pref, len(rel), rel.stats(), cores=2)
+            assert estimate.partitions == 1
+
     def test_selectivity_is_a_fraction(self):
         estimate = estimate_cost(SKY3, 10_000, cores=4)
         assert 0.0 < estimate.selectivity <= 1.0
@@ -116,6 +133,11 @@ class TestChooseBackend:
         with pytest.raises(ValueError, match="backend must be one of"):
             choose_backend(SKY, 10, hint="gpu")
 
+    def test_parallel_is_not_a_backend(self):
+        assert optimizer.BACKENDS == ("auto", "row", "columnar")
+        with pytest.raises(ValueError, match="backend must be one of"):
+            choose_backend(SKY, 10, hint="parallel")
+
     def test_row_hint_always_row(self):
         assert choose_backend(SKY, 10**6, "row") == BackendChoice(
             "row", "backend=row requested"
@@ -127,14 +149,6 @@ class TestChooseBackend:
     def test_columnar_hint_on_ineligible_raises(self):
         with pytest.raises(ValueError, match="no columnar evaluation"):
             choose_backend(PosPreference("d0", {1}), BIG, "columnar")
-
-    def test_parallel_hint_forces_partitions(self):
-        choice = choose_backend(SKY, 100, "parallel", partitions=4)
-        assert choice.columnar and choice.partitions == 4 and choice.parallel
-
-    def test_parallel_hint_on_ineligible_raises(self):
-        with pytest.raises(ValueError, match="no columnar evaluation"):
-            choose_backend(PosPreference("d0", {1}), BIG, "parallel")
 
     def test_auto_goes_columnar_when_big(self):
         choice = choose_backend(SKY3, BIG, "auto")
@@ -175,7 +189,7 @@ class TestChooseBackend:
             assert choice == BackendChoice("row", "no columnar dominance form")
 
     def test_auto_parallelizes_huge_inputs_given_cores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CPUS", "8")
+        monkeypatch.setattr(optimizer, "cpu_count", lambda: 8)
         choice = choose_backend(SKY3, 500_000, "auto")
         serial = estimate_cost(SKY3, 500_000, cores=1)
         if not engine_backend.numpy_available():
@@ -187,7 +201,7 @@ class TestChooseBackend:
     def test_auto_never_partitions_without_numpy(self, monkeypatch):
         """Interpreted kernels hold the GIL: the one planning decision
         NumPy's absence changes."""
-        monkeypatch.setenv("REPRO_CPUS", "8")
+        monkeypatch.setattr(optimizer, "cpu_count", lambda: 8)
         monkeypatch.setattr(engine_backend, "_numpy", None)
         choice = choose_backend(SKY3, 500_000, "auto")
         assert choice == BackendChoice("columnar", "lowers to code axes")
@@ -261,25 +275,10 @@ class TestPlannerIntegration:
         text = session.query("small").prefer(SKY).backend("columnar").explain()
         assert "backend=columnar" in text and "kernel=vsfs" in text
 
-    def test_backend_parallel_forces_partition_count(self, session):
-        q = session.query("big").prefer(SKY3).backend("parallel", 3)
-        text = q.explain()
-        assert "backend=columnar" in text and "partitions=3" in text
-        assert "backend=parallel requested" in text
-
     def test_results_identical_across_backends(self, session):
         base = session.query("big").prefer(SKY3)
         rows = base.backend("row").run()
         assert base.backend("columnar").run() == rows
-        assert base.backend("parallel", 4).run() == rows
-
-    def test_parallel_partitions_on_other_backends_rejected(self, session):
-        with pytest.raises(ValueError, match="partitions="):
-            session.query("big").prefer(SKY3).backend("row", 4)
-
-    def test_nonpositive_partitions_rejected(self, session):
-        with pytest.raises(ValueError, match="positive"):
-            session.query("big").prefer(SKY3).backend("parallel", 0)
 
     def test_key_headed_cascade_collapses_to_sorted_winnow(self, session):
         """``d0`` is continuous, so statistics derive ``key(d0)``: the
@@ -342,18 +341,6 @@ class TestPlannerIntegration:
         with pytest.raises(ValueError, match="top-k"):
             q.explain()
 
-    def test_parallel_top_k_partitions_and_agrees(self, session):
-        base = session.query("big").prefer(AroundPreference("d0", 0.5)).top(7)
-        q = base.backend("parallel", 3)
-        assert "partitions=3" in q.explain()
-        assert q.run().rows() == base.run().rows()
-
-    def test_parallel_groupby_partitions_and_agrees(self, session):
-        base = session.query("big").prefer(SKY).groupby("d2")
-        q = base.backend("parallel", 3)
-        assert "partitions=3" in q.explain()
-        assert q.run() == base.run()
-
     def test_groupby_columnar_hint_uses_vsfs(self, session):
         q = session.query("big").prefer(SKY).groupby("d0").backend("columnar")
         assert "algorithm=vsfs" in q.explain()
@@ -402,7 +389,7 @@ class TestOnePlanOnBothPlatforms:
                 type(grouped.root), grouped.root.algorithm,
             )
 
-        monkeypatch.setenv("REPRO_CPUS", "8")
+        monkeypatch.setattr(optimizer, "cpu_count", lambda: 8)
         with_numpy = decisions()
         monkeypatch.setattr(engine_backend, "_numpy", None)
         assert decisions() == with_numpy
@@ -415,13 +402,6 @@ class TestFingerprintAndCache:
         q = session.query("big").prefer(SKY)
         assert q.fingerprint() != q.backend("row").fingerprint()
         assert q.fingerprint() == q.backend("auto").fingerprint()
-
-    def test_partitions_in_fingerprint(self, session):
-        q = session.query("big").prefer(SKY)
-        assert (
-            q.backend("parallel", 2).fingerprint()
-            != q.backend("parallel", 4).fingerprint()
-        )
 
     def test_plans_cached_per_backend(self, session):
         session.query("big").prefer(SKY).backend("row").run()

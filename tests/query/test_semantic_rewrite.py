@@ -71,6 +71,31 @@ class TestWinnowToSort:
         )
         assert "winnow_to_sort" not in q.explain()
 
+    @pytest.mark.parametrize("pref, kept", [
+        # The constant n1 prunes each term to one arm proved a weak order;
+        # the NaN row is comparable to nothing, so it is maximal beside
+        # the best scored row (the column fast path, then the score path).
+        (pareto(HighestPreference("a"), AroundPreference("n1", 0)), [2.0]),
+        (pareto(AroundPreference("a", 0), AroundPreference("n1", 0)), [1.0]),
+    ])
+    def test_nan_rows_form_their_own_maximal_class(self, pref, kept):
+        from repro.query.algorithms import naive_nested_loop
+
+        rows = [{"a": a, "n1": 1} for a in (float("nan"), 2.0, 1.0)]
+        q = _session(rows).query("t").prefer(pref)
+        assert isinstance(q.plan().root, SortedWinnow)
+        result = [r["a"] for r in q.run().rows()]
+        assert result[0] != result[0] and result[1:] == kept
+        assert len(naive_nested_loop(pref, rows)) == len(result)
+
+    def test_all_nan_scores_keep_every_row(self):
+        rows = [{"n0": float("nan"), "n1": 1.0} for _ in range(3)]
+        q = _session(rows).query("t").prefer(pareto(
+            AroundPreference("n0", 0), AroundPreference("n1", 0),
+        ))
+        assert isinstance(q.plan().root, SortedWinnow)
+        assert q.count() == 3
+
     def test_columnar_hint_suppresses_structural_change(self):
         rows = [
             {"a": float(i), "b": float(i * 7 % 97)} for i in range(40)

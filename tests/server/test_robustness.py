@@ -110,6 +110,30 @@ class TestMalformedWire:
             )
 
 
+class TestRemovedExecutionHint:
+    """Partitioning is the planner's decision, not a spec field: both
+    spellings of the old hint are a ``bad_request`` naming what is valid."""
+
+    def _error(self, served, **extra):
+        with PreferenceClient(port=served.port) as client:
+            with pytest.raises(ClientError) as info:
+                client.query(
+                    spec={"relation": "animal", "prefer": LOWEST_IR, **extra}
+                )
+            assert client.ping()["pong"] is True
+        assert info.value.code == "bad_request"
+        return str(info.value)
+
+    def test_partitions_field_is_unknown(self, served):
+        message = self._error(served, partitions=4)
+        assert "unknown spec field(s) ['partitions']" in message
+        assert "'backend'" in message and "'relation'" in message
+
+    def test_parallel_backend_is_unknown(self, served):
+        message = self._error(served, backend="parallel")
+        assert "('auto', 'row', 'columnar')" in message
+
+
 class TestDeadlines:
     def test_expired_deadline_is_shed_before_execution(self, served):
         with PreferenceClient(port=served.port) as client:

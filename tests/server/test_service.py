@@ -53,27 +53,6 @@ class TestQueries:
         )
         assert _canon(by_spec.rows) == _canon(by_sql.rows)
 
-    def test_spec_partitions_implies_parallel(self, service):
-        base = {"relation": "animal", "prefer": PARETO_SPEC}
-        plain = service.query(spec=base)
-        # Bare partitions, and partitions alongside backend "auto" (the
-        # documented shape), both upgrade to the parallel hint.
-        for extra in ({"partitions": 2},
-                      {"backend": "auto", "partitions": 2},
-                      {"backend": "parallel", "partitions": 2}):
-            answer = service.query(spec={**base, **extra})
-            assert _canon(answer.rows) == _canon(plain.rows)
-        assert "partitions=2" in service.explain(
-            spec={**base, "partitions": 2}
-        )
-
-    def test_spec_partitions_with_incompatible_backend_rejected(self, service):
-        with pytest.raises(ServiceError, match="partitions"):
-            service.query(spec={
-                "relation": "animal", "prefer": PARETO_SPEC,
-                "backend": "row", "partitions": 2,
-            })
-
     def test_spec_where_and_presentation(self, service):
         spec = {
             "relation": "animal",

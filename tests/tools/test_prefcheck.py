@@ -118,6 +118,46 @@ class TestBareExcept:
         assert check_source(source, "src/repro/server/service.py") == []
 
 
+class TestUnusedImports:
+    def test_orphaned_imports_in_src_flagged(self):
+        source = textwrap.dedent("""
+            import os
+            import threading as th
+            from typing import Any, Callable, Sequence
+
+            def run(thunks: list[Callable[[], Any]]) -> list[Any]:
+                return [t() for t in thunks]
+        """)
+        findings = check_source(source, "src/repro/engine/parallel.py")
+        assert _codes(findings) == ["PC006"] * 3
+        text = " ".join(f.message for f in findings)
+        for name in ("'os'", "'th'", "'Sequence'"):
+            assert name in text
+
+    def test_every_kind_of_use_is_clean(self):
+        source = textwrap.dedent("""
+            from __future__ import annotations
+
+            import xml.etree
+            from typing import TYPE_CHECKING, Any, Callable
+
+            import json  # noqa: F401 - imported for its side effect
+
+            if TYPE_CHECKING:
+                from repro.session import Session
+                from repro.query.incremental import BMODelta
+
+            Listener = Callable[["BMODelta"], None]
+
+            def parse(session: "Session | None") -> Any:
+                return xml.etree
+        """)
+        assert check_source(source, "src/repro/server/service.py") == []
+        # Package __init__ files re-export, and snippets are not src/.
+        assert check_source("import os\n", "src/repro/engine/__init__.py") == []
+        assert check_source("import os\n", "examples/quickstart.py") == []
+
+
 class TestLoopLane:
     SERVICE = "src/repro/server/service.py"
     VIEWS = "src/repro/server/views.py"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """prefcheck: repo-specific lint for the preference-query codebase.
 
-Five AST-level checks encode invariants the test suite cannot express as
+Six AST-level checks encode invariants the test suite cannot express as
 unit tests (they quantify over *all* code, current and future):
 
 * **PC001 — no planning under a session lock.**  Query planning and plan
@@ -30,6 +30,12 @@ unit tests (they quantify over *all* code, current and future):
   (``_materialize*``, ``.seed(``, ``.plan(``, ``.run(``,
   ``.execute(``), may not enter ``with self._mutation_lock``, and may
   ``.acquire(`` a lock only with ``blocking=False``.
+* **PC006 — no unused imports in ``src/``.**  ruff and mypy are not part
+  of the toolchain, so deleting code would silently orphan its imports.
+  A name a module imports must be read somewhere in that module (string
+  annotations count); package ``__init__.py`` files re-export by design
+  and are exempt, and an import line marked ``# noqa`` is kept on
+  purpose (an import for its side effect).
 
 Usage::
 
@@ -188,6 +194,79 @@ def _check_bare_except(tree: ast.AST, path: str) -> list[Finding]:
     return findings
 
 
+def _string_annotation_names(tree: ast.AST) -> set[str]:
+    """Names read inside string annotations (``"Session | None"``) and
+    string type arguments (``Callable[["BMODelta"], None]``)."""
+    holders: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            holders += [
+                a.annotation for a in (
+                    *args.posonlyargs, *args.args, *args.kwonlyargs,
+                    args.vararg, args.kwarg,
+                ) if a is not None and a.annotation is not None
+            ]
+            if node.returns is not None:
+                holders.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            holders.append(node.annotation)
+        elif isinstance(node, ast.Subscript):
+            holders.append(node.slice)
+    names: set[str] = set()
+    for holder in holders:
+        for node in ast.walk(holder):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(
+                    n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)
+                )
+    return names
+
+
+def _check_unused_imports(
+    tree: ast.AST, path: str, lines: list[str]
+) -> list[Finding]:
+    """PC006: every imported name is read somewhere in the module."""
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "noqa" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            name = alias.asname or (
+                alias.name.split(".")[0]
+                if isinstance(node, ast.Import) else alias.name
+            )
+            imported.setdefault(name, node.lineno)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _string_annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                e.value for e in ast.walk(node.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
+    return [
+        Finding(
+            "PC006", path, line,
+            f"{name!r} is imported but never used; delete the import",
+        )
+        for name, line in sorted(imported.items(), key=lambda i: i[1])
+        if name not in used
+    ]
+
+
 def _receiver_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
@@ -279,8 +358,9 @@ def check_loop_lane(
 def check_source(source: str, path: str = "<string>") -> list[Finding]:
     """All generic per-file checks over one source text.
 
-    ``query/plan.py`` additionally gets the frozen-dataclass check and
-    ``src/repro/server`` files the bare-except check; callers passing
+    ``query/plan.py`` additionally gets the frozen-dataclass check,
+    ``src/repro/server`` files the bare-except check and every other
+    module under ``src/`` the unused-import check; callers passing
     arbitrary snippets (doc blocks, examples) get the lock-scope check,
     which is sound anywhere.
     """
@@ -295,6 +375,10 @@ def check_source(source: str, path: str = "<string>") -> list[Finding]:
         findings += _check_frozen_plan_nodes(tree, path)
     if "/server/" in normalized or "repro/server" in normalized:
         findings += _check_bare_except(tree, path)
+    if (normalized.startswith("src/") or "/src/" in normalized) and (
+        not normalized.endswith("__init__.py")
+    ):
+        findings += _check_unused_imports(tree, path, source.splitlines())
     return findings
 
 
