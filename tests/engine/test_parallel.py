@@ -35,6 +35,7 @@ from repro.engine.parallel import parallel_skyline, partition_spans
 from repro.engine.vectorized import skyline_sfs
 from repro.query import optimizer
 from repro.query.algorithms import block_nested_loop
+from repro.query.bmo import winnow_groupby
 
 PARTITION_COUNTS = (1, 2, 3, 4, 8, 16)
 
@@ -96,6 +97,15 @@ class TestParallelSkyline:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown parallel strategy"):
             parallel_skyline([(1, 2)], 2, strategy="quantum")
+
+    @pytest.mark.parametrize("partitions", (2, 5, 16))
+    def test_pure_python_threads(self, monkeypatch, partitions):
+        """Without NumPy the interpreted kernel runs serially, on the
+        calling thread, whatever partition count it is asked for."""
+        monkeypatch.setattr(engine_backend, "_numpy", None)
+        monkeypatch.setattr(P, "shared_executor", lambda: pytest.fail("pool"))
+        matrix = distinct_matrix(300, 3, 20, seed=4)
+        assert parallel_skyline(matrix, partitions) == skyline_sfs(matrix)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -176,6 +186,51 @@ class TestParallelColumnarWinnow:
         assert parallel.rows() == serial.rows()
 
 
+def _partitioned_groups(partitions):
+    """A grouped winnow's per-group engine: the code kernel split into
+    ``partitions``, on the NumPy leg at every group size."""
+
+    def evaluate(pref, rows):
+        with mock.patch.object(columnar, "NUMPY_MIN_ROWS", 0):
+            return columnar_winnow(pref, rows, partitions=partitions)
+
+    return evaluate
+
+
+class TestParallelGroupby:
+    """``sigma[P groupby A]`` (Definition 16) with every group evaluated
+    by the partitioned kernel equals the serial grouped winnow."""
+
+    @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
+    def test_grouped_parity_exact_order(self, partitions):
+        rng = random.Random(23)
+        rows = [
+            {
+                "g": rng.randrange(9),
+                "d0": rng.randrange(50),
+                "d1": rng.randrange(50),
+            }
+            for _ in range(700)
+        ]
+        serial = winnow_groupby(PREF2, ["g"], rows, algorithm="bnl")
+        parallel = winnow_groupby(
+            PREF2, ["g"], rows, algorithm=_partitioned_groups(partitions)
+        )
+        assert parallel == serial  # same rows, same order
+
+    def test_empty_input(self):
+        assert winnow_groupby(
+            PREF2, ["g"], [], algorithm=_partitioned_groups(4)
+        ) == []
+
+    def test_single_group(self):
+        rows = [{"g": 1, "d0": i, "d1": -i} for i in range(50)]
+        serial = winnow_groupby(PREF2, ["g"], rows)
+        assert winnow_groupby(
+            PREF2, ["g"], rows, algorithm=_partitioned_groups(8)
+        ) == serial
+
+
 class TestExecutorPlumbing:
     def test_shared_executor_is_shared_and_survives(self):
         first = P.shared_executor()
@@ -246,7 +301,7 @@ class TestHypothesisQueryParity:
         ),
         partitions=st.integers(1, 16),
     )
-    def test_winnow_parity(self, data, partitions):
+    def test_winnow_and_groupby_parity(self, data, partitions):
         rows = [{"d0": a, "d1": b, "d2": c} for a, b, c in data]
         for pref in (PREF2, PREF3):
             serial = columnar_winnow(pref, rows)
@@ -255,3 +310,6 @@ class TestHypothesisQueryParity:
                 assert columnar_winnow(
                     pref, rows, partitions=partitions
                 ) == serial
+        assert winnow_groupby(
+            PREF2, ["d2"], rows, algorithm=_partitioned_groups(partitions)
+        ) == winnow_groupby(PREF2, ["d2"], rows)

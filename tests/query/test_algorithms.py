@@ -189,6 +189,19 @@ class TestNaNScores:
                 naive_nested_loop(pref, rows)
             )
 
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_every_evaluator_keeps_every_nan(self, name):
+        """Rows 0 and 4 score NaN; the best scored rows are 1 and 3 (both
+        0 mod 3) under the dual, 1 alone (at the target) under AROUND."""
+        evaluate = ALGORITHMS[name]
+        for pref, kept in (
+            (dual(ScorePreference(("n",), lambda v: v % 3, name="mod3")),
+             {0, 1, 3, 4}),
+            (AroundPreference("n", 0), {0, 1, 4}),
+        ):
+            for rows in (self.ROWS, self.ROWS[::-1]):
+                assert {r["i"] for r in evaluate(pref, rows)} == kept
+
     def test_sfs_places_rows_its_key_cannot_order(self):
         """A NaN inside the presort key leaves ``sorted`` no consistent
         order; in some input orders 3 would land after 1, its dominator."""

@@ -115,6 +115,27 @@ class TestCostModel:
             estimate = estimate_cost(pref, len(rel), rel.stats(), cores=2)
             assert estimate.partitions == 1
 
+    @pytest.mark.parametrize("rows, term, partitions", [
+        (10_000, "3 chains", 1),
+        (10_000, "4 chains", 2),
+        (100_000, "3 chains", 2),
+        (100_000, "4 chains", 2),
+        (1_000_000, "4 chains", 2),
+        (10_000, "AROUND*HIGHEST", 1),
+        (100_000, "AROUND*HIGHEST", 1),
+    ])
+    def test_documented_partition_counts(self, rows, term, partitions):
+        """The planner column of docs/performance.md's thread-leg table, on
+        two cores.  The measured relations have continuous columns, so
+        their statistics bound no projection: the cardinality-only
+        estimate is the one the planner makes over them."""
+        if term == "AROUND*HIGHEST":
+            pref = pareto(AroundPreference("d0", 0.5), HighestPreference("d1"))
+        else:
+            chains = int(term.split()[0])
+            pref = pareto(*(LowestPreference(f"d{i}") for i in range(chains)))
+        assert estimate_cost(pref, rows, cores=2).partitions == partitions
+
     def test_selectivity_is_a_fraction(self):
         estimate = estimate_cost(SKY3, 10_000, cores=4)
         assert 0.0 < estimate.selectivity <= 1.0

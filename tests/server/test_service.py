@@ -77,6 +77,22 @@ class TestQueries:
         with pytest.raises(ServiceError, match="unknown spec field"):
             service.query(spec={"relation": "animal", "prefers": PARETO_SPEC})
 
+    @pytest.mark.parametrize("extra", [
+        {"partitions": 2},
+        {"backend": "auto", "partitions": 2},
+        {"backend": "parallel", "partitions": 2},
+        {"backend": "row", "partitions": 2},
+    ], ids=["bare", "auto", "parallel", "row"])
+    def test_spec_partitions_is_unknown(self, service, extra):
+        """Partitioning is the planner's decision: every shape a spec gave
+        the field in is refused, whatever backend rides along."""
+        with pytest.raises(
+            ServiceError, match=r"unknown spec field\(s\) \['partitions'\]"
+        ):
+            service.query(
+                spec={"relation": "animal", "prefer": PARETO_SPEC, **extra}
+            )
+
     def test_unknown_relation(self, service):
         with pytest.raises(ServiceError):
             service.query(spec={"relation": "nope", "prefer": PARETO_SPEC})
