@@ -44,7 +44,9 @@ def _car_rows(n: int, seed: int = 7) -> list[dict]:
         {
             "price": rng.uniform(0, 100_000),
             "power": rng.uniform(50, 400),
-            "mileage": rng.uniform(0, 200_000),
+            # Rounded: duplicate mileages keep the statistics from proving
+            # key(mileage), so split_prio (not winnow_to_sort) fires.
+            "mileage": round(rng.uniform(0, 200_000), -3),
         }
         for _ in range(n)
     ]

@@ -11,8 +11,8 @@ The workload is the PR-6 acceptance criterion: 50k listings whose
 The ``winnow_to_sort`` rule proves the chain head alone picks a single
 best tuple (key projections are pairwise distinct, so the head's
 best-matches set is a singleton and later stages never apply) and
-replaces the whole dominance winnow with a one-pass column argmax
-(``SortedWinnow``).  The canonical plan — the same query under
+rebuilds the winnow over the head alone, which the planner evaluates as
+a one-pass column argmax (``PreferenceSelect ... algorithm=sort``).  The canonical plan — the same query under
 ``optimize(False)`` — never consults the constraint registry, so it runs
 the full SFS winnow; the acceptance criterion demands the semantic plan
 beats it by >= 10x with identical rows.

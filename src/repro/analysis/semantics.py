@@ -13,10 +13,12 @@ rewrite rules ask:
   :func:`semantic_prune`).
 * :func:`weak_order_reduction` — is the (pruned) term provably a **weak
   order** on the constrained instance?  Weak orders evaluate as ``ORDER
-  BY + first group`` (one linear argmax pass, no dominance testing), and
-  a key inside a chain's attributes shrinks the first group to a single
-  tuple — at which point later prioritization stages can never apply
-  (Proposition 11 with a singleton stage-one output).
+  BY + first group`` (one linear argmax pass, no dominance testing; the
+  planner rebuilds the winnow over the reduced term, and a weak order
+  over one column gets the argmax), and a key inside a chain's
+  attributes shrinks the first group to a single tuple — at which point
+  later prioritization stages can never apply (Proposition 11 with a
+  singleton stage-one output).
 
 Everything here is *conservative*: a ``None`` answer only forgoes an
 optimization.  All constraints used are hereditary under selection, so
@@ -28,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.constraints import ConstraintSet
-from repro.core.base_numerical import BetweenPreference, score_function_of
+from repro.core.base_numerical import BetweenPreference
 from repro.core.constructors import (
     DualPreference,
     ParetoPreference,
     PrioritizedPreference,
 )
 from repro.core.preference import Preference
+from repro.engine.columnar import weak_score
 
 
 def over_constants(pref: Preference, constraints: ConstraintSet) -> bool:
@@ -127,13 +130,12 @@ def semantic_prune(
 def is_weak_order(pref: Preference) -> bool:
     """Whether the term's order is provably *negatively transitive*.
 
-    SCORE-representable terms are weak orders by construction (rows
-    totally ordered by score); chains are weak (indeed total) orders on
-    their projections.
+    Every term :func:`~repro.engine.columnar.weak_score` scores is a weak
+    order by construction (rows ordered by one score); chains — a
+    prioritization of chains among them — are weak (indeed total) orders
+    on their projections.
     """
-    if score_function_of(pref) is not None:
-        return True
-    return pref.is_chain() is True
+    return weak_score(pref) is not None or pref.is_chain() is True
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ function:
 The class layout mirrors that hierarchy: everything numerical derives from
 :class:`ScorePreference`, so the query optimizer can treat *any* numerical
 base preference uniformly via its score function (constructor
-substitutability, Section 3.4).
+substitutability, Section 3.4; :func:`repro.engine.columnar.weak_score`
+reads it).
 
 All constructors work for any ordered type with subtraction — the paper
 mentions SQL ``Date`` explicitly — not just floats.
@@ -207,21 +208,3 @@ def _identity(value: Any) -> Any:
 
 def _negate(value: Any) -> Any:
     return -value
-
-
-def score_function_of(pref: Preference) -> Callable[[Row], Any] | None:
-    """A row -> score function when ``pref`` is score-representable, else None.
-
-    Recognizes :class:`ScorePreference` and duals of score preferences (the
-    dual of SCORE(f) is SCORE(-f) whenever scores support negation).  Used
-    by the optimizer to pick sort-based evaluation.
-    """
-    from repro.core.constructors import DualPreference
-
-    if isinstance(pref, ScorePreference):
-        return lambda row: pref.score(row)
-    if isinstance(pref, DualPreference):
-        inner = score_function_of(pref.base)
-        if inner is not None:
-            return lambda row: -inner(row)
-    return None

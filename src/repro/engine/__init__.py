@@ -6,11 +6,13 @@ immutable), preferences eligible for vector-skyline evaluation — Pareto
 terms over chains and single-attribute weak orders — are compiled to
 integer code matrices, and dominance runs block-wise vectorized
 (NumPy when available, pure Python otherwise) instead of one
-``pref._lt`` call per row pair.
+``pref._lt`` call per row pair.  A bare weak order over one column is one
+argmax pass over its column instead (``columnar.weak_score``, the
+``sort`` algorithm).
 
 The planner (:mod:`repro.query.optimizer`) picks this backend for every
 such winnow, at any size and with or without NumPy;
-``PreferenceQuery.backend("columnar")`` also forces it onto SCORE terms and
+``PreferenceQuery.backend("columnar")`` also forces it onto weak orders and
 ``.using("vsfs")`` names it directly.  See ``docs/architecture.md`` for
 where the engine sits in the layer map.
 """

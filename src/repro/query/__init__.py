@@ -8,9 +8,10 @@ Public surface:
 * :func:`~repro.query.bmo.winnow` / :func:`~repro.query.bmo.winnow_groupby`
   — the engine-level operators ``sigma[P](R)`` and
   ``sigma[P groupby A](R)``,
-* :mod:`repro.query.algorithms` — naive / BNL / SFS / sort-based
-  evaluators for arbitrary strict partial orders (terms that lower to
-  integer code axes run on :mod:`repro.engine` instead),
+* :mod:`repro.query.algorithms` — naive / BNL / SFS evaluators for
+  arbitrary strict partial orders (weak orders — the ``sort`` argmax —
+  and terms that lower to integer code axes run on :mod:`repro.engine`
+  instead),
 * :mod:`repro.query.decomposition` — Propositions 8-12 as executable
   evaluation strategies,
 * :mod:`repro.query.topk` — the ranked (k-best) query model with a
@@ -20,13 +21,13 @@ Public surface:
   choice + EXPLAIN.
 """
 
+from repro.engine.columnar import sort_based_maxima
 from repro.query.algorithms import (
     ALGORITHMS,
     ComparisonCounter,
     block_nested_loop,
     compatible_sort_key,
     naive_nested_loop,
-    sort_based_maxima,
     sort_filter_skyline,
 )
 from repro.query.api import PreferenceQuery

@@ -3,20 +3,21 @@
 The paper notes the naive approach needs O(n^2) better-than tests and points
 at the skyline literature ([BKS01]) for efficient evaluation.  These are the
 evaluators that need nothing of a term but its ``_lt`` — what Chomicki's
-"Preference Queries" shows winnow needs in general — plus the one-pass
-evaluation of SCORE terms:
+"Preference Queries" shows winnow needs in general:
 
 * :func:`naive_nested_loop` — the declarative definition, verbatim; the
   reference every other evaluator is tested against,
 * :func:`block_nested_loop` — BNL with an elimination window ([BKS01]);
   correct for *any* strict partial order,
 * :func:`sort_filter_skyline` — SFS: presort by a dominance-compatible key,
-  then a grow-only window,
-* :func:`sort_based_maxima` — one-pass evaluation for SCORE preferences.
+  then a grow-only window.
 
-A term that lowers to integer code axes — every Pareto of chains and
-single-attribute weak orders — is not evaluated here but by the code
-kernels of :mod:`repro.engine.columnar`, registered below as ``"vsfs"``.
+Two shapes are not evaluated here but by :mod:`repro.engine.columnar`,
+which registers its evaluators in :data:`ALGORITHMS`: a weak order over
+one column (HIGHEST, LOWEST, the SCORE family, the layered POS / NEG
+family, their duals) is one argmax pass, ``"sort"``; a term that lowers
+to integer code axes — every Pareto of chains and single-attribute weak
+orders — runs on the code kernels, ``"vsfs"``.
 
 Two correctness subtleties the implementations honour:
 
@@ -34,15 +35,10 @@ Two correctness subtleties the implementations honour:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
-from repro.core.base_nonnumerical import ExplicitPreference, LayeredPreference
-from repro.core.base_numerical import (
-    HighestPreference,
-    LowestPreference,
-    ScorePreference,
-    score_function_of,
-)
+from repro.core.base_nonnumerical import ExplicitPreference
 from repro.core.constructors import (
     DisjointUnionPreference,
     DualPreference,
@@ -51,11 +47,11 @@ from repro.core.constructors import (
     ParetoPreference,
     PrioritizedPreference,
 )
-from repro.core.preference import AntiChain, ChainPreference, Preference, Row
+from repro.core.preference import AntiChain, Preference, Row
 
 #: Registry of maxima algorithms by name (filled at module end).  The
-#: code engine (:mod:`repro.engine.columnar`) registers its winnow here
-#: too, as ``"vsfs"``.
+#: code engine (:mod:`repro.engine.columnar`) registers its two evaluators
+#: here too: the weak-order argmax as ``"sort"``, the kernels as ``"vsfs"``.
 ALGORITHMS: dict[str, Callable[[Preference, list[Row]], list[Row]]] = {}
 
 
@@ -192,10 +188,11 @@ def compatible_sort_key(pref: Preference) -> Callable[[Row], Any] | None:
     guarantees no row is dominated by a later row, which is exactly what
     :func:`sort_filter_skyline` needs.  Built structurally:
 
-    * HIGHEST / LOWEST: the value, order-reversed for LOWEST (its score
-      negates, which only numbers support),
-    * SCORE family: the score itself,
-    * layered / EXPLICIT: negated level (level 1 is best),
+    * weak orders over one column (HIGHEST, LOWEST, ChainPreference, the
+      SCORE family, layered, their duals): the score
+      :func:`repro.engine.columnar.weak_score` gives them, order-reversed
+      for sign -1 (so LOWEST keys on any ordered domain),
+    * EXPLICIT: negated level (level 1 is best),
     * Pareto / prioritized / intersection: tuple of child keys
       (dominance makes every component <=, some <, hence lex-smaller),
     * dual: order-reversed child key,
@@ -203,19 +200,11 @@ def compatible_sort_key(pref: Preference) -> Callable[[Row], Any] | None:
     * linear sum: (which-world flag, child key),
     * disjoint union: no general construction -> None.
     """
-    if isinstance(pref, (HighestPreference, LowestPreference)):
-        return chain_axis(pref)
-    if isinstance(pref, ScorePreference):
-        return lambda row: pref.score(row)
-    if isinstance(pref, LayeredPreference):
-        worst = pref.max_level() + 1
-        attr = pref.attribute
+    from repro.engine.columnar import weak_score
 
-        def layered_key(row: Row) -> int:
-            level = pref.level(row[attr])
-            return -(level if level is not None else worst)
-
-        return layered_key
+    score = weak_score(pref)
+    if score is not None:
+        return _weak_key(score)
     if isinstance(pref, ExplicitPreference):
         worst = pref.max_level() + 1
         attr = pref.attribute
@@ -225,8 +214,6 @@ def compatible_sort_key(pref: Preference) -> Callable[[Row], Any] | None:
             return -(level if level is not None else worst)
 
         return explicit_key
-    if isinstance(pref, ChainPreference):
-        return lambda row: pref.key(row[pref.attribute])
     if isinstance(pref, AntiChain):
         return lambda row: 0
     if isinstance(pref, DualPreference):
@@ -318,19 +305,12 @@ def chain_axis(child: Preference) -> Callable[[Row], Any] | None:
     """The "bigger is better" row-axis of one injective chain, or None.
 
     Only chains with an injective score on their attributes qualify
-    (LOWEST, HIGHEST, ChainPreference, their duals, prioritizations of
-    those): score equality is then projection equality.  The code
-    engine's composite-arm support builds on this
+    (LOWEST, HIGHEST, ChainPreference — the non-weak answers of
+    :func:`repro.engine.columnar.weak_score` — their duals, and
+    prioritizations of those): score equality is then projection
+    equality.  The code engine's composite-arm support builds on this
     (:func:`repro.engine.columnar.columnar_axes`).
     """
-    if isinstance(child, HighestPreference):
-        attr = child.attribute
-        return lambda row: row[attr]
-    if isinstance(child, LowestPreference):
-        attr = child.attribute
-        return lambda row: _Reversed(row[attr])
-    if isinstance(child, ChainPreference):
-        return lambda row: child.key(row[child.attribute])
     if isinstance(child, DualPreference):
         inner = chain_axis(child.base)
         if inner is None:
@@ -348,45 +328,23 @@ def chain_axis(child: Preference) -> Callable[[Row], Any] | None:
             return None
         axes = tuple(stage_axes)
         return lambda row: tuple(axis(row) for axis in axes)  # type: ignore[misc]
-    return None
+    from repro.engine.columnar import weak_score
+
+    score = weak_score(child)
+    return None if score is None or score.weak else _weak_key(score)
 
 
-# -- score-based one-pass evaluation --------------------------------------------------
-
-def sort_based_maxima(pref: Preference, rows: list[Row]) -> list[Row]:
-    """One-pass maxima for SCORE preferences: keep the argmax score set.
-
-    For a SCORE preference (which includes AROUND, BETWEEN, LOWEST, HIGHEST
-    and rank(F)) the maxima are exactly the rows of maximal score (and the
-    NaN-scored ones, see :func:`best_positions`).  LOWEST takes its
-    minimum value instead of its maximal negation, so it runs on any
-    ordered domain.
-    """
-    score = score_function_of(pref)
-    if score is None:
-        raise ValueError(f"{pref!r} has no score function; use another algorithm")
-    reps, members = _distinct_projections(pref, rows)
-    if isinstance(pref, LowestPreference):
-        attr = pref.attribute
-        picked = best_positions([row[attr] for row in reps], lowest=True)
-    else:
-        picked = best_positions([score(row) for row in reps])
-    return _fan_out(pref, rows, members, [reps[i] for i in picked])
-
-
-def best_positions(scores: Sequence[Any], lowest: bool = False) -> list[int]:
-    """Positions of the best score (the highest, or the lowest) plus every
-    NaN score, ascending — the maxima of every one-pass argmax evaluator.
-
-    A score not equal to itself ranks against nothing: its row is neither
-    better nor worse than any other, so it is maximal on its own, beside
-    the best-scored group.
-    """
-    ranked = [s for s in scores if s == s]
-    if not ranked:
-        return list(range(len(scores)))
-    best = min(ranked) if lowest else max(ranked)
-    return [i for i, s in enumerate(scores) if s == best or s != s]
+def _weak_key(score: Any) -> Callable[[Row], Any]:
+    """The row key of a :func:`~repro.engine.columnar.weak_score`: its key
+    of the value (of the projection tuple, for a multi-attribute SCORE),
+    order-reversed for sign -1."""
+    attribute, key, sign, _ = score
+    value = (
+        itemgetter(*attribute) if isinstance(attribute, tuple)
+        else itemgetter(attribute)
+    )
+    scored = value if key is None else (lambda row: key(value(row)))
+    return scored if sign > 0 else (lambda row: _Reversed(scored(row)))
 
 
 ALGORITHMS.update(
@@ -394,6 +352,5 @@ ALGORITHMS.update(
         "naive": naive_nested_loop,
         "bnl": block_nested_loop,
         "sfs": sort_filter_skyline,
-        "sort": sort_based_maxima,
     }
 )

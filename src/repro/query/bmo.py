@@ -69,12 +69,13 @@ def _bind_engine(
     pref: Preference,
 ) -> Callable[[list[Row]], list[Row]]:
     """The evaluator of one term as a function of rows alone — what a
-    grouped winnow calls once per group.  The code engine lowers the term
+    grouped winnow calls once per group.  The code engine's two evaluators
+    (the argmax ``"sort"`` and the kernels ``"vsfs"``) lower the term
     here, once, instead of inside every call."""
-    if algorithm == "vsfs":
+    if algorithm in ("sort", "vsfs"):
         from repro.engine.columnar import lowered_winnow
 
-        return lowered_winnow(pref)
+        return lowered_winnow(pref, argmax=algorithm == "sort")
     return partial(_resolve_engine(algorithm), pref)
 
 

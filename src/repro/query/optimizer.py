@@ -7,7 +7,9 @@ Given a preference term and a database set, the optimizer
 2. picks the evaluator of each winnow by one structural rule
    (:func:`row_reason` / :func:`choose_algorithm`):
 
-   * SCORE-representable terms -> one-pass :func:`sort_based_maxima`,
+   * weak orders over one column (HIGHEST, LOWEST, ``ChainPreference``,
+     the SCORE family, the layered POS / NEG family, their duals) -> one
+     argmax pass, :func:`repro.engine.columnar.sort_based_maxima`,
    * prioritized terms with chain heads -> a Proposition-11 cascade,
    * terms that lower to integer code axes (Pareto over chains and
      single-attribute weak orders) -> the code kernels of
@@ -44,13 +46,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.algebra.rewriter import rewrite_trace, simplify
-from repro.core.base_numerical import score_function_of
 from repro.core.preference import Preference, Row
 from repro.engine.backend import numpy_available
 from repro.engine.columnar import (
     columnar_axes,
     columnar_profile,
     columnar_winnow,
+    weak_score,
 )
 from repro.engine.parallel import MIN_PARTITION_ROWS, cpu_count
 from repro.query import rewrite as _rewrite
@@ -266,14 +268,18 @@ def row_reason(pref: Preference) -> str | None:
     A term runs on the code kernels exactly when it lowers to code axes
     (:func:`repro.engine.columnar.columnar_profile` says ``"skyline"``:
     a Pareto of chains and single-attribute weak orders, or a bare
-    injective chain) — at every input size, with or without NumPy.  The
-    one lowerable shape held back is a bare prioritization of chains,
-    which has a better plan: ``split_prio`` cascades it into linear
+    injective chain) — at every input size, with or without NumPy.  A
+    bare weak order (``"score"``) has a cheaper plan, one argmax pass.
+    The one lowerable shape held back is a bare prioritization of chains,
+    which has a better plan too: ``split_prio`` cascades it into linear
     argmax stages (its composite axis earns its keep as a Pareto *arm*).
     """
     from repro.core.constructors import PrioritizedPreference
 
-    if columnar_profile(pref) != "skyline":
+    profile = columnar_profile(pref)
+    if profile == "score":
+        return "weak order: one argmax pass"
+    if profile is None:
         return "no columnar dominance form"
     if isinstance(pref, PrioritizedPreference):
         return "chain prioritization cascades on the row engine"
@@ -283,13 +289,13 @@ def row_reason(pref: Preference) -> str | None:
 def choose_algorithm(pref: Preference, backend: str = "auto") -> str:
     """The evaluator of one winnow, as a name in ``ALGORITHMS``.
 
-    SCORE terms take the one-pass ``sort``; terms with a code form take
-    the code kernels (``vsfs``) unless ``backend="row"`` asks for the
-    general row path; that path is ``sfs`` when a dominance-compatible
-    key exists and ``bnl`` — correct for any strict partial order —
-    otherwise.
+    Weak orders over one column (:func:`~repro.engine.columnar.weak_score`)
+    take the one-pass argmax ``sort``; terms with a code form take the
+    code kernels (``vsfs``) unless ``backend="row"`` asks for the general
+    row path; that path is ``sfs`` when a dominance-compatible key exists
+    and ``bnl`` — correct for any strict partial order — otherwise.
     """
-    if score_function_of(pref) is not None:
+    if weak_score(pref) is not None:
         return "sort"
     if backend != "row" and row_reason(pref) is None:
         return "vsfs"
@@ -341,7 +347,7 @@ def choose_backend(
     ``stats``; interpreted kernels hold the GIL, so without NumPy auto
     never partitions.
 
-    ``hint="columnar"`` forces serial columnar execution (SCORE terms
+    ``hint="columnar"`` forces serial columnar execution (weak orders
     included: the argmax path) and raises ``ValueError`` for ineligible
     terms; ``hint="row"`` forces the general row path.
     """
@@ -354,7 +360,7 @@ def choose_backend(
         if profile is None:
             raise ValueError(
                 f"{pref!r} has no columnar evaluation (needs a Pareto of "
-                "chains and weak orders or a SCORE-representable term); "
+                "chains and weak orders, or a weak order); "
                 "drop the backend='columnar' hint"
             )
         cost = (
@@ -601,7 +607,7 @@ def plan(
         group_algorithm = algorithm
         if group_algorithm is None:
             if backend == "columnar":
-                # Eligibility check; a forced hint also takes SCORE terms
+                # Eligibility check; a forced hint also takes weak orders
                 # to the engine's argmax path.
                 choose_backend(pref, len(relation), backend, stats=stats)
                 group_algorithm = "vsfs"

@@ -286,72 +286,6 @@ class Cascade(PlanNode):
 
 
 @dataclass(frozen=True)
-class SortedWinnow(PlanNode):
-    """``sigma[P](...)`` for a term proved a **weak order** on its input.
-
-    Chomicki's semantic optimization (cs/0402003): when integrity
-    constraints prove the preference is a weak order on every instance the
-    input can be, the BMO set is exactly the first ORDER BY group — no
-    dominance testing is needed.  Execution is a single argmax pass: rank
-    every row by the term's score (or a chain's order-compatible key) and
-    keep the rows achieving the best rank, plus every row whose rank is
-    NaN — such a row is comparable to nothing but itself, so it is
-    maximal on its own.  ``constraint`` records the proof's provenance
-    and is printed by ``explain()``.
-    """
-
-    child: PlanNode
-    pref: Preference
-    #: Constraint provenance of the weak-order proof (shown in explain()).
-    constraint: str = ""
-    #: True when a key makes the first group provably a single tuple.
-    singleton: bool = False
-
-    def execute(self) -> Relation:
-        from repro.query.algorithms import best_positions, compatible_sort_key
-        from repro.core.base_numerical import (
-            HighestPreference,
-            LowestPreference,
-            score_function_of,
-        )
-
-        rel = self.child.execute()
-        if len(rel) <= 1:
-            return rel
-        # Fast path: single-attribute HIGHEST/LOWEST argmax directly over
-        # the cached column vector (builtin max/min, no per-row closures).
-        pref = self.pref
-        if isinstance(pref, (HighestPreference, LowestPreference)):
-            try:
-                return rel.take(best_positions(
-                    rel.columns()[pref.attributes[0]],
-                    lowest=isinstance(pref, LowestPreference),
-                ))
-            except (TypeError, KeyError):
-                pass  # nulls / mixed types: fall through to the row scan
-        score = score_function_of(pref)
-        if score is None:
-            score = compatible_sort_key(pref)
-        if score is None:  # unreachable for rule-built nodes; stay safe
-            return winnow(pref, rel)
-        try:
-            return rel.take(best_positions([score(row) for row in rel.rows()]))
-        except TypeError:
-            return winnow(pref, rel)
-
-    def lines(self, indent: int = 0) -> list[str]:
-        pad = "  " * indent
-        shape = "single best tuple" if self.singleton else "first sort group"
-        out = [
-            f"{pad}SortedWinnow[{self.pref!r}] (weak order: {shape})",
-        ]
-        if self.constraint:
-            out.append(f"{pad}  constraint: {self.constraint}")
-        out.extend(self.child.lines(indent + 1))
-        return out
-
-
-@dataclass(frozen=True)
 class TopK(PlanNode):
     """k-best retrieval for SCORE / rank(F) preferences (Section 6.2)."""
 

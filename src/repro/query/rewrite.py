@@ -60,13 +60,16 @@ Rule catalog (names as they appear in the trace):
 
 ``winnow_to_sort``
     Constraints prove the term a **weak order** on the input, so the BMO
-    set is the first ORDER-BY group and the winnow becomes a
-    :class:`~repro.query.plan.SortedWinnow` (one argmax pass, no
-    dominance tests).  Fires structurally when constraint pruning shrank
-    the term or a key inside a chain head makes the stage-one BMO a
-    single tuple (Proposition 11 then discharges all later stages); when
-    the planner's algorithm is already sort-based, a key on the chain's
-    attributes is recorded as a certification instead.
+    set is the first ORDER-BY group.  Fires structurally when constraint
+    pruning shrank the term or a key inside a chain head makes the
+    stage-one BMO a single tuple (Proposition 11 then discharges all
+    later stages): the winnow is rebuilt over the reduced term the way
+    the planner builds any winnow, so a weak order over one column gets
+    the one-pass argmax (``algorithm=sort``) and a reduced prioritization
+    of chains ``split_prio``'s cascade.  The trace entry names the
+    constraints the proof used.  When the planner's node is already the
+    argmax, a key on the chain's attributes is recorded as a
+    certification instead.
 
 The rigidity analyses are deliberately *syntactic and conservative*: a
 ``None``/``False`` answer only costs an optimization, while a wrong
@@ -104,7 +107,6 @@ from repro.query.plan import (
     PlanNode,
     PreferenceSelect,
     Scan,
-    SortedWinnow,
     StorageScan,
 )
 from repro.query.quality import QualityCondition, base_preferences_by_attribute
@@ -732,6 +734,8 @@ def _rule_winnow_to_sort(
         return None
     provenance = "; ".join(reduction.provenance)
     if not reduction.changed:
+        if ("winnow_to_sort", _head(node)) in ctx.noted:
+            return None  # its rebuild's trace entry already names the proof
         # The planner's algorithm for a weak order is already sort-based;
         # certify (trace-only) that a key makes its first group one tuple.
         return (
@@ -740,11 +744,18 @@ def _rule_winnow_to_sort(
             f"sorted one-pass evaluation, best-matches set is a single "
             f"tuple ({provenance})",
         )
-    new_node = SortedWinnow(
-        node.child, reduction.pref,
-        constraint=provenance, singleton=reduction.singleton,
+    from repro.query.optimizer import winnow_node
+
+    new_node = winnow_node(
+        node.child, reduction.pref, ctx.cardinality, ctx.backend,
+        stats=ctx.stats, constraints=constraints,
     )
-    return new_node, _head(node), _head(new_node)
+    ctx.noted.add(("winnow_to_sort", _head(new_node)))
+    return (
+        new_node,
+        _head(node),
+        f"{_head(new_node)} (constraint: {provenance})",
+    )
 
 
 #: Rule order: selections move first, terms specialize, trivial winnows

@@ -223,16 +223,6 @@ class Relation:
         """Hard selection sigma_cond(R): the exact-match world's filter."""
         return self._derive([r for r in self._rows if predicate(r)])
 
-    def take(self, indices: Iterable[int]) -> "Relation":
-        """The sub-relation at the given row positions (in given order).
-
-        The positional twin of :meth:`select`, for callers that computed
-        which rows to keep from the cached column vectors (argmax scans)
-        and should not pay a per-row predicate call.
-        """
-        rows = self._rows
-        return self._derive([rows[i] for i in indices])
-
     def project(
         self, attributes: Sequence[str], dedupe: bool = False
     ) -> "Relation":

@@ -12,10 +12,10 @@ from repro.core.base_numerical import (
     ScorePreference,
     distance_to_interval,
     distance_to_point,
-    score_function_of,
 )
 from repro.core.constructors import DualPreference
 from repro.core.validate import check_strict_partial_order
+from repro.engine.columnar import weak_score
 
 NUMS = [-6, -5, 0, 1, 5, 6, 10]
 
@@ -116,16 +116,31 @@ class TestDistanceHelpers:
         assert zero == datetime.timedelta(0)
 
 
-class TestScoreFunctionOf:
+class TestWeakScore:
+    """``weak_score``: how a weak order ranks one column's values."""
+
     def test_score_preference(self):
-        f = score_function_of(HighestPreference("x"))
-        assert f({"x": 9}) == 9
+        axis = weak_score(AroundPreference("x", 3))
+        assert (axis.attribute, axis.sign, axis.weak) == ("x", 1, True)
+        assert axis.key(9) == -6
+        assert weak_score(HighestPreference("x")) == ("x", None, 1, False)
 
-    def test_dual_negates(self):
-        f = score_function_of(DualPreference(HighestPreference("x")))
-        assert f({"x": 9}) == -9
+    def test_dual_flips_sign(self):
+        # The direction is a sign, never a negated score: LOWEST and the
+        # dual of HIGHEST rank words as well as numbers.
+        assert weak_score(DualPreference(HighestPreference("x"))) == (
+            "x", None, -1, False,
+        )
+        assert weak_score(LowestPreference("x")).sign == -1
+        assert weak_score(DualPreference(LowestPreference("x"))).sign == 1
 
-    def test_non_score_returns_none(self):
-        from repro.core.base_nonnumerical import PosPreference
+    def test_layered_is_covered(self):
+        from repro.core.base_nonnumerical import (
+            ExplicitPreference,
+            PosPreference,
+        )
 
-        assert score_function_of(PosPreference("c", {"red"})) is None
+        axis = weak_score(PosPreference("c", {"red"}))
+        assert axis.attribute == "c" and axis.weak
+        assert axis.key("red") > axis.key("blue")
+        assert weak_score(ExplicitPreference("c", [("a", "b")])) is None

@@ -219,7 +219,7 @@ class TestRelationShapes:
 class TestScorePath:
     @pytest.mark.parametrize("use_numpy", [True, False])
     def test_around_matches_sort_based(self, monkeypatch, use_numpy):
-        from repro.query.algorithms import sort_based_maxima
+        from repro.engine.columnar import sort_based_maxima
 
         if not use_numpy:
             monkeypatch.setattr(engine_backend, "_numpy", None)
@@ -237,9 +237,15 @@ class TestScorePath:
             == "skyline"
         )
         assert columnar_profile(AroundPreference("d0", 1)) == "score"
-        from repro.core.base_nonnumerical import PosPreference
+        from repro.core.base_nonnumerical import (
+            ExplicitPreference,
+            PosPreference,
+        )
 
-        assert columnar_profile(PosPreference("d0", {1})) is None
+        # Every weak order over one column is one argmax pass.
+        assert columnar_profile(PosPreference("d0", {1})) == "score"
+        assert columnar_profile(dual(ChainPreference("d0"))) == "score"
+        assert columnar_profile(ExplicitPreference("d0", [(1, 2)])) is None
 
 
 class TestEligibility:
@@ -290,10 +296,10 @@ class TestEligibility:
                 columnar_winnow(pref, [{"d0": 1, "d1": 1, "d2": 1}])
 
     def test_ineligible_raises(self):
-        from repro.core.base_nonnumerical import PosPreference
+        from repro.core.base_nonnumerical import ExplicitPreference
 
         with pytest.raises(NotColumnarError):
-            columnar_winnow(PosPreference("d0", {1}), [{"d0": 1}])
+            columnar_winnow(ExplicitPreference("d0", [(1, 2)]), [{"d0": 1}])
 
     def test_unknown_strategy_raises(self):
         pref = pareto(HighestPreference("d0"), HighestPreference("d1"))
@@ -310,11 +316,18 @@ class TestEligibility:
         assert set(ALGORITHMS) == {"naive", "bnl", "sfs", "sort", "vsfs"}
 
     def test_algorithm_adapters_reject_ineligible(self):
-        from repro.core.base_nonnumerical import PosPreference
+        from repro.core.base_nonnumerical import ExplicitPreference
 
+        explicit = ExplicitPreference("d0", [(1, 2)])
         for rows in ([{"d0": 1}], []):
+            for name in ("vsfs", "sort"):
+                with pytest.raises(NotColumnarError):
+                    ALGORITHMS[name](explicit, rows)
             with pytest.raises(NotColumnarError):
-                ALGORITHMS["vsfs"](PosPreference("d0", {1}), rows)
+                ALGORITHMS["sort"](
+                    pareto(HighestPreference("d0"), LowestPreference("d1")),
+                    rows,
+                )
 
 
 class TestGroupedWinnow:

@@ -15,6 +15,7 @@ from repro.core.base_numerical import (
 )
 from repro.core.constructors import dual, pareto, prioritized, rank
 from repro.core.preference import AntiChain, ChainPreference
+from repro.engine.columnar import sort_based_maxima
 from repro.query.algorithms import (
     ALGORITHMS,
     ComparisonCounter,
@@ -22,7 +23,6 @@ from repro.query.algorithms import (
     chain_axis,
     compatible_sort_key,
     naive_nested_loop,
-    sort_based_maxima,
     sort_filter_skyline,
 )
 
@@ -157,8 +157,12 @@ class TestSkylineAxes:
 
 class TestSortBased:
     def test_requires_score(self):
+        from repro.core.base_nonnumerical import ExplicitPreference
+
         with pytest.raises(ValueError):
-            sort_based_maxima(PosPreference("c", {"x"}), [{"c": "x"}])
+            sort_based_maxima(
+                ExplicitPreference("c", [("x", "y")]), [{"c": "x"}]
+            )
 
     def test_rank_preferences_supported(self):
         pref = rank(

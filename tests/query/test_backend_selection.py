@@ -12,7 +12,7 @@ import pytest
 
 from tests.conftest import LOWERED_TERMS, lowered_rows
 
-from repro.core.base_nonnumerical import PosPreference
+from repro.core.base_nonnumerical import ExplicitPreference
 from repro.core.base_numerical import (
     AroundPreference,
     HighestPreference,
@@ -37,6 +37,8 @@ SKY = pareto(HighestPreference("d0"), LowestPreference("d1"))
 SKY3 = pareto(
     HighestPreference("d0"), LowestPreference("d1"), HighestPreference("d2")
 )
+#: A term with no columnar evaluation: EXPLICIT is no weak order.
+EXPLICIT = ExplicitPreference("d0", [(0.25, 0.5)])
 BIG = 5000
 
 
@@ -169,7 +171,7 @@ class TestChooseBackend:
 
     def test_columnar_hint_on_ineligible_raises(self):
         with pytest.raises(ValueError, match="no columnar evaluation"):
-            choose_backend(PosPreference("d0", {1}), BIG, "columnar")
+            choose_backend(EXPLICIT, BIG, "columnar")
 
     def test_auto_goes_columnar_when_big(self):
         choice = choose_backend(SKY3, BIG, "auto")
@@ -304,13 +306,14 @@ class TestPlannerIntegration:
     def test_key_headed_cascade_collapses_to_sorted_winnow(self, session):
         """``d0`` is continuous, so statistics derive ``key(d0)``: the
         semantic ``winnow_to_sort`` rule proves the chain head alone picks a
-        single best tuple and later stages never apply."""
-        from repro.query.plan import SortedWinnow
-
+        single best tuple and later stages never apply — the winnow is
+        rebuilt over the head as the one-pass argmax."""
         pref = prioritized(LowestPreference("d0"), HighestPreference("d1"))
         p = plan(pref, session.catalog.get("big"))
-        assert isinstance(p.root, SortedWinnow)
-        assert "key(d0)" in p.root.constraint
+        assert isinstance(p.root, PreferenceSelect)
+        assert p.root.algorithm == "sort"
+        assert "winnow_to_sort" in p.rewrite_rules()
+        assert "constraint: key(d0)" in p.explain()
 
     def test_cascades_unaffected(self):
         """Without a key on the chain head, prioritizations keep their
@@ -381,7 +384,7 @@ class TestPlannerIntegration:
     def test_ineligible_forced_columnar_raises_at_plan_time(self, session):
         q = (
             session.query("big")
-            .prefer(PosPreference("d0", {0.5}))
+            .prefer(EXPLICIT)
             .backend("columnar")
         )
         with pytest.raises(ValueError, match="no columnar evaluation"):

@@ -18,13 +18,22 @@ from repro.core.base_numerical import (
     LowestPreference,
 )
 from repro.core.constructors import pareto, prioritized
-from repro.query.plan import SortedWinnow
+from repro.query.plan import ColumnarPreferenceSelect, PreferenceSelect
 from repro.relations.schema import Key
 from repro.session import Session
 
 
 def _session(rows, name="t"):
     return Session({name: rows})
+
+
+def _assert_rebuilt_as_argmax(plan, provenance):
+    """winnow_to_sort rebuilt the winnow over the reduced weak order: the
+    planner's one-pass argmax, with the proof's constraints named once."""
+    root = plan.root
+    assert isinstance(root, PreferenceSelect) and root.algorithm == "sort"
+    assert "winnow_to_sort" in plan.rewrite_rules()
+    assert plan.explain().count(provenance) == 1
 
 
 class TestWinnowToSort:
@@ -41,7 +50,7 @@ class TestWinnowToSort:
         assert "winnow_to_sort" in text
         assert "key(rating)" in text
         assert "later stages never apply" in text
-        assert isinstance(q.plan().root, SortedWinnow)
+        _assert_rebuilt_as_argmax(q.plan(), "key(rating)")
         assert q.run().rows() == q.optimize(False).run().rows()
 
     def test_declared_key_used_when_stats_cannot_prove_one(self):
@@ -83,7 +92,7 @@ class TestWinnowToSort:
 
         rows = [{"a": a, "n1": 1} for a in (float("nan"), 2.0, 1.0)]
         q = _session(rows).query("t").prefer(pref)
-        assert isinstance(q.plan().root, SortedWinnow)
+        _assert_rebuilt_as_argmax(q.plan(), "n1 = 1")
         result = [r["a"] for r in q.run().rows()]
         assert result[0] != result[0] and result[1:] == kept
         assert len(naive_nested_loop(pref, rows)) == len(result)
@@ -93,7 +102,7 @@ class TestWinnowToSort:
         q = _session(rows).query("t").prefer(pareto(
             AroundPreference("n0", 0), AroundPreference("n1", 0),
         ))
-        assert isinstance(q.plan().root, SortedWinnow)
+        _assert_rebuilt_as_argmax(q.plan(), "n1 = 1.0")
         assert q.count() == 3
 
     def test_columnar_hint_suppresses_structural_change(self):
@@ -105,7 +114,9 @@ class TestWinnowToSort:
             .prefer(pareto(HighestPreference("a"), LowestPreference("b")))
             .backend("columnar")
         )
-        assert "SortedWinnow" not in q.explain()
+        plan = q.plan()
+        assert isinstance(plan.root, ColumnarPreferenceSelect)
+        assert "winnow_to_sort" not in plan.rewrite_rules()
 
 
 class TestRemoveRedundantWinnow:
@@ -210,9 +221,9 @@ def test_constant_prune_equivalence(constant, values):
 
 
 class TestSortedWinnowNode:
-    # A bare chain only gets a trace-level certification; the structural
-    # SortedWinnow node appears when constraints *change* the term, as in
-    # the key-headed prioritization collapse.
+    # A bare chain only gets a trace-level certification; the winnow is
+    # rebuilt as the argmax when constraints *change* the term, as in the
+    # key-headed prioritization collapse.
     def _chain_query(self):
         rows = [{"a": float(i), "b": i % 3} for i in range(5)]
         return _session(rows).query("t").prefer(prioritized(
@@ -220,15 +231,19 @@ class TestSortedWinnowNode:
         ))
 
     def test_plan_nodes_are_frozen(self):
-        root = self._chain_query().plan().root
-        assert isinstance(root, SortedWinnow)
+        plan = self._chain_query().plan()
+        _assert_rebuilt_as_argmax(plan, "key(a)")
+        root = plan.root
         with pytest.raises(Exception):
             root.pref = None  # frozen dataclass
 
     def test_explain_lines_name_constraint(self):
-        text = self._chain_query().explain()
-        assert "SortedWinnow" in text
-        assert "constraint:" in text
+        plan = self._chain_query().plan()
+        _assert_rebuilt_as_argmax(plan, "key(a)")
+        assert "constraint: key(a)" in plan.explain()
+        # The rebuilt node is not certified again.
+        assert plan.rewrite_rules() == ("winnow_to_sort",)
+        assert len(plan.rewrites) == 1
 
     def test_general_sort_path_matches_winnow(self):
         # AROUND has a score function but no single-column argmax path.

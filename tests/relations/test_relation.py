@@ -58,7 +58,7 @@ class TestConstruction:
         mutating it changes neither the derived relation nor its parent."""
         from repro.core.base_numerical import HighestPreference, LowestPreference
         from repro.core.constructors import pareto
-        from repro.engine.columnar import columnar_winnow
+        from repro.engine.columnar import columnar_winnow, sort_based_maxima
         from repro.query.bmo import winnow
         from repro.relations.schema import Key
 
@@ -67,7 +67,7 @@ class TestConstruction:
         pref = pareto(LowestPreference("price"), HighestPreference("make"))
         derived = [
             parent.select(lambda r: r["make"] == "Opel"),
-            parent.take([0, 2]),
+            sort_based_maxima(HighestPreference("price"), parent),
             parent.with_name("auto"),
             parent.declare(Key(("make", "price"))),
             winnow(pref, parent),

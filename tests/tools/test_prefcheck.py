@@ -95,6 +95,46 @@ class TestFrozenPlanNodes:
         assert check_source(source, "src/repro/server/metrics.py") == []
 
 
+class TestExecuteFailsVisibly:
+    def test_fallback_in_execute_flagged(self):
+        source = textwrap.dedent("""
+            from dataclasses import dataclass
+
+            @dataclass(frozen=True)
+            class SortedWinnow:
+                child: object
+
+                def execute(self):
+                    rel = self.child.execute()
+                    try:
+                        return argmax(rel)
+                    except TypeError:
+                        return winnow(rel)
+        """)
+        findings = check_source(source, "src/repro/query/plan.py")
+        assert _codes(findings) == ["PC007"]
+        assert "SortedWinnow.execute()" in findings[0].message
+
+    def test_execute_without_try_is_clean(self):
+        source = textwrap.dedent("""
+            from dataclasses import dataclass
+
+            @dataclass(frozen=True)
+            class PreferenceSelect:
+                child: object
+
+                def execute(self):
+                    return winnow(self.pref, self.child.execute())
+
+                def lines(self):
+                    try:
+                        return [repr(self.pref)]
+                    except TypeError:
+                        return ["?"]
+        """)
+        assert check_source(source, "src/repro/query/plan.py") == []
+
+
 class TestBareExcept:
     def test_bare_except_in_server_flagged(self):
         source = textwrap.dedent("""

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """prefcheck: repo-specific lint for the preference-query codebase.
 
-Six AST-level checks encode invariants the test suite cannot express as
+Seven AST-level checks encode invariants the test suite cannot express as
 unit tests (they quantify over *all* code, current and future):
 
 * **PC001 — no planning under a session lock.**  Query planning and plan
@@ -36,6 +36,10 @@ unit tests (they quantify over *all* code, current and future):
   annotations count); package ``__init__.py`` files re-export by design
   and are exempt, and an import line marked ``# noqa`` is kept on
   purpose (an import for its side effect).
+* **PC007 — plan nodes fail visibly.**  No ``try`` statement may appear
+  inside an ``execute`` method in ``query/plan.py``: an evaluator that
+  fails must raise, never re-route the winnow to another evaluator,
+  which is how a wrong answer hides behind a fallback.
 
 Usage::
 
@@ -178,6 +182,32 @@ def _check_frozen_plan_nodes(tree: ast.AST, path: str) -> list[Finding]:
                     "@dataclass(frozen=True): plans are shared across "
                     "threads by the session plan cache",
                 ))
+    return findings
+
+
+#: ``try`` and, from Python 3.11, ``try`` with ``except*`` clauses.
+_TRY_NODES = tuple(
+    getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name)
+)
+
+
+def _check_execute_has_no_try(tree: ast.AST, path: str) -> list[Finding]:
+    """PC007: no ``try`` inside a plan node's ``execute``."""
+    findings: list[Finding] = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for member in cls.body:
+            if not (isinstance(member, ast.FunctionDef)
+                    and member.name == "execute"):
+                continue
+            for node in ast.walk(member):
+                if isinstance(node, _TRY_NODES):
+                    findings.append(Finding(
+                        "PC007", path, node.lineno,
+                        f"try inside {cls.name}.execute(): a failing "
+                        "evaluator must raise, not re-route to another one",
+                    ))
     return findings
 
 
@@ -358,7 +388,8 @@ def check_loop_lane(
 def check_source(source: str, path: str = "<string>") -> list[Finding]:
     """All generic per-file checks over one source text.
 
-    ``query/plan.py`` additionally gets the frozen-dataclass check,
+    ``query/plan.py`` additionally gets the frozen-dataclass and the
+    no-``try``-in-``execute`` checks,
     ``src/repro/server`` files the bare-except check and every other
     module under ``src/`` the unused-import check; callers passing
     arbitrary snippets (doc blocks, examples) get the lock-scope check,
@@ -373,6 +404,7 @@ def check_source(source: str, path: str = "<string>") -> list[Finding]:
     normalized = path.replace("\\", "/")
     if normalized.endswith("query/plan.py"):
         findings += _check_frozen_plan_nodes(tree, path)
+        findings += _check_execute_has_no_try(tree, path)
     if "/server/" in normalized or "repro/server" in normalized:
         findings += _check_bare_except(tree, path)
     if (normalized.startswith("src/") or "/src/" in normalized) and (
