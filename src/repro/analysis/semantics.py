@@ -37,7 +37,7 @@ from repro.core.constructors import (
     PrioritizedPreference,
 )
 from repro.core.preference import Preference
-from repro.engine.columnar import weak_score
+from repro.query.algorithms import weak_score
 
 
 def over_constants(pref: Preference, constraints: ConstraintSet) -> bool:
@@ -128,12 +128,13 @@ def semantic_prune(
 
 
 def is_weak_order(pref: Preference) -> bool:
-    """Whether the term's order is provably *negatively transitive*.
+    """Whether the term's maxima are one argmax pass.
 
-    Every term :func:`~repro.engine.columnar.weak_score` scores is a weak
-    order by construction (rows ordered by one score); chains — a
-    prioritization of chains among them — are weak (indeed total) orders
-    on their projections.
+    A term :func:`~repro.query.algorithms.weak_score` scores gives each
+    value one score; its maxima are the best-scored values plus the
+    unranked ones (NaN, outside every layer of a POS), each maximal on its
+    own.  Chains — a prioritization of chains among them — are weak
+    (indeed total) orders on their projections.
     """
     return weak_score(pref) is not None or pref.is_chain() is True
 
@@ -202,7 +203,7 @@ def weak_order_reduction(
                 "pairwise distinct, so the first group is one tuple"
             )
     if not provenance:
-        provenance.append("weak order: totally ordered by score")
+        provenance.append("one score per value, unranked rows maximal")
     return WeakOrderReduction(
         pref=pruned,
         provenance=tuple(provenance),

@@ -12,7 +12,7 @@ function:
 The class layout mirrors that hierarchy: everything numerical derives from
 :class:`ScorePreference`, so the query optimizer can treat *any* numerical
 base preference uniformly via its score function (constructor
-substitutability, Section 3.4; :func:`repro.engine.columnar.weak_score`
+substitutability, Section 3.4; :func:`repro.query.algorithms.weak_score`
 reads it).
 
 All constructors work for any ordered type with subtraction — the paper

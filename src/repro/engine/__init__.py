@@ -7,8 +7,8 @@ terms over chains and single-attribute weak orders — are compiled to
 integer code matrices, and dominance runs block-wise vectorized
 (NumPy when available, pure Python otherwise) instead of one
 ``pref._lt`` call per row pair.  A bare weak order over one column is one
-argmax pass over its column instead (``columnar.weak_score``, the
-``sort`` algorithm).
+argmax pass over its column instead (the ``sort`` algorithm; its score is
+``repro.query.algorithms.weak_score``).
 
 The planner (:mod:`repro.query.optimizer`) picks this backend for every
 such winnow, at any size and with or without NumPy;

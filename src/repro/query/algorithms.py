@@ -36,9 +36,14 @@ Two correctness subtleties the implementations honour:
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from repro.core.base_nonnumerical import ExplicitPreference
+from repro.core.base_nonnumerical import ExplicitPreference, LayeredPreference
+from repro.core.base_numerical import (
+    HighestPreference,
+    LowestPreference,
+    ScorePreference,
+)
 from repro.core.constructors import (
     DisjointUnionPreference,
     DualPreference,
@@ -47,7 +52,7 @@ from repro.core.constructors import (
     ParetoPreference,
     PrioritizedPreference,
 )
-from repro.core.preference import AntiChain, Preference, Row
+from repro.core.preference import AntiChain, ChainPreference, Preference, Row
 
 #: Registry of maxima algorithms by name (filled at module end).  The
 #: code engine (:mod:`repro.engine.columnar`) registers its two evaluators
@@ -150,6 +155,75 @@ def block_nested_loop(pref: Preference, rows: list[Row]) -> list[Row]:
     return _fan_out(pref, rows, members, window)
 
 
+# -- weak orders over one column ------------------------------------------------------
+
+class ColumnAxis(NamedTuple):
+    """One Pareto arm, or a bare weak order (:func:`weak_score`), lowered
+    to column form.
+
+    The arm's value on a row is ``key(row[attribute])`` (``None`` = the raw
+    value); ``sign`` +1 means bigger-is-better, -1 the reverse.  Keeping
+    direction as a sign on the *integer codes* instead of a wrapper on
+    every value keeps rank encoding on native comparisons.
+
+    With ``weak`` false the key is injective on the attribute (a chain) and
+    the arm is one code axis.  A *composite* chain — one arm that is itself
+    a prioritization of disjoint chains — names a tuple of attributes and a
+    key over the zipped value tuple; it is rank-encoded independently like
+    any other axis and re-merged with its sibling arms inside the kernel.
+
+    With ``weak`` true the key is a *score*: it ranks values and may tie
+    distinct ones, which then stay unranked.  Such an arm becomes two code
+    axes (:func:`repro.engine.columns.encode_weak_axis`).  A score that is
+    not equal to itself leaves its value ranked against nothing.  A
+    multi-attribute SCORE scores the zipped value tuple the same way.
+    """
+
+    attribute: str | tuple[str, ...]
+    key: Callable[[Any], Any] | None
+    sign: int
+    weak: bool = False
+
+    @property
+    def width(self) -> int:
+        """Integer code axes this arm occupies in the kernel matrix."""
+        return 2 if self.weak else 1
+
+
+def weak_score(pref: Preference) -> ColumnAxis | None:
+    """How ``pref`` ranks one column's values, when it is a weak order.
+
+    HIGHEST and LOWEST rank by the value (``key`` None), ChainPreference
+    by its key, SCORE / AROUND / BETWEEN by their score (a multi-attribute
+    SCORE over the projection tuple of its attributes), the layered POS /
+    NEG family by layer (NaN — ranked against nothing — outside every
+    layer); a dual flips the sign.  ``None`` for every other term, a
+    prioritization of chains included: a NaN in a later stage does not
+    leave its row unranked.
+    """
+    if isinstance(pref, HighestPreference):
+        return ColumnAxis(pref.attribute, None, 1)
+    if isinstance(pref, LowestPreference):
+        return ColumnAxis(pref.attribute, None, -1)
+    if isinstance(pref, ChainPreference):
+        return ColumnAxis(pref.attribute, pref.key, 1)
+    if isinstance(pref, ScorePreference):
+        attributes = pref.attributes
+        attribute = attributes[0] if len(attributes) == 1 else attributes
+        return ColumnAxis(attribute, pref.function, 1, weak=True)
+    if isinstance(pref, LayeredPreference):
+
+        def layer_score(value: Any) -> float:
+            index = pref.layer_index(value)
+            return float("nan") if index is None else -index
+
+        return ColumnAxis(pref.attribute, layer_score, 1, weak=True)
+    if isinstance(pref, DualPreference):
+        inner = weak_score(pref.base)
+        return None if inner is None else inner._replace(sign=-inner.sign)
+    return None
+
+
 # -- sort-filter skyline ---------------------------------------------------------------
 
 class _Reversed:
@@ -189,9 +263,9 @@ def compatible_sort_key(pref: Preference) -> Callable[[Row], Any] | None:
     :func:`sort_filter_skyline` needs.  Built structurally:
 
     * weak orders over one column (HIGHEST, LOWEST, ChainPreference, the
-      SCORE family, layered, their duals): the score
-      :func:`repro.engine.columnar.weak_score` gives them, order-reversed
-      for sign -1 (so LOWEST keys on any ordered domain),
+      SCORE family, layered, their duals): the score :func:`weak_score`
+      gives them, order-reversed for sign -1 (so LOWEST keys on any
+      ordered domain),
     * EXPLICIT: negated level (level 1 is best),
     * Pareto / prioritized / intersection: tuple of child keys
       (dominance makes every component <=, some <, hence lex-smaller),
@@ -200,8 +274,6 @@ def compatible_sort_key(pref: Preference) -> Callable[[Row], Any] | None:
     * linear sum: (which-world flag, child key),
     * disjoint union: no general construction -> None.
     """
-    from repro.engine.columnar import weak_score
-
     score = weak_score(pref)
     if score is not None:
         return _weak_key(score)
@@ -306,7 +378,7 @@ def chain_axis(child: Preference) -> Callable[[Row], Any] | None:
 
     Only chains with an injective score on their attributes qualify
     (LOWEST, HIGHEST, ChainPreference — the non-weak answers of
-    :func:`repro.engine.columnar.weak_score` — their duals, and
+    :func:`weak_score` — their duals, and
     prioritizations of those): score equality is then projection
     equality.  The code engine's composite-arm support builds on this
     (:func:`repro.engine.columnar.columnar_axes`).
@@ -328,16 +400,14 @@ def chain_axis(child: Preference) -> Callable[[Row], Any] | None:
             return None
         axes = tuple(stage_axes)
         return lambda row: tuple(axis(row) for axis in axes)  # type: ignore[misc]
-    from repro.engine.columnar import weak_score
-
     score = weak_score(child)
     return None if score is None or score.weak else _weak_key(score)
 
 
-def _weak_key(score: Any) -> Callable[[Row], Any]:
-    """The row key of a :func:`~repro.engine.columnar.weak_score`: its key
-    of the value (of the projection tuple, for a multi-attribute SCORE),
-    order-reversed for sign -1."""
+def _weak_key(score: ColumnAxis) -> Callable[[Row], Any]:
+    """The row key of a :func:`weak_score`: its key of the value (of the
+    projection tuple, for a multi-attribute SCORE), order-reversed for
+    sign -1."""
     attribute, key, sign, _ = score
     value = (
         itemgetter(*attribute) if isinstance(attribute, tuple)

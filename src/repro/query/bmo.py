@@ -28,7 +28,7 @@ from repro.core.constructors import (
     PrioritizedPreference,
 )
 from repro.core.preference import AntiChain, Preference, Row
-from repro.query.algorithms import ALGORITHMS, block_nested_loop
+from repro.query.algorithms import ALGORITHMS, block_nested_loop, weak_score
 from repro.relations.relation import Relation
 
 
@@ -71,11 +71,14 @@ def _bind_engine(
     """The evaluator of one term as a function of rows alone — what a
     grouped winnow calls once per group.  The code engine's two evaluators
     (the argmax ``"sort"`` and the kernels ``"vsfs"``) lower the term
-    here, once, instead of inside every call."""
-    if algorithm in ("sort", "vsfs"):
+    here, once, instead of inside every call; ``"sort"`` over a term that
+    is not a weak order binds the adapter, which refuses it."""
+    if algorithm == "vsfs" or (
+        algorithm == "sort" and weak_score(pref) is not None
+    ):
         from repro.engine.columnar import lowered_winnow
 
-        return lowered_winnow(pref, argmax=algorithm == "sort")
+        return lowered_winnow(pref)
     return partial(_resolve_engine(algorithm), pref)
 
 
@@ -96,6 +99,9 @@ def winnow(
     """
     rows, template = _unpack(data)
     engine = _resolve_engine(algorithm)
+    if template is not None and algorithm in ("sort", "vsfs"):
+        # The code engine takes the relation whole, reading its columns.
+        return engine(pref, template)
     return _repack(engine(pref, rows), template)
 
 

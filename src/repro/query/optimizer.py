@@ -52,11 +52,10 @@ from repro.engine.columnar import (
     columnar_axes,
     columnar_profile,
     columnar_winnow,
-    weak_score,
 )
 from repro.engine.parallel import MIN_PARTITION_ROWS, cpu_count
 from repro.query import rewrite as _rewrite
-from repro.query.algorithms import ALGORITHMS, compatible_sort_key
+from repro.query.algorithms import ALGORITHMS, compatible_sort_key, weak_score
 from repro.query.plan import (
     ButOnly,
     ColumnarPreferenceSelect,
@@ -289,7 +288,7 @@ def row_reason(pref: Preference) -> str | None:
 def choose_algorithm(pref: Preference, backend: str = "auto") -> str:
     """The evaluator of one winnow, as a name in ``ALGORITHMS``.
 
-    Weak orders over one column (:func:`~repro.engine.columnar.weak_score`)
+    Weak orders over one column (:func:`~repro.query.algorithms.weak_score`)
     take the one-pass argmax ``sort``; terms with a code form take the
     code kernels (``vsfs``) unless ``backend="row"`` asks for the general
     row path; that path is ``sfs`` when a dominance-compatible key exists

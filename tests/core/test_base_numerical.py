@@ -15,7 +15,7 @@ from repro.core.base_numerical import (
 )
 from repro.core.constructors import DualPreference
 from repro.core.validate import check_strict_partial_order
-from repro.engine.columnar import weak_score
+from repro.query.algorithms import weak_score
 
 NUMS = [-6, -5, 0, 1, 5, 6, 10]
 

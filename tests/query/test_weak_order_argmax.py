@@ -32,12 +32,17 @@ from repro.core.base_numerical import (
 )
 from repro.core.constructors import DualPreference, pareto
 from repro.core.preference import ChainPreference
-from repro.engine.columnar import columnar_winnow, weak_score
-from repro.query.algorithms import ALGORITHMS, naive_nested_loop
+from repro.core.constructors import prioritized
+from repro.engine.columnar import columnar_winnow
+from repro.engine.columns import ColumnStore
+from repro.query.algorithms import ALGORITHMS, naive_nested_loop, weak_score
 from repro.query.api import PreferenceQuery
 from repro.query.bmo import winnow_groupby
 from repro.query.optimizer import choose_algorithm, full_winnow
-from repro.query.plan import PreferenceSelect
+from repro.query.optimizer import plan as make_plan
+from repro.query.plan import PreferenceSelect, Scan
+from repro.relations.relation import Relation
+from repro.relations.schema import Schema
 
 NAN = float("nan")
 
@@ -201,3 +206,29 @@ def test_bare_pos_explains_the_argmax():
     assert "algorithm=sort" in text
     assert "decision: weak order: one argmax pass" in text
     assert "no columnar dominance form" not in text
+
+
+def test_planned_argmax_reads_the_cached_columns(monkeypatch):
+    """Over a relation whose columns are cached, a node that runs the
+    argmax — a plain winnow, the node winnow_to_sort rebuilds — reads
+    those columns and never rebuilds them from the rows."""
+    rows = [{"a": (i * 7) % 50, "b": i % 3, "i": i} for i in range(200)]
+    rel = Relation("r", Schema.infer(rows), rows)
+    rel.columns()
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("columns rebuilt from the rows")
+
+    monkeypatch.setattr(ColumnStore, "from_rows", rebuild)
+    highest = HighestPreference("a")
+    expected = naive_nested_loop(highest, rows)
+    assert PreferenceSelect(Scan(rel), highest, "sort").execute().rows() == (
+        expected
+    )
+    # "i" is continuous, so statistics derive key(i) and the key-headed
+    # chain collapses to an argmax over its head.
+    chain = prioritized(LowestPreference("i"), HighestPreference("a"))
+    planned = make_plan(chain, rel)
+    assert "winnow_to_sort" in planned.rewrite_rules()
+    assert planned.root.algorithm == "sort"
+    assert planned.execute().rows() == [rows[0]]
