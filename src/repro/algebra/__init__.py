@@ -7,8 +7,9 @@ algebra*: laws over preference terms under the equivalence of Definition 13
 * :mod:`repro.algebra.equivalence` — decide ``P1 == P2`` on finite probe
   domains (the semantic ground truth the laws are tested against),
 * :mod:`repro.algebra.laws` — Propositions 2-6 as named, executable laws,
-* :mod:`repro.algebra.rewriter` — a simplification engine that applies the
-  laws as rewrite rules, used by the query optimizer.
+* :mod:`repro.algebra.rewriter` — the laws as rewrite rules: one memoized
+  walk, :func:`normalize`, to the normal form the query optimizer plans
+  on and every cache keys on.
 """
 
 from repro.algebra.equivalence import (
@@ -18,7 +19,7 @@ from repro.algebra.equivalence import (
     equivalence_witness,
 )
 from repro.algebra.laws import ALL_LAWS, Law, laws_for
-from repro.algebra.rewriter import simplify, simplify_once, rewrite_trace
+from repro.algebra.rewriter import normalize
 
 __all__ = [
     "ALL_LAWS",
@@ -28,7 +29,5 @@ __all__ = [
     "equivalence_witness",
     "equivalent_on",
     "laws_for",
-    "rewrite_trace",
-    "simplify",
-    "simplify_once",
+    "normalize",
 ]

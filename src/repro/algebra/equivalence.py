@@ -15,17 +15,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, Sequence
 
+from repro.algebra.rewriter import normalize
 from repro.core.base_nonnumerical import ExplicitPreference, LayeredPreference
-from repro.core.base_numerical import ScorePreference
-from repro.core.constructors import (
-    DisjointUnionPreference,
-    DualPreference,
-    IntersectionPreference,
-    LinearSumPreference,
-    ParetoPreference,
-    PrioritizedPreference,
-    RankPreference,
-)
 from repro.core.preference import Preference, as_row
 
 
@@ -109,102 +100,25 @@ def canonical_probe(
 
 
 # -- canonical forms (registry keying) -----------------------------------------
-#
-# The commutative constructors: Proposition 2 proves Pareto, intersection,
-# and disjoint union invariant under permuting their arguments (prioritized
-# accumulation is associative only, and rank/linear-sum argument order is
-# genuinely meaningful), so sorting their children is equivalence-preserving.
-_COMMUTATIVE = (ParetoPreference, IntersectionPreference, DisjointUnionPreference)
-
-
-def _ordered_children(term: Preference) -> Preference | None:
-    """``term`` with commutative children canonically ordered (bottom-up),
-    or ``None`` when nothing changed (so callers keep object identity —
-    ad-hoc SCORE callables stay the very same function objects)."""
-    if isinstance(term, _COMMUTATIVE):
-        children = [_ordered_children(c) or c for c in term.children]
-        reordered = sorted(children, key=lambda c: repr(c.signature))
-        if reordered == list(term.children):
-            return None
-        return type(term)(tuple(reordered))
-    if isinstance(term, DualPreference):
-        base = _ordered_children(term.base)
-        return None if base is None else DualPreference(base)
-    if isinstance(term, LinearSumPreference):
-        first = _ordered_children(term.first)
-        second = _ordered_children(term.second)
-        if first is None and second is None:
-            return None
-        return LinearSumPreference(
-            first or term.first, second or term.second,
-            attribute=term.attribute,
-        )
-    if isinstance(term, RankPreference):
-        children = [_ordered_children(c) or c for c in term.children]
-        if children == list(term.children):
-            return None
-        return RankPreference(
-            term.combine, tuple(children), name=term.score_name
-        )
-    if isinstance(term, PrioritizedPreference):
-        # Prioritized accumulation keeps its argument order (it is
-        # associative only) — but its subtrees still normalize.
-        children = [_ordered_children(c) or c for c in term.children]
-        if children == list(term.children):
-            return None
-        return PrioritizedPreference(tuple(children))
-    # Unknown compounds (SubsetPreference and future constructors) are
-    # left intact: their constructors take more than a child tuple, and a
-    # conservative non-rewrite is always equivalence-preserving.
-    return None
 
 
 def canonical_form(pref: Preference) -> Preference:
-    """An equivalence-preserving normal form, for keying shared state.
+    """The one equivalence-preserving normal form, for keying shared state:
+    :func:`repro.algebra.rewriter.normalize`'s term.
 
-    Applies the algebraic simplifier (:func:`repro.algebra.rewriter
-    .simplify` — every rule cites its proposition and is property-tested
-    for Definition 13 equivalence) and then orders the children of the
+    Every rule cites its proposition and is property-tested for
+    Definition 13 equivalence; the last orders the children of the
     commutative constructors (Pareto ``(x)``, intersection ``<>``,
     disjoint union ``+``; Proposition 2) by signature.  Two terms that
-    differ only by commuted Pareto arms, laundered duplicates, or
-    simplifiable prioritized chains therefore canonicalize to terms with
-    *equal signatures* — the property the multi-tenant serving layer keys
-    shared continuous views on.
+    differ only by commuted arms, nesting, laundered duplicates, dual
+    pairs or simplifiable prioritized chains therefore canonicalize to
+    terms with *equal signatures* — what every continuous view, shared
+    tenant view and revision classification keys on.
     """
-    from repro.algebra.rewriter import simplify
-
-    simplified = simplify(pref)
-    return _ordered_children(simplified) or simplified
+    return normalize(pref)[0]
 
 
 def canonical_signature(pref: Preference) -> tuple:
     """The structural signature of :func:`canonical_form` — a hashable,
     equivalence-respecting registry key for preference terms."""
     return canonical_form(pref).signature
-
-
-def term_identity(pref: Preference) -> tuple:
-    """What tells two terms apart as a cache key: the structural signature
-    plus the identities of the ad-hoc scoring callables inside the term.
-
-    Bare ``SCORE`` / ``rank(F)`` signatures carry only the function
-    *name* — two different lambdas both named ``<lambda>`` would be
-    signature-equal, and a registry keyed on signatures alone would serve
-    one standing query's rows for the other.  Folding the callables'
-    identities in keeps such terms distinct, while structural subclasses
-    (HIGHEST / LOWEST) and registry-resolved wire preferences (one stable
-    function object per name) still compare equal.  View keys, the tenant
-    composition cache and :func:`~repro.query.revision.classify_revision`
-    all key on this.
-    """
-    callables: list[int] = []
-    stack = [pref]
-    while stack:
-        node = stack.pop()
-        if type(node) is RankPreference:
-            callables.append(id(node.combine))
-        elif type(node) is ScorePreference:
-            callables.append(id(node.function))
-        stack.extend(node.children)
-    return pref.signature, tuple(sorted(callables))

@@ -1,12 +1,14 @@
-"""Term simplification: the paper's laws as rewrite rules.
+"""Term normalization: the paper's laws as rewrite rules.
 
-The query optimizer (Section 7's roadmap names "heuristic transformations"
-as an optimizer building block) calls :func:`simplify` before planning.
-Every rule cites the proposition that justifies it; rules only fire when
-their side conditions hold, and each is property-tested for equivalence on
-probe domains.
+:func:`normalize` is the one normal form of a term: the query optimizer
+(Section 7's roadmap names "heuristic transformations" as an optimizer
+building block) plans on it, and every cache that asks "is this the same
+term?" — continuous views, tenant views, revision — keys on its
+signature.  Every rule cites the proposition that justifies it; rules only
+fire when their side conditions hold, and each is property-tested for
+equivalence on probe domains.
 
-Rules (bottom-up, to fixpoint):
+Rules (flattening first, top-down; then bottom-up, to fixpoint):
 
 * ``(P^d)^d -> P``                                (Prop. 3b)
 * ``(S<->)^d -> S<->``                            (Prop. 3a)
@@ -28,10 +30,13 @@ Rules (bottom-up, to fixpoint):
 * a subset preference restricted to the empty value set ranks nothing —
   it degenerates to the anti-chain ``A<->`` (empty-domain no-op; the plan
   rewriter then drops the winnow entirely)
+* ``commute``: the children of ``(x)``, ``<>`` and ``+`` in signature
+  order, so every permutation of one term is one term     (Prop. 2)
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 from repro.core.base_nonnumerical import NegPreference, PosPreference
@@ -84,20 +89,19 @@ def _rule_dual(term: Preference) -> Preference | None:
 
 # -- flattening (associativity, Proposition 2) ---------------------------------
 
-def _flatten(term: Preference, ctor: type) -> Preference | None:
+def _arms(term: Preference, ctor: type) -> list[Preference]:
     if not isinstance(term, ctor):
+        return [term]
+    return [arm for child in term.children for arm in _arms(child, ctor)]
+
+
+def _flatten(term: Preference, ctor: type) -> Preference | None:
+    """``term``'s arms at every depth of ``ctor`` nesting, or None."""
+    if not isinstance(term, ctor) or not any(
+        isinstance(child, ctor) for child in term.children
+    ):
         return None
-    flat: list[Preference] = []
-    changed = False
-    for child in term.children:
-        if isinstance(child, ctor):
-            flat.extend(child.children)
-            changed = True
-        else:
-            flat.append(child)
-    if not changed:
-        return None
-    return ctor(tuple(flat))
+    return ctor(tuple(_arms(term, ctor)))
 
 
 def _rule_flatten_pareto(term: Preference) -> Preference | None:
@@ -299,12 +303,34 @@ def _rule_between_point(term: Preference) -> Preference | None:
     return None
 
 
-RULES: tuple[tuple[str, Rule], ...] = (
-    ("dual", _rule_dual),
+# -- commutativity ------------------------------------------------------------
+
+_COMMUTATIVE = (ParetoPreference, IntersectionPreference, DisjointUnionPreference)
+
+
+def _rule_commute(term: Preference) -> Preference | None:
+    """Proposition 2: Pareto, intersection and disjoint union are
+    commutative, so their children are put in ``repr(signature)`` order
+    (prioritized accumulation is associative only, and rank / linear-sum
+    argument order is meaningful, so those keep theirs)."""
+    if not isinstance(term, _COMMUTATIVE):
+        return None
+    ordered = sorted(term.children, key=lambda c: repr(c.signature))
+    if ordered == list(term.children):
+        return None
+    return type(term)(tuple(ordered))
+
+
+_FLATTEN: tuple[tuple[str, Rule], ...] = (
     ("flatten_pareto", _rule_flatten_pareto),
     ("flatten_prioritized", _rule_flatten_prioritized),
     ("flatten_intersection", _rule_flatten_intersection),
     ("flatten_union", _rule_flatten_union),
+)
+
+RULES: tuple[tuple[str, Rule], ...] = (
+    ("dual", _rule_dual),
+    *_FLATTEN,
     ("prioritized_covered", _rule_prioritized_covered),
     ("pareto_duplicates", _rule_pareto_duplicates),
     ("pareto_dual_pair", _rule_pareto_dual_pair),
@@ -313,18 +339,21 @@ RULES: tuple[tuple[str, Rule], ...] = (
     ("intersection_simplify", _rule_intersection_simplify),
     ("empty_domain_noop", _rule_empty_domain),
     ("between_point", _rule_between_point),
+    ("commute", _rule_commute),
 )
 
 _MAX_PASSES = 64
 
+#: Normal forms kept before the oldest is dropped; renormalizing is
+#: cheap, unbounded growth is not.
+_MEMO_CAP = 4096
 
-def simplify_once(term: Preference) -> tuple[Preference, str | None]:
-    """Apply the first applicable rule at this node; children untouched."""
-    for name, rule in RULES:
-        result = rule(term)
-        if result is not None:
-            return result, name
-    return term, None
+#: signature -> (normal form, rewrite steps).  Keys hold the terms' code
+#: objects, so an entry can never outlive its function and alias a
+#: reused ``id``.  The lock is held for dict operations only, never
+#: across a walk: the server's event loop normalizes here.
+_memo: dict[tuple, tuple[Preference, tuple[tuple[str, str, str], ...]]] = {}
+_memo_lock = threading.Lock()
 
 
 def _rebuild(term: Preference, new_children: list[Preference]) -> Preference:
@@ -352,17 +381,36 @@ def _rebuild(term: Preference, new_children: list[Preference]) -> Preference:
     return term  # leaf or unknown: keep as-is
 
 
+def _first_rule(
+    term: Preference, rules: tuple[tuple[str, Rule], ...] = RULES
+) -> tuple[str, Preference] | None:
+    """The first applicable rule at this node and its result."""
+    for name, rule in rules:
+        result = rule(term)
+        if result is not None:
+            return name, result
+    return None
+
+
 def _simplify_node(term: Preference, trace: list[tuple[str, str, str]]) -> Preference:
-    # Bottom-up: children first, then this node to local fixpoint.
+    # Associativity first, top-down: nested arms join their parent before
+    # any rule rewrites them on their own, so every grouping of one term
+    # reaches one normal form.
+    flat = _first_rule(term, _FLATTEN)
+    if flat is not None:
+        trace.append((flat[0], repr(term), repr(flat[1])))
+        term = flat[1]
+    # Then bottom-up: children first, then this node to local fixpoint.
     children = list(term.children)
     if children:
         new_children = [_simplify_node(c, trace) for c in children]
         if [c.signature for c in new_children] != [c.signature for c in children]:
             term = _rebuild(term, new_children)
     for _ in range(_MAX_PASSES):
-        rewritten, rule_name = simplify_once(term)
-        if rule_name is None:
+        fired = _first_rule(term)
+        if fired is None:
             return term
+        rule_name, rewritten = fired
         trace.append((rule_name, repr(term), repr(rewritten)))
         term = rewritten
         # A rewrite may expose new child-level opportunities.
@@ -372,22 +420,29 @@ def _simplify_node(term: Preference, trace: list[tuple[str, str, str]]) -> Prefe
     return term
 
 
-def simplify(term: Preference) -> Preference:
-    """Normalize a preference term by the algebra's rewrite rules.
+def normalize(
+    term: Preference,
+) -> tuple[Preference, tuple[tuple[str, str, str], ...]]:
+    """The normal form of ``term`` and the rewrite steps ``(rule, before,
+    after)`` that reached it, memoized on the term's signature.
 
-    The result is equivalent (Definition 13) to the input; the optimizer
-    plans on the simplified term.  Idempotent.
+    The normal form is equivalent (Definition 13) to the input, and two
+    spellings that differ by commuted arms, nesting, duplicated arms or
+    dual pairs share it.  The steps feed EXPLAIN, so users see which
+    paper laws fired on their query.  Idempotent: a normal form
+    normalizes to itself in no steps.
     """
+    key = term.signature
+    with _memo_lock:
+        hit = _memo.get(key)
+    if hit is not None:
+        return hit
     trace: list[tuple[str, str, str]] = []
-    return _simplify_node(term, trace)
-
-
-def rewrite_trace(term: Preference) -> list[tuple[str, str, str]]:
-    """The rewrite steps ``(rule, before, after)`` simplification performs.
-
-    Feeds the optimizer's EXPLAIN output, so users see which paper laws
-    fired on their query.
-    """
-    trace: list[tuple[str, str, str]] = []
-    _simplify_node(term, trace)
-    return trace
+    normal = _simplify_node(term, trace)
+    result = (normal, tuple(trace))
+    with _memo_lock:
+        _memo[key] = result
+        _memo.setdefault(normal.signature, (normal, ()))
+        while len(_memo) > _MEMO_CAP:
+            _memo.pop(next(iter(_memo)))
+    return result

@@ -55,7 +55,7 @@ class ScorePreference(Preference):
 
     @property
     def signature(self) -> tuple:
-        return ("score", self.attribute_set, self._name)
+        return ("score", self.attribute_set, self._name, self._f)
 
     @property
     def function(self) -> Callable[[Any], Any]:

@@ -172,7 +172,10 @@ class RankPreference(ScorePreference):
 
     @property
     def signature(self) -> tuple:
-        return ("rank", self.score_name, tuple(p.signature for p in self._prefs))
+        return (
+            "rank", self.score_name, self._combine,
+            tuple(p.signature for p in self._prefs),
+        )
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(p) for p in self._prefs)
@@ -300,7 +303,11 @@ class LinearSumPreference(Preference):
 
     @property
     def signature(self) -> tuple:
-        return ("linear_sum", self.first.signature, self.second.signature)
+        return (
+            "linear_sum", self.attribute,
+            self.first.signature, self.first.domain,
+            self.second.signature, self.second.domain,
+        )
 
     def _member(self, pref: Preference, value: Any) -> bool:
         return pref.domain is not None and pref.domain.contains(value)

@@ -111,9 +111,13 @@ class Preference:
     def signature(self) -> tuple:
         """A hashable structural description of this term.
 
-        Two terms with equal signatures denote syntactically identical
-        preference terms (a sufficient — not necessary — condition for the
-        semantic equivalence of Definition 13).
+        It carries everything that decides the order, code included: the
+        scoring function, ``rank`` combiner or chain key *object* (never
+        just its name) and a linear sum's arm domains.  Two terms with
+        equal signatures therefore denote the same order (a sufficient —
+        not necessary — condition for the semantic equivalence of
+        Definition 13); equality, hashing, every cache key and the
+        algebra rewriter all read it.
         """
         raise NotImplementedError
 
@@ -313,11 +317,14 @@ class ChainPreference(Preference):
         attribute: str,
         key: Callable[[Any], Any] | None = None,
         domain: Domain | None = None,
-        key_name: str = "identity",
+        key_name: str | None = None,
     ):
         super().__init__((attribute,), domain)
-        self._key = key if key is not None else _identity
-        self._key_name = key_name if key is not None else "identity"
+        self._key = key if key is not None else identity
+        self._key_name = (
+            key_name if key_name is not None
+            else getattr(self._key, "__name__", "key")
+        )
 
     @property
     def attribute(self) -> str:
@@ -325,7 +332,7 @@ class ChainPreference(Preference):
 
     @property
     def signature(self) -> tuple:
-        return ("chain", self.attribute, self._key_name)
+        return ("chain", self.attribute, self._key_name, self._key)
 
     def key(self, value: Any) -> Any:
         return self._key(value)
@@ -340,7 +347,7 @@ class ChainPreference(Preference):
         return f"ChainPreference({self.attribute}, key={self._key_name})"
 
 
-def _identity(value: Any) -> Any:
+def identity(value: Any) -> Any:
     return value
 
 

@@ -294,45 +294,27 @@ class PreferenceQuery:
         self._fail_fast("preferring", "PQ101", sorted(pref.attribute_set))
         return self._copy(cascades=(*self._cascades, pref))
 
-    def personalize(
-        self,
-        pref: Preference | None,
-        canonical: bool = True,
-        composed: Preference | None = None,
-    ) -> "PreferenceQuery":
+    def personalize(self, pref: Preference | None) -> "PreferenceQuery":
         """Compose a per-user preference term *over* the query's own.
 
         Server-side personalization (the paper's P&O story): the user's
         profile term dominates and the submitted base term breaks ties —
-        ``prio(user_pref, base_pref)``, Definition 9.  With ``canonical``
-        (the default) the composed term is normalized via
-        :func:`repro.algebra.equivalence.canonical_form`, so two users
-        whose profiles are algebraically equivalent produce queries with
-        *equal* preference signatures — the property the multi-tenant
-        serving layer keys shared continuous views on.
-
-        ``pref=None`` means "no profile": the query is returned with its
-        base term canonicalized (when asked), so profiled and unprofiled
-        users of equivalent terms still share.
-
-        ``composed`` hands in the finished term when the caller already
-        holds it — the tenancy layer caches ``canonical_form(prio(pref,
-        base))`` per profile revision.  It must be what this method
-        would compute; composition is skipped, validation is not.
+        ``prio(user_pref, base_pref)``, Definition 9.  ``pref=None`` means
+        "no profile": the query is returned as is.  Two users whose
+        composed terms are algebraically equivalent share continuous views
+        because :class:`~repro.server.views.ViewSpec` keys on the
+        canonical form.
         """
-        if pref is not None and not isinstance(pref, Preference):
+        if pref is None:
+            return self
+        if not isinstance(pref, Preference):
             raise TypeError(
                 f"personalize() needs a Preference or None, got {pref!r}"
             )
-        base = self.preference
-        if pref is None:
-            if base is None or not canonical:
-                return self
-        else:
-            self._fail_fast("preferring", "PQ101", sorted(pref.attribute_set))
-        if composed is None:
-            composed = compose_terms(pref, base, canonical)
-        return self._copy(pref=composed, cascades=())
+        self._fail_fast("preferring", "PQ101", sorted(pref.attribute_set))
+        return self._copy(
+            pref=compose_terms(pref, self.preference), cascades=()
+        )
 
     def refine(self, pref: Preference) -> "PreferenceQuery":
         """Refine the preference by a lower-priority stage, tracking the
@@ -782,21 +764,14 @@ class PreferenceQuery:
 
 
 def compose_terms(
-    pref: Preference | None, base: Preference | None, canonical: bool = True
+    pref: Preference | None, base: Preference | None
 ) -> Preference | None:
     """``prio(pref, base)`` — Definition 9: the user's term dominates, the
     base term breaks ties — or whichever of the two is present (``None``
-    when neither is), normalized by :func:`repro.algebra.equivalence
-    .canonical_form` when ``canonical``."""
+    when neither is)."""
     if pref is None or base is None:
-        composed = pref if base is None else base
-    else:
-        composed = PrioritizedPreference((pref, base))
-    if canonical and composed is not None:
-        from repro.algebra.equivalence import canonical_form
-
-        composed = canonical_form(composed)
-    return composed
+        return pref if base is None else base
+    return PrioritizedPreference((pref, base))
 
 
 def _callable_label(fn: Callable) -> str:

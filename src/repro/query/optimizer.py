@@ -2,8 +2,9 @@
 
 Given a preference term and a database set, the optimizer
 
-1. simplifies the term with the algebra's rewrite rules (so e.g.
-   ``P & P``, ``P (x) P^d`` or dual-of-dual never reach execution),
+1. normalizes the term with the algebra's rewrite rules
+   (:func:`repro.algebra.rewriter.normalize`, so e.g. ``P & P``,
+   ``P (x) P^d`` or dual-of-dual never reach execution),
 2. picks the evaluator of each winnow by one structural rule
    (:func:`row_reason` / :func:`choose_algorithm`):
 
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.algebra.rewriter import rewrite_trace, simplify
+from repro.algebra.rewriter import normalize
 from repro.core.preference import Preference, Row
 from repro.engine.backend import numpy_available
 from repro.engine.columnar import (
@@ -535,8 +536,8 @@ def plan(
     original_pref = pref
     rewrites: list[tuple[str, str, str]] = []
     if use_rewriter:
-        rewrites.extend(rewrite_trace(pref))
-        pref = simplify(pref)
+        pref, steps = normalize(pref)
+        rewrites.extend(steps)
 
     # Rigid conjuncts commute with the winnow (both positions are
     # equivalent), so the builder emits them in canonical outer position

@@ -26,7 +26,7 @@ conditions under which ``sigma[P'](R)`` is computable *from*
 * Anything else is **incomparable** and falls back to a full recompute.
 
 :func:`classify_revision` decides the class from canonical forms
-(:mod:`repro.algebra.rewriter` / :mod:`repro.algebra.equivalence`) plus
+(:func:`repro.algebra.equivalence.canonical_form`) plus
 the :mod:`repro.analysis` constraint registry (an appended component that
 is provably indifferent on the instance makes the revision a no-op).
 
@@ -43,11 +43,10 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.algebra.equivalence import (
+    canonical_form,
     mentioned_values,
     order_pairs,
-    term_identity,
 )
-from repro.algebra.rewriter import simplify
 from repro.core.base_nonnumerical import ExplicitPreference, LayeredPreference
 from repro.core.constructors import (
     DisjointUnionPreference,
@@ -63,8 +62,8 @@ LAW_IDENTITY = (
     "identity: both terms share one structural signature (Definition 13)"
 )
 LAW_CANONICAL = (
-    "canonical form: both terms simplify to one signature under the "
-    "algebra laws (Propositions 2-6)"
+    "canonical form: both terms normalize to one term under the algebra "
+    "laws, commuted arms included (Propositions 2-6)"
 )
 LAW_PROBE_EQUAL = (
     "Definition 13 equivalence, decided exhaustively on the canonical "
@@ -140,25 +139,19 @@ def _flat(pref: Preference, ctor: type) -> list[Preference]:
 
 
 def _is_prefix(shorter: Sequence[Preference], longer: Sequence[Preference]) -> bool:
-    return all(
-        term_identity(a) == term_identity(b) for a, b in zip(shorter, longer)
-    )
+    return all(a == b for a, b in zip(shorter, longer))
 
 
 def _multiset_minus(
     pool: Sequence[Preference], remove: Sequence[Preference]
 ) -> list[Preference] | None:
-    """``pool`` minus ``remove`` as identity multisets, or None if
-    ``remove`` is not contained in ``pool``."""
+    """``pool`` minus ``remove`` as term multisets, or None if ``remove``
+    is not contained in ``pool``."""
     out = list(pool)
     for target in remove:
-        key = term_identity(target)
-        for i, candidate in enumerate(out):
-            if term_identity(candidate) == key:
-                del out[i]
-                break
-        else:
+        if target not in out:
             return None
+        out.remove(target)
     return out
 
 
@@ -245,10 +238,10 @@ def classify_revision(
                 f"classify_revision needs Preference terms; {name} is "
                 f"{pref!r}"
             )
-    if old is new or term_identity(old) == term_identity(new):
+    if old == new:
         return Revision("equal", "identity", LAW_IDENTITY, "none")
-    old_c, new_c = simplify(old), simplify(new)
-    if term_identity(old_c) == term_identity(new_c):
+    old_c, new_c = canonical_form(old), canonical_form(new)
+    if old_c == new_c:
         return Revision("equal", "canonical", LAW_CANONICAL, "none")
 
     prio_old = _flat(old_c, PrioritizedPreference)

@@ -118,7 +118,9 @@ from repro.query.quality import QualityCondition, base_preferences_by_attribute
 #: remove_redundant_winnow).
 #: 3: storage prefilter pushdown (push_select_into_storage) — plans may
 #: now hold StorageScan leaves bound to a backend mirror.
-RULESET_VERSION = 3
+#: 4: the algebra's ``commute`` rule (Proposition 2) — plans run on the
+#: normal form with commutative arms in signature order.
+RULESET_VERSION = 4
 
 #: One recorded rewrite: ``(rule, before, after)`` — the shape the term
 #: rewriter uses, so plan-level and term-level steps share one trace.

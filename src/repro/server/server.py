@@ -273,7 +273,7 @@ class PreferenceServer:
         if live:
             self.service.metrics.record_subscription(-live)
         for sub in self._subscriptions.values():
-            self._release_tenant_sub(sub)
+            self._release_sub(sub)
         self._subscriptions.clear()
         for connection in list(self._connections):
             await connection.close()
@@ -296,13 +296,15 @@ class PreferenceServer:
         ]
         for sub in stale:
             del self._subscriptions[sub.id]
-            self._release_tenant_sub(sub)
+            self._release_sub(sub)
         if stale:
             self.service.metrics.record_subscription(-len(stale))
 
-    def _release_tenant_sub(self, sub: _Subscription) -> None:
+    def _release_sub(self, sub: _Subscription) -> None:
         if sub.tenant is not None:
             self.service.tenancy.release(sub.tenant, sub.view_key)
+        else:
+            self.service.tenancy.shared.unpin(sub.view_key, None)
 
     # -- delta fan-out ----------------------------------------------------------
 
@@ -534,7 +536,7 @@ class PreferenceServer:
                     f"no such subscription {params.get('subscription')!r}"
                 )
             del self._subscriptions[sub.id]
-            self._release_tenant_sub(sub)
+            self._release_sub(sub)
             self.service.metrics.record_subscription(-1)
             await connection.send(
                 protocol.ok_response(rid, unsubscribed=sub.id)
@@ -753,6 +755,9 @@ class PreferenceServer:
                 groupby=tuple(params.get("groupby") or ()),
                 top=params.get("top"), ties=params.get("ties", "strict"),
             )
+            # Anonymous and tenant terms share canonical keys, so a tenant
+            # view's LRU eviction must not silence this stream either.
+            self.service.tenancy.shared.pin(view.spec, None)
         sub = _Subscription(
             next(self._sub_seq), connection, view.spec.key,
             view.spec.relation, tenant=tenant,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Sequence
 
-from repro.algebra.equivalence import term_identity
+from repro.algebra.equivalence import canonical_form
 from repro.core.preference import Preference, Row
 from repro.faults import plan as faults
 from repro.query.incremental import BMODelta, IncrementalBMO
@@ -47,7 +47,14 @@ class ViewError:
 
 @dataclass(frozen=True)
 class ViewSpec:
-    """The standing query a continuous view materializes."""
+    """The standing query a continuous view materializes.
+
+    ``pref`` is stored in its canonical form
+    (:func:`~repro.algebra.equivalence.canonical_form`, normalized once
+    when the spec is built), so every spelling of one term — anonymous,
+    tenant-composed, revised or recovered — keys, maintains and answers
+    as one view.
+    """
 
     relation: str
     pref: Preference
@@ -55,19 +62,20 @@ class ViewSpec:
     top: int | None = None
     ties: str = "strict"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pref", canonical_form(self.pref))
+
     @cached_property
     def key(self) -> tuple:
         """The registry key: hashable structural identity of the view.
 
-        Ad-hoc SCORE/rank callables participate by identity (see
-        :func:`~repro.algebra.equivalence.term_identity`), so
-        signature-equal terms with different scoring code never alias
-        to one view.  Computed once per spec — the fields are frozen,
-        and building it walks the whole term.
+        The canonical term's signature carries its scoring code, so terms
+        with different code never alias to one view.  Computed once per
+        spec — the fields are frozen, and building it walks the term.
         """
         return (
             self.relation.lower(),
-            *term_identity(self.pref),
+            self.pref.signature,
             self.groupby,
             self.top,
             self.ties,
@@ -163,11 +171,12 @@ class ContinuousView:
         revision deltas serialize with data deltas.
         """
         start = time.perf_counter_ns()
+        spec = dataclasses.replace(self.spec, pref=new_pref)
         with self._lock:
             delta, revision, strategy = self._live.revise(
-                new_pref, constraints=constraints
+                spec.pref, constraints=constraints
             )
-            self.spec = dataclasses.replace(self.spec, pref=new_pref)
+            self.spec = spec
             elapsed = time.perf_counter_ns() - start
             self.revisions += 1
             self.revision_total_ns += elapsed

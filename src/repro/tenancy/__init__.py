@@ -5,8 +5,9 @@ The paper's personalization story at production scale.  Each tenant
 (:mod:`repro.tenancy.profiles`); at query time the server composes the
 profile term over the submitted base query — ``prio(user_pref,
 base_pref)`` — and answers through the ordinary planning pipeline
-(:mod:`repro.tenancy.manager`).  Composed terms are canonicalized
-(:func:`repro.algebra.equivalence.canonical_form`), so the thousands of
+(:mod:`repro.tenancy.manager`).  Every view spec holds its term's
+canonical form (:func:`repro.algebra.equivalence.canonical_form`), so
+the thousands of
 tenants whose profiles are algebraically equivalent share *one*
 continuous view, LRU-bounded with subscription pinning
 (:mod:`repro.tenancy.shared`) and measured per tenant

@@ -7,12 +7,13 @@
    .profiles.ProfileStore`),
 2. composes it *over* the submitted base query — ``prio(user_pref,
    base_pref)``, the paper's personalization story (Definition 9: the
-   profile dominates, the base term breaks ties) — canonicalized, from a
-   bounded cache that recomputes only when the profile is revised
-   (:meth:`TenantManager.compose`),
+   profile dominates, the base term breaks ties;
+   :meth:`TenantManager.compose`),
 3. rides the service's one ``resolve()`` + ``answer()`` path: the
-   service asks :meth:`TenantManager.seed_view` to materialize the
-   canonical term's continuous view on first sight (subject to
+   composed term's :class:`~repro.server.views.ViewSpec` is of its
+   canonical form, and the service asks
+   :meth:`TenantManager.seed_view` to materialize that continuous view
+   on first sight (subject to
    per-tenant quotas and the LRU-bounded :class:`~repro.tenancy.shared
    .SharedViewIndex>`), so every later tenant with an algebraically
    equivalent term answers from the shared window, and reports each
@@ -35,7 +36,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.algebra.equivalence import term_identity
 from repro.core.preference import Preference
 from repro.engineering.serialization import (
     SerializationError,
@@ -60,10 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
         QueryAnswer,
         ResolvedQuery,
     )
-
-#: Composed canonical terms kept before the coldest is dropped;
-#: recomposing is cheap, unbounded growth is not.
-_COMPOSE_CACHE_CAP = 4096
 
 
 @dataclass
@@ -121,12 +117,6 @@ class TenantManager:
         self._lock = threading.RLock()
         #: (tenant, view key) -> recomposition recipe + refcount
         self._subs: dict[tuple[str, tuple], _TenantSub] = {}
-        #: (id of the decoded profile term, base-term identity) ->
-        #: (that profile term, composed canonical term); see
-        #: :meth:`_composed_term`.  Its own lock, held for one dict
-        #: operation at a time: the server's event loop composes here.
-        self._composed: dict[tuple, tuple[Preference | None, Preference]] = {}
-        self._composed_lock = threading.Lock()
 
     # -- composition ------------------------------------------------------
 
@@ -139,44 +129,13 @@ class TenantManager:
         """The query personalized for ``tenant``; also whether a profile
         term was actually composed in."""
         pref = self.profiles.resolve(tenant, term)
-        composed = self._composed_term(pref, q.preference)
-        return q.personalize(pref, composed=composed), pref is not None
-
-    def _composed_term(
-        self, pref: Preference | None, base: Preference | None
-    ) -> Preference | None:
-        """``canonical_form(prio(pref, base))`` from a bounded cache, so a
-        tenant's term is canonicalized once per profile revision, not once
-        per query.
-
-        Keyed on the *identity* of the decoded profile term — the profile
-        store hands out one object per (tenant, term name, profile
-        version), so a profile write of any kind is a miss, including a
-        delete-and-recreate that reuses a version number — and on the
-        base term's structural identity (signature plus ad-hoc SCORE
-        callables, as in :attr:`ViewSpec.key`).  The entry keeps the
-        profile term alive, so its ``id`` cannot be reused under it.
-        """
-        if pref is None and base is None:
-            return None
-        key = (id(pref), None if base is None else term_identity(base))
-        with self._composed_lock:
-            hit = self._composed.get(key)
-        if hit is not None and hit[0] is pref:
-            return hit[1]
-        composed = compose_terms(pref, base)
-        assert composed is not None
-        with self._composed_lock:
-            if len(self._composed) >= _COMPOSE_CACHE_CAP:
-                self._composed.pop(next(iter(self._composed)))
-            self._composed[key] = (pref, composed)
-        return composed
+        return q.personalize(pref), pref is not None
 
     def _composed_pref(
         self, tenant: str, base: Preference | None, term: str | None
     ) -> Preference:
         """The tenant's composed term outside a query object."""
-        full = self._composed_term(self.profiles.resolve(tenant, term), base)
+        full = compose_terms(self.profiles.resolve(tenant, term), base)
         if full is None:
             raise TenancyError(
                 f"tenant {tenant!r} has no applicable profile term and no "

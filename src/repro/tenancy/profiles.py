@@ -13,8 +13,8 @@ deserialize would otherwise poison every later query) and deserialized
 lazily at *resolve* time through a bounded per-(tenant, term) cache valid
 for one profile revision — a hot tenant's term decodes once per profile
 revision, not once per query, and every query of that revision gets the
-*same* ``Preference`` object (the tenant manager's composition cache
-keys on its identity).
+*same* ``Preference`` object, whose signature the normal-form memo
+(:func:`repro.algebra.rewriter.normalize`) has already seen.
 """
 
 from __future__ import annotations

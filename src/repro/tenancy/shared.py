@@ -1,17 +1,18 @@
 """The shared-view index: canonical terms -> one continuous view, LRU-bounded.
 
-The scale play of the tenancy layer: tenant queries canonicalize their
-composed preference terms (:func:`repro.algebra.equivalence
-.canonical_form`), so algebraically equivalent terms — commuted Pareto
-arms, laundered duplicates, simplifiable prioritized chains — key the
-*same* :class:`~repro.server.views.ViewSpec` and therefore hit the same
+The scale play of the tenancy layer: every
+:class:`~repro.server.views.ViewSpec` holds its term's canonical form
+(:func:`repro.algebra.equivalence.canonical_form`), so algebraically
+equivalent terms — commuted Pareto arms, laundered duplicates,
+simplifiable prioritized chains — key the *same* spec and hit the same
 :class:`~repro.server.views.ContinuousView`.  10k users with a handful of
 equivalent profile shapes share a handful of maintained windows.
 
 The index tracks, per registry key: which tenant caused the
-materialization (quota attribution), which tenants hold subscription pins
-(pinned views are never evicted), and hit/recency counters driving LRU
-eviction back to ``capacity``.  Teardown is *resurrection-safe*: an
+materialization (quota attribution), which live subscriptions hold pins
+— tenant and anonymous alike, since they share keys (pinned views are
+never evicted) — and hit/recency counters driving LRU eviction back to
+``capacity``.  Teardown is *resurrection-safe*: an
 evicted view simply vanishes from the registry, and the next query for
 its canonical term re-materializes it from the current catalog snapshot —
 a resurrected view can never serve stale rows, because seeding always
@@ -28,25 +29,14 @@ from repro.server.views import ViewRegistry, ViewSpec
 
 
 class _SharedEntry:
-    __slots__ = ("spec", "creator", "pins", "hits", "misses", "last_used")
+    __slots__ = ("spec", "creator", "hits", "misses", "last_used")
 
     def __init__(self, spec: ViewSpec, creator: str):
         self.spec = spec
         self.creator = creator
-        #: tenant -> live subscription pin count (pinned => not evictable)
-        self.pins: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
         self.last_used = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "view": self.spec.describe(),
-            "creator": self.creator,
-            "pinned_by": sorted(self.pins),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
 
 
 class SharedViewIndex:
@@ -63,6 +53,11 @@ class SharedViewIndex:
         self.capacity = capacity
         self._lock = threading.RLock()
         self._entries: dict[tuple, _SharedEntry] = {}
+        #: view key -> holder -> live subscription count (pinned => not
+        #: evictable).  The holder is the tenant, ``None`` for an anonymous
+        #: subscription; pins outlive entries, so a view an anonymous
+        #: subscriber holds stays pinned when a tenant adopts it later.
+        self._pins: dict[tuple, dict[str | None, int]] = {}
         #: tenant -> keys that tenant caused to materialize (quota base)
         self._created: dict[str, set[tuple]] = {}
         self._seq = 0
@@ -109,39 +104,48 @@ class SharedViewIndex:
 
     # -- pinning ----------------------------------------------------------
 
-    def pin(self, spec: ViewSpec, tenant: str) -> None:
-        """Hold the view against eviction for a live subscription."""
+    def pin(self, spec: ViewSpec, holder: str | None) -> None:
+        """Hold the view against eviction for a live subscription of
+        ``holder`` (a tenant, or ``None`` for an anonymous one).  A tenant
+        pin also adopts the view into the index."""
         with self._lock:
             entry = self._entries.get(spec.key)
-            if entry is None:
-                entry = _SharedEntry(spec, tenant)
-                self._created.setdefault(tenant, set()).add(spec.key)
-                self._entries[spec.key] = entry
-            entry.pins[tenant] = entry.pins.get(tenant, 0) + 1
-            self._touch(spec.key, entry)
+            if entry is None and holder is not None:
+                entry = _SharedEntry(spec, holder)
+                self._created.setdefault(holder, set()).add(spec.key)
+            pins = self._pins.setdefault(spec.key, {})
+            pins[holder] = pins.get(holder, 0) + 1
+            if entry is not None:
+                self._touch(spec.key, entry)
 
-    def unpin(self, key: tuple, tenant: str) -> None:
+    def unpin(self, key: tuple, holder: str | None) -> None:
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            pins = self._pins.get(key)
+            if pins is None:
                 return
-            count = entry.pins.get(tenant, 0) - 1
+            count = pins.get(holder, 0) - 1
             if count > 0:
-                entry.pins[tenant] = count
+                pins[holder] = count
             else:
-                entry.pins.pop(tenant, None)
+                pins.pop(holder, None)
+            if not pins:
+                del self._pins[key]
 
     def is_sole_pinner(self, key: tuple, tenant: str) -> bool:
         """True when ``tenant`` holds every pin on ``key`` (so an in-place
-        view revision cannot disturb another tenant's subscription)."""
+        view revision cannot disturb another subscription)."""
         with self._lock:
-            entry = self._entries.get(key)
-            return entry is not None and set(entry.pins) == {tenant}
+            return set(self._pins.get(key, ())) == {tenant}
 
     def rekey(self, old_key: tuple, new_spec: ViewSpec) -> None:
-        """Follow an in-place view revision: the entry (pins, counters,
-        creation attribution) moves to the revised spec's key."""
+        """Follow an in-place view revision: the entry (counters, creation
+        attribution) and the pins move to the revised spec's key."""
         with self._lock:
+            pins = self._pins.pop(old_key, None)
+            if pins is not None:
+                merged = self._pins.setdefault(new_spec.key, {})
+                for holder, count in pins.items():
+                    merged[holder] = merged.get(holder, 0) + count
             entry = self._entries.pop(old_key, None)
             if entry is None:
                 return
@@ -171,10 +175,9 @@ class SharedViewIndex:
             for key in list(self._entries):  # iteration order = LRU order
                 if len(self._entries) <= self.capacity:
                     break
-                entry = self._entries[key]
-                if entry.pins:
+                if key in self._pins:
                     continue
-                del self._entries[key]
+                entry = self._entries.pop(key)
                 for keys in self._created.values():
                     keys.discard(key)
                 self.registry.drop(entry.spec)
@@ -198,7 +201,7 @@ class SharedViewIndex:
             return {
                 "entries": len(self._entries),
                 "capacity": self.capacity,
-                "pinned": sum(1 for e in self._entries.values() if e.pins),
+                "pinned": sum(1 for key in self._entries if key in self._pins),
                 "hits": hits,
                 "misses": misses,
                 "evictions": self.evictions,

@@ -90,32 +90,37 @@ class TestCanonicalProbe:
 
 
 class TestTermIdentity:
-    """The one cache-key identity: view keys, the tenant composition
-    cache and ``classify_revision`` all call it."""
+    """The one cache-key identity is the signature: it carries the
+    scoring code, so view keys and ``classify_revision`` read it."""
 
     def test_signature_equal_lambdas_stay_apart(self):
-        from repro.algebra.equivalence import term_identity
         from repro.core.base_numerical import ScorePreference
         from repro.query.revision import classify_revision
+        from repro.server.views import ViewSpec
 
         up = ScorePreference("x", lambda v: v)
         down = ScorePreference("x", lambda v: -v)
-        assert up.signature == down.signature
-        assert term_identity(up) != term_identity(down)
-        assert term_identity(up) == term_identity(up)
+        assert up.score_name == down.score_name == "<lambda>"
+        assert up.signature != down.signature and up != down
+        assert up == ScorePreference("x", up.function)
+        assert ViewSpec("t", up).key != ViewSpec("t", down).key
         assert classify_revision(up, down).kind != "equal"
 
     def test_structural_terms_compare_by_signature(self):
-        from repro.algebra.equivalence import term_identity
-
         a = pareto(HighestPreference("x"), LowestPreference("y"))
         b = pareto(HighestPreference("x"), LowestPreference("y"))
-        assert term_identity(a) == term_identity(b) == (a.signature, ())
+        assert a == b and hash(a) == hash(b)
 
     def test_every_sub_term_is_visited_once(self):
-        from repro.algebra.equivalence import term_identity
         from repro.core.base_numerical import ScorePreference
 
         score = ScorePreference("x", lambda v: v)
         nested = prioritized(dual(score), LowestPreference("y"))
-        assert term_identity(nested)[1] == (id(score.function),)
+        same = prioritized(
+            dual(ScorePreference("x", score.function)), LowestPreference("y")
+        )
+        other = prioritized(
+            dual(ScorePreference("x", lambda v: v)), LowestPreference("y")
+        )
+        assert nested == same
+        assert nested != other

@@ -10,6 +10,7 @@ decomposition theorems must match direct evaluation.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 
@@ -240,6 +241,33 @@ def distinct_matrix(
     if shuffle:
         return sorted(seen, key=lambda _: rng.random())
     return sorted(seen)
+
+
+@contextlib.contextmanager
+def normalizer_walks():
+    """Yield the list of terms :func:`repro.algebra.rewriter.normalize`
+    walks (one entry per walk, not per sub-term) from an empty memo; the
+    memo in use before is restored afterwards."""
+    from repro.algebra import rewriter
+
+    walks: list = []
+    depth = [0]
+    real, memo = rewriter._simplify_node, rewriter._memo
+
+    def counting(term, trace):
+        if depth[0] == 0:
+            walks.append(term)
+        depth[0] += 1
+        try:
+            return real(term, trace)
+        finally:
+            depth[0] -= 1
+
+    rewriter._simplify_node, rewriter._memo = counting, {}
+    try:
+        yield walks
+    finally:
+        rewriter._simplify_node, rewriter._memo = real, memo
 
 
 # -- terms that lower to integer code axes -----------------------------------------

@@ -1,10 +1,13 @@
-"""The composition cache: ``canonical_form(prio(profile, base))`` is
-computed once per profile revision, never served stale, and bounded — and
-the entry points ``bench/`` drives keep their shapes."""
+"""Tenant composition over the normal-form memo: ``prio(profile, base)``
+is normalized once per distinct term, never served stale, and the memo
+stays bounded — and the entry points ``bench/`` drives keep their
+shapes."""
 
 import pytest
 
-from repro.algebra import canonical_form
+from tests.conftest import normalizer_walks
+
+from repro.algebra import canonical_form, rewriter
 from repro.core.base_numerical import LowestPreference, ScorePreference
 from repro.core.constructors import PrioritizedPreference
 from repro.query.api import PreferenceQuery
@@ -12,7 +15,6 @@ from repro.query.bmo import winnow
 from repro.server import protocol, run_in_thread
 from repro.server.service import PreferenceService, QueryAnswer
 from repro.server.views import ViewSpec
-from repro.tenancy import manager as manager_module
 
 HI_PRICE = {"type": "highest", "attribute": "price"}
 LO_PRICE = {"type": "lowest", "attribute": "price"}
@@ -60,24 +62,17 @@ class TestNeverStale:
         assert second.version == first.version
         assert _prices(service.query(spec=CAR, tenant="alice")) == {1}
 
-    def test_unchanged_profile_composes_once(self, service, monkeypatch):
-        calls = []
-        real = manager_module.compose_terms
-
-        def counting(pref, base, canonical=True):
-            calls.append((pref, base))
-            return real(pref, base, canonical)
-
-        monkeypatch.setattr(manager_module, "compose_terms", counting)
+    def test_unchanged_profile_composes_once(self, service):
         t = service.tenancy
-        t.set_profile("alice", "deal", PARETO_AB)
-        for _ in range(5):
-            service.query(spec=CAR, tenant="alice")
-        assert len(calls) == 1
-        t.set_profile("alice", "deal", PARETO_BA)
-        for _ in range(5):
-            service.query(spec=CAR, tenant="alice")
-        assert len(calls) == 2
+        with normalizer_walks() as walks:
+            t.set_profile("alice", "deal", PARETO_AB)
+            for _ in range(5):
+                service.query(spec=CAR, tenant="alice")
+            assert len(walks) == 1  # the composed term, walked once
+            t.set_profile("alice", "deal", PARETO_BA)
+            for _ in range(5):
+                service.query(spec=CAR, tenant="alice")
+            assert len(walks) == 2
 
 
 class TestKeying:
@@ -90,7 +85,6 @@ class TestKeying:
             b = service.resolve(spec=CAR, tenant="bob")
             assert a.view_spec.key == b.view_spec.key
             assert a.composed and b.composed
-        assert len(t._composed) == 2
 
     def test_term_selects_its_own_entry(self, service):
         t = service.tenancy
@@ -102,7 +96,6 @@ class TestKeying:
                 spec=CAR, tenant="alice", term="cheap")) == {1}
             assert _prices(service.query(
                 spec=CAR, tenant="alice", term="dear")) == {5}
-        assert len(t._composed) == 2
 
     def test_base_term_keys_on_signature(self, service):
         t = service.tenancy
@@ -116,33 +109,32 @@ class TestKeying:
                 tenant="alice")
             assert {r["age"] for r in young.rows} == {1}
             assert {r["age"] for r in old.rows} == {3}
-        assert len(t._composed) == 2
 
     def test_base_term_keys_on_adhoc_score_identity(self, service):
-        # Two lambdas share the name "<lambda>", hence the signature;
-        # only their identities tell the composed terms apart.
+        # Two lambdas share the name "<lambda>"; the signature carries the
+        # functions themselves, so the composed terms stay apart.
         t = service.tenancy
         t.set_profile("alice", "deal", HI_PRICE)
         young = ScorePreference("age", lambda age: -age)
         old = ScorePreference("age", lambda age: age)
-        assert young.signature == old.signature
+        assert young.score_name == old.score_name
+        assert young.signature != old.signature
         for _ in range(2):
             a = service.query(spec={**CAR, "prefer": young}, tenant="alice")
             b = service.query(spec={**CAR, "prefer": old}, tenant="alice")
             assert {r["age"] for r in a.rows} == {1}
             assert {r["age"] for r in b.rows} == {3}
-        assert len(t._composed) == 2
 
     def test_cache_is_bounded(self, service, monkeypatch):
-        monkeypatch.setattr(manager_module, "_COMPOSE_CACHE_CAP", 4)
+        monkeypatch.setattr(rewriter, "_MEMO_CAP", 4)
+        monkeypatch.setattr(rewriter, "_memo", {})
         t = service.tenancy
         t.set_profile("alice", "deal", HI_PRICE)
         for z in range(20):
-            q = service.build_query(spec={
+            service.resolve(spec={
                 **CAR, "prefer": {"type": "around", "attribute": "age",
-                                  "z": z}})
-            t.compose(q, "alice")
-            assert len(t._composed) <= 4
+                                  "z": z}}, tenant="alice")
+            assert len(rewriter._memo) <= 4
         # An evicted entry is recomputed, not lost.
         answer = service.query(
             spec={**CAR, "prefer": {"type": "around", "attribute": "age",
@@ -157,14 +149,15 @@ class TestStableEntryPoints:
     def test_compose_returns_the_canonical_personalized_query(self, service):
         service.tenancy.set_profile("alice", "deal", PARETO_BA)
         q = service.build_query(None, {**CAR, "prefer": LO_AGE})
-        for _ in range(2):  # computed, then cached
+        for _ in range(2):
             composed, applied = service.tenancy.compose(q, "alice")
             assert isinstance(composed, PreferenceQuery) and applied is True
             expected = canonical_form(PrioritizedPreference((
                 service.tenancy.profiles.resolve("alice"),
                 LowestPreference("age"),
             )))
-            assert composed.preference.signature == expected.signature
+            assert canonical_form(composed.preference) == expected
+            assert ViewSpec("car", composed.preference).pref == expected
         plain, applied = service.tenancy.compose(q, "nobody")
         assert applied is False
         assert plain.preference.signature == LowestPreference("age").signature

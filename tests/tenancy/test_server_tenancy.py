@@ -125,6 +125,38 @@ class TestSharedViewsWire:
                 r["price"] == best or r["age"] == youngest for r in rows
             )
 
+    def test_tenant_eviction_never_silences_an_anonymous_subscriber(self):
+        service = PreferenceService(
+            {"car": [dict(r) for r in ROWS]}, shared_view_capacity=1
+        )
+        handle = run_in_thread(service)
+        try:
+            with PreferenceClient(port=handle.port) as tenants, \
+                    PreferenceClient(port=handle.port) as anon:
+                tenants.profile_set("deal", PARETO_AB, tenant="alice")
+                tenants.query(spec={"relation": "car"}, tenant="alice")
+                # Both spellings join alice's shared view and pin it.
+                subs = [anon.subscribe("car", prefer=p)["subscription"]
+                        for p in (PARETO_AB, PARETO_BA)]
+                assert len(service.views) == 1
+                # bob's view overflows capacity 1: the LRU pass runs.
+                tenants.profile_set("deal", LO_AGE, tenant="bob")
+                tenants.query(spec={"relation": "car"}, tenant="bob")
+                anon.insert("car", [{"price": 9, "age": 0}])
+                deltas = [anon.wait_delta(timeout=10) for _ in subs]
+                assert sorted(d["subscription"] for d in deltas) == subs
+                for delta in deltas:
+                    assert _canon(delta["enter"]) == _canon(
+                        [{"price": 9, "age": 0}]
+                    )
+                # Unsubscribing releases the pins.
+                for sub in subs:
+                    anon.unsubscribe(sub)
+                assert service.tenancy.shared.stats()["pinned"] == 0
+        finally:
+            handle.stop()
+            service.close()
+
     def test_subscription_quota_over_the_wire(self, served):
         with PreferenceClient(port=served.port) as client:
             client.login("greedy")

@@ -9,7 +9,10 @@ revisions (live view migration), and subscriptions.  Asserts:
 
 * the canonicalized shared-view index collapses the variants: the
   tenant view-hit rate stays high and the registry stays at one view
-  per equivalence class,
+  per equivalence class, anonymous spellings included,
+* an anonymous subscription keeps its delta stream while tenant
+  profiles over further shapes push the shared index past its
+  capacity (a live subscription pins its view),
 * tenant isolation: one tenant's revisions and deletions never change
   another tenant's answers, and migration deltas only reach the
   revising tenant's subscriptions,
@@ -39,6 +42,8 @@ REPO = Path(__file__).resolve().parent.parent
 
 N_USERS = 200
 N_SHAPES = 8
+#: Tenants with one further shape each, beyond ``--shared-view-cap 32``.
+N_FLOOD = 40
 
 
 def free_port() -> int:
@@ -140,6 +145,19 @@ def main() -> int:
                 failures.append(
                     f"tenant view-hit rate {hit_rate} < 0.85"
                 )
+            # Anonymous spellings key the tenants' canonical views: two
+            # sightings of each materialize nothing new.
+            for _ in range(2):
+                for shape in range(N_SHAPES):
+                    for variant in shape_variants(shape):
+                        client.query(spec={"relation": "car",
+                                           "prefer": variant})
+            views = len(client.metrics()["views"])
+            if views != N_SHAPES:
+                failures.append(
+                    f"anonymous spellings: expected {N_SHAPES} views in "
+                    f"the registry, found {views}"
+                )
 
             # -- isolation: a revising neighbour never moves my answer ---
             victim, noisy = "user-3", "user-11"  # same shape pool
@@ -179,6 +197,26 @@ def main() -> int:
                     f"migration delta leaked to another tenant: {leaked}"
                 )
 
+        # An anonymous subscriber outlives the LRU pass over its view.
+        with PreferenceClient(port=port, timeout=60) as anon, \
+                PreferenceClient(port=port, timeout=60) as client:
+            anon.subscribe("car", prefer=shape_variants(0)[1])
+            for k in range(N_FLOOD):
+                tenant = f"flood-{k}"
+                client.profile_set(
+                    "deal", shape_variants(N_SHAPES + k)[0], tenant=tenant
+                )
+                client.query(spec={"relation": "car"}, tenant=tenant)
+            row = dict(client.query(spec={"relation": "car", "limit": 1})[0])
+            row.update(oid=10**9, price=20_000, horsepower=10**6)
+            client.insert("car", [row])
+            try:
+                delta = anon.wait_delta(timeout=15)
+                if not delta.get("enter"):
+                    failures.append(f"anonymous subscriber delta: {delta}")
+            except Exception as exc:  # a silenced stream times out
+                failures.append(f"anonymous subscriber silenced: {exc}")
+
         # -- record, SIGKILL, restart, verify recovery -------------------
         with PreferenceClient(port=port, timeout=60) as client:
             for user in range(0, N_USERS, 13):
@@ -197,10 +235,11 @@ def main() -> int:
 
         with PreferenceClient(port=port, timeout=60) as client:
             profiles = client.metrics()["tenancy"]["profiles"]
-            if profiles != N_USERS - 1:  # one tenant deleted its profile
+            # One tenant deleted its profile; the flood tenants added theirs.
+            if profiles != N_USERS - 1 + N_FLOOD:
                 failures.append(
                     f"recovered {profiles} profiles, "
-                    f"expected {N_USERS - 1}"
+                    f"expected {N_USERS - 1 + N_FLOOD}"
                 )
             for tenant, (version, rows) in pre_kill.items():
                 got_version = client.profile_get(tenant=tenant)["version"]
