@@ -66,25 +66,6 @@ def test_pushed_plan_is_planted_and_exact(sqlite_session):
     assert all(r["category"] == "c007" for r in pushed)
 
 
-def test_backend_cardinality_feeds_the_cost_model(sqlite_session):
-    query = (
-        sqlite_session.query("car")
-        .where(Comparison("category", "=", "c007"))
-        .prefer(LowestPreference("price"))
-    )
-    backend = sqlite_session.storage.backend
-    version = sqlite_session.catalog.version("car")
-    count = backend.cardinality(
-        "car", [Comparison("category", "=", "c007")], version
-    )
-    expected = sum(
-        1 for r in sqlite_session.catalog.get("car").rows()
-        if r["category"] == "c007"
-    )
-    assert count == expected
-    assert "StorageScan[car]" in query.explain()
-
-
 def test_snapshot_restore_is_exact_at_scale(tmp_path):
     rows = generate_cars(N_ROWS, seed=11).rows()
     writer = Session(storage="sqlite", data_dir=str(tmp_path))

@@ -147,8 +147,8 @@ def derived_constraints(
     """Constraints the relation's statistics prove for ``attributes``.
 
     Only the named columns are profiled (statistics are lazy and memoized
-    per column), so deriving for a preference's attribute set costs no
-    more than the cost model's own statistics pass.
+    per column), so deriving for a preference's attribute set touches no
+    other column.
     """
     stats = relation.stats()
     derived: list[Constraint] = []

@@ -161,31 +161,27 @@ def columnar_winnow(
     data: Relation | Sequence[Row],
     strategy: str = "sfs",
     block_size: int = DEFAULT_BLOCK,
-    partitions: int = 1,
 ) -> Any:
     """``sigma[P](R)`` over column vectors; same results as the row winnow.
 
     Weak orders (:func:`weak_score`) take the argmax path; everything else
     must lower to code axes (:func:`columnar_axes`) or :class:`NotColumnarError`
     is raised — callers wanting automatic fallback go through the planner,
-    which only picks this evaluator when it applies.  ``partitions > 1``
-    splits the dominance kernel across the shared thread pool
-    (:func:`repro.engine.parallel.parallel_skyline`) on the NumPy leg —
-    identical results; the interpreted leg and the linear argmax path run
-    serially whatever it says.  ``strategy`` names the kernel, and
-    :data:`repro.engine.vectorized.KERNELS` has one.  NumPy or
-    interpreted is chosen once per winnow and handed to every stage:
-    NumPy when importable and the input has :data:`NUMPY_MIN_ROWS` rows.
+    which only picks this evaluator when it applies.  ``strategy`` names
+    the kernel, and :data:`repro.engine.vectorized.KERNELS` has one.
+    NumPy or interpreted is chosen once per winnow and handed to every
+    stage: NumPy when importable and the input has :data:`NUMPY_MIN_ROWS`
+    rows.
     """
     if strategy not in KERNELS:
         raise ValueError(
             f"unknown columnar strategy {strategy!r}; known: {sorted(KERNELS)}"
         )
-    return lowered_winnow(pref)(data, block_size, partitions)
+    return lowered_winnow(pref)(data, block_size)
 
 
 def lowered_winnow(pref: Preference) -> Callable[..., Any]:
-    """Lower ``pref`` once; the returned ``run(data, block_size, partitions)``
+    """Lower ``pref`` once; the returned ``run(data, block_size)``
     is :func:`columnar_winnow` for that term — a grouped winnow calls it
     per group instead of lowering per group.
     """
@@ -202,9 +198,7 @@ def lowered_winnow(pref: Preference) -> Callable[..., Any]:
     attributes = pref.attributes
 
     def run(
-        data: Relation | Sequence[Row],
-        block_size: int = DEFAULT_BLOCK,
-        partitions: int = 1,
+        data: Relation | Sequence[Row], block_size: int = DEFAULT_BLOCK
     ) -> Any:
         if isinstance(data, Relation):
             store = ColumnStore.from_relation(data, attributes)
@@ -223,7 +217,7 @@ def lowered_winnow(pref: Preference) -> Callable[..., Any]:
             picked = _argmax_rows(store, score)
         else:
             np = get_numpy() if store.length >= NUMPY_MIN_ROWS else None
-            picked = _skyline_rows(store, axes, np, block_size, partitions)
+            picked = _skyline_rows(store, axes, np, block_size)
 
         rows = [store.rows[i] for i in picked]
         if template is None:
@@ -299,11 +293,7 @@ def _packed_key(np: Any, identities: list[Any]) -> Any:
 
 
 def _skyline_rows(
-    store: ColumnStore,
-    axes: list[ColumnAxis],
-    np: Any,
-    block_size: int,
-    partitions: int = 1,
+    store: ColumnStore, axes: list[ColumnAxis], np: Any, block_size: int
 ) -> list[int]:
     """Row indices whose projection is Pareto-maximal, in ascending order.
 
@@ -323,13 +313,6 @@ def _skyline_rows(
     def run_kernel(matrix: Any) -> list[int]:
         # Kernel output feeds a membership test, so the ascending-order
         # contract is paid for once at the end, not here.
-        if partitions > 1:
-            from repro.engine.parallel import parallel_skyline
-
-            return parallel_skyline(
-                matrix, partitions, strategy="2d" if two_d else "sfs",
-                block_size=block_size, np=np,
-            )
         if two_d:
             return skyline_2d(matrix, ordered=False, np=np)
         return skyline_sfs(matrix, block_size, ordered=False, np=np)

@@ -35,11 +35,10 @@ says at the call.  :func:`repro.engine.columnar.columnar_winnow` decides
 once per winnow and passes its decision to every stage.
 
 Both return the indices of maximal rows in ascending order, making results
-deterministic and directly comparable across legs and backends.  Callers
-that re-sort anyway (the columnar winnow maps kernel output through a
-membership test; the parallel merge re-sorts the union once) can pass
-``ordered=False`` to skip the final sort and take the indices in kernel
-order.
+deterministic and directly comparable across legs and backends.  A caller
+that re-sorts anyway (the columnar winnow maps kernel output through a
+membership test) can pass ``ordered=False`` to skip the final sort and
+take the indices in kernel order.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ SITES: dict[str, str] = {
     "storage.delete": "backend incremental delete (per relation)",
     "storage.drop": "backend table drop (per relation)",
     "storage.prefilter": "backend pushdown prefilter (per relation)",
-    "storage.cardinality": "backend cardinality estimate (per relation)",
     "storage.probe": "circuit-breaker half-open engine probe",
     "storage.checkpoint": "durable snapshot write",
     "wal.append": "write-ahead-log record append (torn => partial frame)",

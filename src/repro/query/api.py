@@ -459,10 +459,9 @@ class PreferenceQuery:
         """Steer the winnow between execution backends (default ``"auto"``).
 
         * ``"auto"`` — a term that lowers to integer code axes runs on
-          the columnar engine, anything else on the row engine; the
-          planner's cost model alone decides whether to split the kernel
-          across cores (see :func:`repro.query.optimizer.choose_backend`),
-        * ``"columnar"`` — force the columnar engine (serial), SCORE
+          the columnar engine, anything else on the row engine (see
+          :func:`repro.query.optimizer.choose_backend`),
+        * ``"columnar"`` — force the columnar engine, SCORE
           terms included; planning raises ``ValueError`` if the preference
           has no columnar form,
         * ``"row"`` — never columnarize: the general row path
@@ -471,7 +470,7 @@ class PreferenceQuery:
         Results are identical across backends; only the evaluation
         representation changes.  The choice is visible in
         :meth:`explain` (columnar plans print
-        ``backend=columnar kernel=...`` plus the decision and estimate).
+        ``backend=columnar kernel=...`` plus the decision).
         """
         from repro.query.optimizer import BACKENDS
 

@@ -18,17 +18,10 @@ Given a preference term and a database set, the optimizer
    * other terms with a dominance-compatible sort key -> SFS,
    * everything else -> BNL (always correct),
 
-3. asks the **cost model** (:func:`estimate_cost`) the one question that
-   depends on the data: into how many partitions to split a code-kernel
-   winnow on the shared thread pool (:mod:`repro.engine.parallel`).  It
-   reads only what the planner can observe — cardinality, per-column
-   table statistics (:mod:`repro.relations.stats`), the visible core
-   count and whether NumPy is present; no query option overrides it,
-
-4. places hard selections below the preference operator and quality
+3. places hard selections below the preference operator and quality
    filters (BUT ONLY) above it, and top-k on top for ranked queries,
 
-5. runs the algebraic *plan* rewriter (:mod:`repro.query.rewrite`):
+4. runs the algebraic *plan* rewriter (:mod:`repro.query.rewrite`):
    law-driven plan-to-plan transforms — rigid-selection pushdown below the
    winnow, Proposition-11 prioritization splitting into cascades, Pareto
    arm decomposition into composite skyline axes, constant-attribute
@@ -42,19 +35,12 @@ rule that fired.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.algebra.rewriter import normalize
 from repro.core.preference import Preference, Row
-from repro.engine.backend import numpy_available
-from repro.engine.columnar import (
-    columnar_axes,
-    columnar_profile,
-    columnar_winnow,
-)
-from repro.engine.parallel import MIN_PARTITION_ROWS, cpu_count
+from repro.engine.columnar import columnar_profile, columnar_winnow
 from repro.query import rewrite as _rewrite
 from repro.query.algorithms import ALGORITHMS, compatible_sort_key, weak_score
 from repro.query.plan import (
@@ -75,190 +61,8 @@ from repro.query.plan import (
 from repro.query.quality import QualityCondition
 from repro.relations.relation import Relation
 
-#: Valid values of the ``backend`` planning hint.  Partitioning is not a
-#: hint: under ``"auto"`` the cost model decides it.
+#: Valid values of the ``backend`` planning hint.
 BACKENDS = ("auto", "row", "columnar")
-
-# -- the cost model -----------------------------------------------------------------
-#
-# Which evaluator runs a winnow is structural (row_reason below); the cost
-# model only sizes the partitioning of a code-kernel winnow.  All costs
-# are in units close to one microsecond on the calibration host; only
-# ratios steer the choice.  The constants are measured stage by stage on
-# the NumPy kernels, at 10 to 10 000 rows; the table and the method are in
-# docs/performance.md ("Calibrating the cost model").  The one exception
-# is PARTITION_OVERHEAD, rescaled with VEC_COMPARE_COST so the
-# partitioning decision stays where it was; what the thread leg actually
-# gains on two cores is measured in docs/performance.md ("Parallel
-# execution").
-
-ENCODE_COST = 0.25        #: extract + encode one value into one integer code
-VEC_COMPARE_COST = 1 / 512  #: one broadcasted int comparison (NumPy kernels)
-VEC_SWEEP_COST = 1 / 128  #: one element of the vectorized 2-d sweep
-FANOUT_COST = 0.07        #: dedup + fan-out per input row
-COLUMNAR_SETUP_COST = 130.0  #: fixed: axis extraction, dispatch, repack
-PARTITION_OVERHEAD = 1_875.0  #: per-partition dispatch + merge bookkeeping
-
-
-@dataclass(frozen=True)
-class CostEstimate:
-    """The cost model's working: estimated effort of a code-kernel winnow.
-
-    ``selectivity`` is the expected skyline fraction of the distinct
-    projections; ``columnar_cost`` is the serial cost and
-    ``parallel_cost`` the cost at ``partitions`` workers (the same
-    number when partitioning does not pay).
-    ``stats_source`` records provenance — ``statistics(<relation>)`` when
-    per-column statistics informed the estimate, ``cardinality-only``
-    when only the row count was known.
-    """
-
-    cardinality: int
-    arity: int
-    distinct: int
-    skyline: int
-    selectivity: float
-    columnar_cost: float
-    parallel_cost: float
-    partitions: int
-    stats_source: str
-
-    def describe(self) -> str:
-        """One explain() line: every number the decision was made on."""
-        parallel = (
-            f"parallel[{self.partitions}]={self.parallel_cost:,.0f}"
-            if self.partitions > 1
-            else "parallel=n/a"
-        )
-        return (
-            f"cost: columnar={self.columnar_cost:,.0f} {parallel} units; "
-            f"est. skyline {self.skyline}/{self.distinct} distinct "
-            f"(selectivity {self.selectivity:.2%}); "
-            f"stats={self.stats_source}"
-        )
-
-
-def _axis_attributes(pref: Preference) -> list[str]:
-    """Flat attribute list over the term's skyline axes (composite arms
-    contribute each stage attribute)."""
-    out: list[str] = []
-    for axis in columnar_axes(pref) or []:
-        if isinstance(axis.attribute, tuple):
-            out.extend(axis.attribute)
-        else:
-            out.append(axis.attribute)
-    return out
-
-
-def expected_skyline(distinct: int, arity: int) -> int:
-    """E[skyline size] over ``distinct`` independent uniform vectors.
-
-    The classic result for ``d`` independent dimensions:
-    ``E ~ (ln n)^(d-1) / (d-1)!`` — exact for the sky-is-the-limit case
-    the planner must hedge against, an overestimate for correlated data
-    (which only makes the model conservative about parallelizing).
-    """
-    if distinct <= 1 or arity <= 1:
-        return 1 if distinct else 0
-    estimate = math.log(distinct) ** (arity - 1) / math.factorial(arity - 1)
-    return max(1, min(distinct, round(estimate)))
-
-
-def estimate_cost(
-    pref: Preference,
-    cardinality: int,
-    stats: Any = None,
-    cores: int | None = None,
-    constraints: Any = None,
-) -> CostEstimate:
-    """Cost the serial and the partitioned evaluation of a code-kernel
-    winnow over ``cardinality`` rows.
-
-    ``stats`` is a :class:`repro.relations.stats.TableStats` (or None):
-    per-axis distinct counts bound the number of distinct projections —
-    the unit the dedup'ing kernels actually sweep — so duplicate-heavy
-    relations are not partitioned for work they will not do.  ``cores``
-    caps the candidate partition count (default: the visible machine).
-    ``constraints`` (a
-    :class:`repro.analysis.constraints.ConstraintSet`, or None) narrows
-    the estimate further: an attribute proved constant contributes one
-    distinct projection regardless of what the raw statistics say.
-    """
-    axes = columnar_axes(pref)
-    # Selectivity follows the number of Pareto *arms* (each is one
-    # criterion, however it is encoded); kernel work follows the number of
-    # integer code axes (a weak-order arm occupies two).
-    arity = len(axes) if axes else max(1, len(pref.attributes))
-    code_axes = sum(axis.width for axis in axes) if axes else arity
-    n = cardinality
-
-    distinct = n
-    stats_source = "cardinality-only"
-    if stats is not None and axes:
-        product = 1
-        narrowed = False
-        for attribute in _axis_attributes(pref):
-            if constraints is not None and constraints.constant(attribute):
-                narrowed = True
-                continue  # a constant column adds no distinct projections
-            product *= max(1, stats.distinct(attribute))
-            if product >= n:
-                product = n
-                break
-        distinct = max(1, min(n, product)) if n else 0
-        stats_source = stats.source
-        if narrowed:
-            stats_source += "+constraints"
-    skyline = expected_skyline(distinct, arity)
-    selectivity = (skyline / distinct) if distinct else 0.0
-
-    encode = ENCODE_COST * n * code_axes
-    if code_axes == 2:
-        kernel = VEC_SWEEP_COST * distinct * max(1.0, math.log2(distinct or 1))
-    else:
-        kernel = VEC_COMPARE_COST * distinct * skyline * code_axes
-    columnar_cost = COLUMNAR_SETUP_COST + encode + kernel + FANOUT_COST * n
-
-    cores = cores if cores is not None else cpu_count()
-    partitions = _best_partitions(kernel, distinct, cores)
-    if partitions > 1:
-        merge = VEC_COMPARE_COST * (partitions * skyline) ** 2 * code_axes
-        parallel_cost = (
-            columnar_cost
-            - kernel
-            + kernel / partitions
-            + partitions * PARTITION_OVERHEAD
-            + merge
-        )
-        if parallel_cost >= columnar_cost:
-            partitions, parallel_cost = 1, columnar_cost
-    else:
-        parallel_cost = columnar_cost
-    return CostEstimate(
-        cardinality=n,
-        arity=arity,
-        distinct=distinct,
-        skyline=skyline,
-        selectivity=selectivity,
-        columnar_cost=columnar_cost,
-        parallel_cost=parallel_cost,
-        partitions=partitions,
-        stats_source=stats_source,
-    )
-
-
-def _best_partitions(kernel_cost: float, rows: int, cores: int) -> int:
-    """The partition count minimizing ``kernel/P + P * overhead``.
-
-    The unconstrained optimum is ``sqrt(kernel / overhead)``; it is then
-    clamped to the core count and to partitions of at least
-    :data:`~repro.engine.parallel.MIN_PARTITION_ROWS` rows, below which
-    dispatch dominates.
-    """
-    if cores <= 1 or rows < 2 * MIN_PARTITION_ROWS or kernel_cost <= 0:
-        return 1
-    ideal = int(math.sqrt(kernel_cost / PARTITION_OVERHEAD))
-    return max(1, min(ideal, cores, rows // MIN_PARTITION_ROWS))
 
 
 def row_reason(pref: Preference) -> str | None:
@@ -306,125 +110,70 @@ def choose_algorithm(pref: Preference, backend: str = "auto") -> str:
 
 @dataclass(frozen=True)
 class BackendChoice:
-    """The planner's backend decision plus its one-line rationale.
-
-    ``partitions > 1`` means partition-and-merge parallel execution on
-    the chosen (columnar) backend; ``cost`` carries the full
-    :class:`CostEstimate` when the cost model ran (excluded from
-    equality — two choices agreeing on backend/reason/partitions are the
-    same decision).
-    """
+    """The planner's backend decision plus its one-line rationale."""
 
     backend: str  # "row" | "columnar"
     reason: str
-    partitions: int = 1
-    cost: CostEstimate | None = field(default=None, compare=False)
 
     @property
     def columnar(self) -> bool:
         return self.backend == "columnar"
 
-    @property
-    def parallel(self) -> bool:
-        return self.partitions > 1
 
-
-def choose_backend(
-    pref: Preference,
-    cardinality: int,
-    hint: str = "auto",
-    stats: Any = None,
-    constraints: Any = None,
-) -> BackendChoice:
-    """Row or code-kernel ("columnar") execution of a winnow, and into how
-    many partitions.
+def choose_backend(pref: Preference, hint: str = "auto") -> BackendChoice:
+    """Row or code-kernel ("columnar") execution of a winnow.
 
     Under ``hint="auto"`` the backend is structural (:func:`row_reason`):
     input size and NumPy's presence do not enter — the code engine picks
-    between its own legs.  The **cost model** (:func:`estimate_cost`)
-    decides the partition count, from cardinality x preference arity x
-    expected skyline selectivity with per-column distinct counts from
-    ``stats``; interpreted kernels hold the GIL, so without NumPy auto
-    never partitions.
-
-    ``hint="columnar"`` forces serial columnar execution (weak orders
-    included: the argmax path) and raises ``ValueError`` for ineligible
-    terms; ``hint="row"`` forces the general row path.
+    between its own legs.  ``hint="columnar"`` forces columnar execution
+    (weak orders included: the argmax path) and raises ``ValueError`` for
+    ineligible terms; ``hint="row"`` forces the general row path.
     """
     if hint not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {hint!r}")
     if hint == "row":
         return BackendChoice("row", "backend=row requested")
     if hint == "columnar":
-        profile = columnar_profile(pref)
-        if profile is None:
+        if columnar_profile(pref) is None:
             raise ValueError(
                 f"{pref!r} has no columnar evaluation (needs a Pareto of "
                 "chains and weak orders, or a weak order); "
                 "drop the backend='columnar' hint"
             )
-        cost = (
-            estimate_cost(pref, cardinality, stats, constraints=constraints)
-            if profile == "skyline"
-            else None
-        )
-        return BackendChoice("columnar", "backend=columnar requested", cost=cost)
+        return BackendChoice("columnar", "backend=columnar requested")
     reason = row_reason(pref)
     if reason is not None:
         return BackendChoice("row", reason)
-    estimate = estimate_cost(
-        pref, cardinality, stats, constraints=constraints,
-        cores=None if numpy_available() else 1,
-    )
-    if estimate.partitions > 1:
-        return BackendChoice(
-            "columnar",
-            f"lowers to code axes; cost model: parallel"
-            f"[{estimate.partitions}] {estimate.parallel_cost:,.0f} < "
-            f"serial {estimate.columnar_cost:,.0f} units",
-            partitions=estimate.partitions,
-            cost=estimate,
-        )
-    return BackendChoice("columnar", "lowers to code axes", cost=estimate)
+    return BackendChoice("columnar", "lowers to code axes")
 
 
 def winnow_node(
-    child: PlanNode,
-    pref: Preference,
-    cardinality: int,
-    backend: str = "auto",
-    stats: Any = None,
-    constraints: Any = None,
+    child: PlanNode, pref: Preference, backend: str = "auto"
 ) -> PlanNode:
     """The plan node of one plain winnow ``sigma[pref](child)``: the
     :func:`choose_backend` decision turned into its operator.  The planner
     and every rewrite rule that changes a winnow's term build through
     here, so a rewritten node is decided on exactly what the original was.
     """
-    choice = choose_backend(
-        pref, cardinality, backend, stats=stats, constraints=constraints
-    )
+    choice = choose_backend(pref, backend)
     if choice.columnar:
-        return ColumnarPreferenceSelect(
-            child, pref, partitions=choice.partitions, cost=choice
-        )
+        return ColumnarPreferenceSelect(child, pref, cost=choice)
     return PreferenceSelect(
         child, pref, algorithm=choose_algorithm(pref, "row"), cost=choice
     )
 
 
 def full_winnow(pref: Preference, rows: list[Row]) -> list[Row]:
-    """``sigma[P](rows)`` the way a plan over ``len(rows)`` rows would run
-    it: evaluator by the term's shape, partitions by the cost model.
+    """``sigma[P](rows)`` the way a plan would run it: evaluator by the
+    term's shape.
 
     For callers that re-derive a whole BMO set outside a plan (continuous
     views rebuilding after a delete or a revision), so that one place
     decides how a full winnow runs.  Returns the caller's own row objects,
     in input order.
     """
-    choice = choose_backend(pref, len(rows))
-    if choice.columnar:
-        return columnar_winnow(pref, rows, partitions=choice.partitions)
+    if choose_backend(pref).columnar:
+        return columnar_winnow(pref, rows)
     return ALGORITHMS[choose_algorithm(pref, "row")](pref, rows)
 
 
@@ -521,7 +270,6 @@ def plan(
     # then absorb rigid conjuncts into an indexed SQL prefilter.  The
     # scan is a pure fast path: on any version drift it re-evaluates the
     # conjuncts in Python over the same immutable snapshot.
-    storage_version: int | None = None
     if (use_rewriter and storage is not None and source_name
             and getattr(storage, "supports_pushdown", False)):
         storage_version = storage.table_version(source_name)
@@ -560,30 +308,10 @@ def plan(
     for predicate, label, ast in below:
         node = HardSelect(node, predicate, label, ast)
 
-    stats = relation.stats() if pref is not None else None
-    # The cost model normally sizes the winnow input as the full scan;
-    # with a mirrored relation the backend can *count* the prefiltered
-    # candidate set instead, so backend/partition choices reflect what
-    # the kernels will actually see.
-    cardinality = len(relation)
-    if storage_version is not None and storage is not None and source_name:
-        from repro.storage.pushdown import pushable_where
-
-        pushable = tuple(
-            conjunct_ast for _, _, conjunct_ast in conjuncts
-            if conjunct_ast is not None
-            and pushable_where(conjunct_ast, relation.schema)
-        )
-        if pushable:
-            reported = storage.cardinality(
-                source_name, pushable, storage_version
-            )
-            if reported is not None:
-                cardinality = reported
     # The constraint registry (declared schema constraints + facts derived
     # from statistics over the preference's attributes) powers the semantic
-    # rewrite rules and narrows the cost model's selectivity estimates.
-    # The canonical (use_rewriter=False) plan stays constraint-blind.
+    # rewrite rules.  The canonical (use_rewriter=False) plan stays
+    # constraint-blind.
     constraints = None
     if use_rewriter:
         from repro.analysis.constraints import constraint_registry
@@ -609,7 +337,7 @@ def plan(
             if backend == "columnar":
                 # Eligibility check; a forced hint also takes weak orders
                 # to the engine's argmax path.
-                choose_backend(pref, len(relation), backend, stats=stats)
+                choose_backend(pref, backend)
                 group_algorithm = "vsfs"
             else:
                 group_algorithm = choose_algorithm(pref, backend)
@@ -619,10 +347,7 @@ def plan(
     elif algorithm is not None:
         node = PreferenceSelect(node, pref, algorithm=algorithm)
     else:
-        node = winnow_node(
-            node, pref, cardinality, backend, stats=stats,
-            constraints=constraints,
-        )
+        node = winnow_node(node, pref, backend)
     for predicate, label, ast in lifted:
         node = HardSelect(node, predicate, label, ast)
 
@@ -639,8 +364,6 @@ def plan(
         ctx = _rewrite.RewriteContext(
             forced_algorithm=algorithm,
             backend=backend,
-            cardinality=cardinality,
-            stats=stats,
             constraints=constraints,
         )
         node, plan_steps = _rewrite.rewrite_plan(node, ctx)

@@ -28,17 +28,9 @@ def _cost_lines(cost: Any, pad: str) -> list[str]:
 
     ``cost`` is the :class:`repro.query.optimizer.BackendChoice` the
     planner attached (None when the decision was forced by ``using()`` or
-    never arose): one line for the decision rationale, one for the
-    :class:`~repro.query.optimizer.CostEstimate` numbers when the cost
-    model ran.
+    never arose): one line, the decision rationale.
     """
-    if cost is None:
-        return []
-    out = [f"{pad}  decision: {cost.reason}"]
-    estimate = getattr(cost, "cost", None)
-    if estimate is not None:
-        out.append(f"{pad}  {estimate.describe()}")
-    return out
+    return [] if cost is None else [f"{pad}  decision: {cost.reason}"]
 
 
 class PlanNode:
@@ -171,7 +163,7 @@ class PreferenceSelect(PlanNode):
     pref: Preference
     algorithm: Any = "bnl"
     #: The planner's :class:`~repro.query.optimizer.BackendChoice`, when
-    #: the backend decision was cost-modelled (explain() prints it).
+    #: the planner made the backend decision (explain() prints it).
     cost: Any = None
 
     def execute(self) -> Relation:
@@ -202,32 +194,22 @@ class ColumnarPreferenceSelect(PlanNode):
     child: PlanNode
     pref: Preference
     strategy: str = "sfs"
-    #: >1 = the cost model split the kernel across the shared thread
-    #: pool (:mod:`repro.engine.parallel`); results are identical.
-    partitions: int = 1
     #: The planner's :class:`~repro.query.optimizer.BackendChoice`
-    #: (explain() prints its reason and estimate).
+    #: (explain() prints its reason).
     cost: Any = None
 
     def execute(self) -> Relation:
         from repro.engine.columnar import columnar_winnow
 
-        return columnar_winnow(
-            self.pref, self.child.execute(), self.strategy,
-            partitions=self.partitions,
-        )
+        return columnar_winnow(self.pref, self.child.execute(), self.strategy)
 
     def lines(self, indent: int = 0) -> list[str]:
         from repro.engine.backend import backend_label
 
         pad = "  " * indent
-        parallel = (
-            f" partitions={self.partitions}" if self.partitions > 1 else ""
-        )
         return [
             f"{pad}ColumnarPreferenceSelect[{self.pref!r}] "
-            f"backend=columnar kernel=v{self.strategy}({backend_label()})"
-            f"{parallel}",
+            f"backend=columnar kernel=v{self.strategy}({backend_label()})",
             *_cost_lines(self.cost, pad),
             *self.child.lines(indent + 1),
         ]

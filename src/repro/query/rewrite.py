@@ -359,11 +359,6 @@ class RewriteContext:
 
     forced_algorithm: Any = None
     backend: str = "auto"
-    cardinality: int = 0
-    #: Table statistics of the planned relation (a
-    #: :class:`repro.relations.stats.TableStats`), for rules that re-run
-    #: the cost-based backend choice on a rewritten term.
-    stats: Any = None
     #: Integrity constraints proved for the planned relation (a
     #: :class:`repro.analysis.constraints.ConstraintSet`: declared schema
     #: constraints plus statistics-derived keys/constants/bounds).  The
@@ -549,10 +544,7 @@ def _rule_prune_constant(
         # The planner's own decision, re-made for the pruned term under
         # the caller's own hint: a forced backend("columnar") must
         # survive pruning.
-        new_node = winnow_node(
-            node.child, pruned, ctx.cardinality, ctx.backend,
-            stats=ctx.stats, constraints=ctx.constraints,
-        )
+        new_node = winnow_node(node.child, pruned, ctx.backend)
     except ValueError:
         # The pruned term would lose its (user-forced) columnar form;
         # honoring the hint beats the pruning win, so leave the node be.
@@ -748,10 +740,7 @@ def _rule_winnow_to_sort(
         )
     from repro.query.optimizer import winnow_node
 
-    new_node = winnow_node(
-        node.child, reduction.pref, ctx.cardinality, ctx.backend,
-        stats=ctx.stats, constraints=constraints,
-    )
+    new_node = winnow_node(node.child, reduction.pref, ctx.backend)
     ctx.noted.add(("winnow_to_sort", _head(new_node)))
     return (
         new_node,

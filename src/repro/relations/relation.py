@@ -198,8 +198,9 @@ class Relation:
 
         Built lazily — constructing the object is O(1) and each column's
         statistics are computed on first access — and cached on the
-        instance for its (immutable) lifetime.  The planner's cost model
-        reads distinct counts and null fractions from here, and
+        instance for its (immutable) lifetime.  The constraint registry
+        (:func:`repro.analysis.constraints.constraint_registry`) derives
+        keys, constants and bounds from here, and
         :meth:`repro.session.Session.table_stats` hands out the same
         object.
         """

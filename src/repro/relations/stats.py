@@ -1,11 +1,12 @@
 """Per-column table statistics — the planner's eyes on the data.
 
-The cost model in :func:`repro.query.optimizer.choose_backend` needs a
-handful of facts about a relation to rank execution strategies: how many
-rows there are, how many *distinct* values each preference attribute
-carries (dominance work scales with distinct projections, not raw rows —
-the columnar engine dedups before its kernels run), and how null-ridden a
-column is (NaN-like values bypass the vector kernels entirely).
+The constraint registry
+(:func:`repro.analysis.constraints.constraint_registry`) needs a handful
+of facts about a relation's columns to prove what the semantic rewrite
+rules rely on: how many rows there are, how many *distinct* values a
+column carries (distinct == count is a key), whether it holds nulls, and
+its minimum and maximum (a constant, or bounds) —
+:func:`derive_column_constraints` turns them into constraints.
 
 :class:`TableStats` computes all of this **lazily, one column at a time**:
 building the object is O(1), and a column's statistics are computed on

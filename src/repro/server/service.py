@@ -18,11 +18,10 @@ caches) and adds everything a long-running server needs:
   to a fresh plan execution.
 * **A worker pool** — CPU-bound winnows run on :attr:`executor` threads so
   the asyncio front end (:mod:`repro.server.server`) never blocks its
-  event loop.  By default this is the engine's **shared executor**
-  (:func:`repro.engine.parallel.shared_executor`) — the same pool the
-  cost model's partitioned kernels fan out on — so concurrent clients and
-  partitioned kernels queue on one core-sized worker set instead of
-  oversubscribing the machine with nested pools.
+  event loop.  By default this is the process-global
+  :func:`shared_executor`, sized to the visible cores, so every service
+  in the process queues on one worker set instead of oversubscribing the
+  machine with a pool each.
 
 The query path is two steps: :meth:`PreferenceService.resolve` (build,
 personalize, find the view key — cheap and pure) and
@@ -34,6 +33,7 @@ wraps everything else in ``run_in_executor``.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +50,6 @@ from repro.analysis.constraints import constraint_registry
 from repro.analysis.diagnostics import DiagnosticError
 from repro.core.base_numerical import ScorePreference
 from repro.core.preference import Preference, Row
-from repro.engine.parallel import shared_executor
 from repro.engineering.serialization import (
     SerializationError,
     preference_from_dict,
@@ -77,6 +76,27 @@ _SPEC_OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 #: Cap on the repeat-query sighting counter: one-off view-shaped specs
 #: (e.g. per-user AROUND targets) must not accumulate forever.
 _SEEN_SPECS_CAP = 4096
+
+_executor: ThreadPoolExecutor | None = None
+_executor_lock = threading.Lock()
+
+
+def shared_executor() -> ThreadPoolExecutor:
+    """The process-global worker pool services share by default.
+
+    One pool, sized to the visible cores, lazily created, so concurrent
+    queries of every :class:`PreferenceService` in the process queue on
+    one set of workers.  Never shut down by library code (interpreter
+    exit joins it); a pool shut down from outside is replaced.
+    """
+    global _executor
+    with _executor_lock:
+        if _executor is None or getattr(_executor, "_shutdown", False):
+            _executor = ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1,
+                thread_name_prefix="prefserve-shared",
+            )
+        return _executor
 
 
 class ServiceError(ValueError):
@@ -181,11 +201,10 @@ class PreferenceService:
         # session's direct mutation path and the service's.
         self._mutation_lock = self.session.mutation_lock
         self._mutation_hook = self.session.on_mutation(self._on_mutation)
-        # max_workers=None adopts the engine-wide shared executor — the
-        # pool partitioned code kernels fan out on — so
-        # service queries and partitioned kernels share one core-sized
-        # worker set.  An explicit max_workers gets a private pool (and
-        # close() then owns its shutdown).
+        # max_workers=None adopts the process-global shared executor, so
+        # every service in the process shares one core-sized worker set.
+        # An explicit max_workers gets a private pool (and close() then
+        # owns its shutdown).
         if max_workers is None:
             self.executor = shared_executor()
             self._owns_executor = False

@@ -418,7 +418,7 @@ class Session:
         return self.catalog.get(name).column_store()
 
     def table_stats(self, name: str) -> Any:
-        """Per-column statistics of a catalog relation, for the cost model.
+        """Per-column statistics of a catalog relation.
 
         Returns the :class:`repro.relations.stats.TableStats` cached on
         the current snapshot of ``name`` (:meth:`Relation.stats` — the

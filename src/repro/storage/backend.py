@@ -12,8 +12,6 @@ talks to this narrow surface:
   rows **in insertion order**, or ``None`` when the mirror cannot answer
   (version moved, relation not mirrored, engine error).  ``None`` always
   means "fall back to the in-memory path", never "empty result".
-* ``cardinality`` — backend-reported candidate count feeding the cost
-  model, same ``None`` contract.
 
 The default :class:`MemoryBackend` mirrors nothing: the catalog *is* the
 store (the existing in-memory columnar path), so every hook is a no-op
@@ -75,12 +73,6 @@ class StorageBackend:
         Returns ``None`` whenever the backend cannot answer exactly —
         the caller must then evaluate the conjuncts in Python.
         """
-        return None
-
-    def cardinality(
-        self, name: str, conjuncts: Sequence[Any], version: int
-    ) -> int | None:
-        """Candidate count for the cost model (``None`` = unknown)."""
         return None
 
     def render_prefilter(

@@ -6,7 +6,7 @@ correctness.  :class:`GuardedBackend` wraps the real backend and makes
 that degradation explicit and bounded:
 
 * consecutive engine failures past a threshold **open** the breaker:
-  planner hooks (``table_version``/``prefilter``/``cardinality``) answer
+  planner hooks (``table_version``/``prefilter``) answer
   ``None``, so every query falls back to the exact in-memory scan, and
   mutation mirroring is skipped with the relation marked **dirty**
   (the WAL upstream keeps logging, so durability is unaffected);
@@ -308,20 +308,6 @@ class GuardedBackend(StorageBackend):
             return None
         self._on_success("storage.prefilter")
         return rows
-
-    def cardinality(
-        self, name: str, conjuncts: Sequence[Any], version: int
-    ) -> int | None:
-        if not self._admit("storage.cardinality"):
-            return None
-        try:
-            faults.check("storage.cardinality", name.lower())
-            count = self.inner.cardinality(name, conjuncts, version)
-        except Exception as exc:  # noqa: BLE001 - None = unknown
-            self.breaker.on_failure("storage.cardinality", exc)
-            return None
-        self._on_success("storage.cardinality")
-        return count
 
     def render_prefilter(
         self, name: str, conjuncts: Sequence[Any]

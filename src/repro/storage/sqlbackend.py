@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Mapping, Sequence
 
-from repro.psql.sqlgen import Dialect, prefilter_sql, quote_ident, where_params
+from repro.psql.sqlgen import Dialect, prefilter_sql, quote_ident
 from repro.relations.relation import Relation
 from repro.relations.schema import Schema
 from repro.storage.backend import StorageBackend, StorageError
@@ -291,29 +291,3 @@ class SQLBackend(StorageBackend):
                  for c, k, v in zip(mirror.columns, mirror.kinds, record)}
                 for record in records
             ]
-
-    def cardinality(
-        self, name: str, conjuncts: Sequence[Any], version: int
-    ) -> int | None:
-        key = name.lower()
-        with self._lock:
-            mirror = self._mirrors.get(key)
-            if mirror is None or mirror.version != version:
-                return None
-            sql = f"SELECT COUNT(*) FROM {quote_ident(key)}"
-            params: tuple[Any, ...] = ()
-            if conjuncts:
-                parts: list[str] = []
-                values: list[Any] = []
-                for conjunct in conjuncts:
-                    text, bound = where_params(conjunct, self.dialect)
-                    parts.append(f"({text})")
-                    values.extend(bound)
-                sql += " WHERE " + " AND ".join(parts)
-                params = tuple(values)
-            try:
-                return int(self._execute(sql, params).fetchone()[0])
-            except Exception as exc:
-                if isinstance(exc, self.OPERATIONAL_ERRORS):
-                    raise
-                return None

@@ -331,14 +331,33 @@ class TestEligibility:
 
 
 class TestGroupedWinnow:
-    def test_vsfs_by_name_matches_bnl(self):
+    def test_vsfs_by_name_matches_bnl(self, monkeypatch):
+        """Definition 16 with every group on the code kernels: the rows of
+        the BNL grouped winnow in the same order, on both legs, for many
+        groups, one group and no rows."""
+        import random
+
         from repro.query.bmo import winnow_groupby
 
-        rows = [
-            {"g": i % 4, "d0": (i * 13) % 17, "d1": (i * 7) % 11}
-            for i in range(150)
+        rng = random.Random(23)
+        inputs = [
+            [
+                {"g": i % 4, "d0": (i * 13) % 17, "d1": (i * 7) % 11}
+                for i in range(150)
+            ],
+            [
+                {"g": rng.randrange(9), "d0": rng.randrange(50),
+                 "d1": rng.randrange(50)}
+                for _ in range(700)
+            ],
+            [{"g": 1, "d0": i, "d1": -i} for i in range(50)],
+            [],
         ]
         pref = pareto(HighestPreference("d0"), LowestPreference("d1"))
-        fast = winnow_groupby(pref, ["g"], rows, algorithm="vsfs")
-        slow = winnow_groupby(pref, ["g"], rows, algorithm="bnl")
-        assert row_set(fast) == row_set(slow)
+        for use_numpy in (True, False):
+            if not use_numpy:
+                monkeypatch.setattr(engine_backend, "_numpy", None)
+            for rows in inputs:
+                fast = winnow_groupby(pref, ["g"], rows, algorithm="vsfs")
+                slow = winnow_groupby(pref, ["g"], rows, algorithm="bnl")
+                assert fast == slow  # same rows, same order

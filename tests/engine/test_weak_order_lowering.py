@@ -9,9 +9,8 @@ that equidistant values, score ties, duplicate projections, NaN values and
 values in no layer all occur in most examples.  The oracle is
 ``naive_nested_loop``; the legs are the NumPy kernels, the interpreted
 kernels (which inputs this small take by themselves, and
-``REPRO_NO_NUMPY=1`` forces), the kernel split into three partitions, and
-the three ways a term reaches the engine: ``full_winnow``, a planned
-(rewritten) query and a grouped winnow.
+``REPRO_NO_NUMPY=1`` forces), and the three ways a term reaches the
+engine: ``full_winnow``, a planned (rewritten) query and a grouped winnow.
 
 A table then walks the size switch between the two legs: one term per
 lowered shape, at 0, 1 and N-1 / N / N+1 rows around
@@ -135,7 +134,6 @@ def test_columnar_winnow_is_the_definitional_bmo_set(pref, rows):
     assert _bag(columnar_winnow(pref, rows)) == expected
     with mock.patch.object(columnar, "NUMPY_MIN_ROWS", 0):
         assert _bag(columnar_winnow(pref, rows)) == expected
-        assert _bag(columnar_winnow(pref, rows, partitions=3)) == expected
     with mock.patch.dict("os.environ", {"REPRO_NO_NUMPY": "1"}):
         assert _bag(columnar_winnow(pref, rows)) == expected
     _check_every_entry(pref, rows, expected)
@@ -176,9 +174,9 @@ def test_every_entry_is_the_bmo_set_on_both_sides_of_the_leg_switch(
     legs = []
     inner = columnar._skyline_rows
 
-    def spy(store, axes, np, block_size, partitions=1):
+    def spy(store, axes, np, block_size):
         legs.append("numpy" if np is not None else "python")
-        return inner(store, axes, np, block_size, partitions)
+        return inner(store, axes, np, block_size)
 
     monkeypatch.setattr(columnar, "_skyline_rows", spy)
     expected = _bag(naive_nested_loop(pref, rows))

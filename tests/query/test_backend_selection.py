@@ -1,11 +1,9 @@
-"""Planner backend choice: the structural rule and the partition cost
-model, surfaced.
+"""Planner backend choice: the structural rule, surfaced.
 
-Covers :func:`repro.query.optimizer.choose_backend` and
-:func:`~repro.query.optimizer.estimate_cost`, the ``backend=`` hint on the
-fluent API, the ColumnarPreferenceSelect plan node, explain() output (decision rationale,
-cost estimates, partition count, stats provenance), plan-cache
-fingerprinting, and the session's columnar-store / statistics caches.
+Covers :func:`repro.query.optimizer.choose_backend`, the ``backend=`` hint
+on the fluent API, the ColumnarPreferenceSelect plan node, explain()
+output (the decision rationale), plan-cache fingerprinting, and the
+session's columnar-store cache.
 """
 
 import pytest
@@ -22,14 +20,7 @@ from repro.core.constructors import pareto, prioritized
 from repro.datasets.skyline_data import skyline_relation
 from repro.engine import backend as engine_backend
 from repro.query import optimizer
-from repro.query.optimizer import (
-    BackendChoice,
-    CostEstimate,
-    choose_backend,
-    estimate_cost,
-    expected_skyline,
-    plan,
-)
+from repro.query.optimizer import BackendChoice, choose_backend, plan
 from repro.query.plan import Cascade, ColumnarPreferenceSelect, PreferenceSelect
 from repro.session import Session
 
@@ -54,149 +45,57 @@ def session():
 
 class TestCostModel:
     def test_no_fixed_row_threshold_remains(self):
-        assert not hasattr(optimizer, "COLUMNAR_ROW_THRESHOLD")
-
-    def test_expected_skyline_shapes(self):
-        assert expected_skyline(0, 3) == 0
-        assert expected_skyline(1, 3) == 1
-        assert expected_skyline(10_000, 1) == 1
-        # (ln n)^(d-1)/(d-1)! grows with d and never exceeds n.
-        assert expected_skyline(10_000, 2) < expected_skyline(10_000, 4)
-        assert expected_skyline(10, 8) <= 10
-
-    def test_estimate_monotone_in_cardinality(self):
-        small = estimate_cost(SKY3, 1_000, cores=1)
-        large = estimate_cost(SKY3, 100_000, cores=1)
-        assert large.columnar_cost > small.columnar_cost
-        assert small.stats_source == "cardinality-only"
-
-    def test_stats_bound_distinct_projections(self):
-        rel = skyline_relation("independent", 2_000, 3, seed=7)
-        with_stats = estimate_cost(SKY3, len(rel), stats=rel.stats(), cores=1)
-        without = estimate_cost(SKY3, len(rel), cores=1)
-        assert with_stats.distinct <= without.distinct
-        assert with_stats.stats_source.startswith("statistics(")
-        # Distinct projections bound the dedup'ed kernel sweep, so the
-        # stats-informed columnar estimate can only be cheaper.
-        assert with_stats.columnar_cost <= without.columnar_cost
-
-    def test_duplicate_heavy_columns_shrink_the_estimate(self):
-        # 10 distinct values per axis -> at most 100 distinct projections.
-        rows = [
-            {"d0": i % 10, "d1": (i * 7) % 10} for i in range(5_000)
-        ]
-        from repro.relations.relation import Relation
-
-        rel = Relation.from_dicts("dups", rows)
-        estimate = estimate_cost(SKY, len(rel), stats=rel.stats(), cores=1)
-        assert estimate.distinct <= 100
-        assert estimate.skyline <= estimate.distinct
-
-    def test_parallel_needs_cores_and_size(self):
-        assert estimate_cost(SKY3, 200_000, cores=1).partitions == 1
-        assert estimate_cost(SKY3, 500, cores=8).partitions == 1
-        big = estimate_cost(SKY3, 200_000, cores=8)
-        assert big.partitions > 1
-        assert big.parallel_cost < big.columnar_cost
-
-    def test_served_terms_stay_serial_on_two_cores(self):
-        """The benchmark's winnow terms over the relations it serves, at
-        10 000 rows: the cost model splits none of them on two cores."""
-        from bench.workloads import WORKLOADS
-
-        from repro.relations.relation import Relation
-
-        data = WORKLOADS["adhoc"].relations(10_000)
-        sky = Relation.from_dicts("sky", data["sky"])
-        car = Relation.from_dicts("car", data["car"])
-        for pref, rel in (
-            (pareto(*(LowestPreference(f"d{i}") for i in range(3))), sky),
-            (pareto(AroundPreference("price", 25_000.5),
-                    HighestPreference("horsepower")), car),
+        """No size threshold and no cost model: the backend is structural
+        and the code kernels run serially."""
+        for name in (
+            "COLUMNAR_ROW_THRESHOLD", "estimate_cost", "CostEstimate",
+            "expected_skyline",
         ):
-            estimate = estimate_cost(pref, len(rel), rel.stats(), cores=2)
-            assert estimate.partitions == 1
-
-    @pytest.mark.parametrize("rows, term, partitions", [
-        (10_000, "3 chains", 1),
-        (10_000, "4 chains", 2),
-        (100_000, "3 chains", 2),
-        (100_000, "4 chains", 2),
-        (1_000_000, "4 chains", 2),
-        (10_000, "AROUND*HIGHEST", 1),
-        (100_000, "AROUND*HIGHEST", 1),
-    ])
-    def test_documented_partition_counts(self, rows, term, partitions):
-        """The planner column of docs/performance.md's thread-leg table, on
-        two cores.  The measured relations have continuous columns, so
-        their statistics bound no projection: the cardinality-only
-        estimate is the one the planner makes over them."""
-        if term == "AROUND*HIGHEST":
-            pref = pareto(AroundPreference("d0", 0.5), HighestPreference("d1"))
-        else:
-            chains = int(term.split()[0])
-            pref = pareto(*(LowestPreference(f"d{i}") for i in range(chains)))
-        assert estimate_cost(pref, rows, cores=2).partitions == partitions
-
-    def test_selectivity_is_a_fraction(self):
-        estimate = estimate_cost(SKY3, 10_000, cores=4)
-        assert 0.0 < estimate.selectivity <= 1.0
-        assert estimate.skyline == round(
-            estimate.selectivity * estimate.distinct
-        )
-
-    def test_describe_names_every_decision_input(self):
-        text = estimate_cost(SKY3, 10_000, cores=4).describe()
-        for needle in ("columnar=", "parallel", "selectivity", "stats="):
-            assert needle in text
+            assert not hasattr(optimizer, name), name
 
 
 class TestChooseBackend:
     def test_rejects_unknown_hint(self):
         with pytest.raises(ValueError, match="backend must be one of"):
-            choose_backend(SKY, 10, hint="gpu")
+            choose_backend(SKY, hint="gpu")
 
     def test_parallel_is_not_a_backend(self):
         assert optimizer.BACKENDS == ("auto", "row", "columnar")
         with pytest.raises(ValueError, match="backend must be one of"):
-            choose_backend(SKY, 10, hint="parallel")
+            choose_backend(SKY, hint="parallel")
 
     def test_row_hint_always_row(self):
-        assert choose_backend(SKY, 10**6, "row") == BackendChoice(
+        assert choose_backend(SKY, "row") == BackendChoice(
             "row", "backend=row requested"
         )
 
     def test_columnar_hint_forces(self):
-        assert choose_backend(SKY, 1, "columnar").columnar
+        assert choose_backend(SKY, "columnar").columnar
 
     def test_columnar_hint_on_ineligible_raises(self):
         with pytest.raises(ValueError, match="no columnar evaluation"):
-            choose_backend(EXPLICIT, BIG, "columnar")
+            choose_backend(EXPLICIT, "columnar")
 
     def test_auto_goes_columnar_when_big(self):
-        choice = choose_backend(SKY3, BIG, "auto")
+        choice = choose_backend(SKY3, "auto")
         assert choice.columnar and choice.reason == "lowers to code axes"
-        assert isinstance(choice.cost, CostEstimate)
 
-    def test_auto_is_structural_not_sized(self):
-        for cardinality in (0, 1, 10, BIG):
-            assert choose_backend(SKY3, cardinality, "auto") == BackendChoice(
-                "columnar", "lowers to code axes"
-            )
+    def test_auto_is_structural_not_sized(self, session):
+        assert choose_backend(SKY3, "auto") == BackendChoice(
+            "columnar", "lowers to code axes"
+        )
+        for name in ("big", "small"):
+            node = plan(SKY, session.catalog.get(name)).root
+            assert isinstance(node, ColumnarPreferenceSelect)
 
     def test_weak_order_arms_go_columnar(self):
-        """The 1.4k-row Pareto the old constants kept on the row engine
-        (31 ms there, 2.7 ms columnar).  Selectivity counts the two arms,
-        the kernel the three code axes AROUND (x2) + HIGHEST occupy."""
+        """The 1.4k-row Pareto the old size threshold kept on the row
+        engine (31 ms there, 2.7 ms columnar): AROUND lowers to two code
+        axes, HIGHEST to one."""
         pref = pareto(AroundPreference("d0", 0.5), HighestPreference("d1"))
-        choice = choose_backend(pref, 1_400, "auto")
-        assert choice.columnar
-        assert choice.cost.arity == 2
-        assert choice.cost.skyline == expected_skyline(1_400, 2)
-        three = estimate_cost(SKY3, 1_400, cores=1)
-        sweep = estimate_cost(SKY, 1_400, cores=1)
-        assert sweep.columnar_cost < choice.cost.columnar_cost
-        assert choice.cost.columnar_cost < three.columnar_cost
+        assert choose_backend(pref, "auto") == BackendChoice(
+            "columnar", "lowers to code axes"
+        )
 
     def test_arms_without_code_axes_have_no_columnar_form(self):
         from repro.core.base_nonnumerical import ExplicitPreference
@@ -206,39 +105,18 @@ class TestChooseBackend:
             ExplicitPreference("d1", [(1, 2)]),
             ScorePreference(("d1", "d2"), sum, name="sum"),
         ):
-            choice = choose_backend(
-                pareto(HighestPreference("d0"), arm), BIG, "auto"
-            )
+            choice = choose_backend(pareto(HighestPreference("d0"), arm))
             assert choice == BackendChoice("row", "no columnar dominance form")
 
-    def test_auto_parallelizes_huge_inputs_given_cores(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "cpu_count", lambda: 8)
-        choice = choose_backend(SKY3, 500_000, "auto")
-        serial = estimate_cost(SKY3, 500_000, cores=1)
-        if not engine_backend.numpy_available():
-            assert choice.columnar and not choice.parallel
-            return
-        assert choice.parallel and "cost model: parallel" in choice.reason
-        assert choice.cost.parallel_cost < serial.columnar_cost
-
-    def test_auto_never_partitions_without_numpy(self, monkeypatch):
-        """Interpreted kernels hold the GIL: the one planning decision
-        NumPy's absence changes."""
-        monkeypatch.setattr(optimizer, "cpu_count", lambda: 8)
-        monkeypatch.setattr(engine_backend, "_numpy", None)
-        choice = choose_backend(SKY3, 500_000, "auto")
-        assert choice == BackendChoice("columnar", "lowers to code axes")
-        assert choice.partitions == 1 and choice.cost.partitions == 1
-
     def test_score_terms_stay_row_on_auto(self):
-        choice = choose_backend(AroundPreference("d0", 1), BIG * 4, "auto")
+        choice = choose_backend(AroundPreference("d0", 1), "auto")
         assert choice.backend == "row"
 
     def test_bare_chain_score_terms_stay_row_on_auto(self):
         # HIGHEST/LOWEST are 1-d skylines *and* argmaxes; the row `sort`
         # path is already linear, so auto must not columnarize them.
         for pref in (HighestPreference("d0"), LowestPreference("d0")):
-            assert not choose_backend(pref, BIG * 4, "auto").columnar
+            assert not choose_backend(pref, "auto").columnar
 
 
 class TestPlannerIntegration:
@@ -247,13 +125,12 @@ class TestPlannerIntegration:
         assert "ColumnarPreferenceSelect" in q.explain()
         assert "backend=columnar" in q.explain()
 
-    def test_explain_shows_decision_costs_and_stats(self, session):
+    def test_explain_shows_the_decision_and_no_cost_line(self, session):
         text = session.query("big").prefer(SKY3).explain()
         assert "decision: lowers to code axes" in text
-        assert "cost: columnar=" in text
         assert "NumPy unavailable" not in text
-        assert "selectivity" in text
-        assert "stats=statistics(big)" in text
+        for gone in ("cost:", "selectivity", "stats=", "partitions="):
+            assert gone not in text
 
     def test_paper_signature_query_plans_columnar_from_both_front_ends(self):
         """``price AROUND z AND HIGHEST(horsepower)`` (Def. 7a x Def. 8),
@@ -408,16 +285,15 @@ class TestOnePlanOnBothPlatforms:
             assert "NumPy unavailable" not in plain.explain()
             node = plain.root
             return (
-                type(node), node.strategy, node.partitions,
+                type(node), node.strategy,
                 node.cost.backend, node.cost.reason,
                 type(grouped.root), grouped.root.algorithm,
             )
 
-        monkeypatch.setattr(optimizer, "cpu_count", lambda: 8)
         with_numpy = decisions()
         monkeypatch.setattr(engine_backend, "_numpy", None)
         assert decisions() == with_numpy
-        assert with_numpy[:3] == (ColumnarPreferenceSelect, "sfs", 1)
+        assert with_numpy[:2] == (ColumnarPreferenceSelect, "sfs")
         assert with_numpy[-1] == "vsfs"
 
 

@@ -60,7 +60,7 @@ class _Served:
     """A served service whose worker-pool dispatches are counted."""
 
     def __init__(self, **server_kwargs):
-        # A private pool: the shared one also carries parallel kernels.
+        # A private pool: the spy below must count this service only.
         self.service = PreferenceService(
             {"car": generate_cars(300).rows()}, max_workers=2
         )

@@ -283,6 +283,22 @@ class TestIntrospection:
         finally:
             service.close()
 
+    def test_services_share_one_executor_that_outlives_them(self):
+        from repro.server.service import shared_executor
+
+        first = PreferenceService({"animal": ANIMALS})
+        second = PreferenceService({"animal": ANIMALS})
+        private = PreferenceService({"animal": ANIMALS}, max_workers=1)
+        try:
+            assert first.executor is second.executor is shared_executor()
+            assert private.executor is not shared_executor()
+        finally:
+            for service in (first, second, private):
+                service.close()
+        # close() never shuts the shared pool down.
+        assert shared_executor() is first.executor
+        assert first.executor.submit(lambda: 7).result(timeout=10) == 7
+
     def test_close_detaches_from_a_shared_session(self):
         from repro.session import Session
 

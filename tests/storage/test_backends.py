@@ -64,7 +64,6 @@ class TestMemoryBackend:
         assert not backend.mirrored("car")
         assert backend.table_version("car") is None
         assert backend.prefilter("car", [], 1) is None
-        assert backend.cardinality("car", [], 1) is None
         backend.insert("car", [{"id": 9}], 2)
         backend.delete("car", [{"id": 9}], 3)
         backend.drop("car")
@@ -130,14 +129,6 @@ class BackendContract:
     def test_stale_version_answers_none(self, backend):
         backend.sync(car_relation(), version=1)
         assert backend.prefilter("car", [], 99) is None
-        assert backend.cardinality("car", [], 99) is None
-
-    def test_cardinality_counts_the_filtered_set(self, backend):
-        backend.sync(car_relation(), version=1)
-        assert backend.cardinality("car", [], 1) == 4
-        assert backend.cardinality(
-            "car", [Comparison("make", "=", "opel")], 1
-        ) == 3
 
     def test_all_pushable_shapes_match_python(self, backend):
         relation = car_relation()

@@ -180,13 +180,12 @@ class TestPushIntoStorage:
         fresh = q.plan()
         assert any(r["price"] == 1.0 for r in fresh.execute().rows())
 
-    def test_cost_model_uses_backend_cardinality(self, sqlite_session):
+    def test_pushed_scan_answers_the_filtered_set(self, sqlite_session):
         q = (sqlite_session.query("car")
              .where(Comparison("make", "=", "bmw"))
              .prefer(LowestPreference("price")))
         text = q.explain()
-        # One bmw row out of five: the estimate must come from the
-        # backend's COUNT on the filtered set, not len(relation).
+        # One bmw row out of five, read through the mirror's prefilter.
         assert "StorageScan[car] backend=sqlite" in text
         assert q.plan().execute().rows() == [ROWS[1]]
 

@@ -168,7 +168,7 @@ class TestUnusedImports:
             def run(thunks: list[Callable[[], Any]]) -> list[Any]:
                 return [t() for t in thunks]
         """)
-        findings = check_source(source, "src/repro/engine/parallel.py")
+        findings = check_source(source, "src/repro/engine/columnar.py")
         assert _codes(findings) == ["PC006"] * 3
         text = " ".join(f.message for f in findings)
         for name in ("'os'", "'th'", "'Sequence'"):

@@ -16,12 +16,6 @@ regresses:
   answered from a materialized continuous winnow view must beat
   re-planned execution by >= 5x on the 50k-row catalog (and return
   identical rows).
-* ``parallel_speedup`` — the PR-5 acceptance criterion: partitioned
-  winnow execution (:mod:`repro.engine.parallel`) must beat the
-  single-thread columnar kernel by >= 2x on the 4x-sized (200k-row)
-  skyline workload.  Needs NumPy and >= 4 visible cores; below that the
-  check is skipped and recorded as skipped with the honest core count —
-  parity with serial execution is still asserted.
 * ``semantic_elim`` — the PR-6 acceptance criterion: on a 50k-row
   workload whose statistics derive a key on the chain head, the
   semantic ``winnow_to_sort`` rewrite (single-column argmax instead of
@@ -88,11 +82,7 @@ from repro.core.base_numerical import HighestPreference, LowestPreference  # noq
 from repro.core.constructors import pareto  # noqa: E402
 from repro.engine.backend import numpy_available  # noqa: E402
 from repro.engine.columnar import columnar_winnow  # noqa: E402
-from repro.engine.parallel import cpu_count  # noqa: E402
 from repro.query.algorithms import block_nested_loop  # noqa: E402
-
-#: parallel_speedup needs this many visible cores to be meaningful.
-PARALLEL_MIN_CORES = 4
 
 #: snapshot_restore latency budget: a 50k-row catalog must recover from
 #: its snapshot (decode + re-mirror) in at most this long.  Generous
@@ -141,54 +131,6 @@ def bench_columnar_vs_bnl(report: dict, n_rows: int, rounds: int) -> None:
         "ratio": round(min(ratios), 2),
         "threshold": 5.0,
         "pass": min(ratios) >= 5.0,
-    }
-
-
-def bench_parallel_speedup(report: dict, n_rows: int, rounds: int) -> None:
-    """Partitioned vs. single-thread columnar winnow on the 4x workload.
-
-    Parity is asserted on every machine; the >= 2x timing criterion only
-    runs (and only counts) with >= PARALLEL_MIN_CORES cores — recorded as
-    skipped, with the core count, otherwise.
-    """
-    from repro.datasets.skyline_data import skyline_relation
-
-    cores = cpu_count()
-    rows = n_rows * 4
-    pref = _skyline_pref(3)
-    relation = skyline_relation("independent", rows, 3, seed=29)
-    relation.columns()  # materialize outside the timed region
-
-    serial_result = columnar_winnow(pref, relation)
-    parallel_result = columnar_winnow(pref, relation, partitions=cores)
-    assert parallel_result.rows() == serial_result.rows()
-
-    if cores < PARALLEL_MIN_CORES:
-        report["criteria"]["parallel_speedup"] = {
-            "ratio": None, "threshold": 2.0, "pass": None,
-            "skipped": f"{cores} visible core(s); need "
-                       f">= {PARALLEL_MIN_CORES} (parity asserted)",
-            "cores": cores,
-        }
-        return
-
-    serial = median_ns(lambda: columnar_winnow(pref, relation), rounds)
-    parallel = median_ns(
-        lambda: columnar_winnow(pref, relation, partitions=cores), rounds
-    )
-    report["benchmarks"][f"parallel_{rows}_serial_columnar"] = {
-        "median_ns": serial, "rounds": rounds,
-    }
-    report["benchmarks"][f"parallel_{rows}_partitioned_{cores}"] = {
-        "median_ns": parallel, "rounds": rounds,
-    }
-    ratio = serial / parallel
-    report["ratios"]["parallel_speedup"] = round(ratio, 2)
-    report["criteria"]["parallel_speedup"] = {
-        "ratio": round(ratio, 2),
-        "threshold": 2.0,
-        "pass": ratio >= 2.0,
-        "cores": cores,
     }
 
 
@@ -582,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": numpy_version,
             "rows": n_rows,
-            "cores": cpu_count(),
+            "cores": os.cpu_count() or 1,
         },
         "benchmarks": {},
         "ratios": {},
@@ -591,14 +533,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if numpy_available():
         bench_columnar_vs_bnl(report, n_rows, args.rounds)
-        bench_parallel_speedup(report, n_rows, args.rounds)
     else:
         report["criteria"]["columnar_vs_bnl"] = {
             "ratio": None, "threshold": 5.0, "pass": None,
-            "skipped": "NumPy unavailable",
-        }
-        report["criteria"]["parallel_speedup"] = {
-            "ratio": None, "threshold": 2.0, "pass": None,
             "skipped": "NumPy unavailable",
         }
     bench_rewrite_pushdown(report, n_rows, args.rounds)
