@@ -53,6 +53,75 @@ class TestCostModel:
         ):
             assert not hasattr(optimizer, name), name
 
+    @pytest.mark.parametrize("retired", [
+        "cost constants",
+        "engine.parallel",
+        "columnar_winnow(partitions=)",
+        "ColumnarPreferenceSelect.partitions",
+        "BackendChoice.partitions/cost",
+        "choose_backend(cardinality=, stats=, constraints=)",
+        "winnow_node(cardinality=, stats=, constraints=)",
+        "RewriteContext.cardinality/stats",
+        "storage cardinality",
+        "storage.cardinality fault site",
+    ])
+    def test_retired_option_is_gone(self, retired):
+        """Each option the serial kernel retired, absent from the API
+        rather than accepted and ignored."""
+        import dataclasses
+        import importlib
+        import inspect
+
+        from repro.engine import columnar
+        from repro.engine.columnar import columnar_winnow
+        from repro.faults.__main__ import SITES
+        from repro.query.rewrite import RewriteContext
+        from repro.storage import MemoryBackend
+        from repro.storage.backend import StorageBackend
+        from repro.storage.breaker import GuardedBackend
+        from repro.storage.sqlbackend import SQLBackend
+
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        def fields(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        if retired == "cost constants":
+            for name in (
+                "MIN_PARTITION_ROWS", "ENCODE_COST", "VEC_COMPARE_COST",
+                "VEC_SWEEP_COST", "FANOUT_COST", "COLUMNAR_SETUP_COST",
+                "PARTITION_OVERHEAD", "cpu_count",
+            ):
+                assert not hasattr(optimizer, name), name
+                assert not hasattr(columnar, name), name
+        elif retired == "engine.parallel":
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module("repro.engine.parallel")
+        elif retired == "columnar_winnow(partitions=)":
+            assert "partitions" not in params(columnar_winnow)
+            with pytest.raises(TypeError):
+                columnar_winnow(SKY, [{"d0": 1, "d1": 2}], partitions=2)
+        elif retired == "ColumnarPreferenceSelect.partitions":
+            assert "partitions" not in fields(ColumnarPreferenceSelect)
+        elif retired == "BackendChoice.partitions/cost":
+            assert fields(BackendChoice) == ["backend", "reason"]
+            assert not hasattr(BackendChoice("columnar", "x"), "parallel")
+        elif retired.startswith("choose_backend"):
+            assert params(choose_backend) == ["pref", "hint"]
+        elif retired.startswith("winnow_node"):
+            assert params(optimizer.winnow_node) == ["child", "pref", "backend"]
+        elif retired == "RewriteContext.cardinality/stats":
+            for name in ("cardinality", "stats"):
+                assert name not in fields(RewriteContext)
+        elif retired == "storage cardinality":
+            for cls in (StorageBackend, MemoryBackend, SQLBackend,
+                        GuardedBackend):
+                assert not hasattr(cls, "cardinality"), cls
+        else:
+            assert "storage.cardinality" not in SITES
+            assert "storage.prefilter" in SITES
+
 
 class TestChooseBackend:
     def test_rejects_unknown_hint(self):
@@ -87,6 +156,20 @@ class TestChooseBackend:
         for name in ("big", "small"):
             node = plan(SKY, session.catalog.get(name)).root
             assert isinstance(node, ColumnarPreferenceSelect)
+
+    @pytest.mark.parametrize("rows", [2, 10, 100, BIG])
+    def test_every_size_plans_the_one_serial_node(self, rows):
+        """Two rows to five thousand: one node, one kernel, one decision,
+        and the row engine's answer, whatever the input size.  (One row
+        has a key, so its winnow is removed as redundant.)"""
+        relation = skyline_relation("independent", rows, 3, seed=5)
+        node = plan(SKY3, relation).root
+        assert isinstance(node, ColumnarPreferenceSelect)
+        assert node.strategy == "sfs"
+        assert node.cost == BackendChoice("columnar", "lowers to code axes")
+        assert node.execute().rows() == (
+            PreferenceSelect(node.child, SKY3, "bnl").execute().rows()
+        )
 
     def test_weak_order_arms_go_columnar(self):
         """The 1.4k-row Pareto the old size threshold kept on the row
@@ -131,6 +214,57 @@ class TestPlannerIntegration:
         assert "NumPy unavailable" not in text
         for gone in ("cost:", "selectivity", "stats=", "partitions="):
             assert gone not in text
+
+    @pytest.mark.parametrize("shape, decision", [
+        ("skyline", "lowers to code axes"),
+        ("around", "lowers to code axes"),
+        ("filtered", "lowers to code axes"),
+        ("explicit", "no columnar dominance form"),
+        ("highest", "weak order: one argmax pass"),
+        ("pos", "weak order: one argmax pass"),
+        ("grouped", None),
+        ("top", None),
+        ("cascade", None),
+    ])
+    def test_every_node_explains_its_decision_and_no_cost(
+        self, shape, decision
+    ):
+        """Each winnow node prints the planner's decision and nothing
+        priced: no ``cost:`` line, no ``partitions=`` suffix, no
+        statistics provenance."""
+        from repro.core.base_nonnumerical import PosPreference
+
+        rows = [
+            {"d0": i % 7, "d1": (i * 3) % 11, "d2": (i * 5) % 13,
+             "g": i % 3, "c": ("red", "blue")[i % 2]}
+            for i in range(200)
+        ]
+        q = Session({"t": rows}).query("t")
+        query = {
+            "skyline": lambda: q.prefer(SKY3),
+            "around": lambda: q.prefer(
+                pareto(AroundPreference("d0", 3), HighestPreference("d1"))
+            ),
+            "filtered": lambda: q.where(g=1).prefer(SKY3),
+            "explicit": lambda: q.prefer(ExplicitPreference("d1", [(1, 2)])),
+            "highest": lambda: q.prefer(HighestPreference("d0")),
+            "pos": lambda: q.prefer(PosPreference("c", {"red"})),
+            "grouped": lambda: q.prefer(SKY3).groupby("g"),
+            "top": lambda: q.prefer(HighestPreference("d0")).top(3),
+            "cascade": lambda: q.prefer(
+                prioritized(HighestPreference("d0"), LowestPreference("d1"))
+            ),
+        }[shape]()
+        text = query.explain()
+        decisions = [
+            line.strip() for line in text.splitlines() if "decision:" in line
+        ]
+        assert decisions == ([] if decision is None else [
+            f"decision: {decision}"
+        ])
+        for gone in ("cost:", "selectivity", "stats=", "partitions="):
+            assert gone not in text
+        assert query.run() == query.backend("row").run()
 
     def test_paper_signature_query_plans_columnar_from_both_front_ends(self):
         """``price AROUND z AND HIGHEST(horsepower)`` (Def. 7a x Def. 8),
