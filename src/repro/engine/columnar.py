@@ -1,18 +1,18 @@
-"""The columnar winnow: BMO evaluation over per-attribute score vectors.
+"""The columnar winnow: BMO evaluation over per-attribute code vectors.
 
 This is the evaluator of every term that lowers to integer code axes
 (:func:`columnar_axes`) — in plans, in view seeds and rebuilds, and per
 group in grouped winnows, with NumPy or without.  The pipeline for
-``sigma[P](R)``:
+``sigma[P](sigma[cond](R))``:
 
-1. **Columnarize** — take the relation's cached column vectors
-   (:meth:`Relation.columns`), or just ``P``'s columns of a relation or
-   row list nobody has columnarized yet.
-2. **Extract axes** (below), then **deduplicate** — distinct projections
-   over ``P``'s attributes, with the inverse needed to fan maximal
-   projections back out to tuples (BMO keeps every tuple whose projection
-   is maximal).
-3. **Extract axes** — one :class:`ColumnAxis` per Pareto child
+1. **Select** — a plan hands the kernel its input as ``(R, index)``: the
+   positions of ``R``'s rows that pass the WHERE conjuncts below it
+   (:func:`select_index`), each a NumPy mask over ``R``'s cached exact
+   columns (:func:`repro.psql.translate.where_mask`) or, outside that
+   fragment or without NumPy, its row closure over the rows at the index
+   so far.  No row dict is touched until the survivors are known.  Any
+   other input is a relation or a row list, read whole.
+2. **Extract axes** — one :class:`ColumnAxis` per Pareto child
    (:func:`columnar_axes`).  A child qualifies when it is a chain with an
    injective score on its attribute (LOWEST, HIGHEST, ...: one "bigger is
    better" code) or a *weak order* over one attribute (AROUND, BETWEEN,
@@ -24,11 +24,24 @@ group in grouped winnows, with NumPy or without.  The pipeline for
    AROUND values stay unranked (Example 2), and distinct projections
    stay distinct vectors.  Either way vector dominance *is* the Pareto
    order and vector equality *is* projection equality.
-4. **Encode** each axis into integer codes and run the SFS kernel — the
-   2-d sweep for two code axes — of :mod:`repro.engine.vectorized`.  Every
-   stage has a NumPy leg and a pure-Python leg with identical results;
-   :func:`columnar_winnow` picks one per winnow, from NumPy's presence
-   and the input size (:data:`NUMPY_MIN_ROWS`), and every stage follows.
+3. **Encode** from the input's :class:`ColumnStore`, whose entries are
+   cached per attribute for the relation's lifetime: a plain chain
+   gathers the column's dense rank codes at the index (restricted to a
+   subset they stay order-isomorphic), a weak arm gathers the column's
+   identity codes and scores only the distinct values present
+   (:func:`~repro.engine.columns.weak_codes`), and a keyed or composite
+   chain encodes what its key makes of the gathered values.
+4. **Deduplicate** — distinct projections over ``P``'s attributes, with
+   the inverse needed to fan maximal projections back out to tuples (BMO
+   keeps every tuple whose projection is maximal) — and run the SFS
+   kernel, or the 2-d sweep for two code axes, of
+   :mod:`repro.engine.vectorized`.  Dict rows are gathered for the
+   survivors only.
+
+Every stage has a NumPy leg and a pure-Python leg with identical results,
+picked from NumPy's presence and the input size (:data:`NUMPY_MIN_ROWS`):
+the relation's size for selection and cached codes, the index's for the
+kernel.
 
 A bare weak order — HIGHEST, LOWEST, ``ChainPreference``, the SCORE family
 and the layered POS / NEG / POS-NEG / POS-POS, and their duals — takes a
@@ -53,7 +66,7 @@ from repro.core.constructors import (
 )
 from repro.core.preference import Preference
 from repro.engine.backend import get_numpy
-from repro.engine.columns import ColumnStore, encode_axis, encode_weak_axis
+from repro.engine.columns import ColumnStore, encode_axis, take, weak_codes
 from repro.engine.vectorized import (
     DEFAULT_BLOCK,
     KERNELS,
@@ -79,6 +92,12 @@ NUMPY_MIN_ROWS = 48
 
 class NotColumnarError(ValueError):
     """The preference has no columnar evaluation (see :func:`columnar_axes`)."""
+
+
+def _leg(rows: int) -> Any:
+    """The leg for ``rows`` inputs: the NumPy module when it is importable
+    and ``rows`` reaches :data:`NUMPY_MIN_ROWS`, else None (interpreted)."""
+    return get_numpy() if rows >= NUMPY_MIN_ROWS else None
 
 
 # -- axis extraction ----------------------------------------------------------------
@@ -153,6 +172,52 @@ def columnar_profile(pref: Preference) -> str | None:
     return None
 
 
+# -- selection ----------------------------------------------------------------------
+
+
+def select_index(
+    relation: Relation,
+    conjuncts: Sequence[tuple[Callable[[Row], bool], Any]],
+) -> Any:
+    """Positions of ``relation``'s rows that pass every conjunct, ascending.
+
+    ``conjuncts`` are ``(predicate, ast)`` pairs, innermost first, as a
+    plan's ``HardSelect`` chain holds them.  On the NumPy leg a conjunct
+    whose AST :func:`~repro.psql.translate.where_mask` covers is a mask
+    over the relation's cached exact columns at the index so far; any
+    other conjunct, and every conjunct on the interpreted leg, calls its
+    predicate on the rows at that index.  Either way the next conjunct
+    reads only the survivors and no row is copied: the index composes.
+    An int64 array on the NumPy leg, a list otherwise; None (every row)
+    when there are no conjuncts.
+    """
+    from repro.psql.translate import where_mask
+
+    store = relation.column_store()
+    np = _leg(store.length)
+    rows = store.rows
+    index: Any = None
+
+    def array(attribute: str) -> Any:
+        column = store.array(attribute, np)
+        return column if column is None or index is None else column[index]
+
+    for predicate, ast in conjuncts:
+        mask = None
+        if np is not None and ast is not None:
+            mask = where_mask(ast, array, np)
+        if mask is not None:
+            index = np.flatnonzero(mask) if index is None else index[mask]
+            continue
+        if index is None:
+            positions: Any = range(store.length)
+        else:
+            positions = index if np is None else index.tolist()
+        kept = [i for i in positions if predicate(rows[i])]
+        index = kept if np is None else np.asarray(kept, dtype=np.int64)
+    return index
+
+
 # -- the winnow ---------------------------------------------------------------------
 
 
@@ -161,6 +226,8 @@ def columnar_winnow(
     data: Relation | Sequence[Row],
     strategy: str = "sfs",
     block_size: int = DEFAULT_BLOCK,
+    *,
+    index: Any = None,
 ) -> Any:
     """``sigma[P](R)`` over column vectors; same results as the row winnow.
 
@@ -169,19 +236,20 @@ def columnar_winnow(
     is raised — callers wanting automatic fallback go through the planner,
     which only picks this evaluator when it applies.  ``strategy`` names
     the kernel, and :data:`repro.engine.vectorized.KERNELS` has one.
-    NumPy or interpreted is chosen once per winnow and handed to every
-    stage: NumPy when importable and the input has :data:`NUMPY_MIN_ROWS`
-    rows.
+    ``index`` restricts ``data`` to the rows at those ascending positions
+    (:func:`select_index`) without building them.  NumPy or interpreted is
+    chosen once per winnow and handed to every stage: NumPy when
+    importable and the input has :data:`NUMPY_MIN_ROWS` rows.
     """
     if strategy not in KERNELS:
         raise ValueError(
             f"unknown columnar strategy {strategy!r}; known: {sorted(KERNELS)}"
         )
-    return lowered_winnow(pref)(data, block_size)
+    return lowered_winnow(pref)(data, block_size, index)
 
 
 def lowered_winnow(pref: Preference) -> Callable[..., Any]:
-    """Lower ``pref`` once; the returned ``run(data, block_size)``
+    """Lower ``pref`` once; the returned ``run(data, block_size, index)``
     is :func:`columnar_winnow` for that term — a grouped winnow calls it
     per group instead of lowering per group.
     """
@@ -195,29 +263,34 @@ def lowered_winnow(pref: Preference) -> Callable[..., Any]:
             f"{pref!r} is neither a weak order nor a Pareto of chains and "
             "weak orders; use another algorithm"
         )
-    attributes = pref.attributes
 
     def run(
-        data: Relation | Sequence[Row], block_size: int = DEFAULT_BLOCK
+        data: Relation | Sequence[Row],
+        block_size: int = DEFAULT_BLOCK,
+        index: Any = None,
     ) -> Any:
         if isinstance(data, Relation):
-            store = ColumnStore.from_relation(data, attributes)
+            store = data.column_store()
             template: Relation | None = data
         else:
-            # Materialize only the preference's columns: row lists may be
-            # heterogeneous on attributes the winnow never reads, and the
-            # row engine tolerates that.
-            store = ColumnStore.from_rows(data, attributes=attributes)
+            # A row list's store builds only the columns the winnow reads:
+            # row lists may be heterogeneous on the others, and the row
+            # engine tolerates that.
+            store = ColumnStore(data)
             template = None
-
-        if store.length == 0:
-            return [] if template is None else template
+        size = store.length if index is None else len(index)
+        if size == 0:
+            if template is None:
+                return []
+            return template if index is None else template._derive([])
 
         if score is not None:
-            picked = _argmax_rows(store, score)
+            picked = _argmax_rows(store, index, score)
         else:
-            np = get_numpy() if store.length >= NUMPY_MIN_ROWS else None
-            picked = _skyline_rows(store, axes, np, block_size)
+            np = _leg(size)
+            if np is None and index is not None and not isinstance(index, list):
+                index = index.tolist()
+            picked = _skyline_rows(store, index, axes, np, block_size)
 
         rows = [store.rows[i] for i in picked]
         if template is None:
@@ -229,39 +302,69 @@ def lowered_winnow(pref: Preference) -> Callable[..., Any]:
     return run
 
 
+def _gather(store: ColumnStore, attribute: Any, index: Any) -> Sequence[Any]:
+    """The values of ``attribute`` at ``index`` (None: all) — tuples of
+    the zipped columns for a composite arm."""
+    if isinstance(attribute, tuple):
+        column: Sequence[Any] = list(
+            zip(*(store.column(a) for a in attribute))
+        )
+    else:
+        column = store.column(attribute)
+    return column if index is None else [column[i] for i in index]
+
+
+def _present(identity: Any, distinct: list, np: Any) -> tuple[Any, list]:
+    """Identity codes re-densified over the values they hold, and those
+    values: a subset of a column scores only what it contains."""
+    if np is not None:
+        held, dense = np.unique(identity, return_inverse=True)
+        return dense.reshape(-1), [distinct[i] for i in held.tolist()]
+    held = sorted(set(identity))
+    dense_of = {code: i for i, code in enumerate(held)}
+    return [dense_of[code] for code in identity], [distinct[i] for i in held]
+
+
 def _encoded_axes(
-    store: ColumnStore, axes: list[ColumnAxis], np: Any
+    store: ColumnStore, index: Any, axes: list[ColumnAxis], np: Any
 ) -> tuple[list[Any], list[Any], list[bool] | None]:
     """``(code vectors, identity vectors, incomparable row mask)`` over
-    *all* rows.
+    the rows at ``index`` (None: all), on the ``np`` leg.
 
     One int code vector per chain axis and two per weak axis, sign
-    applied; and per axis one dense *identity* vector — equal entries iff
-    equal attribute values — which is what deduplication keys on.  The
-    mask marks rows with a NaN-like value on a *chain* axis: such values
-    are unranked against everything, so those rows can neither dominate
-    nor be dominated — they are unconditionally BMO-maximal and must
-    bypass the kernels (whose total integer codes cannot express
+    applied; and per axis one *identity* vector — equal entries iff equal
+    attribute values — which is what deduplication keys on.  The mask
+    marks rows with a NaN-like value on a *chain* axis: such values are
+    unranked against everything, so those rows can neither dominate nor
+    be dominated — they are unconditionally BMO-maximal and must bypass
+    the kernels (whose total integer codes cannot express
     incomparability).  ``None`` when no such value exists.  (A weak axis
-    encodes its unranked values itself.)
+    encodes its unranked values itself.)  Plain chains and weak arms read
+    the store's per-attribute caches, built on the leg of the whole
+    store, and gather them at the index.
     """
+    cached = _leg(store.length)
     encoded: list[Any] = []
     identities: list[Any] = []
     combined: list[bool] | None = None
     for attribute, fn, sign, weak in axes:
-        if isinstance(attribute, tuple):  # composite arm: zip its columns
-            column: Sequence[Any] = list(
-                zip(*(store.column(a) for a in attribute))
-            )
-        else:
-            column = store.column(attribute)
         if weak:
-            upper, lower, identity = encode_weak_axis(column, fn, sign, np)
+            identity, distinct = store.weak_identity(attribute, cached)
+            identity = take(identity, index, np)
+            if index is not None:
+                identity, distinct = _present(identity, distinct, np)
+            upper, lower = weak_codes(identity, distinct, fn, sign, np)
             encoded += [upper, lower]
             identities.append(identity)
             continue
-        values = column if fn is None else [fn(v) for v in column]
-        codes, incomparable = encode_axis(values, np)
+        if fn is None:
+            codes, incomparable = store.chain_codes(attribute, cached)
+            codes = take(codes, index, np)
+            if incomparable is not None:
+                incomparable = take(incomparable, index, None)
+        else:
+            values = [fn(v) for v in _gather(store, attribute, index)]
+            codes, incomparable = encode_axis(values, np)
         identities.append(codes)  # dense ranks of an injective key
         if sign < 0:
             codes = [-c for c in codes] if isinstance(codes, list) else -codes
@@ -293,9 +396,14 @@ def _packed_key(np: Any, identities: list[Any]) -> Any:
 
 
 def _skyline_rows(
-    store: ColumnStore, axes: list[ColumnAxis], np: Any, block_size: int
+    store: ColumnStore,
+    index: Any,
+    axes: list[ColumnAxis],
+    np: Any,
+    block_size: int,
 ) -> list[int]:
-    """Row indices whose projection is Pareto-maximal, in ascending order.
+    """Positions of the rows at ``index`` (None: all) whose projection is
+    Pareto-maximal, ascending.
 
     Every arm's codes are injective on its attribute, so code-vector
     equality coincides with projection equality — distinct projections
@@ -317,17 +425,20 @@ def _skyline_rows(
             return skyline_2d(matrix, ordered=False, np=np)
         return skyline_sfs(matrix, block_size, ordered=False, np=np)
 
-    encoded, identities, incomparable = _encoded_axes(store, axes, np)
+    encoded, identities, incomparable = _encoded_axes(store, index, axes, np)
     if np is not None:
         encoded = [np.asarray(codes, dtype=np.int64) for codes in encoded]
         identities = [np.asarray(i, dtype=np.int64) for i in identities]
+        positions = (
+            np.arange(store.length) if index is None else np.asarray(index)
+        )
         if incomparable is not None:
             # NaN-like rows bypass the kernel: unconditionally maximal,
             # never dominating (their code entries are junk).
             bad = np.asarray(incomparable, dtype=bool)
             clean = np.flatnonzero(~bad)
             if not len(clean):
-                return list(range(store.length))
+                return positions.tolist()
             encoded = [codes[clean] for codes in encoded]
             identities = [identity[clean] for identity in identities]
         _, first, inverse = np.unique(
@@ -338,10 +449,9 @@ def _skyline_rows(
         kept = np.zeros(len(first), dtype=bool)
         kept[run_kernel(distinct)] = True
         hits = np.flatnonzero(kept[inverse.reshape(-1)])
-        if incomparable is None:
-            return hits.tolist()
-        always = np.flatnonzero(bad)
-        return np.sort(np.concatenate([clean[hits], always])).tolist()
+        if incomparable is not None:
+            hits = np.sort(np.concatenate([clean[hits], np.flatnonzero(bad)]))
+        return positions[hits].tolist()
 
     vectors = list(zip(*encoded))
     group_of: dict[tuple, int] = {}
@@ -357,34 +467,32 @@ def _skyline_rows(
             distinct_vectors.append(vector)
         inverse_of[i] = gid
     kept_set = set(run_kernel(distinct_vectors))
-    return sorted(
+    hits = [
         i
-        for i in range(store.length)
+        for i in range(len(vectors))
         if (incomparable is not None and incomparable[i])
         or inverse_of.get(i) in kept_set
-    )
+    ]
+    return hits if index is None else [index[i] for i in hits]
 
 
-def _argmax_rows(store: ColumnStore, score: ColumnAxis) -> list[int]:
-    """Row indices of a weak order's BMO set, ascending.  An identity key
-    makes the column its own score vector; any other key scores each
-    distinct value once (distinct by dict identity, as in
-    :func:`encode_weak_axis`)."""
+def _argmax_rows(
+    store: ColumnStore, index: Any, score: ColumnAxis
+) -> list[int]:
+    """Positions of a weak order's BMO set among the rows at ``index``
+    (None: all), ascending.  An identity key makes the column its own
+    score vector; any other key scores each distinct value once (distinct
+    by dict identity, as in :func:`~repro.engine.columns.weak_codes`)."""
     attribute, key, sign, _ = score
-    if isinstance(attribute, tuple):
-        column: Sequence[Any] = list(
-            zip(*(store.column(a) for a in attribute))
-        )
-    else:
-        column = store.column(attribute)
+    column = _gather(store, attribute, index)
     values = None if key is None else list(dict.fromkeys(column))
     picked = best_positions(
         column if values is None else [key(v) for v in values], sign
     )
-    if values is None:
-        return picked
-    kept = {values[i] for i in picked}
-    return [i for i, v in enumerate(column) if v in kept]
+    if values is not None:
+        kept = {values[i] for i in picked}
+        picked = [i for i, v in enumerate(column) if v in kept]
+    return picked if index is None else [int(index[i]) for i in picked]
 
 
 def best_positions(scores: Sequence[Any], sign: int) -> list[int]:

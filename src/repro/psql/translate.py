@@ -17,12 +17,16 @@ converted to ``datetime.date`` *inside numerical atoms* (AROUND, BETWEEN),
 mirroring the paper's trips example; elsewhere strings stay strings.
 
 WHERE expressions become row predicates with SQL-ish semantics (comparisons
-against NULL are false; ``IS NULL`` tests presence).
+against NULL are false; ``IS NULL`` tests presence) — and, beside them,
+boolean NumPy masks over a column store's exact arrays, for the fragment
+where a mask selects exactly the rows the predicate does
+(:func:`where_mask`).
 """
 
 from __future__ import annotations
 
 import datetime
+import operator
 import re
 from typing import Any, Callable
 
@@ -266,6 +270,98 @@ def _eval_hard(expr: HardExpr, row: Row) -> bool:
     if isinstance(expr, NotOp):
         return not _eval_hard(expr.operand, row)
     raise TranslationError(f"unsupported WHERE expression {expr!r}")
+
+
+_MASK_OPS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+#: Below this magnitude every integer has an exact float64.
+_EXACT_INT = 2**53
+
+
+def where_mask(
+    expr: HardExpr, array: Callable[[str], Any], np: Any
+) -> Any:
+    """:func:`translate_where` as a boolean vector, or None.
+
+    ``array(attribute)`` hands out a column as an exact NumPy array
+    (:func:`repro.engine.columns.exact_array`) over the rows the vector
+    covers, or None.  The mask covers the fragment
+    :func:`repro.storage.pushdown.pushable_where` accepts — comparisons,
+    positive IN, BETWEEN, IS [NOT] NULL, AND / OR — as long as every
+    literal compares with its column exactly as Python compares it
+    (:func:`_exact_literal`).  Anything else — NOT, LIKE, NOT IN, an
+    inexact column or literal — answers None, and the caller keeps the
+    row closure.  An exact array holds no None, so the closure's NULL
+    rule has nothing to exclude.
+    """
+    if isinstance(expr, BoolOp):
+        if not expr.operands or expr.op not in ("AND", "OR"):
+            return None
+        combine = operator.and_ if expr.op == "AND" else operator.or_
+        out = None
+        for operand in expr.operands:
+            mask = where_mask(operand, array, np)
+            if mask is None:
+                return None
+            out = mask if out is None else combine(out, mask)
+        return out
+    if isinstance(expr, Comparison) and expr.op in _MASK_OPS:
+        literals: tuple = (expr.value,)
+    elif isinstance(expr, HardBetween):
+        literals = (expr.low, expr.up)
+    elif isinstance(expr, InList) and expr.values and not expr.negated:
+        literals = tuple(expr.values)
+    elif isinstance(expr, IsNull):
+        literals = ()
+    else:
+        return None
+    column = array(expr.attribute)
+    if column is None or not all(
+        _exact_literal(column, v) for v in literals
+    ):
+        return None
+    if isinstance(expr, IsNull):
+        return np.full(len(column), expr.negated)
+    if isinstance(expr, Comparison):
+        return _MASK_OPS[expr.op](column, expr.value)
+    if isinstance(expr, HardBetween):
+        return (column >= expr.low) & (column <= expr.up)
+    out = column == literals[0]
+    for value in literals[1:]:
+        out |= column == value
+    return out
+
+
+def _exact_literal(column: Any, value: Any) -> bool:
+    """Whether NumPy compares ``value`` with every entry of an exact
+    ``column`` as Python does.  Strings meet strings without a trailing
+    NUL; numbers meet bool, int and float columns as long as no operand
+    is rounded on the way: an int literal fits the column's dtype (within
+    2**53 against floats), a float literal meets an int column only when
+    every entry is below 2**53 — NumPy answers ``2**53 + 1 >
+    9007199254740992.0`` with False, Python with True.  NaN literals stay
+    out (``in`` also tests identity)."""
+    kind = column.dtype.kind
+    if kind == "U":
+        return type(value) is str and not value.endswith("\x00")
+    if kind not in "bif" or type(value) not in (bool, int, float):
+        return False
+    if type(value) is float:
+        if value != value:
+            return False
+        return kind != "i" or bool(
+            ((column > -_EXACT_INT) & (column < _EXACT_INT)).all()
+        )
+    if kind == "f":
+        return -_EXACT_INT <= value <= _EXACT_INT
+    return -(2**63) <= value < 2**63
 
 
 def _like_regex(pattern: str) -> re.Pattern:

@@ -174,7 +174,7 @@ class ColumnAxis(NamedTuple):
 
     With ``weak`` true the key is a *score*: it ranks values and may tie
     distinct ones, which then stay unranked.  Such an arm becomes two code
-    axes (:func:`repro.engine.columns.encode_weak_axis`).  A score that is
+    axes (:func:`repro.engine.columns.weak_codes`).  A score that is
     not equal to itself leaves its value ranked against nothing.  A
     multi-attribute SCORE scores the zipped value tuple the same way.
     """

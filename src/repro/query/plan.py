@@ -189,6 +189,17 @@ class ColumnarPreferenceSelect(PlanNode):
     engine's NumPy leg or its interpreted leg, which the engine picks per
     winnow — instead of per-row-pair ``pref._lt`` calls.  Results are
     identical to the row engine's.
+
+    Over a chain of :class:`HardSelect` nodes on a :class:`Scan`, the
+    kernel runs on ``(snapshot, index)``: the conjuncts become an index of
+    the snapshot's rows (:func:`repro.engine.columnar.select_index`, NumPy
+    masks over its cached columns where they apply), the kernel gathers
+    the snapshot's cached codes there, and only the survivors become rows.
+    Every other selection keeps its row closure: a bare WHERE, the
+    ``sort`` argmax, the row winnows and ``ButOnly``.  Masking those too
+    moved the ``wide`` workload's load generator past the busy share at
+    which ``bench/run.py`` refuses a run (the generator is bound by JSON
+    decoding; docs/performance.md, "WHERE as an index").
     """
 
     child: PlanNode
@@ -199,9 +210,21 @@ class ColumnarPreferenceSelect(PlanNode):
     cost: Any = None
 
     def execute(self) -> Relation:
-        from repro.engine.columnar import columnar_winnow
+        from repro.engine.columnar import columnar_winnow, select_index
 
-        return columnar_winnow(self.pref, self.child.execute(), self.strategy)
+        conjuncts = []
+        node = self.child
+        while isinstance(node, HardSelect):
+            conjuncts.append((node.predicate, node.ast))
+            node = node.child
+        if not isinstance(node, Scan):
+            return columnar_winnow(
+                self.pref, self.child.execute(), self.strategy
+            )
+        index = select_index(node.relation, conjuncts[::-1])
+        return columnar_winnow(
+            self.pref, node.relation, self.strategy, index=index
+        )
 
     def lines(self, indent: int = 0) -> list[str]:
         from repro.engine.backend import backend_label

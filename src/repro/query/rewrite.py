@@ -81,6 +81,7 @@ naive evaluation across random terms, relations, and selections.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -120,7 +121,9 @@ from repro.query.quality import QualityCondition, base_preferences_by_attribute
 #: now hold StorageScan leaves bound to a backend mirror.
 #: 4: the algebra's ``commute`` rule (Proposition 2) — plans run on the
 #: normal form with commutative arms in signature order.
-RULESET_VERSION = 4
+#: 5: a pushed BUT ONLY DISTANCE bound is a widened BETWEEN prefilter
+#: under its exact condition.
+RULESET_VERSION = 5
 
 #: One recorded rewrite: ``(rule, before, after)`` — the shape the term
 #: rewriter uses, so plan-level and term-level steps share one trace.
@@ -456,15 +459,22 @@ def _rule_push_into_storage(
 
 
 def _quality_ast(pref: Preference, condition: QualityCondition) -> Any:
-    """A hard-expression equivalent of a rigid DISTANCE bound, or None.
+    """A hard-expression *superset* of a rigid DISTANCE bound, or None.
 
     ``DISTANCE(A) <= d`` under the single certified ``BETWEEN(A, [low,
-    up])`` base is exactly ``low - d <= A <= up + d``, so it gets a
-    ``HardBetween`` AST and thereby becomes eligible for
-    ``push_select_into_storage``.  Only inclusive bounds over plain
-    finite numbers translate (HardBetween is inclusive; negative or NaN
-    bounds have no interval form); everything else keeps ast=None and
-    simply stays a Python prefilter.
+    up])`` base holds for ``low - d <= A <= up + d`` in exact arithmetic,
+    so a ``HardBetween`` AST can prefilter it — as a mask under the code
+    kernel, or inside ``push_select_into_storage``'s SQL.  In floats the
+    two differ: for ``A = 0.30000000000000004`` under ``AROUND(A, 0.1)``
+    the distance ``0.20000000000000004`` exceeds ``d = 0.2``, yet ``A <=
+    0.1 + 0.2``, and a float value rounds even under integer bounds.  So
+    the interval is widened outward by a margin that covers every
+    rounding of the distance and of the bounds, and the exact condition
+    re-checks what passes it
+    (:func:`_rule_push_quality`).  Only inclusive bounds over plain
+    finite numbers translate (HardBetween is inclusive; negative, NaN
+    or infinite bounds have no interval form); everything else gets no
+    prefilter, and its exact condition alone runs below the winnow.
     """
     if condition.kind != "distance" or condition.op != "<=":
         return None
@@ -475,14 +485,22 @@ def _quality_ast(pref: Preference, condition: QualityCondition) -> Any:
     base = matching[0]
     bound = condition.bound
     values = (base.low, base.up, bound)
-    if not all(isinstance(v, (int, float)) and v == v for v in values):
+    # abs(v) < 1e300 is False for NaN and ±inf, and keeps the margin
+    # below finite in float arithmetic even for huge ints.
+    if not all(isinstance(v, (int, float)) and abs(v) < 1e300 for v in values):
         return None
     if isinstance(bound, bool) or bound < 0:
         return None
     from repro.psql.ast import HardBetween
 
-    return HardBetween(condition.attribute, base.low - bound,
-                       base.up + bound)
+    # Floats round each distance and each bound by at most half an ulp of
+    # a magnitude below |low| + |up| + d; 2**-50 of it is eight times
+    # that.  (One ulp of the bound alone is not enough: below a negative
+    # ``up`` the bound's ulp is the smaller one.)
+    slack = (abs(base.low) + abs(base.up) + bound) * 2.0**-50
+    low = math.nextafter(base.low - bound - slack, -math.inf)
+    up = math.nextafter(base.up + bound + slack, math.inf)
+    return HardBetween(condition.attribute, low, up)
 
 
 def _rule_push_quality(
@@ -498,13 +516,24 @@ def _rule_push_quality(
     if not pushable:
         return None
     rest = tuple(c for c in node.conditions if c not in pushable)
+    from repro.psql.translate import render_where, translate_where
+
     inner: PlanNode = winnow.child
     for condition in pushable:
+        # The interval is a sound superset of the condition (mask or SQL
+        # prefilter); the exact condition above it re-checks survivors.
+        prefilter = _quality_ast(node.pref, condition)
+        if prefilter is not None:
+            inner = HardSelect(
+                inner,
+                translate_where(prefilter),
+                label=render_where(prefilter),
+                ast=prefilter,
+            )
         inner = HardSelect(
             inner,
             _quality_predicate(node.pref, condition),
             label=f"BUT ONLY {condition}",
-            ast=_quality_ast(node.pref, condition),
         )
     new_winnow = _replace(winnow, child=inner)
     new_node: PlanNode = (

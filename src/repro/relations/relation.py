@@ -6,6 +6,10 @@ matching tuples are retrieved, including projection-equal ones).  All
 operators return new relations; rows are plain dicts, copied on the way in
 and copied again on the way out (the library never mutates a stored row and
 never hands one out, so derived relations may share them).
+
+Immutability also makes one cache sound: :meth:`Relation.column_store`,
+the columnar form the code kernels, WHERE masks and statistics read —
+built lazily per attribute, and never stale.
 """
 
 from __future__ import annotations
@@ -43,9 +47,8 @@ class Relation:
             for row in cooked:
                 schema.validate_row(row)
         self._rows = cooked
-        # Lazily built columnar materialization (see columns()).  Relations
-        # are immutable, so once built it can never go stale.
-        self._column_cache: dict[str, tuple] | None = None
+        # Lazily built column store (see column_store()).  Relations are
+        # immutable, so nothing it caches can ever go stale.
         self._store_cache: Any = None
         # Lazily built per-column statistics (see stats()); same soundness
         # argument — immutable rows mean the statistics never drift.
@@ -103,7 +106,6 @@ class Relation:
         derived.name = self.name if name is None else name
         derived.schema = self.schema if schema is None else schema
         derived._rows = rows
-        derived._column_cache = None
         derived._store_cache = None
         derived._stats_cache = None
         return derived
@@ -163,31 +165,22 @@ class Relation:
             )
         return [r[attribute] for r in self._rows]
 
-    def columns(self) -> dict[str, tuple]:
-        """The columnar materialization: attribute -> value tuple, row order.
-
-        Built lazily on first access and cached for the relation's lifetime
-        — immutability makes the cache sound, and because the catalog hands
-        out one relation instance per ``(name, version)``, the cache is
-        effectively per catalog version, alongside the plan cache.  This is
-        the representation the columnar execution engine
-        (:mod:`repro.engine`) evaluates winnows over.
-        """
-        if self._column_cache is None:
-            self._column_cache = {
-                n: tuple(r[n] for r in self._rows) for n in self.schema.names
-            }
-        return dict(self._column_cache)
-
     def column_store(self) -> Any:
-        """The :class:`repro.engine.columns.ColumnStore` over
-        :meth:`columns` — one object for the relation's lifetime, which
-        :meth:`repro.session.Session.column_store` hands out per catalog
-        version."""
+        """The relation's one column cache: a
+        :class:`repro.engine.columns.ColumnStore` for its lifetime.
+
+        Each entry — an attribute's values, its exact NumPy array, its
+        rank codes, its identity codes — is built on first request, one
+        attribute at a time, so reading two columns builds two.  The
+        catalog hands out one relation per ``(name, version)``, so the
+        cache is per catalog version: the code kernels and WHERE masks
+        (:mod:`repro.engine`) and the statistics read it, and
+        :meth:`repro.session.Session.column_store` returns it.
+        """
         if self._store_cache is None:
             from repro.engine.columns import ColumnStore
 
-            store = ColumnStore.from_relation(self)
+            store = ColumnStore(self._rows)
             with _PUBLISH:
                 if self._store_cache is None:
                     self._store_cache = store

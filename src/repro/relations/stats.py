@@ -10,8 +10,8 @@ its minimum and maximum (a constant, or bounds) —
 
 :class:`TableStats` computes all of this **lazily, one column at a time**:
 building the object is O(1), and a column's statistics are computed on
-first request from the relation's cached columnar materialization
-(:meth:`Relation.columns`), then memoized.  Relations are immutable, so
+first request from that one column of the relation's column cache
+(:meth:`Relation.column_store`), then memoized.  Relations are immutable, so
 statistics can never go stale — :meth:`Relation.stats` caches the instance
 for the relation's lifetime, and :meth:`Session.table_stats
 <repro.session.Session.table_stats>` keys its cache on
@@ -116,7 +116,7 @@ class TableStats:
         cached = self._columns.get(attribute)
         if cached is None:
             cached = column_stats(
-                attribute, self.relation.columns()[attribute]
+                attribute, self.relation.column_store().column(attribute)
             )
             self._columns[attribute] = cached
         return cached

@@ -409,11 +409,10 @@ class Session:
         version)``), so the same version returns the same object and a
         mutation, re-registration or drop retires it with the snapshot.
 
-        This is a *convenience accessor* for programmatic use of the
-        engine; columnar plan execution reads :meth:`Relation.columns`
-        directly, and the store returned here shares those same cached
-        vectors — winnows pay materialization once per catalog version
-        either way.
+        It is :meth:`Relation.column_store`, the relation's one column
+        cache: plan execution, WHERE masks and statistics read the same
+        object, and each of its entries is built once per catalog
+        version, on first request, one attribute at a time.
         """
         return self.catalog.get(name).column_store()
 

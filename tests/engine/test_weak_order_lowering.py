@@ -174,9 +174,9 @@ def test_every_entry_is_the_bmo_set_on_both_sides_of_the_leg_switch(
     legs = []
     inner = columnar._skyline_rows
 
-    def spy(store, axes, np, block_size):
+    def spy(store, index, axes, np, block_size):
         legs.append("numpy" if np is not None else "python")
-        return inner(store, axes, np, block_size)
+        return inner(store, index, axes, np, block_size)
 
     monkeypatch.setattr(columnar, "_skyline_rows", spy)
     expected = _bag(naive_nested_loop(pref, rows))

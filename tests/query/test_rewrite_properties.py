@@ -12,7 +12,9 @@ attributes a/b/c with values 0..4, so dual pairs, anti-chains (SV-style
 no-ops), empty relations, and all-maximal inputs all occur naturally.
 """
 
-from hypothesis import given, settings, strategies as st
+import math
+
+from hypothesis import example, given, settings, strategies as st
 
 from tests.conftest import ATTRIBUTES, preference_st, rows_st
 
@@ -145,6 +147,42 @@ class TestQualityPushdownSoundness:
             [QualityCondition("distance", attribute, op, bound)],
         )
         assert row_multiset(query.run()) == row_multiset(reference)
+
+
+_BOUND_ST = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-10**6, 10**6)
+
+
+class TestQualityPrefilterIsASuperset:
+    @given(
+        low=_BOUND_ST,
+        width=st.floats(0, 1e4, allow_nan=False) | st.integers(0, 10**4),
+        bound=st.floats(0, 1e4, allow_nan=False) | st.integers(0, 10**4),
+    )
+    @example(low=-2000.0, width=0, bound=2000.5)
+    @example(low=0.1, width=0, bound=0.2)
+    @settings(max_examples=300)
+    def test_every_value_within_the_distance_passes_the_interval(
+        self, low, width, bound
+    ):
+        """The pushed ``HardBetween`` only prefilters: every value whose
+        DISTANCE (in the arithmetic the exact condition uses) is within
+        the bound lies inside it, next to both ends to the last ulp."""
+        from repro.core.base_numerical import BetweenPreference
+        from repro.query.quality import QualityCondition
+        from repro.query.rewrite import _quality_ast
+
+        base = BetweenPreference("a", low, low + width)
+        condition = QualityCondition("distance", "a", "<=", bound)
+        interval = _quality_ast(base, condition)
+        for edge in (base.low - bound, base.up + bound):
+            probe = float(edge)
+            for _ in range(4):
+                probe = math.nextafter(probe, -math.inf)
+            for _ in range(9):
+                for value in (probe, int(probe)):
+                    if condition.matches(base, {"a": value}):
+                        assert interval.low <= value <= interval.up
+                probe = math.nextafter(probe, math.inf)
 
 
 def _leaves(pref):

