@@ -24,6 +24,7 @@ from repro.datasets.skyline_data import skyline_relation
 from repro.engine.backend import numpy_available
 from repro.engine.columnar import columnar_winnow
 from repro.query.algorithms import block_nested_loop
+from repro.relations.relation import Relation
 
 #: The acceptance-criterion dataset: 50k rows, 3 dimensions.
 N_ROWS = 50_000
@@ -42,22 +43,32 @@ def _row_set(rows):
     return {tuple(sorted(r.items())) for r in rows}
 
 
+def _values_only(relation):
+    """A copy of ``relation`` whose column cache holds its values and
+    nothing derived: a winnow over it still encodes every axis."""
+    copy = Relation(relation.name, relation.schema, relation.rows(),
+                    validate=False)
+    for attribute in copy.schema.names:
+        copy.column_store().column(attribute)
+    return copy
+
+
 @pytest.fixture(scope="module")
 def skyline_50k():
     out = {}
     for kind in ("independent", "correlated", "anticorrelated"):
-        relation = skyline_relation(kind, N_ROWS, DIMS, seed=13)
-        # Fill the relation's column cache outside the timed paths.
-        columnar_winnow(_pref(DIMS), relation)
-        out[kind] = relation
+        out[kind] = skyline_relation(kind, N_ROWS, DIMS, seed=13)
     return out
 
 
 @pytest.mark.skipif(not numpy_available(), reason="speedup claim needs NumPy")
 @pytest.mark.parametrize("kind", ["independent", "correlated"])
 def test_columnar_5x_over_bnl_50k(skyline_50k, kind):
-    """The PR-2 acceptance criterion: >= 5x over BNL on a 50k-row skyline."""
-    relation = skyline_50k[kind]
+    """The PR-2 acceptance criterion: >= 5x over BNL on a 50k-row skyline.
+
+    The values are materialized outside the timed call, as before the
+    column cache held codes; the timed call still pays encoding."""
+    relation = _values_only(skyline_50k[kind])
     pref = _pref(DIMS)
     rows = relation.rows()
 

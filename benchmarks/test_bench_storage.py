@@ -6,9 +6,9 @@ experiments' *correctness* at benchmark scale so a regression in either
 shows up as a test failure, not a silently easier benchmark:
 
 * the SQL-prefiltered plan answers bit-exactly like the unrewritten
-  full scan, on the same 200-category skyline workload the criterion
-  times, and the rewrite is actually planted (no pushdown, no
-  criterion);
+  full scan, on the same 200-category workload the criterion times, and
+  the rewrite is actually planted (no pushdown, no criterion); the
+  skyline over the same selection masks it in memory instead, exactly;
 * a checkpointed catalog restores exactly — rows, versions, and the
   mirror — in a fresh session over the same directory.
 """
@@ -22,6 +22,7 @@ import pytest
 from repro.core.base_numerical import HighestPreference, LowestPreference
 from repro.core.constructors import pareto
 from repro.datasets.cars import generate_cars
+from repro.engine.backend import numpy_available
 from repro.psql.ast import Comparison
 from repro.session import Session
 
@@ -53,8 +54,7 @@ def test_pushed_plan_is_planted_and_exact(sqlite_session):
     query = (
         sqlite_session.query("car")
         .where(Comparison("category", "=", "c007"))
-        .prefer(pareto(LowestPreference("price"),
-                       HighestPreference("power")))
+        .prefer(LowestPreference("price"))
     )
     text = query.explain()
     assert "push_select_into_storage" in text
@@ -64,6 +64,21 @@ def test_pushed_plan_is_planted_and_exact(sqlite_session):
     assert pushed == fullscan
     assert pushed  # the filtered category is non-empty by construction
     assert all(r["category"] == "c007" for r in pushed)
+
+
+def test_skyline_selection_is_masked_and_exact(sqlite_session):
+    query = (
+        sqlite_session.query("car")
+        .where(Comparison("category", "=", "c007"))
+        .prefer(pareto(LowestPreference("price"),
+                       HighestPreference("power")))
+    )
+    rule = ("mask_select_under_kernel" if numpy_available()
+            else "push_select_into_storage")
+    assert rule in query.explain()
+    got = query.plan().execute().rows()
+    assert got == query.optimize(False).plan().execute().rows()
+    assert got and all(r["category"] == "c007" for r in got)
 
 
 def test_snapshot_restore_is_exact_at_scale(tmp_path):

@@ -218,6 +218,27 @@ def select_index(
     return index
 
 
+def masks_every(relation: Relation, asts: Sequence[Any]) -> bool:
+    """Whether :func:`select_index` runs every one of ``asts`` over
+    ``relation`` as a NumPy mask: the relation takes the NumPy leg and
+    :func:`~repro.psql.translate.where_mask` covers each AST over its
+    whole cached columns (then it covers them over any index too)."""
+    from repro.psql.translate import where_mask
+
+    store = relation.column_store()
+    np = _leg(store.length)
+    if np is None:
+        return False
+
+    def array(attribute: str) -> Any:
+        return store.array(attribute, np)
+
+    return all(
+        ast is not None and where_mask(ast, array, np) is not None
+        for ast in asts
+    )
+
+
 # -- the winnow ---------------------------------------------------------------------
 
 

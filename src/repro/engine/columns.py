@@ -109,31 +109,33 @@ class ColumnStore:
 
 def take(vector: Any, index: Any, np: Any) -> Any:
     """``vector`` at ``index`` (None: all of it) on the ``np`` leg: an
-    ndarray when ``np`` is the module, a list when it is None."""
+    ndarray stays one when ``np`` is the module and becomes a list when
+    it is None; a list stays a list (the kernels' NumPy leg takes
+    either)."""
     if hasattr(vector, "dtype"):
         out = vector if index is None else vector[index]
         return out if np is not None else out.tolist()
-    out = list(vector) if index is None else [vector[i] for i in index]
-    return np.asarray(out) if np is not None else out
+    return list(vector) if index is None else [vector[i] for i in index]
 
 
 #: Below this magnitude every integer has an exact float64.
-_EXACT_FLOAT = 2.0**53
+_EXACT = 2**53
 
 
 def exact_array(values: Sequence[Any], np: Any) -> Any:
     """``values`` as a 1-d ndarray whose entries equal and order exactly
     as the Python values do, or None.
 
-    The one exactness rule of the engine (rank encoding and WHERE masks
-    both read it): integer and bool arrays; datetime arrays; float arrays
-    bounded by 2**53 in magnitude (every int in that range has an exact
-    float64, so a mixed int/float column orders the same) or built from
-    Python floats alone; and strings that are all ``str`` (or all
-    ``bytes``) with no trailing NUL — NumPy's fixed-width string dtypes
-    strip those, merging ``'a'`` and ``'a\\x00'``.  Larger Python ints
-    would be promoted to lossy float64, mixed objects to strings or to the
-    object dtype; all of those take the exact Python path instead.
+    The one exactness rule of the engine — rank encoding reads it, and
+    WHERE masks read it together with :func:`exact_literal`: integer and
+    bool arrays; datetime arrays; float arrays bounded by 2**53 in
+    magnitude (every int in that range has an exact float64, so a mixed
+    int/float column orders the same) or built from Python floats alone;
+    and strings that are all ``str`` (or all ``bytes``) with no trailing
+    NUL — NumPy's fixed-width string dtypes strip those, merging ``'a'``
+    and ``'a\\x00'``.  Larger Python ints would be promoted to lossy
+    float64, mixed objects to strings or to the object dtype; all of
+    those take the exact Python path instead.
     """
     try:
         arr = np.asarray(values)
@@ -146,7 +148,7 @@ def exact_array(values: Sequence[Any], np: Any) -> Any:
         return arr
     if kind == "f":
         if (
-            not (np.abs(arr) >= _EXACT_FLOAT).any()
+            not (np.abs(arr) >= _EXACT).any()
             or set(map(type, values)) == {float}
         ):
             return arr
@@ -156,6 +158,32 @@ def exact_array(values: Sequence[Any], np: Any) -> Any:
         if all(type(v) is text and not v.endswith(nul) for v in values):
             return arr
     return None
+
+
+def exact_literal(column: Any, value: Any) -> bool:
+    """Whether NumPy compares ``value`` with every entry of an
+    :func:`exact_array` ``column`` as Python does — the literal half of
+    the exactness rule.  Strings meet strings without a trailing NUL;
+    numbers meet bool, int and float columns as long as no operand is
+    rounded on the way: an int literal fits the column's dtype (within
+    2**53 against floats), a float literal meets an int column only when
+    every entry is below 2**53 — NumPy answers ``2**53 + 1 >
+    9007199254740992.0`` with False, Python with True.  NaN literals stay
+    out (``in`` also tests identity)."""
+    kind = column.dtype.kind
+    if kind == "U":
+        return type(value) is str and not value.endswith("\x00")
+    if kind not in "bif" or type(value) not in (bool, int, float):
+        return False
+    if type(value) is float:
+        if value != value:
+            return False
+        return kind != "i" or bool(
+            ((column > -_EXACT) & (column < _EXACT)).all()
+        )
+    if kind == "f":
+        return -_EXACT <= value <= _EXACT
+    return -(2**63) <= value < 2**63
 
 
 def rank_codes(values: Sequence[Any]) -> list[int]:

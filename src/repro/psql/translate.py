@@ -281,10 +281,6 @@ _MASK_OPS: dict[str, Callable[[Any, Any], Any]] = {
     ">=": operator.ge,
 }
 
-#: Below this magnitude every integer has an exact float64.
-_EXACT_INT = 2**53
-
-
 def where_mask(
     expr: HardExpr, array: Callable[[str], Any], np: Any
 ) -> Any:
@@ -296,11 +292,13 @@ def where_mask(
     :func:`repro.storage.pushdown.pushable_where` accepts — comparisons,
     positive IN, BETWEEN, IS [NOT] NULL, AND / OR — as long as every
     literal compares with its column exactly as Python compares it
-    (:func:`_exact_literal`).  Anything else — NOT, LIKE, NOT IN, an
-    inexact column or literal — answers None, and the caller keeps the
-    row closure.  An exact array holds no None, so the closure's NULL
-    rule has nothing to exclude.
+    (:func:`~repro.engine.columns.exact_literal`).  Anything else — NOT,
+    LIKE, NOT IN, an inexact column or literal — answers None, and the
+    caller keeps the row closure.  An exact array holds no None, so the
+    closure's NULL rule has nothing to exclude.
     """
+    from repro.engine.columns import exact_literal
+
     if isinstance(expr, BoolOp):
         if not expr.operands or expr.op not in ("AND", "OR"):
             return None
@@ -324,7 +322,7 @@ def where_mask(
         return None
     column = array(expr.attribute)
     if column is None or not all(
-        _exact_literal(column, v) for v in literals
+        exact_literal(column, v) for v in literals
     ):
         return None
     if isinstance(expr, IsNull):
@@ -337,31 +335,6 @@ def where_mask(
     for value in literals[1:]:
         out |= column == value
     return out
-
-
-def _exact_literal(column: Any, value: Any) -> bool:
-    """Whether NumPy compares ``value`` with every entry of an exact
-    ``column`` as Python does.  Strings meet strings without a trailing
-    NUL; numbers meet bool, int and float columns as long as no operand
-    is rounded on the way: an int literal fits the column's dtype (within
-    2**53 against floats), a float literal meets an int column only when
-    every entry is below 2**53 — NumPy answers ``2**53 + 1 >
-    9007199254740992.0`` with False, Python with True.  NaN literals stay
-    out (``in`` also tests identity)."""
-    kind = column.dtype.kind
-    if kind == "U":
-        return type(value) is str and not value.endswith("\x00")
-    if kind not in "bif" or type(value) not in (bool, int, float):
-        return False
-    if type(value) is float:
-        if value != value:
-            return False
-        return kind != "i" or bool(
-            ((column > -_EXACT_INT) & (column < _EXACT_INT)).all()
-        )
-    if kind == "f":
-        return -_EXACT_INT <= value <= _EXACT_INT
-    return -(2**63) <= value < 2**63
 
 
 def _like_regex(pattern: str) -> re.Pattern:

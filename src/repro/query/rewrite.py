@@ -25,6 +25,15 @@ Rule catalog (names as they appear in the trace):
     AROUND base sits in certified position), which are converted into
     hard prefilters below the winnow.
 
+``mask_select_under_kernel``
+    A code-kernel winnow (:class:`~repro.query.plan.ColumnarPreferenceSelect`)
+    over selections that NumPy masks over the snapshot's cached columns
+    reads the snapshot (``Scan``), not the storage mirror: the masks
+    leave an index into the snapshot's cached codes, where a SQL
+    prefilter leaves fresh rows to encode again.  Everywhere else
+    ``push_select_into_storage`` absorbs pushable conjuncts into the
+    backend's SQL prefilter.
+
 ``split_prio``
     Proposition 11: ``σ[P1 & P2](R) = σ[P2](σ[P1](R))`` when ``P1`` is a
     chain.  Prioritizations with chain heads become a
@@ -122,7 +131,8 @@ from repro.query.quality import QualityCondition, base_preferences_by_attribute
 #: 4: the algebra's ``commute`` rule (Proposition 2) — plans run on the
 #: normal form with commutative arms in signature order.
 #: 5: a pushed BUT ONLY DISTANCE bound is a widened BETWEEN prefilter
-#: under its exact condition.
+#: under its exact condition; a code-kernel winnow whose selections mask
+#: reads the snapshot, not a storage prefilter (mask_select_under_kernel).
 RULESET_VERSION = 5
 
 #: One recorded rewrite: ``(rule, before, after)`` — the shape the term
@@ -458,6 +468,50 @@ def _rule_push_into_storage(
     )
 
 
+def _rule_mask_under_kernel(
+    node: PlanNode, ctx: RewriteContext
+) -> tuple[PlanNode, str, str] | None:
+    """A code-kernel winnow reads its selections from the snapshot.
+
+    Over a chain of :class:`HardSelect` nodes on a :class:`Scan`,
+    :class:`ColumnarPreferenceSelect` runs the conjuncts as NumPy masks
+    over the snapshot's cached columns and the kernel on the snapshot's
+    cached codes at the index they leave; a storage prefilter instead
+    returns fresh rows that the kernel encodes again, which measured
+    1.4-1.5x slower (docs/performance.md, "WHERE as an index").  So when
+    every conjunct ``push_select_into_storage`` would absorb is a mask
+    there, the winnow's :class:`StorageScan` leaf becomes the
+    :class:`Scan` of the same snapshot.  Below the NumPy leg's size,
+    without NumPy, or for a conjunct no mask covers, the leaf stays.
+    """
+    if not isinstance(node, ColumnarPreferenceSelect):
+        return None
+    chain: list[HardSelect] = []
+    leaf = node.child
+    while isinstance(leaf, HardSelect):
+        chain.append(leaf)
+        leaf = leaf.child
+    if not isinstance(leaf, StorageScan) or leaf.conjuncts:
+        return None
+    from repro.engine.columnar import masks_every
+    from repro.storage.pushdown import pushable_where
+
+    absorbable = []
+    for select in reversed(chain):  # innermost first, as storage absorbs
+        if select.ast is None or not pushable_where(
+            select.ast, leaf.relation.schema
+        ):
+            break
+        absorbable.append(select.ast)
+    if not absorbable or not masks_every(leaf.relation, absorbable):
+        return None
+    scan = Scan(leaf.relation)
+    inner: PlanNode = scan
+    for select in reversed(chain):
+        inner = _replace(select, child=inner)
+    return _replace(node, child=inner), _head(leaf), _head(scan)
+
+
 def _quality_ast(pref: Preference, condition: QualityCondition) -> Any:
     """A hard-expression *superset* of a rigid DISTANCE bound, or None.
 
@@ -785,6 +839,7 @@ def _rule_winnow_to_sort(
 PLAN_RULES: tuple[tuple[str, Callable[..., Any]], ...] = (
     ("push_select_below_winnow", _rule_push_select),
     ("push_select_below_winnow", _rule_push_quality),
+    ("mask_select_under_kernel", _rule_mask_under_kernel),
     ("push_select_into_storage", _rule_push_into_storage),
     ("prune_constant_pref", _rule_prune_constant),
     ("drop_trivial_winnow", _rule_drop_trivial),

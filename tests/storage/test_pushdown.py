@@ -5,7 +5,8 @@ SQL-safe, the optimizer plants a version-stamped ``StorageScan``, the
 ``push_select_into_storage`` rule absorbs pushable ``HardSelect`` nodes
 into it, and execution either runs the backend prefilter (version
 matches) or silently falls back to the pinned in-memory snapshot —
-bit-exact answers either way.
+bit-exact answers either way.  A code-kernel winnow whose selection
+NumPy masks reads the snapshot instead (``mask_select_under_kernel``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.core.base_numerical import (
     LowestPreference,
 )
 from repro.core.constructors import pareto
+from repro.engine.backend import numpy_available
 from repro.psql.ast import (
     BoolOp,
     Comparison,
@@ -210,6 +212,93 @@ class TestPushIntoStorage:
         # One bmw row out of five, read through the mirror's prefilter.
         assert "StorageScan[car] backend=sqlite" in text
         assert q.plan().execute().rows() == [ROWS[1]]
+
+
+def _many_cars(n: int = 200) -> list[dict]:
+    """Enough rows for the engine's NumPy leg (ROWS has five)."""
+    makes = ("opel", "bmw", "vw", "audi")
+    return [
+        {"make": makes[i % 4], "price": 10_000.0 + 997.0 * (i * 37 % n),
+         "power": 60 + (i * 53 % 300)}
+        for i in range(n)
+    ]
+
+
+class TestMaskUnderKernel:
+    """A code-kernel winnow masks its selection over the snapshot instead
+    of pushing it into storage — where NumPy masks it."""
+
+    SKYLINE = pareto(LowestPreference("price"), HighestPreference("power"))
+
+    @pytest.fixture
+    def big_session(self):
+        session = Session({"car": _many_cars()}, storage=SQLiteBackend())
+        yield session
+        session.close()
+
+    def _plan_tree(self, query) -> str:
+        return query.explain().split("rewrites")[0]
+
+    @pytest.mark.skipif(not numpy_available(), reason="masks need NumPy")
+    def test_kernel_winnow_reads_the_snapshot(self, big_session):
+        q = (big_session.query("car")
+             .where(Comparison("make", "=", "opel"))
+             .where(Comparison("price", "<", 150_000.0))
+             .prefer(self.SKYLINE))
+        text = q.explain()
+        assert "mask_select_under_kernel" in text
+        assert "push_select_into_storage" not in text
+        tree = self._plan_tree(q)
+        assert "StorageScan" not in tree and "Scan[car]" in tree
+        assert q.run().rows() == q.optimize(False).run().rows()
+
+    @pytest.mark.skipif(not numpy_available(), reason="masks need NumPy")
+    def test_but_only_prefilter_is_masked_and_rechecked(self, big_session):
+        q = (big_session.query("car")
+             .prefer(pareto(AroundPreference("price", 60_000.0),
+                            HighestPreference("power")))
+             .but_only(("distance", "price", "<=", 20_000.0)))
+        text = q.explain()
+        assert "mask_select_under_kernel" in text
+        assert "BUT ONLY" in self._plan_tree(q)
+        assert q.run().rows() == q.optimize(False).run().rows()
+
+    def test_without_numpy_the_prefilter_stays(
+        self, big_session, monkeypatch
+    ):
+        from repro.engine import backend as engine_backend
+
+        monkeypatch.setattr(engine_backend, "_numpy", None)
+        q = (big_session.query("car")
+             .where(Comparison("make", "=", "opel"))
+             .prefer(self.SKYLINE))
+        text = q.explain()
+        assert "push_select_into_storage" in text
+        assert "mask_select_under_kernel" not in text
+        assert q.run().rows() == q.optimize(False).run().rows()
+
+    def test_unmaskable_column_keeps_the_prefilter(self):
+        # A NULL makes the column inexact for NumPy: no mask, so SQL
+        # keeps the selection.
+        rows = _many_cars()
+        rows[3]["make"] = None
+        session = Session({"car": rows}, storage=SQLiteBackend())
+        try:
+            q = (session.query("car")
+                 .where(Comparison("make", "=", "opel"))
+                 .prefer(self.SKYLINE))
+            assert "push_select_into_storage" in q.explain()
+            assert q.run().rows() == q.optimize(False).run().rows()
+        finally:
+            session.close()
+
+    def test_argmax_winnow_is_still_pushed(self, big_session):
+        q = (big_session.query("car")
+             .where(Comparison("make", "=", "opel"))
+             .prefer(LowestPreference("price")))
+        text = q.explain()
+        assert "push_select_into_storage" in text
+        assert "mask_select_under_kernel" not in text
 
 
 class TestFingerprints:
