@@ -121,8 +121,8 @@ def bench_columnar_vs_bnl(report: dict, n_rows: int, rounds: int) -> None:
 
         bnl = median_ns(lambda: block_nested_loop(pref, rows), rounds)
         # Each round winnows a copy whose column cache holds the values
-        # only (materialized untimed): the timed call pays encoding, as
-        # it did before the cache held codes.
+        # only (materialized untimed): the criterion counts axis encoding
+        # as part of the winnow, so no round may find cached codes.
         samples = []
         for _ in range(rounds):
             cold = Relation(relation.name, relation.schema, rows,
