@@ -839,7 +839,6 @@ def _rule_winnow_to_sort(
 PLAN_RULES: tuple[tuple[str, Callable[..., Any]], ...] = (
     ("push_select_below_winnow", _rule_push_select),
     ("push_select_below_winnow", _rule_push_quality),
-    ("mask_select_under_kernel", _rule_mask_under_kernel),
     ("push_select_into_storage", _rule_push_into_storage),
     ("prune_constant_pref", _rule_prune_constant),
     ("drop_trivial_winnow", _rule_drop_trivial),
@@ -850,6 +849,9 @@ PLAN_RULES: tuple[tuple[str, Callable[..., Any]], ...] = (
     ("winnow_to_sort", _rule_winnow_to_sort),
     ("split_prio", _rule_split_prio),
     ("decompose_pareto", _rule_decompose_pareto),
+    # Last: it picks a code kernel's leaf, so every rule that could still
+    # turn the winnow into another evaluator has had its chance first.
+    ("mask_select_under_kernel", _rule_mask_under_kernel),
 )
 
 _MAX_PASSES = 32

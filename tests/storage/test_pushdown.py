@@ -292,6 +292,21 @@ class TestMaskUnderKernel:
         finally:
             session.close()
 
+    def test_a_winnow_pruned_to_an_argmax_is_still_pushed(self, big_session):
+        # The mask rule runs last: prune_constant_pref first turns the
+        # skyline into an argmax, whose selection the mirror then takes.
+        from repro.core.base_nonnumerical import PosPreference
+
+        q = (big_session.query("car")
+             .where(Comparison("make", "=", "opel"))
+             .prefer(pareto(PosPreference("make", {"opel"}),
+                            LowestPreference("price"))))
+        rules = q.plan().rewrite_rules()
+        assert "prune_constant_pref" in rules
+        assert "push_select_into_storage" in rules
+        assert "mask_select_under_kernel" not in rules
+        assert q.run().rows() == q.optimize(False).run().rows()
+
     def test_argmax_winnow_is_still_pushed(self, big_session):
         q = (big_session.query("car")
              .where(Comparison("make", "=", "opel"))
