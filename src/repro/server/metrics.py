@@ -89,7 +89,6 @@ class ServiceMetrics:
       optimizer runs); ``inline`` counts the view hits answered on the
       server's event loop, without a worker-pool hand-off,
     * ``mutations`` — inserts / deletes applied,
-    * ``subscriptions`` — live delta subscriptions,
     * ``revisions`` — preference revisions applied to continuous views,
       with the ``full`` fallbacks counted separately,
     * latency series for ``query_view`` / ``query_planned`` /
@@ -113,7 +112,6 @@ class ServiceMetrics:
         self.deletes = 0
         self.rows_inserted = 0
         self.rows_deleted = 0
-        self.subscriptions = 0
         self.deltas_pushed = 0
         self.errors = 0
         #: Honest load shedding, by reason: requests refused past the
@@ -176,10 +174,6 @@ class ServiceMetrics:
                 self.revisions_full += 1
             self._latency["revision"].record(elapsed_ns)
 
-    def record_subscription(self, delta: int) -> None:
-        with self._lock:
-            self.subscriptions += delta
-
     def record_delta_push(self, n: int = 1) -> None:
         with self._lock:
             self.deltas_pushed += n
@@ -231,7 +225,6 @@ class ServiceMetrics:
                     "rows_inserted": self.rows_inserted,
                     "rows_deleted": self.rows_deleted,
                 },
-                "subscriptions": self.subscriptions,
                 "deltas_pushed": self.deltas_pushed,
                 "errors": self.errors,
                 "shed": dict(self.shed),

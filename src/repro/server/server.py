@@ -12,10 +12,13 @@ skyline never stalls other clients' round trips.
 
 Connections are served independently; within one connection requests are
 handled in arrival order (responses never interleave, which keeps the
-protocol trivially parseable).  ``subscribe`` registers the connection for
-push delivery: every mutation that visibly changes the subscribed
-continuous view is fanned out as a ``delta`` message with the BMO
-``enter`` / ``exit`` rows.
+protocol trivially parseable).  ``subscribe`` records a subscription in
+the service's :class:`~repro.server.views.SubscriptionTable`; the server
+keeps only which connection each subscription id belongs to.  Every
+mutation, revision or profile migration that visibly changes a
+subscribed window reaches the server as a delta addressed to
+subscription ids, and is pushed, without waiting on any reader, as a
+``delta`` message with the BMO ``enter`` / ``exit`` rows.
 
 :func:`run_in_thread` boots a server on a daemon thread and returns a
 handle with the bound port — the idiom the sync client, the tests, and the
@@ -26,9 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import itertools
 import threading
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
@@ -40,8 +41,7 @@ from repro.server.service import (
     QueryAnswer,
     ServiceError,
 )
-from repro.server.views import ContinuousView, ViewError
-from repro.session import MutationEvent
+from repro.server.views import ViewError
 from repro.storage.backend import StorageError
 from repro.tenancy.profiles import TenancyError, valid_tenant
 
@@ -82,15 +82,6 @@ class DeadlineExceeded(Exception):
 _DEADLINE: contextvars.ContextVar[float | None] = contextvars.ContextVar(
     "repro_request_deadline", default=None
 )
-
-
-@dataclass
-class _Subscription:
-    id: int
-    connection: "_Connection"
-    view_key: tuple
-    relation: str
-    tenant: str | None = None
 
 
 class _Connection:
@@ -233,8 +224,10 @@ class PreferenceServer:
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._connections: set[_Connection] = set()
-        self._subscriptions: dict[int, _Subscription] = {}
-        self._sub_seq = itertools.count(1)
+        #: Subscription id -> the connection it pushes to (event-loop
+        #: thread only); the subscriptions themselves live in the
+        #: service's table.
+        self._subscribers: dict[int, _Connection] = {}
         self._stopped: asyncio.Event | None = None
         self._listener: Any = None
 
@@ -269,12 +262,8 @@ class PreferenceServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        live = len(self._subscriptions)
-        if live:
-            self.service.metrics.record_subscription(-live)
-        for sub in self._subscriptions.values():
-            self._release_sub(sub)
-        self._subscriptions.clear()
+        for sub_id in list(self._subscribers):
+            self._unsubscribe(sub_id)
         for connection in list(self._connections):
             await connection.close()
         self._connections.clear()
@@ -290,66 +279,61 @@ class PreferenceServer:
 
     async def forget_connection(self, connection: _Connection) -> None:
         self._connections.discard(connection)
-        stale = [
-            s for s in self._subscriptions.values()
-            if s.connection is connection
-        ]
-        for sub in stale:
-            del self._subscriptions[sub.id]
-            self._release_sub(sub)
-        if stale:
-            self.service.metrics.record_subscription(-len(stale))
+        for sub_id, owner in list(self._subscribers.items()):
+            if owner is connection:
+                self._unsubscribe(sub_id)
 
-    def _release_sub(self, sub: _Subscription) -> None:
-        if sub.tenant is not None:
-            self.service.tenancy.release(sub.tenant, sub.view_key)
-        else:
-            self.service.tenancy.shared.unpin(sub.view_key, None)
+    def _unsubscribe(self, sub_id: int) -> None:
+        self._subscribers.pop(sub_id, None)
+        self.service.subscriptions.remove(sub_id)
 
     # -- delta fan-out ----------------------------------------------------------
 
     def _on_delta(
         self,
-        view: ContinuousView,
+        recipients: tuple,
         delta: BMODelta | ViewError,
-        event: MutationEvent,
+        relation: str,
+        version: int,
     ) -> None:
-        # Listeners fire on executor threads (mutations run there); hop
-        # onto the event loop to touch connections.
+        # Listeners fire on executor threads, under the mutation lock, in
+        # commit order; hop onto the event loop (FIFO, so the order
+        # holds) to touch connections.
         loop = self._loop
-        if loop is None or loop.is_closed():
+        if not recipients or loop is None or loop.is_closed():
             return
-        loop.call_soon_threadsafe(self._dispatch_delta, view, delta, event)
+        loop.call_soon_threadsafe(
+            self._dispatch_delta, recipients, delta, relation, version
+        )
 
     def _dispatch_delta(
         self,
-        view: ContinuousView,
+        recipients: tuple,
         delta: BMODelta | ViewError,
-        event: MutationEvent,
+        relation: str,
+        version: int,
     ) -> None:
-        for sub in list(self._subscriptions.values()):
-            if sub.view_key != view.spec.key:
-                continue
-            if sub.connection.closed:
+        """The one push path: data, revision and migration deltas alike."""
+        for sub_id in recipients:
+            connection = self._subscribers.get(sub_id)
+            if connection is None or connection.closed:
                 continue
             if isinstance(delta, ViewError):
                 # The view was quarantined mid-stream: subscribers get
                 # one explicit error delta (re-subscribing heals the
                 # view and resumes the stream).
                 message = protocol.delta_message(
-                    sub.id, event.relation, event.version, (), (),
-                    error=delta.reason,
+                    sub_id, relation, version, (), (), error=delta.reason,
                 )
             else:
                 message = protocol.delta_message(
-                    sub.id, event.relation, event.version,
-                    delta.entered, delta.exited,
+                    sub_id, relation, version, delta.entered, delta.exited,
                 )
             self.service.metrics.record_delta_push()
             # Non-draining push: a subscriber that stopped reading hits
             # the write-buffer cap and is dropped, instead of this loop
-            # accumulating blocked send() coroutines on its behalf.
-            sub.connection.send_nowait(message)
+            # (or a reviser) waiting on its socket.
+            connection.send_nowait(message)
 
     # -- request routing --------------------------------------------------------
 
@@ -530,16 +514,12 @@ class PreferenceServer:
         elif op == "subscribe":
             await self._subscribe(connection, request)
         elif op == "unsubscribe":
-            sub = self._subscriptions.get(params.get("subscription"))
-            if sub is None or sub.connection is not connection:
-                raise ServiceError(
-                    f"no such subscription {params.get('subscription')!r}"
-                )
-            del self._subscriptions[sub.id]
-            self._release_sub(sub)
-            self.service.metrics.record_subscription(-1)
+            sub_id = params.get("subscription")
+            if self._subscribers.get(sub_id) is not connection:
+                raise ServiceError(f"no such subscription {sub_id!r}")
+            self._unsubscribe(sub_id)
             await connection.send(
-                protocol.ok_response(rid, unsubscribed=sub.id)
+                protocol.ok_response(rid, unsubscribed=sub_id)
             )
         elif op == "revise":
             relation = params.get("relation")
@@ -550,33 +530,14 @@ class PreferenceServer:
                     "revise needs 'relation', 'prefer' (the current "
                     "preference) and 'to' (the revised one)"
                 )
+            # The service re-keys the view's subscriptions and pushes the
+            # revision delta to them through _on_delta, like any delta.
             answer = await self._run(
                 self.service.revise,
                 relation, prefer, to,
                 groupby=tuple(params.get("groupby") or ()),
                 top=params.get("top"), ties=params.get("ties", "strict"),
             )
-            # Re-point subscriptions before pushing: the view's registry
-            # key changed with its preference, and the revision delta must
-            # reach exactly the subscribers that followed the old key.
-            revised = [
-                sub for sub in self._subscriptions.values()
-                if sub.view_key == answer.old_key
-            ]
-            for sub in revised:
-                sub.view_key = answer.new_key
-            # Tenant bookkeeping (pins, subscription recipes) follows the
-            # re-keyed view as well.
-            self.service.tenancy.rebind_key(answer.old_key, answer.view.spec)
-            if answer.delta:
-                for sub in revised:
-                    message = protocol.delta_message(
-                        sub.id, answer.summary["relation"],
-                        answer.summary["version"],
-                        answer.delta.entered, answer.delta.exited,
-                    )
-                    self.service.metrics.record_delta_push()
-                    await sub.connection.send(message)
             await connection.send(
                 protocol.ok_response(rid, **answer.summary)
             )
@@ -647,7 +608,7 @@ class PreferenceServer:
                 "max_pending": self.max_pending,
             },
             "connections": len(self._connections),
-            "subscriptions": len(self._subscriptions),
+            "subscriptions": len(self._subscribers),
             "views": {
                 "live": len(service.views.stats()),
                 "poisoned": len(poisoned),
@@ -702,80 +663,61 @@ class PreferenceServer:
                 f"unknown profile action {action!r}; "
                 "known: set, get, merge, delete"
             )
-        await self._push_migrations(tenant, migrations)
         summary = profile.summary() if profile is not None else None
         await connection.send(protocol.ok_response(
             rid, profile=summary, migrated=len(migrations),
         ))
 
-    async def _push_migrations(self, tenant: str, migrations: list) -> None:
-        """Re-point the tenant's subscriptions at their migrated views
-        and push each migration delta — only *this* tenant's
-        subscriptions move; other tenants sharing the old view keep it."""
-        for migration in migrations:
-            moved = [
-                sub for sub in self._subscriptions.values()
-                if sub.tenant == tenant
-                and sub.view_key == migration.old_key
-            ]
-            for sub in moved:
-                sub.view_key = migration.new_key
-            if not migration.delta:
-                continue
-            for sub in moved:
-                message = protocol.delta_message(
-                    sub.id, migration.summary["relation"],
-                    migration.summary["version"],
-                    migration.delta.entered, migration.delta.exited,
-                )
-                self.service.metrics.record_delta_push()
-                await sub.connection.send(message)
-
     async def _subscribe(
         self, connection: _Connection, request: protocol.Request
     ) -> None:
+        """Record the subscription, then read its optional snapshot.
+
+        The id is taken and mapped to this connection first, so every
+        delta emitted once the service records the subscription reaches
+        it, and none is lost between the record and the snapshot.  Any
+        failure after that — a deadline shed, a fault, a refused quota —
+        removes the subscription again.
+        """
         params = request.params
         relation = params.get("relation")
         prefer = params.get("prefer")
         tenant = self._tenant_of(connection, params)
         if not relation or (prefer is None and tenant is None):
             raise ServiceError("subscribe needs 'relation' and 'prefer'")
-        if tenant is not None:
-            view = await self._run(
-                self.service.tenancy.subscribe,
-                tenant, relation, prefer,
-                groupby=tuple(params.get("groupby") or ()),
-                top=params.get("top"), ties=params.get("ties", "strict"),
-                term=params.get("term"),
-            )
-        else:
-            view = await self._run(
-                self.service.materialize,
-                relation, prefer,
-                groupby=tuple(params.get("groupby") or ()),
-                top=params.get("top"), ties=params.get("ties", "strict"),
-            )
-            # Anonymous and tenant terms share canonical keys, so a tenant
-            # view's LRU eviction must not silence this stream either.
-            self.service.tenancy.shared.pin(view.spec, None)
-        sub = _Subscription(
-            next(self._sub_seq), connection, view.spec.key,
-            view.spec.relation, tenant=tenant,
-        )
-        self._subscriptions[sub.id] = sub
-        self.service.metrics.record_subscription(+1)
-        payload: dict[str, Any] = {
-            "subscription": sub.id,
-            "relation": view.spec.relation,
-            "view": view.spec.describe(),
+        shape = {
+            "groupby": tuple(params.get("groupby") or ()),
+            "top": params.get("top"),
+            "ties": params.get("ties", "strict"),
         }
-        if params.get("snapshot"):
-            # Large views copy many rows — keep that off the event loop.
-            # The paired version lets the client discard delta pushes
-            # with version <= snapshot version (already included here).
-            rows, version = await self._run(view.snapshot)
-            payload["rows"] = rows
-            payload["version"] = version
+        sub_id = self.service.subscriptions.new_id()
+        self._subscribers[sub_id] = connection
+        try:
+            if tenant is not None:
+                view = await self._run(
+                    self.service.tenancy.subscribe, tenant, relation, prefer,
+                    term=params.get("term"), sub_id=sub_id, **shape,
+                )
+            else:
+                view = await self._run(
+                    self.service.subscribe, relation, prefer,
+                    sub_id=sub_id, **shape,
+                )
+            payload: dict[str, Any] = {
+                "subscription": sub_id,
+                "relation": view.spec.relation,
+                "view": view.spec.describe(),
+            }
+            if params.get("snapshot"):
+                # Large views copy many rows — keep that off the event
+                # loop.  The paired version lets the client discard delta
+                # pushes with version <= snapshot version (included here).
+                rows, version = await self._run(view.snapshot)
+                payload["rows"] = rows
+                payload["version"] = version
+        except BaseException:
+            self._unsubscribe(sub_id)
+            raise
         await connection.send(protocol.ok_response(request.id, **payload))
 
 

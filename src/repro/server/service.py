@@ -10,7 +10,8 @@ caches) and adds everything a long-running server needs:
 * **Mutations** — :meth:`insert` / :meth:`delete` apply versioned catalog
   mutations, invalidate exactly the touched relation's cached plans and
   column stores, refresh continuous views, and fan the resulting BMO
-  enter/exit deltas out to delta listeners.
+  enter/exit deltas out to delta listeners, addressed to the
+  subscriptions of :attr:`subscriptions` that hold each view.
 * **Continuous views** — repeat view-eligible queries auto-materialize
   (after ``auto_view_threshold`` sightings) into
   :class:`~repro.server.views.ContinuousView`\\ s and are then answered
@@ -63,6 +64,8 @@ from repro.psql.ast import Comparison
 from repro.psql.translate import translate_where
 from repro.server.views import (
     ContinuousView,
+    Subscription,
+    SubscriptionTable,
     ViewError,
     ViewRegistry,
     ViewSpec,
@@ -107,13 +110,15 @@ class ServiceError(ValueError):
     """
 
 
-#: A delta listener: called with (view, delta, mutation event) after every
-#: mutation that visibly changed a continuous view — or with a
-#: :class:`~repro.server.views.ViewError` when the refresh poisoned the
-#: view (subscribers are told the stream broke instead of going silent).
-DeltaListener = Callable[
-    [ContinuousView, "BMODelta | ViewError", MutationEvent], None
-]
+#: A delta listener: called as ``(recipients, delta, relation, version)``
+#: for every mutation, view revision or profile migration that visibly
+#: changed a subscribed window — or with a
+#: :class:`~repro.server.views.ViewError` when a refresh poisoned the view
+#: (subscribers are told the stream broke instead of going silent).
+#: ``recipients`` are the subscription ids the delta is for, resolved
+#: from :attr:`PreferenceService.subscriptions` when it was emitted; it
+#: is called under the mutation lock, so deltas arrive in commit order.
+DeltaListener = Callable[[tuple, "BMODelta | ViewError", str, int], None]
 
 
 @dataclass(frozen=True)
@@ -142,21 +147,11 @@ class QueryAnswer:
 
 @dataclass(frozen=True)
 class ReviseAnswer:
-    """One executed view revision.
-
-    ``summary`` is the JSON-safe response payload; ``old_key`` /
-    ``new_key`` are the registry keys before and after (the server uses
-    them to re-point subscriptions *before* pushing ``delta`` to the
-    revised view's subscribers — the service deliberately does not fire
-    delta listeners for revisions, because listeners dispatch on the view
-    key that the revision just changed).
-    """
+    """One executed view revision: ``summary`` is the JSON-safe response
+    payload.  The delta itself went to the delta listeners, addressed to
+    the view's subscriptions, inside the revision's mutation-lock step."""
 
     summary: dict[str, Any]
-    old_key: tuple
-    new_key: tuple
-    delta: BMODelta
-    view: ContinuousView
 
 
 class PreferenceService:
@@ -180,6 +175,9 @@ class PreferenceService:
         else:
             self.session = Session(catalog, functions)
         self.views = ViewRegistry()
+        #: Every live subscription, recorded once (see
+        #: :class:`~repro.server.views.SubscriptionTable`).
+        self.subscriptions = SubscriptionTable()
         self.metrics = ServiceMetrics()
         #: Repeat view-eligible queries materialize after this many
         #: sightings; ``None`` disables auto-materialization.
@@ -614,6 +612,49 @@ class PreferenceService:
         )
         return self._materialize(spec)
 
+    def subscribe(
+        self,
+        relation: str,
+        pref: Preference | Mapping[str, Any],
+        groupby: Sequence[str] = (),
+        top: int | None = None,
+        ties: str = "strict",
+        sub_id: int | None = None,
+    ) -> ContinuousView:
+        """Materialize (or join) a continuous view and record one
+        anonymous subscription holding it (``sub_id``: the id the server
+        took from :attr:`subscriptions`; a fresh one otherwise)."""
+        spec = ViewSpec(
+            relation.lower(), self._pref(pref), tuple(groupby), top, ties
+        )
+        return self._hold(spec, sub_id)[0]
+
+    def _hold(
+        self,
+        spec: ViewSpec,
+        sub_id: int | None,
+        tenant: str | None = None,
+        base: Preference | None = None,
+        term: str | None = None,
+        limit: int | None = None,
+    ) -> tuple[ContinuousView, bool]:
+        """The view of ``spec``, and whether a subscription holding it was
+        recorded (``False``: the tenant is at its ``limit``).
+
+        The record is added under the mutation lock, where views are
+        re-keyed and evicted, so it holds the view it names from the
+        first delta on.  A view evicted or revised away while it seeded
+        outside the lock is seeded again inside it.
+        """
+        view = self._materialize(spec)
+        with self._mutation_lock:
+            if self.views.get(spec) is not view:
+                view = self._materialize(spec)
+            if sub_id is None:
+                sub_id = self.subscriptions.new_id()
+            sub = Subscription(sub_id, view.spec, tenant, base, term)
+            return view, self.subscriptions.add(sub, limit)
+
     def _snapshot(self, relation: str) -> tuple[Any, int]:
         try:
             rel = self.session.catalog.get(relation)
@@ -670,11 +711,13 @@ class PreferenceService:
         preference ``to`` without recomputing from the base relation when
         the delta's classification allows it.
 
-        Runs under the mutation lock, so the revision serializes with
-        data mutations: every subscriber sees one linear stream of data
-        deltas and revision deltas that reconciles to the batch answer at
-        every version.  Raises :class:`ServiceError` when no such view is
-        registered (revision is a view operation; materialize first).
+        Runs under the mutation lock, and in the same step re-keys the
+        view's subscriptions and hands the revision delta to the delta
+        listeners, addressed to them — so every subscriber sees one
+        linear stream of data deltas and revision deltas that reconciles
+        to the batch answer at every version.  Raises
+        :class:`ServiceError` when no such view is registered (revision
+        is a view operation; materialize first).
         """
         old_pref = self._pref(pref)
         new_pref = self._pref(to)
@@ -701,12 +744,19 @@ class PreferenceService:
                 view, new_pref, constraints=constraints
             )
             version = view.version
-        elapsed = time.perf_counter_ns() - start
+            elapsed = time.perf_counter_ns() - start
+            if old_key != view.spec.key:
+                self._forget_view(spec)
+                self._record_view(view.spec)
+            holders = [s.id for s in self.subscriptions.holding(old_key)]
+            self.subscriptions.rekey(holders, view.spec)
+            self.tenancy.shared.rekey(old_key, view.spec)
+            # Emitted last, so the subscribers' push leaves no work
+            # between it and the reviser's answer.
+            if delta:
+                self._emit(tuple(holders), delta, spec.relation, version)
         self.metrics.record_revision(strategy, elapsed)
-        if old_key != view.spec.key:
-            self._forget_view(spec)
-            self._record_view(view.spec)
-        summary = {
+        return ReviseAnswer({
             "relation": spec.relation,
             "classification": revision.kind,
             "shape": revision.shape,
@@ -716,8 +766,7 @@ class PreferenceService:
             "exited": len(delta.exited),
             "version": version,
             "view": view.spec.describe(),
-        }
-        return ReviseAnswer(summary, old_key, view.spec.key, delta, view)
+        })
 
     def _constraints_for(self, relation: str, pref: Preference) -> Any:
         """The relation's constraint registry scoped to ``pref``'s
@@ -807,7 +856,7 @@ class PreferenceService:
 
     def add_delta_listener(self, listener: DeltaListener) -> DeltaListener:
         """Register a callback for non-empty view deltas (see
-        :data:`DeltaListener`); used by the server's ``subscribe`` op."""
+        :data:`DeltaListener`); the server pushes them to subscribers."""
         self._delta_listeners.append(listener)
         return listener
 
@@ -870,23 +919,35 @@ class PreferenceService:
             "version": event.version,
         }
 
+    def _emit(
+        self,
+        recipients: tuple,
+        delta: BMODelta | ViewError,
+        relation: str,
+        version: int,
+    ) -> None:
+        # Callers hold the mutation lock (see DeltaListener).
+        for listener in list(self._delta_listeners):
+            listener(recipients, delta, relation, version)
+
     def _on_mutation(self, event: MutationEvent) -> None:
-        # Fired by the session after the catalog swap; re-entrant under
-        # the mutation lock when the mutation came through the service.
+        # Fired by the session after the catalog swap, under the mutation
+        # lock (re-entrant when the mutation came through the service).
         with self._mutation_lock:
-            refreshed = self.views.refresh_all(event)
-        for view, delta in refreshed:
-            if isinstance(delta, ViewError):
-                # The refresh poisoned this view; tell its subscribers
-                # the stream broke instead of going silent.
-                self.metrics.record_view_poisoned()
-                for listener in list(self._delta_listeners):
-                    listener(view, delta, event)
-                continue
-            self.metrics.record_view_refresh(view.refresh_last_ns)
-            if delta:
-                for listener in list(self._delta_listeners):
-                    listener(view, delta, event)
+            for view, delta in self.views.refresh_all(event):
+                if isinstance(delta, ViewError):
+                    # The refresh poisoned this view; tell its subscribers
+                    # the stream broke instead of going silent.
+                    self.metrics.record_view_poisoned()
+                else:
+                    self.metrics.record_view_refresh(view.refresh_last_ns)
+                    if not delta:
+                        continue
+                holders = self.subscriptions.holding(view.spec.key)
+                self._emit(
+                    tuple(s.id for s in holders), delta,
+                    event.relation, event.version,
+                )
 
     # -- introspection ----------------------------------------------------------
 
@@ -906,6 +967,7 @@ class PreferenceService:
         """The `/metrics` payload: counters, cache info, per-view stats."""
         info = self.session.cache_info()
         snapshot = self.metrics.snapshot()
+        snapshot["subscriptions"] = len(self.subscriptions)
         snapshot["plan_cache"] = {
             "hits": info.hits, "misses": info.misses, "size": info.size,
         }

@@ -16,11 +16,15 @@ catalog mutation, and answer repeat queries straight from their window.
 Every refresh yields a :class:`~repro.query.incremental.BMODelta` of rows
 entering / leaving the BMO result — the event stream the server pushes to
 ``subscribe``\\ d clients (Example 9's non-monotonic evolution, live).
+Who receives it is read from the service's one
+:class:`SubscriptionTable`, kept beside the registry because a
+subscription follows its view's key.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import threading
 import time
 from dataclasses import dataclass
@@ -375,3 +379,86 @@ class ViewRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._views)
+
+
+@dataclass(frozen=True)
+class Subscription:
+    """One live subscription: the view it holds, by spec (hence key and
+    relation), and whose it is — a tenant, or ``None`` for an anonymous
+    one.  A tenant subscription also keeps its recomposition recipe, the
+    submitted ``base`` term and the profile ``term`` name, so a profile
+    revision can recompose it."""
+
+    id: int
+    spec: ViewSpec
+    tenant: str | None = None
+    base: Preference | None = None
+    term: str | None = None
+
+    @property
+    def key(self) -> tuple:
+        return self.spec.key
+
+
+class SubscriptionTable:
+    """Every live subscription of one service, each recorded once.
+
+    The one place "who holds which view" is kept: eviction pins, sole
+    holders, quotas, every subscription count and every delta's
+    recipients are read from here.  Records are added and re-keyed under
+    the service's mutation lock — in the same step that registers or
+    re-keys their view, and where every delta's recipients are resolved
+    — while removal takes only this table's own short lock, so the
+    server's event loop can drop a subscription without waiting.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._subs: dict[int, Subscription] = {}
+        self._ids = itertools.count(1)
+
+    def new_id(self) -> int:
+        with self._lock:
+            return next(self._ids)
+
+    def add(self, sub: Subscription, limit: int | None = None) -> bool:
+        """Record ``sub`` unless its tenant already holds ``limit``
+        subscriptions — the quota check and the add are one step."""
+        with self._lock:
+            if limit is not None and sum(
+                1 for s in self._subs.values() if s.tenant == sub.tenant
+            ) >= limit:
+                return False
+            self._subs[sub.id] = sub
+            return True
+
+    def remove(self, sub_id: int) -> Subscription | None:
+        with self._lock:
+            return self._subs.pop(sub_id, None)
+
+    def holding(self, key: tuple) -> list[Subscription]:
+        """The subscriptions that follow the view keyed ``key``."""
+        with self._lock:
+            return [s for s in self._subs.values() if s.key == key]
+
+    def records(self) -> list[Subscription]:
+        with self._lock:
+            return list(self._subs.values())
+
+    def rekey(self, ids: Iterable[int], spec: ViewSpec) -> None:
+        """Point the subscriptions ``ids`` at the view ``spec`` (one that
+        was revised, or that they migrated to)."""
+        with self._lock:
+            for sub_id in ids:
+                sub = self._subs.get(sub_id)
+                if sub is not None:
+                    self._subs[sub_id] = dataclasses.replace(sub, spec=spec)
+
+    def keys(self) -> set[tuple]:
+        """The keys of every held view (a held view is never evicted)."""
+        with self._lock:
+            return {s.key for s in self._subs.values()}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._subs)

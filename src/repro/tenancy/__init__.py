@@ -14,7 +14,7 @@ continuous view, LRU-bounded with subscription pinning
 (:mod:`repro.tenancy.metrics`).
 """
 
-from repro.tenancy.manager import Migration, TenantManager
+from repro.tenancy.manager import TenantManager
 from repro.tenancy.metrics import TenantMetrics
 from repro.tenancy.profiles import (
     ProfileStore,
@@ -25,7 +25,6 @@ from repro.tenancy.profiles import (
 from repro.tenancy.shared import SharedViewIndex
 
 __all__ = [
-    "Migration",
     "ProfileStore",
     "SharedViewIndex",
     "TenancyError",

@@ -19,21 +19,24 @@
    equivalent term answers from the shared window, and reports each
    answer to :meth:`TenantManager.record`.
 
-Profile revisions migrate the tenant's live subscriptions: when the
-tenant is the sole pinner of the old view, the view is revised *in
-place* through :meth:`~repro.server.views.ViewRegistry.revise` — the
-delta classifies through :func:`~repro.query.revision.classify_revision`
-and restarts from the cheapest sound point.  When the old view is shared
-(other tenants pinned it), it must not be disturbed: the new canonical
-term materializes separately and the migration delta is the exact row
-diff between the two windows.
+Profile revisions migrate the tenant's live subscriptions, which the
+service's :class:`~repro.server.views.SubscriptionTable` records with
+their recomposition recipes: when the tenant's moving subscriptions are
+the sole holders of the old view, the view is revised *in place* through
+:meth:`~repro.server.service.PreferenceService.revise` — the delta
+classifies through :func:`~repro.query.revision.classify_revision` and
+restarts from the cheapest sound point.  When the old view is shared
+(other subscriptions hold it), it must not be disturbed: the new
+canonical term materializes separately and the migration delta is the
+exact row diff between the two windows.  Either way the subscriptions
+are re-keyed and the delta is handed to the delta listeners under the
+mutation lock, in one step.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass
+from collections import Counter
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.preference import Preference
@@ -42,7 +45,7 @@ from repro.engineering.serialization import (
     preference_to_dict,
 )
 from repro.query.api import compose_terms
-from repro.query.incremental import BMODelta, _diff
+from repro.query.incremental import _diff
 from repro.server.views import ContinuousView, ViewSpec
 from repro.tenancy.metrics import TenantMetrics
 from repro.tenancy.profiles import (
@@ -62,41 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     )
 
 
-@dataclass
-class Migration:
-    """One migrated subscription after a profile revision.
-
-    Shape-compatible with :class:`~repro.server.service.ReviseAnswer`:
-    the server re-points subscriptions ``old_key -> new_key``, then
-    pushes ``delta`` to them.
-    """
-
-    summary: dict[str, Any]
-    old_key: tuple
-    new_key: tuple
-    delta: BMODelta
-    view: ContinuousView
-
-
-class _TenantSub:
-    """The recomposition recipe of one tenant subscription."""
-
-    __slots__ = ("spec", "relation", "base", "term", "count")
-
-    def __init__(
-        self,
-        spec: ViewSpec,
-        relation: str,
-        base: Preference | None,
-        term: str | None,
-    ):
-        self.spec = spec          # the composed, canonical spec served now
-        self.relation = relation
-        self.base = base          # the submitted base term (may be None)
-        self.term = term          # the profile term name (None = default)
-        self.count = 1
-
-
 class TenantManager:
     """Multi-tenant profiles, composition, and shared-view accounting."""
 
@@ -112,11 +80,10 @@ class TenantManager:
         self.max_subscriptions_per_tenant = max_subscriptions_per_tenant
         binding = getattr(service.session, "storage", None)
         self.profiles = ProfileStore(binding, dict(service.session.functions))
-        self.shared = SharedViewIndex(service.views, shared_view_capacity)
+        self.shared = SharedViewIndex(
+            service.views, service.subscriptions, shared_view_capacity
+        )
         self.metrics = TenantMetrics()
-        self._lock = threading.RLock()
-        #: (tenant, view key) -> recomposition recipe + refcount
-        self._subs: dict[tuple[str, tuple], _TenantSub] = {}
 
     # -- composition ------------------------------------------------------
 
@@ -169,9 +136,20 @@ class TenantManager:
             return None
         view = self.service._materialize(spec)
         self.shared.track(spec, tenant)
-        for dropped in self.shared.evict_overflow():
-            self.service._forget_view(dropped)
+        self._evict()
         return view
+
+    def _evict(self) -> None:
+        """Evict cold unpinned shared views past capacity, deciding under
+        the mutation lock, where subscriptions are added and re-keyed (a
+        view is never dropped under one joining it).  An index within
+        capacity does not wait for that lock."""
+        if len(self.shared) <= self.shared.capacity:
+            return
+        with self.service._mutation_lock:
+            dropped = self.shared.evict_overflow()
+        for spec in dropped:
+            self.service._forget_view(spec)
 
     def record(
         self, resolved: "ResolvedQuery", answer: "QueryAnswer", hit: bool
@@ -199,51 +177,29 @@ class TenantManager:
         top: int | None = None,
         ties: str = "strict",
         term: str | None = None,
+        sub_id: int | None = None,
     ) -> ContinuousView:
-        """Materialize (or join) the tenant's composed continuous view,
-        pinned against eviction for the life of the subscription."""
+        """Materialize (or join) the tenant's composed continuous view and
+        record a subscription holding it, which pins it against eviction
+        while it lives (``sub_id``: the id the server took from the
+        service's subscription table; a fresh one otherwise)."""
         tenant = valid_tenant(tenant)
-        with self._lock:
-            held = sum(
-                s.count for (t, _), s in self._subs.items() if t == tenant
-            )
-            if held >= self.max_subscriptions_per_tenant:
-                self.metrics.record_quota_denial(tenant)
-                raise TenancyError(
-                    f"tenant {tenant!r} is at its subscription quota "
-                    f"({self.max_subscriptions_per_tenant})"
-                )
         base = self.service._pref(prefer) if prefer is not None else None
         full = self._composed_pref(tenant, base, term)
         spec = ViewSpec(relation.lower(), full, tuple(groupby), top, ties)
-        view = self.service._materialize(spec)
-        with self._lock:
-            self.shared.pin(view.spec, tenant)
-            key = (tenant, view.spec.key)
-            sub = self._subs.get(key)
-            if sub is None:
-                self._subs[key] = _TenantSub(
-                    view.spec, relation.lower(), base, term
-                )
-            else:
-                sub.count += 1
-        self.metrics.record_subscription(tenant, +1)
-        for dropped in self.shared.evict_overflow():
-            self.service._forget_view(dropped)
+        view, held = self.service._hold(
+            spec, sub_id, tenant, base, term,
+            limit=self.max_subscriptions_per_tenant,
+        )
+        self.shared.track(view.spec, tenant)
+        if not held:
+            self.metrics.record_quota_denial(tenant)
+            raise TenancyError(
+                f"tenant {tenant!r} is at its subscription quota "
+                f"({self.max_subscriptions_per_tenant})"
+            )
+        self._evict()
         return view
-
-    def release(self, tenant: str, view_key: tuple) -> None:
-        """Drop one subscription hold (unsubscribe / disconnect)."""
-        with self._lock:
-            key = (tenant, view_key)
-            sub = self._subs.get(key)
-            if sub is None:
-                return
-            sub.count -= 1
-            if sub.count <= 0:
-                del self._subs[key]
-            self.shared.unpin(view_key, tenant)
-        self.metrics.record_subscription(tenant, -1)
 
     # -- profile writes + live migration ----------------------------------
 
@@ -253,7 +209,7 @@ class TenantManager:
         name: str,
         prefer: Mapping[str, Any],
         default: bool = False,
-    ) -> tuple[TenantProfile, list[Migration]]:
+    ) -> tuple[TenantProfile, list[dict[str, Any]]]:
         profile = self.profiles.set(tenant, name, prefer, default=default)
         migrations = self._migrate(tenant)
         self.metrics.record_profile(tenant, profile.version)
@@ -264,7 +220,7 @@ class TenantManager:
         tenant: str,
         terms: Mapping[str, Mapping[str, Any]],
         default: str | None = None,
-    ) -> tuple[TenantProfile, list[Migration]]:
+    ) -> tuple[TenantProfile, list[dict[str, Any]]]:
         profile = self.profiles.merge(tenant, terms, default=default)
         migrations = self._migrate(tenant)
         self.metrics.record_profile(tenant, profile.version)
@@ -272,7 +228,7 @@ class TenantManager:
 
     def delete_profile(
         self, tenant: str, name: str | None = None
-    ) -> tuple[TenantProfile | None, list[Migration]]:
+    ) -> tuple[TenantProfile | None, list[dict[str, Any]]]:
         profile = self.profiles.delete(tenant, name)
         migrations = self._migrate(tenant)
         self.metrics.record_profile(
@@ -280,16 +236,14 @@ class TenantManager:
         )
         return profile, migrations
 
-    def _migrate(self, tenant: str) -> list[Migration]:
-        """Re-point the tenant's live subscriptions at the revised
-        profile's composed views; returns one migration per moved view."""
-        with self._lock:
-            pending = [
-                (key, sub) for (t, key), sub in list(self._subs.items())
-                if t == tenant
-            ]
-        out: list[Migration] = []
-        for old_key, sub in pending:
+    def _migrate(self, tenant: str) -> list[dict[str, Any]]:
+        """Move the tenant's live subscriptions onto the revised profile's
+        composed views; returns one summary per moved group (the
+        subscriptions leaving one view for one new term)."""
+        groups: dict[tuple, tuple[ViewSpec, ViewSpec, list[int]]] = {}
+        for sub in self.service.subscriptions.records():
+            if sub.tenant != tenant:
+                continue
             try:
                 new_pref = self._composed_pref(tenant, sub.base, sub.term)
             except TenancyError:
@@ -298,57 +252,65 @@ class TenantManager:
                 # view keeps serving unchanged (deleting a profile must
                 # not silently kill a live stream).
                 continue
+            old = sub.spec
             new_spec = ViewSpec(
-                sub.relation, new_pref, sub.spec.groupby,
-                sub.spec.top, sub.spec.ties,
+                old.relation, new_pref, old.groupby, old.top, old.ties
             )
-            if new_spec.key == old_key:
-                continue
-            migration = self._migrate_one(tenant, old_key, sub, new_spec)
-            if migration is not None:
-                out.append(migration)
-        return out
+            if new_spec.key != old.key:
+                group = groups.setdefault(
+                    (old.key, new_spec.key), (old, new_spec, [])
+                )
+                group[2].append(sub.id)
+        return [
+            self._migrate_one(tenant, old, new_spec, ids)
+            for old, new_spec, ids in groups.values()
+        ]
 
     def _migrate_one(
         self,
         tenant: str,
-        old_key: tuple,
-        sub: _TenantSub,
+        old: ViewSpec,
         new_spec: ViewSpec,
-    ) -> Migration | None:
-        sole = self.shared.is_sole_pinner(old_key, tenant)
-        target_exists = self.service.views.get(new_spec) is not None
-        if sole and not target_exists:
-            # Nobody else subscribes to the old view: revise it in place,
-            # restarting from the classified delta's cheapest sound point.
-            answer = self.service.revise(
-                sub.spec.relation, sub.spec.pref, new_spec.pref,
-                groupby=sub.spec.groupby, top=sub.spec.top,
-                ties=sub.spec.ties,
-            )
-            with self._lock:
-                self.shared.rekey(old_key, answer.view.spec)
-                self._move_sub(tenant, old_key, answer.view.spec, sub)
-            return Migration(
-                dict(answer.summary), answer.old_key, answer.new_key,
-                answer.delta, answer.view,
-            )
+        ids: list[int],
+    ) -> dict[str, Any]:
+        service = self.service
+        with service._mutation_lock:
+            view = service.views.get(old)
+            if (
+                view is not None
+                and view.poisoned is None
+                and service.views.get(new_spec) is None
+                and {s.id for s in service.subscriptions.holding(old.key)}
+                <= set(ids)
+            ):
+                # Nobody else holds the old view: revise it in place,
+                # restarting from the classified delta's cheapest sound
+                # point (the revision re-keys these subscriptions).
+                return service.revise(
+                    old.relation, old.pref, new_spec.pref,
+                    groupby=old.groupby, top=old.top, ties=old.ties,
+                ).summary
         # The old view is shared (or the target already lives): leave it
         # alone, join/materialize the new canonical view, and push the
         # exact window diff as the migration delta.
-        new_view = self.service._materialize(new_spec)
-        old_view = self.service.views.get(sub.spec)
-        start = time.perf_counter_ns()
-        if old_view is not None:
-            delta = _diff(old_view.rows(), new_view.rows())
-        else:
-            delta = _diff([], new_view.rows())
-        elapsed = time.perf_counter_ns() - start
-        with self._lock:
-            self.shared.unpin(old_key, tenant)
-            self.shared.pin(new_view.spec, tenant)
-            self._move_sub(tenant, old_key, new_view.spec, sub)
-        summary = {
+        new_view = service._materialize(new_spec)
+        with service._mutation_lock:
+            if service.views.get(new_spec) is not new_view:
+                new_view = service._materialize(new_spec)
+            start = time.perf_counter_ns()
+            old_view = service.views.get(old)
+            delta = _diff(
+                [] if old_view is None else old_view.rows(), new_view.rows()
+            )
+            elapsed = time.perf_counter_ns() - start
+            service.subscriptions.rekey(ids, new_view.spec)
+            if delta:
+                service._emit(
+                    tuple(ids), delta, new_spec.relation, new_view.version
+                )
+        self.shared.track(new_view.spec, tenant)
+        self._evict()
+        return {
             "relation": new_spec.relation,
             "strategy": "rebind",
             "entered": len(delta.entered),
@@ -357,40 +319,6 @@ class TenantManager:
             "view": new_view.spec.describe(),
             "elapsed_ns": elapsed,
         }
-        for dropped in self.shared.evict_overflow():
-            self.service._forget_view(dropped)
-        return Migration(
-            summary, old_key, new_view.spec.key, delta, new_view
-        )
-
-    def _move_sub(
-        self,
-        tenant: str,
-        old_key: tuple,
-        new_spec: ViewSpec,
-        sub: _TenantSub,
-    ) -> None:
-        # Callers hold self._lock.
-        self._subs.pop((tenant, old_key), None)
-        sub.spec = new_spec
-        existing = self._subs.get((tenant, new_spec.key))
-        if existing is not None:
-            existing.count += sub.count
-        else:
-            self._subs[(tenant, new_spec.key)] = sub
-
-    def rebind_key(self, old_key: tuple, new_spec: ViewSpec) -> None:
-        """Follow an externally revised view (the server's ``revise`` op):
-        every tenant's pins and subscription records move to the new key."""
-        if old_key == new_spec.key:
-            return
-        with self._lock:
-            self.shared.rekey(old_key, new_spec)
-            for (tenant, key) in [
-                k for k in self._subs if k[1] == old_key
-            ]:
-                sub = self._subs[(tenant, key)]
-                self._move_sub(tenant, old_key, new_spec, sub)
 
     # -- wire helpers -----------------------------------------------------
 
@@ -411,16 +339,19 @@ class TenantManager:
     # -- introspection ----------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        with self._lock:
-            subscriptions = sum(s.count for s in self._subs.values())
+        counts = Counter(
+            s.tenant for s in self.service.subscriptions.records()
+        )
         return {
             "profiles": len(self.profiles),
-            "subscriptions": subscriptions,
+            "subscriptions": sum(
+                n for tenant, n in counts.items() if tenant is not None
+            ),
             "shared_views": self.shared.stats(),
             "quotas": {
                 "max_views_per_tenant": self.max_views_per_tenant,
                 "max_subscriptions_per_tenant":
                     self.max_subscriptions_per_tenant,
             },
-            "tenants": self.metrics.snapshot(),
+            "tenants": self.metrics.snapshot(counts),
         }

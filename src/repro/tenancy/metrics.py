@@ -3,17 +3,19 @@
 One :class:`TenantMetrics` keeps a slot per *recently active* tenant —
 query counts split by answer source (so hit rate is first-class), a
 latency series with the same p50/p95/p99 window as the service-wide
-metrics, live subscription counts, quota denials, and the tenant's
-current profile version.  The slot table is LRU-bounded: when a new
-tenant would exceed ``max_tracked``, the coldest slot folds into an
-``evicted`` aggregate instead of growing without bound — totals stay
-honest, per-tenant detail covers the working set.
+metrics, quota denials, and the tenant's current profile version.  Live
+subscription counts are not recorded here: :meth:`TenantMetrics.snapshot`
+is handed them, read from the service's subscription table.  The slot
+table is LRU-bounded: when a new tenant would exceed ``max_tracked``, the
+coldest slot folds into an ``evicted`` aggregate instead of growing
+without bound — totals stay honest, per-tenant detail covers the working
+set.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any
+from typing import Any, Mapping
 
 from repro.server.metrics import _LatencySeries
 
@@ -21,7 +23,7 @@ from repro.server.metrics import _LatencySeries
 class _TenantSlot:
     __slots__ = (
         "queries", "view_hits", "plan_answers", "composed",
-        "subscriptions", "quota_denials", "profile_version", "latency",
+        "quota_denials", "profile_version", "latency",
     )
 
     def __init__(self) -> None:
@@ -29,12 +31,11 @@ class _TenantSlot:
         self.view_hits = 0
         self.plan_answers = 0
         self.composed = 0
-        self.subscriptions = 0
         self.quota_denials = 0
         self.profile_version = 0
         self.latency = _LatencySeries()
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self, subscriptions: int = 0) -> dict[str, Any]:
         hit_rate = self.view_hits / self.queries if self.queries else 0.0
         return {
             "queries": self.queries,
@@ -42,7 +43,7 @@ class _TenantSlot:
             "plan_answers": self.plan_answers,
             "view_hit_rate": round(hit_rate, 4),
             "composed": self.composed,
-            "subscriptions": self.subscriptions,
+            "subscriptions": subscriptions,
             "quota_denials": self.quota_denials,
             "profile_version": self.profile_version,
             "latency": self.latency.to_dict(),
@@ -95,11 +96,6 @@ class TenantMetrics:
                 slot.composed += 1
             slot.latency.record(elapsed_ns)
 
-    def record_subscription(self, tenant: str, delta: int) -> None:
-        with self._lock:
-            slot = self._slot(tenant)
-            slot.subscriptions = max(0, slot.subscriptions + delta)
-
     def record_quota_denial(self, tenant: str) -> None:
         with self._lock:
             self._slot(tenant).quota_denials += 1
@@ -110,9 +106,20 @@ class TenantMetrics:
 
     # -- introspection ----------------------------------------------------
 
-    def snapshot(self) -> dict[str, Any]:
+    def snapshot(
+        self, subscriptions: Mapping[str | None, int] | None = None
+    ) -> dict[str, Any]:
+        """Every slot rendered, each with its tenant's live subscription
+        count from ``subscriptions`` (a subscribing tenant without a slot
+        yet is shown too)."""
+        held = dict(subscriptions or {})
         with self._lock:
-            tenants = {t: s.to_dict() for t, s in self._slots.items()}
+            tenants = {
+                t: s.to_dict(held.get(t, 0)) for t, s in self._slots.items()
+            }
+            for tenant, count in held.items():
+                if tenant is not None and tenant not in tenants:
+                    tenants[tenant] = _TenantSlot().to_dict(count)
             queries = sum(s.queries for s in self._slots.values())
             hits = sum(s.view_hits for s in self._slots.values())
             queries += self._evicted.queries

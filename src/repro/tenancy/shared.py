@@ -8,11 +8,12 @@ simplifiable prioritized chains — key the *same* spec and hit the same
 :class:`~repro.server.views.ContinuousView`.  10k users with a handful of
 equivalent profile shapes share a handful of maintained windows.
 
-The index tracks, per registry key: which tenant caused the
-materialization (quota attribution), which live subscriptions hold pins
-— tenant and anonymous alike, since they share keys (pinned views are
-never evicted) — and hit/recency counters driving LRU eviction back to
-``capacity``.  Teardown is *resurrection-safe*: an
+The index tracks, per registry key, which tenant caused the
+materialization (quota attribution) and hit/recency counters driving LRU
+eviction back to ``capacity``.  Which views are pinned — held by a live
+subscription, tenant or anonymous alike, since they share keys — it reads
+from the service's :class:`~repro.server.views.SubscriptionTable`;
+pinned views are never evicted.  Teardown is *resurrection-safe*: an
 evicted view simply vanishes from the registry, and the next query for
 its canonical term re-materializes it from the current catalog snapshot —
 a resurrected view can never serve stale rows, because seeding always
@@ -25,7 +26,7 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.server.views import ViewRegistry, ViewSpec
+from repro.server.views import SubscriptionTable, ViewRegistry, ViewSpec
 
 
 class _SharedEntry:
@@ -46,18 +47,19 @@ class SharedViewIndex:
     service's own auto-materialized views stay outside its LRU.
     """
 
-    def __init__(self, registry: ViewRegistry, capacity: int = 256):
+    def __init__(
+        self,
+        registry: ViewRegistry,
+        subscriptions: SubscriptionTable,
+        capacity: int = 256,
+    ):
         if capacity < 1:
             raise ValueError("shared view capacity must be >= 1")
         self.registry = registry
+        self.subscriptions = subscriptions
         self.capacity = capacity
         self._lock = threading.RLock()
         self._entries: dict[tuple, _SharedEntry] = {}
-        #: view key -> holder -> live subscription count (pinned => not
-        #: evictable).  The holder is the tenant, ``None`` for an anonymous
-        #: subscription; pins outlive entries, so a view an anonymous
-        #: subscriber holds stays pinned when a tenant adopts it later.
-        self._pins: dict[tuple, dict[str | None, int]] = {}
         #: tenant -> keys that tenant caused to materialize (quota base)
         self._created: dict[str, set[tuple]] = {}
         self._seq = 0
@@ -102,50 +104,10 @@ class SharedViewIndex:
         self._entries.pop(key, None)
         self._entries[key] = entry
 
-    # -- pinning ----------------------------------------------------------
-
-    def pin(self, spec: ViewSpec, holder: str | None) -> None:
-        """Hold the view against eviction for a live subscription of
-        ``holder`` (a tenant, or ``None`` for an anonymous one).  A tenant
-        pin also adopts the view into the index."""
-        with self._lock:
-            entry = self._entries.get(spec.key)
-            if entry is None and holder is not None:
-                entry = _SharedEntry(spec, holder)
-                self._created.setdefault(holder, set()).add(spec.key)
-            pins = self._pins.setdefault(spec.key, {})
-            pins[holder] = pins.get(holder, 0) + 1
-            if entry is not None:
-                self._touch(spec.key, entry)
-
-    def unpin(self, key: tuple, holder: str | None) -> None:
-        with self._lock:
-            pins = self._pins.get(key)
-            if pins is None:
-                return
-            count = pins.get(holder, 0) - 1
-            if count > 0:
-                pins[holder] = count
-            else:
-                pins.pop(holder, None)
-            if not pins:
-                del self._pins[key]
-
-    def is_sole_pinner(self, key: tuple, tenant: str) -> bool:
-        """True when ``tenant`` holds every pin on ``key`` (so an in-place
-        view revision cannot disturb another subscription)."""
-        with self._lock:
-            return set(self._pins.get(key, ())) == {tenant}
-
     def rekey(self, old_key: tuple, new_spec: ViewSpec) -> None:
         """Follow an in-place view revision: the entry (counters, creation
-        attribution) and the pins move to the revised spec's key."""
+        attribution) moves to the revised spec's key."""
         with self._lock:
-            pins = self._pins.pop(old_key, None)
-            if pins is not None:
-                merged = self._pins.setdefault(new_spec.key, {})
-                for holder, count in pins.items():
-                    merged[holder] = merged.get(holder, 0) + count
             entry = self._entries.pop(old_key, None)
             if entry is None:
                 return
@@ -166,16 +128,19 @@ class SharedViewIndex:
         records).  Pinned views are *never* evicted — one tenant filling
         the index can therefore not tear down another tenant's
         subscription — so an index full of pins may transiently exceed
-        capacity rather than break someone's live stream.
+        capacity rather than break someone's live stream.  Callers hold
+        the service's mutation lock, where subscriptions are added, so
+        the pins read here cannot miss one joining a view.
         """
         dropped: list[ViewSpec] = []
         with self._lock:
             if len(self._entries) <= self.capacity:
                 return dropped
+            pinned = self.subscriptions.keys()
             for key in list(self._entries):  # iteration order = LRU order
                 if len(self._entries) <= self.capacity:
                     break
-                if key in self._pins:
+                if key in pinned:
                     continue
                 entry = self._entries.pop(key)
                 for keys in self._created.values():
@@ -185,23 +150,17 @@ class SharedViewIndex:
                 dropped.append(entry.spec)
         return dropped
 
-    def forget(self, key: tuple) -> None:
-        """Remove bookkeeping for a view dropped outside the LRU path."""
-        with self._lock:
-            self._entries.pop(key, None)
-            for keys in self._created.values():
-                keys.discard(key)
-
     # -- introspection ----------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
+        pinned = self.subscriptions.keys()
         with self._lock:
             hits = sum(e.hits for e in self._entries.values())
             misses = sum(e.misses for e in self._entries.values())
             return {
                 "entries": len(self._entries),
                 "capacity": self.capacity,
-                "pinned": sum(1 for key in self._entries if key in self._pins),
+                "pinned": sum(1 for key in self._entries if key in pinned),
                 "hits": hits,
                 "misses": misses,
                 "evictions": self.evictions,

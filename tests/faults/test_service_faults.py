@@ -39,7 +39,9 @@ class TestViewPoisoning:
         healthy_view = service.materialize("animal", LOWEST_IR)
         deliveries = []
         service.add_delta_listener(
-            lambda view, delta, event: deliveries.append((view, delta))
+            lambda ids, delta, relation, version: deliveries.append(
+                (ids, delta)
+            )
         )
         with FaultPlan([FaultRule("view.refresh", times=1)]):
             # First refresh in the sweep dies; the sweep continues.

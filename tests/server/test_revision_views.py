@@ -108,7 +108,7 @@ def test_interleaved_revisions_from_arbitrary_base(pref, steps):
 @given(st.lists(revision_step_st, min_size=1, max_size=20))
 @settings(max_examples=25)
 def test_service_revision_stream_reconciles(steps):
-    """Service-level: the union of listener data deltas and revise()'s
+    """Service-level: the one listener stream of data deltas and
     revision deltas replays the subscriber's view exactly."""
     first = {"a": 0, "b": 0, "c": 0}
     service = PreferenceService({"r": [first]}, auto_view_threshold=None)
@@ -118,7 +118,7 @@ def test_service_revision_stream_reconciles(steps):
         mirror = [_items(r) for r in view.rows()]
         stream: list = []
         service.add_delta_listener(
-            lambda v, delta, event: stream.append(delta)
+            lambda ids, delta, relation, version: stream.append(delta)
         )
         survivors: list[dict] = [dict(first)]
         stack = [pref]
@@ -133,15 +133,13 @@ def test_service_revision_stream_reconciles(steps):
                 service.delete("r", rows=[victim])
             elif kind == "refine":
                 refined = PrioritizedPreference((stack[-1], payload))
-                answer = service.revise("r", stack[-1], refined)
+                service.revise("r", stack[-1], refined)
                 stack.append(refined)
-                stream.append(answer.delta)
             else:
                 if len(stack) == 1:
                     continue
                 old = stack.pop()
-                answer = service.revise("r", old, stack[-1])
-                stream.append(answer.delta)
+                service.revise("r", old, stack[-1])
             # Replay the delta stream over the mirror: it must land on
             # the live view's rows at every step.
             for delta in stream:

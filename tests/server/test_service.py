@@ -238,16 +238,17 @@ class TestMutations:
 
     def test_delta_listener_sees_view_changes(self, service):
         events = []
-        service.materialize("animal", PARETO_SPEC)
+        view = service.materialize("animal", PARETO_SPEC)
         service.add_delta_listener(
-            lambda view, delta, event: events.append((view, delta, event))
+            lambda *args: events.append(args)
         )
         service.insert("animal", [{"name": "turtle", "fe": 100, "ir": 10}])
         assert len(events) == 1
-        view, delta, event = events[0]
+        recipients, delta, relation, version = events[0]
+        assert recipients == ()  # the view has no subscription
         assert delta.entered == ({"name": "turtle", "fe": 100, "ir": 10},)
         assert len(delta.exited) == 2
-        assert event.version == view.version
+        assert relation == "animal" and version == view.version
 
 
 class TestIntrospection:

@@ -15,7 +15,8 @@ layer protects:
    heals the stream;
 4. **slow subscriber** — a subscriber that stops reading is
    disconnected at the write-buffer cap (counted as shed) without
-   stalling the mutator;
+   stalling the mutator, or a client revising the stalled subscriber's
+   view;
 5. **SIGKILL during checkpoint** — the server dies mid-checkpoint (a
    fault-plan delay holds it inside the critical section); the restart
    recovers the exact pre-kill state and live deltas resume.
@@ -181,28 +182,49 @@ def scenario_refresh_poison() -> str:
 
 
 def scenario_slow_subscriber() -> str:
-    """A non-draining subscriber is shed; the mutator never stalls."""
-    service = PreferenceService({"item": [{"price": 100.0, "pad": ""}]})
+    """A non-draining subscriber is shed; neither a mutator nor a client
+    revising its view ever stalls on it."""
+    lowest = {"type": "lowest", "attribute": "price"}
+    highest = {"type": "highest", "attribute": "price"}
+    blob = "z" * (512 * 1024)
+    service = PreferenceService({"item": [
+        {"price": 100.0 + i, "pad": blob} for i in range(4)
+    ]})
     handle = run_in_thread(service, write_buffer_cap=64 * 1024)
     try:
+        # Revisions first: each pushes two padded rows to the stalled
+        # subscriber, which must be shed while the reviser is answered.
+        with PreferenceClient(port=handle.port) as subscriber, \
+                PreferenceClient(port=handle.port, timeout=5) as reviser:
+            subscriber.subscribe("item", prefer=lowest)
+            terms = [lowest, highest]
+            shed = {}
+            for r in range(16):
+                reviser.revise(
+                    "item", prefer=terms[r % 2], to=terms[(r + 1) % 2]
+                )
+                shed = reviser.metrics()["shed"]
+                if shed.get("slow_subscriber"):
+                    break
+            assert shed.get("slow_subscriber", 0) >= 1, shed
+            if r % 2 == 0:  # leave the view at LOWEST for the inserts
+                reviser.revise("item", prefer=highest, to=lowest)
         with PreferenceClient(port=handle.port) as subscriber, \
                 PreferenceClient(port=handle.port) as mutator:
-            subscriber.subscribe(
-                "item", prefer={"type": "lowest", "attribute": "price"}
-            )
-            blob = "z" * (512 * 1024)
+            subscriber.subscribe("item", prefer=lowest)
             start = time.monotonic()
             shed = {}
             for i in range(40):
                 mutator.insert("item", [{"price": 99.0 - i, "pad": blob}])
                 shed = mutator.metrics()["shed"]
-                if shed.get("slow_subscriber"):
+                if shed.get("slow_subscriber", 0) >= 2:
                     break
             elapsed = time.monotonic() - start
-            assert shed.get("slow_subscriber", 0) >= 1, shed
+            assert shed.get("slow_subscriber", 0) >= 2, shed
             assert mutator.ping()["pong"] is True
-        return (f"subscriber shed after {i + 1} pushes in {elapsed:.2f}s; "
-                f"mutator unaffected")
+        return (f"subscriber shed after {r + 1} revisions, and after "
+                f"{i + 1} pushes in {elapsed:.2f}s; reviser and mutator "
+                "unaffected")
     finally:
         handle.stop()
         service.close()

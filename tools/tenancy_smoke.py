@@ -16,6 +16,9 @@ revisions (live view migration), and subscriptions.  Asserts:
 * tenant isolation: one tenant's revisions and deletions never change
   another tenant's answers, and migration deltas only reach the
   revising tenant's subscriptions,
+* nothing outlives its connection: once every client has disconnected,
+  ``subscriptions``, ``tenancy.subscriptions``, ``shared_views.pinned``
+  and every tenant slot's ``subscriptions`` read 0,
 * clean profile recovery: after SIGKILL (no shutdown hooks) and a
   restart from the same data directory, every sampled tenant's profile
   version and query answer are exactly the pre-kill state.
@@ -95,6 +98,34 @@ def shape_variants(i: int) -> list[dict]:
         {"type": "pareto", "children": [hi_hp, around]},
         {"type": "pareto", "children": [around, hi_hp, around]},
     ]
+
+
+def subscription_counts(metrics: dict) -> dict[str, int]:
+    """Every subscription count `/metrics` reports, by name."""
+    tenancy = metrics["tenancy"]
+    counts = {
+        "subscriptions": metrics["subscriptions"],
+        "tenancy.subscriptions": tenancy["subscriptions"],
+        "shared_views.pinned": tenancy["shared_views"]["pinned"],
+    }
+    for tenant, slot in tenancy["tenants"]["tenants"].items():
+        counts[f"tenants.{tenant}.subscriptions"] = slot["subscriptions"]
+    return counts
+
+
+def await_released(port: int, timeout: float = 10.0) -> dict[str, int]:
+    """Poll until the server has processed every disconnect; returns
+    the counts still non-zero (empty: all released)."""
+    from repro.server.client import PreferenceClient
+
+    deadline = time.monotonic() + timeout
+    with PreferenceClient(port=port, timeout=60) as client:
+        while True:
+            counts = subscription_counts(client.metrics())
+            held = {name: n for name, n in counts.items() if n}
+            if not held or time.monotonic() > deadline:
+                return held
+            time.sleep(0.05)
 
 
 def main() -> int:
@@ -216,6 +247,11 @@ def main() -> int:
                     failures.append(f"anonymous subscriber delta: {delta}")
             except Exception as exc:  # a silenced stream times out
                 failures.append(f"anonymous subscriber silenced: {exc}")
+
+        # -- every client has disconnected: nothing is held any more ----
+        held = await_released(port)
+        if held:
+            failures.append(f"subscriptions outlived their clients: {held}")
 
         # -- record, SIGKILL, restart, verify recovery -------------------
         with PreferenceClient(port=port, timeout=60) as client:
