@@ -113,20 +113,11 @@ def test_contraction_restarts_from_frontier(cars_50k):
     assert _canon(state.result()) == _canon(fresh.rows())
 
 
-def test_served_view_revision_beats_replanning(cars_50k):
-    """Service-level: revising a materialized continuous view in place
-    beats re-planning the refined query, and the revised view answers
-    subsequent queries with exactly the fresh plan's rows."""
-    service = PreferenceService({"car": cars_50k.rows()})
+def _served_revision_ns(cars, base_spec, refined_spec):
+    """One served revision of a freshly materialized view, timed; the
+    revised view must then answer with exactly the fresh plan's rows."""
+    service = PreferenceService({"car": cars.rows()})
     try:
-        base_spec = {"type": "lowest", "attribute": "price"}
-        refined_spec = {
-            "type": "prioritized",
-            "children": [
-                base_spec,
-                {"type": "highest", "attribute": "horsepower"},
-            ],
-        }
         service.materialize("car", base_spec)
         # Constraint mining is cached per catalog version; warm it so the
         # timing below is the revision itself, not one-off statistics.
@@ -135,17 +126,38 @@ def test_served_view_revision_beats_replanning(cars_50k):
         answer = service.revise("car", base_spec, refined_spec)
         elapsed = time.perf_counter_ns() - elapsed
         assert answer.summary["strategy"] == "view"
-        replanned_ns = _median_ns(
-            lambda: optimizer.plan(REFINED, cars_50k).execute(), 3
-        )
-        assert replanned_ns / elapsed >= 10.0, (
-            f"served revision {elapsed}ns vs re-plan {replanned_ns}ns"
-        )
         served = service.query(
             spec={"relation": "car", "prefer": refined_spec}
         )
         assert served.source == "view"
-        fresh = optimizer.plan(REFINED, cars_50k).execute()
+        fresh = optimizer.plan(REFINED, cars).execute()
         assert _canon(served.rows) == _canon(fresh.rows())
+        return elapsed
     finally:
         service.close()
+
+
+def test_served_view_revision_beats_replanning(cars_50k):
+    """Service-level: revising a materialized continuous view in place
+    beats re-planning the refined query, and the revised view answers
+    subsequent queries with exactly the fresh plan's rows.  Both sides
+    are medians of 5, each served revision on a fresh view."""
+    rounds = 5
+    base_spec = {"type": "lowest", "attribute": "price"}
+    refined_spec = {
+        "type": "prioritized",
+        "children": [
+            base_spec,
+            {"type": "highest", "attribute": "horsepower"},
+        ],
+    }
+    served = sorted(
+        _served_revision_ns(cars_50k, base_spec, refined_spec)
+        for _ in range(rounds)
+    )[rounds // 2]
+    replanned_ns = _median_ns(
+        lambda: optimizer.plan(REFINED, cars_50k).execute(), rounds
+    )
+    assert replanned_ns / served >= 10.0, (
+        f"served revision {served}ns vs re-plan {replanned_ns}ns"
+    )

@@ -40,7 +40,7 @@ from typing import Any, Callable, Sequence
 
 from repro.algebra.rewriter import normalize
 from repro.core.preference import Preference, Row
-from repro.engine.columnar import columnar_profile, columnar_winnow
+from repro.engine.columnar import columnar_profile
 from repro.query import rewrite as _rewrite
 from repro.query.algorithms import ALGORITHMS, compatible_sort_key, weak_score
 from repro.query.plan import (
@@ -164,17 +164,20 @@ def winnow_node(
 
 
 def full_winnow(pref: Preference, rows: list[Row]) -> list[Row]:
-    """``sigma[P](rows)`` the way a plan would run it: evaluator by the
-    term's shape.
+    """``sigma[P](rows)`` the way a plan would run it: a prioritization
+    with a chain head as ``split_prio``'s Proposition-11 cascade
+    (:func:`repro.query.rewrite.cascade_stages`), any other term by the
+    evaluator :func:`choose_algorithm` names for its shape.
 
     For callers that re-derive a whole BMO set outside a plan (continuous
     views rebuilding after a delete or a revision), so that one place
     decides how a full winnow runs.  Returns the caller's own row objects,
     in input order.
     """
-    if choose_backend(pref).columnar:
-        return columnar_winnow(pref, rows)
-    return ALGORITHMS[choose_algorithm(pref, "row")](pref, rows)
+    stages = _rewrite.cascade_stages(pref) or ((pref, choose_algorithm(pref)),)
+    for stage, algorithm in stages:
+        rows = ALGORITHMS[algorithm](stage, rows)
+    return rows
 
 
 def _conjuncts(

@@ -26,6 +26,9 @@ from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 from repro.relations.relation import Relation, RelationError, Row
 
+#: One WHERE conjunct: a row predicate and its AST (None: closure only).
+Conjunct = tuple[Callable[[Row], bool], Any]
+
 
 @dataclass(frozen=True)
 class CatalogEvent:
@@ -128,55 +131,66 @@ class Catalog:
             old.schema.validate_row(row)
         # Stored dicts are shared with the old snapshot (never mutated,
         # never handed out); only the new rows were copied, on the way in.
-        new = old._derive([*old._rows, *cooked])
-        self._quiet += 1
-        try:
-            self.register(new, replace=True)
-        finally:
-            self._quiet -= 1
-        key = new.name.lower()
-        self._notify(CatalogEvent(
-            "insert", key, self._versions[key],
-            relation=new, rows=tuple(dict(r) for r in cooked),
-        ))
-        return new
+        return self._swap(
+            "insert", old, [*old._rows, *cooked], [dict(r) for r in cooked],
+            added=cooked,
+        )
 
     def delete_rows(
         self,
         name: str,
         rows: Sequence[Mapping[str, Any]] | None = None,
-        predicate: Callable[[Row], bool] | None = None,
+        predicate: Callable[[Row], bool] | Sequence[Conjunct] | None = None,
     ) -> tuple[Relation, list[Row]]:
         """Delete rows from ``name`` as one versioned mutation.
 
-        Either ``rows`` (bag semantics: each given row removes *one*
-        matching stored row) or ``predicate`` (every matching row goes).
-        Returns ``(new relation, deleted rows)`` — the deleted list is what
-        continuous views need to maintain their windows.  Deleting nothing
-        still bumps the version: the mutation happened, even if vacuous.
+        Either ``rows`` (bag semantics: each given row removes the first
+        equal stored row, in relation order) or ``predicate`` (every
+        matching row goes): a row callable, or ``(predicate, ast)`` WHERE
+        conjuncts as :func:`repro.engine.columnar.select_index` reads
+        them, so a delete picks its rows the way a query does.  The new
+        snapshot's column store starts with the old one's exact arrays,
+        gathered at the kept positions.  Returns ``(new relation, deleted
+        rows)``, in relation order — the deleted list is what continuous
+        views need to maintain their windows.  Deleting nothing still
+        bumps the version: the mutation happened, even if vacuous.
         """
+        from repro.engine.columnar import select_index
+
         if (rows is None) == (predicate is None):
             raise RelationError(
                 "delete_rows() needs exactly one of rows= or predicate="
             )
         old = self.get(name)
-        kept: list[Row] = []
-        deleted: list[Row] = []
-        if predicate is not None:
-            for row in old._rows:
-                (deleted if predicate(row) else kept).append(row)
+        stored = old._rows
+        hits: Sequence[int]
+        if predicate is None:
+            hits = _bag_positions(old, rows or ())
         else:
-            targets = [dict(r) for r in rows or ()]
-            for row in old._rows:
-                for i, target in enumerate(targets):
-                    if row == target:
-                        del targets[i]
-                        deleted.append(row)
-                        break
-                else:
-                    kept.append(row)
-        new = old._derive(kept)
-        deleted = [dict(r) for r in deleted]
+            index = select_index(
+                old, [(predicate, None)] if callable(predicate) else predicate
+            )
+            hits = range(len(stored)) if index is None else index
+        kept: list[Row] = []
+        start = 0
+        for position in hits:  # few: slice around them
+            kept += stored[start:position]
+            start = position + 1
+        kept += stored[start:]
+        deleted = [dict(stored[i]) for i in hits]
+        return self._swap("delete", old, kept, deleted, dropped=hits), deleted
+
+    def _swap(
+        self, op: str, old: Relation, rows: list[Row], changed: list[Row],
+        **carry: Any,
+    ) -> Relation:
+        """Install the snapshot of ``rows`` derived from ``old``, its
+        column store started from ``old``'s (``ColumnStore.derive`` with
+        ``carry``), and notify the observers of the ``changed`` rows only:
+        the inner re-register stays quiet."""
+        new = old._derive(rows)
+        if old._store_cache is not None:
+            new._store_cache = old._store_cache.derive(rows, **carry)
         self._quiet += 1
         try:
             self.register(new, replace=True)
@@ -184,10 +198,9 @@ class Catalog:
             self._quiet -= 1
         key = new.name.lower()
         self._notify(CatalogEvent(
-            "delete", key, self._versions[key],
-            relation=new, rows=tuple(deleted),
+            op, key, self._versions[key], relation=new, rows=tuple(changed),
         ))
-        return new, deleted
+        return new
 
     def get(self, name: str) -> Relation:
         try:
@@ -245,3 +258,33 @@ class Catalog:
 
     def __repr__(self) -> str:
         return f"Catalog({self.names()})"
+
+
+def _bag_positions(
+    relation: Relation, targets: Sequence[Mapping[str, Any]]
+) -> list[int]:
+    """Ascending positions of the rows a bag delete of ``targets`` takes:
+    for each target, the first stored row equal to it and not taken yet.
+    Each target's candidates are the rows :func:`repro.engine.columnar
+    .select_index` keeps under an ``attribute = value`` mask per
+    attribute (every row where there is no exact mask); dict equality
+    decides."""
+    from repro.engine.columnar import select_index
+    from repro.psql.ast import Comparison
+
+    stored = relation._rows
+    taken: set[int] = set()
+    for target in map(dict, targets):
+        index = select_index(relation, [
+            (_anything, Comparison(attribute, "=", value))
+            for attribute, value in target.items()
+        ])
+        for position in range(len(stored)) if index is None else index:
+            if position not in taken and stored[position] == target:
+                taken.add(int(position))
+                break
+    return sorted(taken)
+
+
+def _anything(row: Row) -> bool:
+    return True

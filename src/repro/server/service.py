@@ -892,21 +892,15 @@ class PreferenceService:
         rows: Sequence[Mapping[str, Any]] | None = None,
         where: Any = None,
     ) -> dict[str, Any]:
-        """Delete rows (bag-matched) or by spec-style ``where`` conditions."""
-        predicate: Callable[[Row], bool] | None = None
+        """Delete rows (bag-matched) or by spec-style ``where`` conditions,
+        which select their rows as a query's ``where`` does."""
+        conjuncts = None
         if where is not None:
-            predicates = [
-                translate_where(a) for a in self._where_asts(where)
-            ]
-
-            def conjunction(row: Row) -> bool:
-                return all(p(row) for p in predicates)
-
-            predicate = conjunction
+            conjuncts = [(translate_where(a), a) for a in self._where_asts(where)]
         with self._mutation_lock:
             try:
                 event = self.session.delete_rows(
-                    relation, rows=rows, predicate=predicate
+                    relation, rows=rows, predicate=conjuncts
                 )
             except ServiceError:
                 raise

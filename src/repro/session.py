@@ -38,7 +38,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.query.api import PreferenceQuery
 from repro.query.plan import Plan
-from repro.relations.catalog import Catalog
+from repro.relations.catalog import Catalog, Conjunct
 from repro.relations.relation import Relation, Row
 from repro.storage import CatalogStorage, StorageBackend, open_backend
 
@@ -229,14 +229,16 @@ class Session:
         self,
         name: str,
         rows: Sequence[Mapping[str, Any]] | None = None,
-        predicate: Callable[[Row], bool] | None = None,
+        predicate: Callable[[Row], bool] | Sequence[Conjunct] | None = None,
     ) -> MutationEvent:
         """Delete rows from a catalog relation as one versioned mutation.
 
         Pass ``rows`` (each removes one matching stored row, bag
-        semantics) or ``predicate``.  Same invalidation and hook contract
-        as :meth:`insert_rows`; the event carries the rows actually
-        deleted.
+        semantics) or ``predicate``: a row callable, or ``(predicate,
+        ast)`` WHERE conjuncts, which select their rows as a query's do
+        (:meth:`Catalog.delete_rows <repro.relations.catalog.Catalog
+        .delete_rows>`).  Same invalidation and hook contract as
+        :meth:`insert_rows`; the event carries the rows actually deleted.
         """
         with self.mutation_lock:
             with self._lock:

@@ -4,7 +4,7 @@ the master property — optimized execution equals naive BMO."""
 import pytest
 from hypothesis import given, settings
 
-from tests.conftest import nonempty_rows_st, preference_st
+from tests.conftest import canon_rows, nonempty_rows_st, preference_st
 
 from repro.core.base_nonnumerical import PosPreference
 from repro.core.base_numerical import (
@@ -14,7 +14,16 @@ from repro.core.base_numerical import (
 )
 from repro.core.constructors import dual, pareto, prioritized, rank
 from repro.query.bmo import winnow
-from repro.query.optimizer import choose_algorithm, execute, explain, plan
+from repro.datasets.cars import generate_cars
+from repro.query.algorithms import ALGORITHMS, naive_nested_loop
+from repro.query.optimizer import (
+    choose_algorithm,
+    execute,
+    explain,
+    full_winnow,
+    plan,
+)
+from repro.query.rewrite import cascade_stages
 from repro.query.plan import Cascade, PreferenceSelect, TopK
 from repro.query.quality import QualityCondition
 from repro.relations.relation import Relation
@@ -85,6 +94,27 @@ class TestPlanShapes:
         assert isinstance(p.root, Cascade)
         assert len(p.root.stages) == 2
         assert "split_prio" in p.rewrite_rules()
+
+    def test_full_winnow_runs_the_planned_cascade(self, monkeypatch):
+        """A view rebuild's winnow decides like the planner: the refined
+        churn term ``LOWEST(price) & HIGHEST(year)`` runs as the two argmax
+        stages ``split_prio`` plans, never the row SFS, and keeps the
+        naive nested loop's rows (as a bag, the caller's own dicts)."""
+        pref = prioritized(LowestPreference("price"), HighestPreference("year"))
+        assert [a for _, a in cascade_stages(pref)] == ["sort", "sort"]
+        rows = generate_cars(300, seed=5).rows()
+        rows += [dict(rows[0]), dict(rows[0], year=rows[0]["year"] + 1)]
+        ran = []
+        for name in ("sort", "sfs", "bnl", "vsfs"):
+            real = ALGORITHMS[name]
+            monkeypatch.setitem(
+                ALGORITHMS, name,
+                lambda p, r, real=real, name=name: ran.append(name) or real(p, r),
+            )
+        got = full_winnow(pref, rows)
+        assert ran == ["sort", "sort"]
+        assert all(any(g is r for r in rows) for g in got)
+        assert canon_rows(got) == canon_rows(naive_nested_loop(pref, rows))
 
     def test_no_cascade_without_chain_head(self):
         pref = prioritized(PosPreference("a", {1}), LowestPreference("b"))

@@ -1,9 +1,25 @@
 """Catalog tests."""
 
-import pytest
+import gc
+import math
+import tempfile
+import weakref
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.engine import columns
+from repro.engine.backend import get_numpy
+from repro.engine.columnar import NUMPY_MIN_ROWS
+from repro.engine.columns import ColumnStore
+from repro.psql.ast import Comparison
+from repro.psql.translate import translate_where
 from repro.relations.catalog import Catalog
 from repro.relations.relation import Relation, RelationError
+from repro.relations.schema import Schema
+from repro.server import PreferenceService
+from repro.session import Session
+from repro.storage.binding import WAL_FILE
 
 
 def rel(name: str) -> Relation:
@@ -100,3 +116,278 @@ class TestRowMutations:
             ("delete", 2, ({"x": 1},)), ("delete", 3, ({"x": 3},)),
         ]
         assert recorder.events[-1].relation is new2
+
+
+# -- deletes by index, and the arrays a snapshot inherits --------------------
+
+BIG = 2**53
+INTS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([BIG - 1, BIG + 1, -BIG - 1, 2**63 - 1]),
+)
+FLOATS = st.one_of(
+    st.sampled_from([0.5, -1.5, 2.0, float(BIG), math.inf]),
+    st.builds(float, st.just("nan")),
+)
+WORDS = st.sampled_from(["", "a", "a\x00", "ab", "b"])
+#: Column families; each may also hold None.
+FAMILIES = {
+    "int": INTS,
+    "small": st.integers(-3, 3),
+    "float": FLOATS,
+    "mixed": st.one_of(st.integers(-3, 3), FLOATS),
+    "bool": st.booleans(),
+    "huge": st.one_of(st.booleans(), st.sampled_from([2**63, 2**64 - 1])),
+    "boolint": st.one_of(st.booleans(), st.integers(-1, 3)),
+    "word": WORDS,
+    "wordnul": st.one_of(WORDS, st.just("b\x00")),
+}
+ATTRIBUTES = ("k", "a", "b")
+OPS = ("=", "<>", "<", "<=", ">", ">=")
+#: Sizes on both sides of the leg switch.
+SIZES = (0, 1, 7, NUMPY_MIN_ROWS - 1, NUMPY_MIN_ROWS, 70)
+
+
+@st.composite
+def tables(draw, sizes=st.sampled_from(SIZES)):
+    """Rows of ``k`` (small ints: duplicates, so bags matter) and two
+    hostile columns, each drawn from one family, sometimes with None."""
+    n = draw(sizes)
+    columns = {"k": draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))}
+    for attribute in ATTRIBUTES[1:]:
+        cell = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+        if draw(st.integers(0, 3)) == 0:
+            cell = st.one_of(cell, st.none())
+        columns[attribute] = draw(st.lists(cell, min_size=n, max_size=n))
+    return [{a: columns[a][i] for a in ATTRIBUTES} for i in range(n)]
+
+
+@st.composite
+def wheres(draw, rows):
+    """One or two ``attribute op literal`` conjuncts, the literal often a
+    value the column holds."""
+    out = []
+    for _ in range(draw(st.integers(1, 2))):
+        attribute = draw(st.sampled_from(ATTRIBUTES))
+        held = [row[attribute] for row in rows]
+        literal = draw(st.one_of(
+            *([st.sampled_from(held)] if held else []),
+            INTS, FLOATS, st.booleans(), WORDS,
+        ))
+        out.append(Comparison(attribute, draw(st.sampled_from(OPS)), literal))
+    return out
+
+
+def _positions(relation, stored):
+    """Where each of ``relation``'s stored dicts sat in ``stored``."""
+    at = {id(row): i for i, row in enumerate(stored)}
+    return [at[id(row)] for row in relation._rows]
+
+
+def _bag_reference(rows, targets):
+    """The old bag delete: every stored row, in order, takes the first
+    remaining target equal to it."""
+    targets = [dict(t) for t in targets]
+    hits = []
+    for i, row in enumerate(rows):
+        for j, target in enumerate(targets):
+            if row == target:
+                del targets[j]
+                hits.append(i)
+                break
+    return hits
+
+
+class _Twins:
+    """Two sessions over the same rows, on memory or on SQLite with a
+    write-ahead log each; one deletes by index, the other by closure."""
+
+    def __init__(self, rows, backend, directory):
+        def session(side):
+            relation = Relation("r", Schema(list(ATTRIBUTES)), rows)
+            if backend == "memory":
+                return Session({"r": relation})
+            return Session({"r": relation}, storage="sqlite",
+                           data_dir=f"{directory}/{side}")
+
+        self.index, self.closure = session("index"), session("closure")
+
+    def wal(self, session):
+        return (session.storage.directory / WAL_FILE).read_bytes()
+
+    def close(self):
+        for session in (self.index, self.closure):
+            session.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), backend=st.sampled_from(["memory", "sqlite"]))
+def test_delete_by_index_is_delete_by_closure(data, backend):
+    """``predicate=`` as ``(predicate, ast)`` conjuncts deletes what the
+    conjunction closure deletes: the same rows, the same kept order, the
+    same version and the same event rows (so the same WAL bytes) — twice,
+    so the second delete reads arrays the first snapshot passed on, with
+    an insert and a bag delete in between."""
+    rows = data.draw(tables())
+    with tempfile.TemporaryDirectory() as directory:
+        twins = _Twins(rows, backend, directory)
+        try:
+            for step in range(2):
+                stored = twins.index.catalog.get("r")._rows
+                asts = data.draw(wheres(stored))
+                closures = [translate_where(ast) for ast in asts]
+                expected = [
+                    i for i, row in enumerate(stored)
+                    if all(c(row) for c in closures)
+                ]
+                by_index = twins.index.delete_rows(
+                    "r", predicate=list(zip(closures, asts)))
+                by_closure = twins.closure.delete_rows(
+                    "r", predicate=lambda row: all(c(row) for c in closures))
+                kept = [i for i in range(len(stored)) if i not in expected]
+                assert _positions(by_index.snapshot, stored) == kept
+                assert by_index.deleted == by_closure.deleted
+                assert by_index.deleted == tuple(stored[i] for i in expected)
+                assert by_index.version == by_closure.version
+                if step == 0 and stored:
+                    extra = [dict(data.draw(st.sampled_from(stored)))]
+                    twins.index.insert_rows("r", extra)
+                    twins.closure.insert_rows("r", extra)
+                    stored = twins.index.catalog.get("r")._rows
+                    targets = [
+                        dict(row) for row in data.draw(st.lists(
+                            st.sampled_from(stored), max_size=3))
+                    ]
+                    expected = _bag_reference(stored, targets)
+                    event = twins.index.delete_rows("r", rows=targets)
+                    twins.closure.delete_rows("r", rows=targets)
+                    assert event.deleted == tuple(stored[i] for i in expected)
+                    kept = [i for i in range(len(stored)) if i not in expected]
+                    assert _positions(event.snapshot, stored) == kept
+            if backend == "sqlite":
+                assert twins.wal(twins.index) == twins.wal(twins.closure)
+        finally:
+            twins.close()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bag_delete_takes_the_first_equal_rows(data):
+    """``rows=`` narrows each target by ``=`` masks and confirms by dict
+    equality: each target removes the first equal row still there, in
+    relation order, as the old row-by-target scan did."""
+    rows = data.draw(tables())
+    cat = Catalog({"r": Relation("r", Schema(list(ATTRIBUTES)), rows)})
+    stored = cat.get("r")._rows
+    pool = stored + [{"k": 99, "a": 0, "b": 0}]
+    targets = [dict(t) for t in data.draw(st.lists(st.sampled_from(pool),
+                                                   max_size=4))]
+    expected = _bag_reference(stored, targets)
+    new, deleted = cat.delete_rows("r", rows=targets)
+    assert deleted == [stored[i] for i in expected]
+    assert _positions(new, stored) == [
+        i for i in range(len(stored)) if i not in expected]
+
+
+def _assert_inherited_arrays_are_fresh(relation):
+    """Every array a snapshot's store holds is what a fresh store builds
+    from its rows (dtype and values); absent ones are fine (lazy)."""
+    np = get_numpy()
+    store = relation._store_cache
+    fresh = ColumnStore(relation._rows)
+    for key, column in (store._cache.items() if store else ()):
+        if key[0] != "array" or column is None:
+            continue
+        expected = fresh.array(key[1], np)
+        assert expected is not None, key
+        assert column.dtype == expected.dtype, key
+        same_nan = column.dtype.kind == "f"
+        assert np.array_equal(column, expected, equal_nan=same_nan), key
+
+
+@pytest.mark.skipif(get_numpy() is None, reason="arrays need NumPy")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_inherited_arrays_equal_a_fresh_build(data):
+    """After any insert/delete sequence, each array a snapshot started
+    with equals the fresh :func:`exact_array` of its column, including
+    across dtype moves: bools next to ints, mixed int/float, ints past
+    2**53, widest strings leaving.  Tables are small, so that a delete
+    often takes every value of one type."""
+    few = st.integers(1, 6)
+    rows = data.draw(tables(few))
+    cat = Catalog({"r": Relation("r", Schema(list(ATTRIBUTES)), rows)})
+    for _ in range(data.draw(st.integers(1, 6))):
+        current = cat.get("r")
+        if data.draw(st.booleans()):
+            store = current.column_store()
+            for attribute in ATTRIBUTES:
+                store.array(attribute, get_numpy())
+        action = data.draw(st.sampled_from(["insert", "where", "rows"]))
+        if action == "insert" or not current._rows:
+            extra = data.draw(tables(st.integers(1, 2)))
+            cat.insert_rows("r", extra)
+        elif action == "where":
+            asts = data.draw(wheres(current._rows))
+            cat.delete_rows("r", predicate=[
+                (translate_where(ast), ast) for ast in asts])
+        else:
+            targets = data.draw(st.lists(st.sampled_from(current._rows),
+                                         min_size=1, max_size=3))
+            cat.delete_rows("r", rows=[dict(t) for t in targets])
+        _assert_inherited_arrays_are_fresh(cat.get("r"))
+
+
+def _oid_delete(session, oid):
+    ast = Comparison("oid", "=", oid)
+    return session.delete_rows("t", predicate=[(translate_where(ast), ast)])
+
+
+@pytest.mark.skipif(get_numpy() is None, reason="arrays need NumPy")
+def test_a_warm_key_array_serves_deletes_after_inserts_and_deletes(
+    monkeypatch,
+):
+    """Once a delete has built the ``oid`` array, later snapshots carry it
+    forward: after inserts and deletes, the next delete builds no
+    full-column array."""
+    session = Session({"t": [{"oid": i, "v": i % 7} for i in range(200)]})
+    _oid_delete(session, 3)                     # warms oid
+    full = []
+    real = columns.exact_array
+
+    def spy(values, np):
+        if len(values) == len(session.catalog.get("t")):
+            full.append(len(values))
+        return real(values, np)
+
+    monkeypatch.setattr(columns, "exact_array", spy)
+    for i in range(5):
+        session.insert_rows("t", [{"oid": 1000 + i, "v": 0}])
+        oid = 10 + i
+        assert _oid_delete(session, oid).deleted == ({"oid": oid, "v": oid % 7},)
+    assert _oid_delete(session, 1002).deleted == ({"oid": 1002, "v": 0},)
+    assert full == []
+
+
+@pytest.mark.skipif(get_numpy() is None, reason="arrays need NumPy")
+def test_a_superseded_snapshot_is_collected():
+    """A derived snapshot copies its parent's arrays and keeps no link
+    back, so the old snapshot goes once nothing references it — with
+    its arrays warm and a view maintained over the relation."""
+    service = PreferenceService(
+        {"t": [{"oid": i, "v": i % 7} for i in range(200)]})
+    try:
+        service.materialize("t", {"type": "lowest", "attribute": "v"})
+        old = service.session.catalog.get("t")
+        gone = [weakref.ref(old),
+                weakref.ref(old.column_store().array("oid", get_numpy()))]
+        del old
+        service.insert("t", [{"oid": 500, "v": 0}])
+        service.delete("t", where=[["oid", "=", 0]])
+        service.delete("t", rows=[{"oid": 500, "v": 0}])
+        gc.collect()
+        assert [ref() for ref in gone] == [None, None]
+        current = service.session.catalog.get("t")._store_cache
+        assert ("array", "oid") in current._cache  # carried, not rebuilt
+    finally:
+        service.close()
