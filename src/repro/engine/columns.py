@@ -99,35 +99,6 @@ class ColumnStore:
             lambda: _identity_codes(self.column(attribute), np),
         )
 
-    def derive(
-        self, rows: Sequence[Row], added: Sequence[Row] = (),
-        dropped: Sequence[int] = (),
-    ) -> "ColumnStore":
-        """The store of ``rows``: this store's rows followed by ``added``
-        (an insert), or without the ones at the ascending positions
-        ``dropped`` (a delete).  It starts with this store's exact arrays,
-        extended by :func:`appended_array` or gathered by
-        :func:`kept_array` where those can say what a fresh build would
-        give — new arrays, with no link back, so this store goes with its
-        snapshot.  Value tuples and codes are rebuilt lazily."""
-        with _PUBLISH:
-            built = [
-                (key[1], column) for key, column in self._cache.items()
-                if key[0] == "array" and column is not None
-            ]
-        store = ColumnStore(rows)
-        np = get_numpy()
-        for attribute, column in built:
-            if added:
-                values = [row.get(attribute) for row in added]
-                column = appended_array(column, values, np)
-            else:
-                values = [self.rows[i][attribute] for i in dropped]
-                column = kept_array(column, dropped, values, np)
-            if column is not None:
-                store._cache[("array", attribute)] = column
-        return store
-
     def __len__(self) -> int:
         return self.length
 
@@ -187,55 +158,6 @@ def exact_array(values: Sequence[Any], np: Any) -> Any:
         if all(type(v) is text and not v.endswith(nul) for v in values):
             return arr
     return None
-
-
-def appended_array(column: Any, values: Sequence[Any], np: Any) -> Any:
-    """The :func:`exact_array` ``column`` followed by ``values``, or None
-    unless that is what :func:`exact_array` builds from all the values:
-    the new values are exact and of the column's dtype (its kind, for
-    strings, whose width is the longest value's), and a float column
-    stays below 2**53 on both sides."""
-    tail = exact_array(values, np)
-    if tail is None:
-        return None
-    kind = column.dtype.kind
-    if (tail.dtype.kind != kind) if kind in "SU" else (tail.dtype != column.dtype):
-        return None
-    if kind == "f" and (
-        (np.abs(column) >= _EXACT).any() or (np.abs(tail) >= _EXACT).any()
-    ):
-        return None
-    return np.concatenate((column, tail))
-
-
-def kept_array(
-    column: Any, dropped: Sequence[int], values: Sequence[Any], np: Any
-) -> Any:
-    """The :func:`exact_array` ``column`` without its entries at the
-    ascending positions ``dropped``, which hold ``values``, or None where
-    :func:`exact_array` of the kept values might pick another dtype.
-
-    A subset of an exact column is exact; its dtype moves only when the
-    values that decided it all leave: the last float, the last int beyond
-    0/1 (bools alone make a bool array), a longest string."""
-    if len(dropped) == len(column):
-        return None
-    kept = np.delete(column, dropped)
-    kind = column.dtype.kind
-    if kind == "f":
-        still = not any(isinstance(v, float) for v in values) or bool(
-            (kept != np.trunc(kept)).any()
-        )
-    elif kind == "i":
-        still = all(type(v) is bool for v in values) or bool(
-            ((kept < 0) | (kept > 1)).any()
-        )
-    elif kind in "SU":
-        width = column.dtype.itemsize // (4 if kind == "U" else 1)
-        still = all(len(v) < width for v in values)
-    else:  # a bool array stays one; uint64 and datetimes are rebuilt
-        still = kind == "b"
-    return kept if still else None
 
 
 def exact_literal(column: Any, value: Any) -> bool:

@@ -164,10 +164,9 @@ def winnow_node(
 
 
 def full_winnow(pref: Preference, rows: list[Row]) -> list[Row]:
-    """``sigma[P](rows)`` the way a plan would run it: a prioritization
-    with a chain head as ``split_prio``'s Proposition-11 cascade
-    (:func:`repro.query.rewrite.cascade_stages`), any other term by the
-    evaluator :func:`choose_algorithm` names for its shape.
+    """``sigma[P](rows)`` the way a plan would run it: a chain-headed
+    prioritization as its Proposition-11 cascade (``cascade_stages``),
+    any other term by the evaluator :func:`choose_algorithm` names.
 
     For callers that re-derive a whole BMO set outside a plan (continuous
     views rebuilding after a delete or a revision), so that one place

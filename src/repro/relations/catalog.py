@@ -132,8 +132,7 @@ class Catalog:
         # Stored dicts are shared with the old snapshot (never mutated,
         # never handed out); only the new rows were copied, on the way in.
         return self._swap(
-            "insert", old, [*old._rows, *cooked], [dict(r) for r in cooked],
-            added=cooked,
+            "insert", old, [*old._rows, *cooked], [dict(r) for r in cooked]
         )
 
     def delete_rows(
@@ -145,15 +144,12 @@ class Catalog:
         """Delete rows from ``name`` as one versioned mutation.
 
         Either ``rows`` (bag semantics: each given row removes the first
-        equal stored row, in relation order) or ``predicate`` (every
-        matching row goes): a row callable, or ``(predicate, ast)`` WHERE
-        conjuncts as :func:`repro.engine.columnar.select_index` reads
-        them, so a delete picks its rows the way a query does.  The new
-        snapshot's column store starts with the old one's exact arrays,
-        gathered at the kept positions.  Returns ``(new relation, deleted
-        rows)``, in relation order — the deleted list is what continuous
-        views need to maintain their windows.  Deleting nothing still
-        bumps the version: the mutation happened, even if vacuous.
+        equal stored row) or ``predicate`` (every matching row goes: a row
+        callable, or ``(predicate, ast)`` WHERE conjuncts, which
+        :func:`repro.engine.columnar.select_index` reads as a query's).
+        Returns ``(new relation, deleted rows)`` — the deleted list is what
+        continuous views need to maintain their windows.  Deleting nothing
+        still bumps the version: the mutation happened, even if vacuous.
         """
         from repro.engine.columnar import select_index
 
@@ -165,7 +161,14 @@ class Catalog:
         stored = old._rows
         hits: Sequence[int]
         if predicate is None:
-            hits = _bag_positions(old, rows or ())
+            targets = [dict(r) for r in rows or ()]
+            hits = []
+            for position, row in enumerate(stored):
+                for i, target in enumerate(targets):
+                    if row == target:
+                        del targets[i]
+                        hits.append(position)
+                        break
         else:
             index = select_index(
                 old, [(predicate, None)] if callable(predicate) else predicate
@@ -178,19 +181,15 @@ class Catalog:
             start = position + 1
         kept += stored[start:]
         deleted = [dict(stored[i]) for i in hits]
-        return self._swap("delete", old, kept, deleted, dropped=hits), deleted
+        return self._swap("delete", old, kept, deleted), deleted
 
     def _swap(
-        self, op: str, old: Relation, rows: list[Row], changed: list[Row],
-        **carry: Any,
+        self, op: str, old: Relation, rows: list[Row], changed: list[Row]
     ) -> Relation:
-        """Install the snapshot of ``rows`` derived from ``old``, its
-        column store started from ``old``'s (``ColumnStore.derive`` with
-        ``carry``), and notify the observers of the ``changed`` rows only:
-        the inner re-register stays quiet."""
+        """Install the snapshot of ``rows`` derived from ``old`` and notify
+        the observers of the ``changed`` rows only: the inner re-register
+        stays quiet."""
         new = old._derive(rows)
-        if old._store_cache is not None:
-            new._store_cache = old._store_cache.derive(rows, **carry)
         self._quiet += 1
         try:
             self.register(new, replace=True)
@@ -258,33 +257,3 @@ class Catalog:
 
     def __repr__(self) -> str:
         return f"Catalog({self.names()})"
-
-
-def _bag_positions(
-    relation: Relation, targets: Sequence[Mapping[str, Any]]
-) -> list[int]:
-    """Ascending positions of the rows a bag delete of ``targets`` takes:
-    for each target, the first stored row equal to it and not taken yet.
-    Each target's candidates are the rows :func:`repro.engine.columnar
-    .select_index` keeps under an ``attribute = value`` mask per
-    attribute (every row where there is no exact mask); dict equality
-    decides."""
-    from repro.engine.columnar import select_index
-    from repro.psql.ast import Comparison
-
-    stored = relation._rows
-    taken: set[int] = set()
-    for target in map(dict, targets):
-        index = select_index(relation, [
-            (_anything, Comparison(attribute, "=", value))
-            for attribute, value in target.items()
-        ])
-        for position in range(len(stored)) if index is None else index:
-            if position not in taken and stored[position] == target:
-                taken.add(int(position))
-                break
-    return sorted(taken)
-
-
-def _anything(row: Row) -> bool:
-    return True

@@ -233,11 +233,9 @@ class Session:
     ) -> MutationEvent:
         """Delete rows from a catalog relation as one versioned mutation.
 
-        Pass ``rows`` (each removes one matching stored row, bag
-        semantics) or ``predicate``: a row callable, or ``(predicate,
-        ast)`` WHERE conjuncts, which select their rows as a query's do
-        (:meth:`Catalog.delete_rows <repro.relations.catalog.Catalog
-        .delete_rows>`).  Same invalidation and hook contract as
+        Pass ``rows`` (bag semantics) or ``predicate`` (a row callable or
+        ``(predicate, ast)`` WHERE conjuncts), as ``Catalog.delete_rows``
+        takes them.  Same invalidation and hook contract as
         :meth:`insert_rows`; the event carries the rows actually deleted.
         """
         with self.mutation_lock:

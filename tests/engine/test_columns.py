@@ -9,9 +9,7 @@ from repro.engine.columnar import columnar_winnow
 from repro.engine.columns import (
     ColumnStore,
     encode_axis,
-    appended_array,
     exact_array,
-    kept_array,
     rank_code_vector,
     rank_codes,
 )
@@ -142,61 +140,6 @@ class TestExactness:
         expected = naive_nested_loop(pref, rows)
         assert len(expected) == 60
         assert columnar_winnow(pref, rows) == expected
-
-
-class TestCarriedArrays:
-    """A derived snapshot's array is either exactly what a fresh build of
-    its column gives, dtype included, or left unbuilt (None)."""
-
-    @staticmethod
-    def _fresh_or_none(carried, values):
-        np = engine_backend._numpy
-        fresh = exact_array(values, np)
-        if carried is None:
-            return
-        assert fresh is not None and carried.dtype == fresh.dtype
-        assert np.array_equal(carried, fresh, equal_nan=fresh.dtype.kind == "f")
-
-    @needs_numpy
-    @pytest.mark.parametrize("values, dropped, carried", [
-        ([True, 2], [1], False),          # only bools left: a bool array
-        ([True, 2, 3], [1], True),
-        ([True, 2], [0], True),           # a bool leaves an int array int
-        ([1.5, 2], [0], False),           # the last float leaves
-        ([1.5, 2.5, 2], [0], True),
-        ([1.5, float("nan"), 2], [0], True),
-        ([2**63, 2**63 + 1, True], [0], False),  # uint64: rebuilt
-        (["ab", "a"], [0], False),        # the widest string leaves
-        (["ab", "a", "b"], [2], True),
-        ([3, 1], [0, 1], False),          # nothing kept
-        ([3, 1], [], True),
-    ])
-    def test_kept_array(self, values, dropped, carried):
-        np = engine_backend._numpy
-        out = kept_array(
-            exact_array(values, np), dropped, [values[i] for i in dropped], np
-        )
-        assert (out is not None) == carried
-        self._fresh_or_none(
-            out, [v for i, v in enumerate(values) if i not in dropped]
-        )
-
-    @needs_numpy
-    @pytest.mark.parametrize("values, added, carried", [
-        ([1, 2], [3], True),
-        (["ab", "a"], ["abc"], True),     # widened to the longest
-        ([1, 2], [True], False),          # another dtype: rebuilt lazily
-        ([1.5, 2], [2**60], False),
-        ([1.5, 2], [2.5], True),
-        ([1.5, 2], [1e300], False),       # past 2**53 beside an int
-        ([1, 2], [None], False),
-        (["a"], ["a\x00"], False),
-    ])
-    def test_appended_array(self, values, added, carried):
-        np = engine_backend._numpy
-        out = appended_array(exact_array(values, np), added, np)
-        assert (out is not None) == carried
-        self._fresh_or_none(out, values + added)
 
 
 class TestRankCodes:

@@ -8,10 +8,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import columns
 from repro.engine.backend import get_numpy
 from repro.engine.columnar import NUMPY_MIN_ROWS
-from repro.engine.columns import ColumnStore
 from repro.psql.ast import Comparison
 from repro.psql.translate import translate_where
 from repro.relations.catalog import Catalog
@@ -185,17 +183,15 @@ def _positions(relation, stored):
 
 
 def _bag_reference(rows, targets):
-    """The old bag delete: every stored row, in order, takes the first
-    remaining target equal to it."""
-    targets = [dict(t) for t in targets]
-    hits = []
-    for i, row in enumerate(rows):
-        for j, target in enumerate(targets):
-            if row == target:
-                del targets[j]
-                hits.append(i)
+    """Positions a bag delete takes: each target in turn takes the first
+    equal row not taken yet."""
+    taken = []
+    for target in targets:
+        for i, row in enumerate(rows):
+            if i not in taken and row == target:
+                taken.append(i)
                 break
-    return hits
+    return sorted(taken)
 
 
 class _Twins:
@@ -226,8 +222,7 @@ def test_delete_by_index_is_delete_by_closure(data, backend):
     """``predicate=`` as ``(predicate, ast)`` conjuncts deletes what the
     conjunction closure deletes: the same rows, the same kept order, the
     same version and the same event rows (so the same WAL bytes) — twice,
-    so the second delete reads arrays the first snapshot passed on, with
-    an insert and a bag delete in between."""
+    with an insert and a bag delete in between."""
     rows = data.draw(tables())
     with tempfile.TemporaryDirectory() as directory:
         twins = _Twins(rows, backend, directory)
@@ -273,9 +268,8 @@ def test_delete_by_index_is_delete_by_closure(data, backend):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_bag_delete_takes_the_first_equal_rows(data):
-    """``rows=`` narrows each target by ``=`` masks and confirms by dict
-    equality: each target removes the first equal row still there, in
-    relation order, as the old row-by-target scan did."""
+    """``rows=`` removes, for each target, the first equal row still
+    there, and keeps the others in relation order."""
     rows = data.draw(tables())
     cat = Catalog({"r": Relation("r", Schema(list(ATTRIBUTES)), rows)})
     stored = cat.get("r")._rows
@@ -289,91 +283,11 @@ def test_bag_delete_takes_the_first_equal_rows(data):
         i for i in range(len(stored)) if i not in expected]
 
 
-def _assert_inherited_arrays_are_fresh(relation):
-    """Every array a snapshot's store holds is what a fresh store builds
-    from its rows (dtype and values); absent ones are fine (lazy)."""
-    np = get_numpy()
-    store = relation._store_cache
-    fresh = ColumnStore(relation._rows)
-    for key, column in (store._cache.items() if store else ()):
-        if key[0] != "array" or column is None:
-            continue
-        expected = fresh.array(key[1], np)
-        assert expected is not None, key
-        assert column.dtype == expected.dtype, key
-        same_nan = column.dtype.kind == "f"
-        assert np.array_equal(column, expected, equal_nan=same_nan), key
-
-
-@pytest.mark.skipif(get_numpy() is None, reason="arrays need NumPy")
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_inherited_arrays_equal_a_fresh_build(data):
-    """After any insert/delete sequence, each array a snapshot started
-    with equals the fresh :func:`exact_array` of its column, including
-    across dtype moves: bools next to ints, mixed int/float, ints past
-    2**53, widest strings leaving.  Tables are small, so that a delete
-    often takes every value of one type."""
-    few = st.integers(1, 6)
-    rows = data.draw(tables(few))
-    cat = Catalog({"r": Relation("r", Schema(list(ATTRIBUTES)), rows)})
-    for _ in range(data.draw(st.integers(1, 6))):
-        current = cat.get("r")
-        if data.draw(st.booleans()):
-            store = current.column_store()
-            for attribute in ATTRIBUTES:
-                store.array(attribute, get_numpy())
-        action = data.draw(st.sampled_from(["insert", "where", "rows"]))
-        if action == "insert" or not current._rows:
-            extra = data.draw(tables(st.integers(1, 2)))
-            cat.insert_rows("r", extra)
-        elif action == "where":
-            asts = data.draw(wheres(current._rows))
-            cat.delete_rows("r", predicate=[
-                (translate_where(ast), ast) for ast in asts])
-        else:
-            targets = data.draw(st.lists(st.sampled_from(current._rows),
-                                         min_size=1, max_size=3))
-            cat.delete_rows("r", rows=[dict(t) for t in targets])
-        _assert_inherited_arrays_are_fresh(cat.get("r"))
-
-
-def _oid_delete(session, oid):
-    ast = Comparison("oid", "=", oid)
-    return session.delete_rows("t", predicate=[(translate_where(ast), ast)])
-
-
-@pytest.mark.skipif(get_numpy() is None, reason="arrays need NumPy")
-def test_a_warm_key_array_serves_deletes_after_inserts_and_deletes(
-    monkeypatch,
-):
-    """Once a delete has built the ``oid`` array, later snapshots carry it
-    forward: after inserts and deletes, the next delete builds no
-    full-column array."""
-    session = Session({"t": [{"oid": i, "v": i % 7} for i in range(200)]})
-    _oid_delete(session, 3)                     # warms oid
-    full = []
-    real = columns.exact_array
-
-    def spy(values, np):
-        if len(values) == len(session.catalog.get("t")):
-            full.append(len(values))
-        return real(values, np)
-
-    monkeypatch.setattr(columns, "exact_array", spy)
-    for i in range(5):
-        session.insert_rows("t", [{"oid": 1000 + i, "v": 0}])
-        oid = 10 + i
-        assert _oid_delete(session, oid).deleted == ({"oid": oid, "v": oid % 7},)
-    assert _oid_delete(session, 1002).deleted == ({"oid": 1002, "v": 0},)
-    assert full == []
-
-
 @pytest.mark.skipif(get_numpy() is None, reason="arrays need NumPy")
 def test_a_superseded_snapshot_is_collected():
-    """A derived snapshot copies its parent's arrays and keeps no link
-    back, so the old snapshot goes once nothing references it — with
-    its arrays warm and a view maintained over the relation."""
+    """Nothing keeps a superseded snapshot alive — not its successors,
+    not a view maintained over the relation — so the old snapshot and its
+    warm arrays go once nothing else references them."""
     service = PreferenceService(
         {"t": [{"oid": i, "v": i % 7} for i in range(200)]})
     try:
@@ -387,7 +301,5 @@ def test_a_superseded_snapshot_is_collected():
         service.delete("t", rows=[{"oid": 500, "v": 0}])
         gc.collect()
         assert [ref() for ref in gone] == [None, None]
-        current = service.session.catalog.get("t")._store_cache
-        assert ("array", "oid") in current._cache  # carried, not rebuilt
     finally:
         service.close()
