@@ -31,17 +31,23 @@ group in grouped winnows, with NumPy or without.  The pipeline for
    identity codes and scores only the distinct values present
    (:func:`~repro.engine.columns.weak_codes`), and a keyed or composite
    chain encodes what its key makes of the gathered values.
-4. **Deduplicate** — distinct projections over ``P``'s attributes, with
-   the inverse needed to fan maximal projections back out to tuples (BMO
-   keeps every tuple whose projection is maximal) — and run the SFS
-   kernel, or the 2-d sweep for two code axes, of
-   :mod:`repro.engine.vectorized`.  Dict rows are gathered for the
-   survivors only.
+4. **Eliminate, deduplicate, sweep** — rows with a NaN-like chain value
+   are set aside as maximal; on the NumPy leg, from
+   :data:`PIVOT_MIN_ROWS` rows, every row that one of two pivot rows
+   strictly dominates is dropped
+   (:func:`~repro.engine.vectorized.pivot_filter`): a few percent of the
+   rows survive on independent and correlated inputs, most of them on
+   anti-correlated ones.  The rest is reduced to distinct
+   projections over ``P``'s attributes, with the inverse needed to fan
+   maximal projections back out to tuples (BMO keeps every tuple whose
+   projection is maximal), and the SFS kernel, or the 2-d sweep for two
+   code axes, of :mod:`repro.engine.vectorized` runs on those.  Dict rows
+   are gathered for the survivors only.
 
-Every stage has a NumPy leg and a pure-Python leg with identical results,
-picked from NumPy's presence and the input size (:data:`NUMPY_MIN_ROWS`):
-the relation's size for selection and cached codes, the index's for the
-kernel.
+Every stage but the pivot filter has a NumPy leg and a pure-Python leg
+with identical results, picked from NumPy's presence and the input size
+(:data:`NUMPY_MIN_ROWS`): the relation's size for selection and cached
+codes, the index's for the kernel.
 
 A bare weak order — HIGHEST, LOWEST, ``ChainPreference``, the SCORE family
 and the layered POS / NEG / POS-NEG / POS-POS, and their duals — takes a
@@ -70,6 +76,7 @@ from repro.engine.columns import ColumnStore, encode_axis, take, weak_codes
 from repro.engine.vectorized import (
     DEFAULT_BLOCK,
     KERNELS,
+    pivot_filter,
     skyline_2d,
     skyline_sfs,
 )
@@ -88,6 +95,11 @@ Row = dict[str, Any]
 #: up front, the interpreted leg pays per row.  Measured crossing: ~48 rows
 #: for 3-5 code axes, ~80 for two (docs/performance.md, "The leg switch").
 NUMPY_MIN_ROWS = 48
+
+#: Inputs with fewer rows reach the skyline kernel without
+#: :func:`~repro.engine.vectorized.pivot_filter`: below it the filter's
+#: fixed cost is not repaid (docs/performance.md, "Pivot elimination").
+PIVOT_MIN_ROWS = 1000
 
 
 class NotColumnarError(ValueError):
@@ -431,8 +443,10 @@ def _skyline_rows(
     (the unit BMO reasons about) are exactly the distinct code vectors,
     and fan-out back to duplicate-carrying tuples is a lookup through the
     dedup inverse.  On the NumPy leg (``np`` is the module) the dedup is
-    one ``np.unique`` over a packed identity key; the interpreted leg
-    (``np`` is None) uses one dict pass.
+    one ``np.unique`` over a packed identity key, of the rows that
+    :func:`~repro.engine.vectorized.pivot_filter` keeps once there are
+    :data:`PIVOT_MIN_ROWS` of them; the interpreted leg (``np`` is None)
+    uses one dict pass over every row.
     """
     # Two code axes take the O(n log n) sweep: same results, and immune
     # to the O(n * skyline) blow-up the pairwise kernel hits on
@@ -453,15 +467,22 @@ def _skyline_rows(
         positions = (
             np.arange(store.length) if index is None else np.asarray(index)
         )
+        # ``live``: the rows that reach the kernel (None: all of them).
+        live = None
         if incomparable is not None:
             # NaN-like rows bypass the kernel: unconditionally maximal,
             # never dominating (their code entries are junk).
             bad = np.asarray(incomparable, dtype=bool)
-            clean = np.flatnonzero(~bad)
-            if not len(clean):
+            live = np.flatnonzero(~bad)
+            if not len(live):
                 return positions.tolist()
-            encoded = [codes[clean] for codes in encoded]
-            identities = [identity[clean] for identity in identities]
+            encoded = [codes[live] for codes in encoded]
+        if len(encoded[0]) >= PIVOT_MIN_ROWS:
+            undominated = pivot_filter(np, encoded)
+            encoded = [codes[undominated] for codes in encoded]
+            live = undominated if live is None else live[undominated]
+        if live is not None:
+            identities = [identity[live] for identity in identities]
         _, first, inverse = np.unique(
             _packed_key(np, identities),
             return_index=True, return_inverse=True,
@@ -470,8 +491,10 @@ def _skyline_rows(
         kept = np.zeros(len(first), dtype=bool)
         kept[run_kernel(distinct)] = True
         hits = np.flatnonzero(kept[inverse.reshape(-1)])
+        if live is not None:
+            hits = live[hits]
         if incomparable is not None:
-            hits = np.sort(np.concatenate([clean[hits], np.flatnonzero(bad)]))
+            hits = np.sort(np.concatenate([hits, np.flatnonzero(bad)]))
         return positions[hits].tolist()
 
     vectors = list(zip(*encoded))

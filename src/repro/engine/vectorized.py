@@ -29,6 +29,12 @@ and a pure-Python leg that return the same indices:
   dominated by a window victim is dominated by the window too).
 * :func:`skyline_2d` — the O(n log n) sweep for two code axes.
 
+In front of both, on the NumPy leg and before deduplication,
+:func:`pivot_filter` drops every row that one of two pivot rows strictly
+dominates (LESS's elimination filter with SaLSa's stop point as the
+second pivot); its rows need not be distinct.  Only what survives is
+deduplicated, presorted and swept.
+
 Which leg runs is the ``np`` argument: the NumPy module, ``None`` for pure
 Python, or (the default) whatever :func:`~repro.engine.backend.get_numpy`
 says at the call.  :func:`repro.engine.columnar.columnar_winnow` decides
@@ -146,7 +152,8 @@ def _sfs_numpy(
     n = len(m)
     if n == 0:
         return []
-    order = np.argsort(-m.sum(axis=1), kind="stable")
+    # Dominance strictly increases the sum, so the order among ties is free.
+    order = np.argsort(-m.sum(axis=1))
     s = m[order]
     window = np.empty((0, m.shape[1]), dtype=np.int64)
     kept: list[Any] = []
@@ -240,6 +247,58 @@ def _sweep_2d_python(matrix: Matrix, ordered: bool = True) -> list[int]:
         while position < n and matrix[order[position]][0] == group0:
             position += 1
     return sorted(kept) if ordered else kept
+
+
+# -- pivot elimination --------------------------------------------------------------
+
+
+def pivot_filter(np: Any, codes: Sequence[Any]) -> Any:
+    """Ascending positions of the rows that no pivot dominates.
+
+    ``codes`` holds one "bigger is better" int64 code vector per axis,
+    *with* duplicate rows: this runs before deduplication, so rows need
+    not be distinct.  Two pivots are taken — the row with the largest sum
+    of per-axis min-max-normalized codes (the presort's "entropy" key of
+    Chomicki et al.) and the row with the largest normalized *minimum*
+    coordinate (SaLSa's stop point) — and every row that is ``<=`` a
+    pivot on every axis and ``!=`` it somewhere is dropped (LESS's
+    elimination filter, without its sort).
+
+    Sound because the encoding is injective per arm (see the module
+    docstring): "``>=`` everywhere, ``!=`` somewhere" between code
+    vectors is strict Pareto dominance of the projections.  Dominance is
+    a strict partial order, so a dropped row is never maximal, and every
+    kept row dominated by a dropped one is dominated by that row's pivot
+    too: the maximal rows of the survivors are the maximal rows of the
+    input.  Rows equal to a pivot survive with it, as its duplicates.
+    Which rows serve as pivots decides only how many rows go, never the
+    answer.
+
+    NumPy only: the interpreted SFS leg already meets the largest-sum row
+    first, and a Python pass over every row costs more than it saves.
+    """
+    total = low = None
+    for c in codes:
+        lo, hi = c.min(), c.max()
+        if lo == hi:
+            continue  # a constant axis separates nothing
+        x = (c - lo) * (1.0 / (hi - lo))
+        total = x if total is None else total + x
+        low = x if low is None else np.minimum(low, x)
+    if total is None:
+        return np.arange(len(codes[0]))  # every row has the same codes
+    # Among rows <= a pivot everywhere, equality is an equal code sum.
+    # Never in place: a code vector may be a column store's cached array.
+    sums = codes[0]
+    for c in codes[1:]:
+        sums = sums + c
+    dropped = None
+    for p in {int(total.argmax()), int(low.argmax())}:
+        below = sums < sums[p]
+        for c in codes:
+            below &= c <= c[p]
+        dropped = below if dropped is None else dropped | below
+    return np.flatnonzero(~dropped)
 
 
 #: Kernel registry keyed by the planner's strategy names.

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.constructors import ParetoPreference
-from repro.core.graph import BetterThanGraph
 from repro.core.preference import Preference, Row
 from repro.query.bmo import winnow
+from repro.query.optimizer import choose_algorithm
 from repro.relations.relation import Relation
 
 
@@ -74,16 +74,18 @@ def _regret_levels(pref: Preference, rows: list[Row]) -> dict[tuple, int]:
     """Level of each row in the party's better-than graph, minus one.
 
     Level 1 (personal optimum among the candidates) means regret 0.
+    Definition 2's level is 1 + the longest path to a maximum, which is
+    the round of iterated BMO that takes the row: round 1 is the winnow,
+    each next round the winnow of what the earlier rounds left.
     """
-    node_attrs = tuple(sorted({k for r in rows for k in r}))
-    graph = BetterThanGraph(pref, rows, node_attributes=node_attrs)
-    levels = graph.levels()
-    out = {}
-    for row in rows:
-        node = tuple(row[a] for a in node_attrs)
-        if len(node_attrs) == 1:
-            node = node[0]
-        out[_row_key(row)] = levels[node] - 1
+    algorithm = choose_algorithm(pref)
+    out: dict[tuple, int] = {}
+    remaining, regret = rows, 0
+    while remaining:
+        stratum = {_row_key(r) for r in winnow(pref, remaining, algorithm)}
+        out.update(dict.fromkeys(stratum, regret))
+        remaining = [r for r in remaining if _row_key(r) not in stratum]
+        regret += 1
     return out
 
 
@@ -102,13 +104,13 @@ def negotiate(
     # The outcome hands rows to the caller: work on copies throughout.
     rows = data.rows() if isinstance(data, Relation) else [dict(r) for r in data]
 
-    solo = [winnow(p, rows) for p in party_preferences]
+    solo = [winnow(p, rows, choose_algorithm(p)) for p in party_preferences]
     solo_keys = [{_row_key(r) for r in s} for s in solo]
     common = set.intersection(*solo_keys)
     immediate = [r for r in rows if _row_key(r) in common]
 
     joint = ParetoPreference(tuple(party_preferences))
-    frontier_rows = winnow(joint, rows)
+    frontier_rows = winnow(joint, rows, choose_algorithm(joint))
     regret_maps = [_regret_levels(p, rows) for p in party_preferences]
     frontier = [
         Candidate(

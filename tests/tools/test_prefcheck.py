@@ -157,6 +157,21 @@ class TestBareExcept:
         """)
         assert check_source(source, "src/repro/server/service.py") == []
 
+    def test_bare_except_outside_server_flagged(self):
+        source = textwrap.dedent("""
+            def kernel(rows):
+                try:
+                    return sorted(rows)
+                except:
+                    return rows
+        """)
+        for path in ("src/repro/engine/columnar.py", "src/repro/__init__.py"):
+            assert "PC004" in _codes(check_source(source, path)), path
+
+    def test_bare_except_outside_src_is_not_checked(self):
+        source = "try:\n    pass\nexcept:\n    pass\n"
+        assert check_source(source, "examples/snippet.py") == []
+
 
 class TestUnusedImports:
     def test_orphaned_imports_in_src_flagged(self):

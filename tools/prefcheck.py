@@ -18,9 +18,11 @@ unit tests (they quantify over *all* code, current and future):
   in ``PLAN_RULES`` (``query/rewrite.py``) must appear somewhere under
   ``tests/``, so no rule ships without at least one test referencing it
   by name.
-* **PC004 — no bare ``except:`` in server paths.**  A bare except in
-  ``src/repro/server`` swallows ``KeyboardInterrupt`` / ``SystemExit``
-  and can wedge the serving loop; catch ``Exception`` (or narrower).
+* **PC004 — no bare ``except:`` in ``src/``.**  A bare except swallows
+  ``KeyboardInterrupt`` / ``SystemExit``: in the server it can wedge the
+  serving loop, and anywhere below it (a kernel, the storage layer) it
+  turns an interrupt into a wrong answer or a silent retry.  Catch
+  ``Exception`` (or narrower).
 * **PC005 — the loop lane never waits or works.**  The server resolves
   every ``query`` and answers view-resident ones *on its event loop*
   (``PreferenceService.resolve`` / ``answer_resident``); one blocking
@@ -212,7 +214,7 @@ def _check_execute_has_no_try(tree: ast.AST, path: str) -> list[Finding]:
 
 
 def _check_bare_except(tree: ast.AST, path: str) -> list[Finding]:
-    """PC004: no bare ``except:`` clauses (server paths)."""
+    """PC004: no bare ``except:`` clauses (anywhere in ``src/``)."""
     findings: list[Finding] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
@@ -389,9 +391,9 @@ def check_source(source: str, path: str = "<string>") -> list[Finding]:
     """All generic per-file checks over one source text.
 
     ``query/plan.py`` additionally gets the frozen-dataclass and the
-    no-``try``-in-``execute`` checks,
-    ``src/repro/server`` files the bare-except check and every other
-    module under ``src/`` the unused-import check; callers passing
+    no-``try``-in-``execute`` checks, every file under ``src/`` the
+    bare-except check and every module there but a package
+    ``__init__.py`` the unused-import check; callers passing
     arbitrary snippets (doc blocks, examples) get the lock-scope check,
     which is sound anywhere.
     """
@@ -405,12 +407,10 @@ def check_source(source: str, path: str = "<string>") -> list[Finding]:
     if normalized.endswith("query/plan.py"):
         findings += _check_frozen_plan_nodes(tree, path)
         findings += _check_execute_has_no_try(tree, path)
-    if "/server/" in normalized or "repro/server" in normalized:
+    if normalized.startswith("src/") or "/src/" in normalized:
         findings += _check_bare_except(tree, path)
-    if (normalized.startswith("src/") or "/src/" in normalized) and (
-        not normalized.endswith("__init__.py")
-    ):
-        findings += _check_unused_imports(tree, path, source.splitlines())
+        if not normalized.endswith("__init__.py"):
+            findings += _check_unused_imports(tree, path, source.splitlines())
     return findings
 
 
