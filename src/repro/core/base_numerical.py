@@ -75,6 +75,9 @@ class ScorePreference(Preference):
         return self._f(project(row, self.attributes))
 
     def _lt(self, x: Row, y: Row) -> bool:
+        if len(self._attributes) == 1:
+            a = self._attributes[0]
+            return self._f(x[a]) < self._f(y[a])
         return self._score_row(x) < self._score_row(y)
 
     def __repr__(self) -> str:
@@ -126,6 +129,12 @@ class BetweenPreference(ScorePreference):
     def signature(self) -> tuple:
         return ("between", self.attribute, self.low, self.up)
 
+    def _lt(self, x: Row, y: Row) -> bool:
+        a, low, up = self._attributes[0], self.low, self.up
+        return -distance_to_interval(x[a], low, up) < -distance_to_interval(
+            y[a], low, up
+        )
+
     def distance(self, value: Any) -> Any:
         """``distance(v, [low, up])`` — the DISTANCE quality function."""
         return distance_to_interval(value, self.low, self.up)
@@ -163,6 +172,9 @@ class HighestPreference(ScorePreference):
     def attribute(self) -> str:
         return self.attributes[0]
 
+    def _lt(self, x: Row, y: Row) -> bool:
+        return x[self._attributes[0]] < y[self._attributes[0]]
+
     @property
     def signature(self) -> tuple:
         return ("highest", self.attribute)
@@ -189,7 +201,7 @@ class LowestPreference(ScorePreference):
         return self.attributes[0]
 
     def _lt(self, x: Row, y: Row) -> bool:
-        return y[self.attributes[0]] < x[self.attributes[0]]
+        return y[self._attributes[0]] < x[self._attributes[0]]
 
     @property
     def signature(self) -> tuple:

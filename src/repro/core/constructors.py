@@ -24,6 +24,7 @@ Python operator sugar (documented, deliberately small):
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.base_numerical import ScorePreference
@@ -54,6 +55,16 @@ class _CompoundPreference(Preference):
     def children(self) -> tuple[Preference, ...]:
         return self._prefs
 
+    def _projections(self) -> tuple[tuple[Preference, Any], ...]:
+        """Each child with what reads its projection off a row: the
+        attribute name of a one-attribute child, else an ``itemgetter``
+        returning the projection tuple."""
+        return tuple(
+            (p, p.attributes[0] if len(p.attributes) == 1
+             else itemgetter(*p.attributes))
+            for p in self._prefs
+        )
+
     @property
     def signature(self) -> tuple:
         return (self._tag, tuple(p.signature for p in self._prefs))
@@ -61,6 +72,17 @@ class _CompoundPreference(Preference):
     def __repr__(self) -> str:
         inner = f" {self._symbol} ".join(repr(p) for p in self._prefs)
         return f"({inner})"
+
+
+def _differ(x: Row, y: Row, key: Any) -> bool:
+    """Whether rows ``x`` and ``y`` differ on one child's projection,
+    ``key`` as :meth:`_CompoundPreference._projections` gives it.  A lone
+    value is compared as its 1-tuple would be: the same object is equal
+    to itself (a shared NaN too), anything else by ``==``."""
+    if type(key) is str:
+        u, v = x[key], y[key]
+        return u is not v and not u == v
+    return key(x) != key(y)
 
 
 class ParetoPreference(_CompoundPreference):
@@ -77,12 +99,16 @@ class ParetoPreference(_CompoundPreference):
     _symbol = "(x)"
     _tag = "pareto"
 
+    def __init__(self, prefs: Sequence[Preference], domain: Domain | None = None):
+        super().__init__(prefs, domain)
+        self._arms = self._projections()
+
     def _lt(self, x: Row, y: Row) -> bool:
         some_strict = False
-        for p in self._prefs:
+        for p, key in self._arms:
             if p._lt(x, y):
                 some_strict = True
-            elif project(x, p.attributes) != project(y, p.attributes):
+            elif _differ(x, y, key):
                 return False  # worse or unranked in this component: not tolerable
         return some_strict
 
@@ -98,11 +124,15 @@ class PrioritizedPreference(_CompoundPreference):
     _symbol = "&"
     _tag = "prioritized"
 
+    def __init__(self, prefs: Sequence[Preference], domain: Domain | None = None):
+        super().__init__(prefs, domain)
+        self._arms = self._projections()
+
     def _lt(self, x: Row, y: Row) -> bool:
-        for p in self._prefs:
+        for p, key in self._arms:
             if p._lt(x, y):
                 return True
-            if project(x, p.attributes) != project(y, p.attributes):
+            if _differ(x, y, key):
                 return False  # unranked at the more important level: stop
         return False
 

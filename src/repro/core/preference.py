@@ -141,8 +141,19 @@ class Preference:
         raise NotImplementedError
 
     def lt(self, x: Any, y: Any) -> bool:
-        """``x <_P y``: *y is better than x*."""
-        return self._lt(as_row(x, self._attributes), as_row(y, self._attributes))
+        """``x <_P y``: *y is better than x*.
+
+        Plain dicts holding every attribute are compared in place; any
+        other shape, and a dict that lacks an attribute, is normalized by
+        :func:`as_row` first (which raises the ``KeyError``)."""
+        attributes = self._attributes
+        if type(x) is dict and type(y) is dict:
+            for a in attributes:
+                if a not in x or a not in y:
+                    break
+            else:
+                return self._lt(x, y)
+        return self._lt(as_row(x, attributes), as_row(y, attributes))
 
     def dominates(self, x: Any, y: Any) -> bool:
         """True iff ``x`` is better than ``y`` (i.e. ``y <_P x``)."""

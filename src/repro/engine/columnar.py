@@ -29,8 +29,12 @@ group in grouped winnows, with NumPy or without.  The pipeline for
    gathers the column's dense rank codes at the index (restricted to a
    subset they stay order-isomorphic), a weak arm gathers the column's
    identity codes and scores only the distinct values present
-   (:func:`~repro.engine.columns.weak_codes`), and a keyed or composite
-   chain encodes what its key makes of the gathered values.
+   (:func:`~repro.engine.columns.weak_codes`) — an AROUND or BETWEEN arm
+   on the NumPy leg as one array expression over the cached distinct
+   values where that is exact
+   (:func:`~repro.engine.columns.interval_scores`), any other arm one
+   call per value — and a keyed or composite chain encodes what its key
+   makes of the gathered values.
 4. **Eliminate, deduplicate, sweep** — rows with a NaN-like chain value
    are set aside as maximal; on the NumPy leg, from
    :data:`PIVOT_MIN_ROWS` rows, every row that one of two pivot rows
@@ -72,7 +76,14 @@ from repro.core.constructors import (
 )
 from repro.core.preference import Preference
 from repro.engine.backend import get_numpy
-from repro.engine.columns import ColumnStore, encode_axis, take, weak_codes
+from repro.engine.columns import (
+    ColumnStore,
+    encode_axis,
+    interval_scores,
+    scorable_interval,
+    take,
+    weak_codes,
+)
 from repro.engine.vectorized import (
     DEFAULT_BLOCK,
     KERNELS,
@@ -347,11 +358,14 @@ def _gather(store: ColumnStore, attribute: Any, index: Any) -> Sequence[Any]:
     return column if index is None else [column[i] for i in index]
 
 
-def _present(identity: Any, distinct: list, np: Any) -> tuple[Any, list]:
+def _present(identity: Any, distinct: Any, np: Any) -> tuple[Any, Any]:
     """Identity codes re-densified over the values they hold, and those
-    values: a subset of a column scores only what it contains."""
+    values (a list, or an array on the NumPy leg): a subset of a column
+    scores only what it contains."""
     if np is not None:
         held, dense = np.unique(identity, return_inverse=True)
+        if hasattr(distinct, "dtype"):
+            return dense.reshape(-1), distinct[held]
         return dense.reshape(-1), [distinct[i] for i in held.tolist()]
     held = sorted(set(identity))
     dense_of = {code: i for i, code in enumerate(held)}
@@ -380,13 +394,29 @@ def _encoded_axes(
     encoded: list[Any] = []
     identities: list[Any] = []
     combined: list[bool] | None = None
-    for attribute, fn, sign, weak in axes:
+    for attribute, fn, sign, weak, interval in axes:
         if weak:
             identity, distinct = store.weak_identity(attribute, cached)
+            # A BETWEEN / AROUND arm scores the distinct values' exact
+            # array in one expression where every step is exact; any
+            # other arm, column or leg calls the score per value.
+            values = None
+            if (
+                np is not None
+                and interval is not None
+                and scorable_interval(*interval)
+            ):
+                values = store.weak_values(attribute, np)
+            if values is not None:
+                distinct = values
             identity = take(identity, index, np)
             if index is not None:
                 identity, distinct = _present(identity, distinct, np)
-            upper, lower = weak_codes(identity, distinct, fn, sign, np)
+            if values is None:
+                scores: Any = [fn(v) for v in distinct]
+            else:
+                scores = interval_scores(distinct, *interval, np)
+            upper, lower = weak_codes(identity, scores, sign, np)
             encoded += [upper, lower]
             identities.append(identity)
             continue
@@ -527,7 +557,7 @@ def _argmax_rows(
     (None: all), ascending.  An identity key makes the column its own
     score vector; any other key scores each distinct value once (distinct
     by dict identity, as in :func:`~repro.engine.columns.weak_codes`)."""
-    attribute, key, sign, _ = score
+    attribute, key, sign = score[:3]
     column = _gather(store, attribute, index)
     values = None if key is None else list(dict.fromkeys(column))
     picked = best_positions(

@@ -7,8 +7,9 @@ and recursive dispatch.  The columnar engine instead works on a
 row order and what the engine derives from it — an exact NumPy array
 (:func:`exact_array`), the dense rank codes of a chain axis
 (:func:`encode_axis`), the identity codes and distinct values of a weak
-axis.  Dominance then reduces to integer comparisons over contiguous
-arrays — the representation the vectorized kernels in
+axis, and those values as an array a column expression can score
+(:func:`interval_scores`).  Dominance then reduces to integer comparisons
+over contiguous arrays — the representation the vectorized kernels in
 :mod:`repro.engine.vectorized` consume — and a WHERE conjunct to a boolean
 mask over the exact arrays (:func:`repro.psql.translate.where_mask`).
 
@@ -93,10 +94,19 @@ class ColumnStore:
     def weak_identity(self, attribute: str, np: Any) -> tuple[Any, list]:
         """``(identity, distinct)``: dense identity codes per row and the
         distinct values they index, in first-occurrence order — what
-        :func:`weak_codes` scores."""
+        :func:`weak_codes` ranks the scores of."""
         return self._cached(
             ("weak", attribute, np is not None),
             lambda: _identity_codes(self.column(attribute), np),
+        )
+
+    def weak_values(self, attribute: str, np: Any) -> Any:
+        """:meth:`weak_identity`'s distinct values as a NumPy array a
+        column expression scores exactly (:func:`scorable_array`), or
+        None."""
+        return self._cached(
+            ("scorable", attribute),
+            lambda: scorable_array(self.weak_identity(attribute, np)[1], np),
         )
 
     def __len__(self) -> int:
@@ -186,6 +196,52 @@ def exact_literal(column: Any, value: Any) -> bool:
     return -(2**63) <= value < 2**63
 
 
+#: Below this magnitude the difference of two numbers — ints, floats or
+#: one of each — is computed exactly alike in float64 and in Python.
+_SCORABLE = 2**52
+
+
+def scorable_array(values: Sequence[Any], np: Any) -> Any:
+    """``values`` as an int64 or float64 :func:`exact_array` whose every
+    entry is below 2**52 in magnitude, or None.
+
+    Such an array gives :func:`interval_scores` the numbers Python's
+    arithmetic gives the values one by one: an int64 array stays exact, a
+    float64 one rounds as Python floats do, and the difference of two
+    integers below 2**52 has an exact float64, so a column mixing ints
+    and floats cannot round where Python's int arithmetic does not.  NaN
+    entries pass (they score NaN either way), infinities do not.  Bool
+    and unsigned arrays, datetimes and strings score through Python.
+    """
+    arr = exact_array(values, np)
+    if arr is None or arr.dtype not in (np.int64, np.float64):
+        return None
+    return None if (np.abs(arr) >= _SCORABLE).any() else arr
+
+
+def scorable_interval(low: Any, up: Any) -> bool:
+    """Whether :func:`interval_scores` takes these bounds: each an
+    ``int`` or ``float`` below 2**52 in magnitude (so not NaN or an
+    infinity, nor a bool or a NumPy scalar)."""
+    return all(
+        type(bound) in (int, float) and abs(bound) < _SCORABLE
+        for bound in (low, up)
+    )
+
+
+def interval_scores(values: Any, low: Any, up: Any, np: Any) -> Any:
+    """``-distance(v, [low, up])`` (Definition 7b) of every entry of a
+    :func:`scorable_array`, for bounds :func:`scorable_interval` takes,
+    as one array expression.  ``values - values`` is
+    :func:`~repro.core.base_numerical.distance_to_interval`'s own zero:
+    NaN stays NaN."""
+    return -np.where(
+        values < low,
+        low - values,
+        np.where(values > up, values - up, values - values),
+    )
+
+
 def rank_codes(values: Sequence[Any]) -> list[int]:
     """Dense order-preserving integer codes: ``v < w  iff  code(v) < code(w)``.
 
@@ -273,10 +329,11 @@ def _identity_codes(values: Sequence[Any], np: Any) -> tuple[Any, list]:
 
 
 def weak_codes(
-    identity: Any, distinct: Sequence[Any], score: Any, sign: int, np: Any
+    identity: Any, scores: Sequence[Any], sign: int, np: Any
 ) -> tuple[Any, Any]:
     """``(upper, lower)`` code vectors of one weak-order axis, for rows
-    whose dense ``identity`` codes index the ``distinct`` values.
+    whose dense ``identity`` codes index the distinct values that
+    ``scores`` holds the scores of, one each.
 
     A weak order ranks values by ``score`` and leaves equal-score values
     unranked, so no single total code can stand for it: Pareto needs
@@ -292,12 +349,12 @@ def weak_codes(
     that does not equal itself (NaN: ranked against nothing) goes above
     everything in ``upper`` and below everything in ``lower``, which
     leaves its value comparable to itself alone.  ``sign`` -1 reverses
-    the score order (the dual).  Each distinct value is scored once.
-    Codes are order-isomorphic to dense ranks but not dense themselves;
-    the kernels only compare and add them.
+    the score order (the dual).  Codes are order-isomorphic to dense
+    ranks but not dense themselves; the kernels only compare and add
+    them.
     """
-    k = len(distinct)
-    ranks, unranked = encode_axis([score(v) for v in distinct], np)
+    k = len(scores)
+    ranks, unranked = encode_axis(scores, np)
     if np is not None:
         ranks = np.asarray(ranks, dtype=np.int64) * sign
         above = below = ranks

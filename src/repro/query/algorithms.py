@@ -40,6 +40,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.core.base_nonnumerical import ExplicitPreference, LayeredPreference
 from repro.core.base_numerical import (
+    BetweenPreference,
     HighestPreference,
     LowestPreference,
     ScorePreference,
@@ -177,12 +178,17 @@ class ColumnAxis(NamedTuple):
     axes (:func:`repro.engine.columns.weak_codes`).  A score that is
     not equal to itself leaves its value ranked against nothing.  A
     multi-attribute SCORE scores the zipped value tuple the same way.
+
+    ``interval`` is ``(low, up)`` when the score is BETWEEN's (AROUND's)
+    ``-distance(v, [low, up])``, which the code kernel can evaluate as one
+    column expression (:func:`repro.engine.columns.interval_scores`).
     """
 
     attribute: str | tuple[str, ...]
     key: Callable[[Any], Any] | None
     sign: int
     weak: bool = False
+    interval: tuple[Any, Any] | None = None
 
     @property
     def width(self) -> int:
@@ -207,6 +213,11 @@ def weak_score(pref: Preference) -> ColumnAxis | None:
         return ColumnAxis(pref.attribute, None, -1)
     if isinstance(pref, ChainPreference):
         return ColumnAxis(pref.attribute, pref.key, 1)
+    if isinstance(pref, BetweenPreference):
+        return ColumnAxis(
+            pref.attribute, pref.function, 1, weak=True,
+            interval=(pref.low, pref.up),
+        )
     if isinstance(pref, ScorePreference):
         attributes = pref.attributes
         attribute = attributes[0] if len(attributes) == 1 else attributes
@@ -408,7 +419,7 @@ def _weak_key(score: ColumnAxis) -> Callable[[Row], Any]:
     """The row key of a :func:`weak_score`: its key of the value (of the
     projection tuple, for a multi-attribute SCORE), order-reversed for
     sign -1."""
-    attribute, key, sign, _ = score
+    attribute, key, sign = score[:3]
     value = (
         itemgetter(*attribute) if isinstance(attribute, tuple)
         else itemgetter(attribute)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -52,6 +53,13 @@ DEFAULT_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "identity": lambda x: x,
     "negate": lambda x: -x,
 }
+
+
+#: Plans the session keeps; storing one more drops the least recently
+#: used.  Every ad-hoc query is a new key, so without a bound the cache
+#: grows with the traffic; 256 keeps every plan a standing workload
+#: repeats (docs/performance.md, "Scores as column expressions").
+PLAN_CACHE_ENTRIES = 256
 
 
 class CacheInfo(NamedTuple):
@@ -109,7 +117,10 @@ class Session:
         self.functions: dict[str, Callable[..., Any]] = dict(DEFAULT_FUNCTIONS)
         if functions:
             self.functions.update(functions)
-        self._plan_cache: dict[tuple, Plan] = {}
+        self._plan_cache: OrderedDict[tuple, Plan] = OrderedDict()
+        #: Per relation name, a version no cached plan of it is older
+        #: than: :meth:`_evict_plans` scans only when it can find one.
+        self._plan_floor: dict[str, int] = {}
         self._cache_hits = 0
         self._cache_misses = 0
         # One reentrant lock guards the plan cache and catalog mutations,
@@ -267,11 +278,17 @@ class Session:
             self._evict_plans(name.lower(), self.catalog.version(name))
 
     def _evict_plans(self, name: str, version: int) -> None:
-        """Drop ``name``'s cached plans older than ``version`` (lock held)."""
+        """Drop ``name``'s cached plans older than ``version`` (lock held).
+
+        Scans the (bounded) cache only when a plan that old may be in it,
+        so one scan per relation version, not one per miss."""
+        if self._plan_floor.get(name, version) >= version:
+            return
         for k in [
             k for k in self._plan_cache if k[1] == name and k[2] < version
         ]:
             del self._plan_cache[k]
+        self._plan_floor[name] = version
 
     # -- durability -------------------------------------------------------------
 
@@ -367,11 +384,13 @@ class Session:
         Storing a plan evicts same-relation entries with older versions:
         the version counter only grows, so those can never hit again and
         would otherwise pin the superseded relations' rows via their Scan
-        nodes.
+        nodes.  The cache holds at most :data:`PLAN_CACHE_ENTRIES` plans
+        and drops the least recently used one to store another.
         """
         with self._lock:
             plan = self._plan_cache.get(key)
             if plan is not None:
+                self._plan_cache.move_to_end(key)
                 self._cache_hits += 1
                 return plan
             self._cache_misses += 1
@@ -380,8 +399,15 @@ class Session:
         # the identical results race benignly into the cache.
         plan = build()
         with self._lock:
-            self._evict_plans(key[1], key[2])
+            name, version = key[1], key[2]
+            self._evict_plans(name, version)
+            self._plan_floor[name] = min(
+                self._plan_floor.get(name, version), version
+            )
             self._plan_cache[key] = plan
+            self._plan_cache.move_to_end(key)
+            if len(self._plan_cache) > PLAN_CACHE_ENTRIES:
+                self._plan_cache.popitem(last=False)
         return plan
 
     def cache_info(self) -> CacheInfo:
@@ -395,6 +421,7 @@ class Session:
         """Drop all memoized plans and reset the hit/miss counters."""
         with self._lock:
             self._plan_cache.clear()
+            self._plan_floor.clear()
             self._cache_hits = 0
             self._cache_misses = 0
 

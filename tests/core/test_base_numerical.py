@@ -123,13 +123,16 @@ class TestWeakScore:
         axis = weak_score(AroundPreference("x", 3))
         assert (axis.attribute, axis.sign, axis.weak) == ("x", 1, True)
         assert axis.key(9) == -6
-        assert weak_score(HighestPreference("x")) == ("x", None, 1, False)
+        assert weak_score(HighestPreference("x")) == (
+            "x", None, 1, False, None,
+        )
+        assert axis.interval == (3, 3)
 
     def test_dual_flips_sign(self):
         # The direction is a sign, never a negated score: LOWEST and the
         # dual of HIGHEST rank words as well as numbers.
         assert weak_score(DualPreference(HighestPreference("x"))) == (
-            "x", None, -1, False,
+            "x", None, -1, False, None,
         )
         assert weak_score(LowestPreference("x")).sign == -1
         assert weak_score(DualPreference(LowestPreference("x"))).sign == 1

@@ -7,8 +7,11 @@ fluent builder, Preference SQL text, and (where expressible) Preference
 XPath must return the same rows — they share one pipeline.
 """
 
+from collections import OrderedDict
+
 import pytest
 
+from repro import session as session_module
 from repro.core.base_nonnumerical import PosPreference
 from repro.core.base_numerical import AroundPreference, LowestPreference
 from repro.core.constructors import pareto, prioritized
@@ -133,6 +136,72 @@ class TestPlanCache:
         q.explain()
         q.run()
         assert s.cache_info().hits == 1
+
+
+class _CountingCache(OrderedDict):
+    """A plan cache that counts full scans."""
+
+    def __init__(self):
+        super().__init__()
+        self.scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+class TestBoundedPlanCache:
+    """The plan cache is an LRU of :data:`PLAN_CACHE_ENTRIES` plans."""
+
+    @staticmethod
+    def _around(s, z):
+        return s.query("car").prefer(AroundPreference("price", z)).run()
+
+    def test_it_holds_at_most_the_bound(self, monkeypatch):
+        monkeypatch.setattr(session_module, "PLAN_CACHE_ENTRIES", 3)
+        s = Session({"car": ROWS})
+        for z in range(5):
+            self._around(s, z)
+        assert s.cache_info().size == 3
+        self._around(s, 0)  # the oldest went first
+        assert s.cache_info() == (0, 6, 3)
+        self._around(s, 4)
+        assert s.cache_info().hits == 1
+
+    def test_a_hit_keeps_a_plan_recent(self, monkeypatch):
+        monkeypatch.setattr(session_module, "PLAN_CACHE_ENTRIES", 2)
+        s = Session({"car": ROWS})
+        self._around(s, 1)
+        self._around(s, 2)
+        self._around(s, 1)  # hit: now 2 is the least recently used
+        self._around(s, 3)
+        self._around(s, 1)
+        assert s.cache_info().hits == 2
+        self._around(s, 2)
+        assert s.cache_info().misses == 4
+
+    def test_a_new_version_evicts_the_old_ones_and_only_those(self):
+        s = Session({"car": ROWS, "other": ROWS})
+        for z in range(4):
+            self._around(s, z)
+        s.query("other").prefer(LowestPreference("price")).run()
+        s.insert_rows("car", [dict(ROWS[0], oid=6)])
+        version = s.catalog.version("car")
+        assert sorted(k[1] for k in s._plan_cache) == ["other"]
+        self._around(s, 0)
+        assert {(k[1], k[2]) for k in s._plan_cache} == {
+            ("other", 1), ("car", version),
+        }
+
+    def test_misses_at_one_version_do_not_scan_the_cache(self):
+        s = Session({"car": ROWS})
+        s._plan_cache = cache = _CountingCache()
+        for z in range(20):
+            self._around(s, z)
+        assert cache.scans == 0
+        s.insert_rows("car", [dict(ROWS[0], oid=6)])
+        self._around(s, 0)
+        assert cache.scans == 1
 
 
 class TestFrontEndParity:
