@@ -170,8 +170,18 @@ def constraint_registry(
     attribute set); declared constraints are always included in full.
     Declared constraints come first, so provenance prefers ``declared``
     over ``statistics(...)`` when both prove the same fact.
+
+    Memoized per relation snapshot and attribute tuple, on the snapshot's
+    :class:`~repro.relations.stats.TableStats`: a snapshot's rows and
+    schema never change (a mutation or a declaration makes a new one),
+    so neither can what they prove.
     """
-    registry = declared_constraints(relation)
-    if attributes is None:
-        attributes = relation.schema.names
-    return registry.union(derived_constraints(relation, attributes))
+    key = None if attributes is None else tuple(attributes)
+    registries = relation.stats().registries
+    registry = registries.get(key)
+    if registry is None:
+        registry = declared_constraints(relation).union(derived_constraints(
+            relation, relation.schema.names if key is None else key
+        ))
+        registry = registries.setdefault(key, registry)
+    return registry

@@ -90,12 +90,27 @@ def distance_to_point(value: Any, z: Any) -> Any:
 
 
 def distance_to_interval(value: Any, low: Any, up: Any) -> Any:
-    """``distance(v, [low, up])`` (Definition 7b): 0 inside, gap outside."""
+    """``distance(v, [low, up])`` (Definition 7b): 0 inside, gap outside.
+
+    A NumPy unsigned distance comes back as a Python int: the score
+    negates it, and an unsigned negation wraps around (``-uint64(2)`` is
+    ``2**64 - 2``), which would rank every value but an exact match
+    last.  The distance itself never wraps: each branch subtracts the
+    smaller operand."""
     if value < low:
-        return low - value
-    if value > up:
-        return value - up
-    return value - value  # a type-correct zero (works for dates, floats, ints)
+        distance = low - value
+    elif value > up:
+        distance = value - up
+    else:
+        distance = value - value  # a type-correct zero (dates, floats, ints)
+    # A NumPy unsigned scalar, recognized by its dtype without importing
+    # NumPy; plain ints and floats skip the attribute lookups.
+    if (
+        type(distance) not in (int, float)
+        and getattr(getattr(distance, "dtype", None), "kind", None) == "u"
+    ):
+        return int(distance)
+    return distance
 
 
 class BetweenPreference(ScorePreference):
@@ -130,8 +145,9 @@ class BetweenPreference(ScorePreference):
         return ("between", self.attribute, self.low, self.up)
 
     def _lt(self, x: Row, y: Row) -> bool:
+        # Definition 7b as written: farther from the interval is worse.
         a, low, up = self._attributes[0], self.low, self.up
-        return -distance_to_interval(x[a], low, up) < -distance_to_interval(
+        return distance_to_interval(x[a], low, up) > distance_to_interval(
             y[a], low, up
         )
 

@@ -225,10 +225,16 @@ def select_index(
         column = store.array(attribute, np)
         return column if column is None or index is None else column[index]
 
+    def codes(attribute: str) -> Any:
+        held = store.text_codes(attribute, np)
+        if held is None or index is None:
+            return held
+        return held[0][index], held[1]
+
     for predicate, ast in conjuncts:
         mask = None
         if np is not None and ast is not None:
-            mask = where_mask(ast, array, np)
+            mask = where_mask(ast, array, np, codes)
         if mask is not None:
             index = np.flatnonzero(mask) if index is None else index[mask]
             continue
@@ -361,12 +367,20 @@ def _gather(store: ColumnStore, attribute: Any, index: Any) -> Sequence[Any]:
 def _present(identity: Any, distinct: Any, np: Any) -> tuple[Any, Any]:
     """Identity codes re-densified over the values they hold, and those
     values (a list, or an array on the NumPy leg): a subset of a column
-    scores only what it contains."""
+    scores only what it contains.
+
+    The codes index ``distinct``, so on the NumPy leg a presence mask
+    over it finds the values held, in code order, and its running count
+    renumbers them — what ``np.unique(identity, return_inverse=True)``
+    returns, without its sort."""
     if np is not None:
-        held, dense = np.unique(identity, return_inverse=True)
+        present = np.zeros(len(distinct), dtype=bool)
+        present[identity] = True
+        held = np.flatnonzero(present)
+        dense = (np.cumsum(present) - 1)[identity]
         if hasattr(distinct, "dtype"):
-            return dense.reshape(-1), distinct[held]
-        return dense.reshape(-1), [distinct[i] for i in held.tolist()]
+            return dense, distinct[held]
+        return dense, [distinct[i] for i in held.tolist()]
     held = sorted(set(identity))
     dense_of = {code: i for i, code in enumerate(held)}
     return [dense_of[code] for code in identity], [distinct[i] for i in held]
@@ -451,11 +465,31 @@ def _packed_key(np: Any, identities: list[Any]) -> Any:
     for identity in identities[1:]:
         digit = int(identity.max()) + 1
         if width * digit >= 2**62:
-            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            key = _distinct_keys(np, key)[1]
             width = int(key.max()) + 1
         key = key * digit + identity
         width *= digit
     return key
+
+
+def _distinct_keys(np: Any, key: Any) -> tuple[Any, Any]:
+    """``(first, inverse)`` of an int64 ``key``: one position per
+    distinct key, in ascending key order, and each row's distinct-key
+    number — ``np.unique(key, return_index=True, return_inverse=True)``
+    but for which row of a run of equal keys stands for it.
+
+    Rows with equal keys have equal code vectors, so any of them can:
+    the default sort finds the runs without the stable sort ``np.unique``
+    pays for the first one.
+    """
+    order = np.argsort(key)
+    in_order = key[order]
+    starts = np.empty(len(key), dtype=bool)
+    starts[0] = True
+    np.not_equal(in_order[1:], in_order[:-1], out=starts[1:])
+    inverse = np.empty(len(key), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def _skyline_rows(
@@ -473,10 +507,10 @@ def _skyline_rows(
     (the unit BMO reasons about) are exactly the distinct code vectors,
     and fan-out back to duplicate-carrying tuples is a lookup through the
     dedup inverse.  On the NumPy leg (``np`` is the module) the dedup is
-    one ``np.unique`` over a packed identity key, of the rows that
-    :func:`~repro.engine.vectorized.pivot_filter` keeps once there are
-    :data:`PIVOT_MIN_ROWS` of them; the interpreted leg (``np`` is None)
-    uses one dict pass over every row.
+    one sort of a packed identity key (:func:`_distinct_keys`), of the
+    rows that :func:`~repro.engine.vectorized.pivot_filter` keeps once
+    there are :data:`PIVOT_MIN_ROWS` of them; the interpreted leg (``np``
+    is None) uses one dict pass over every row.
     """
     # Two code axes take the O(n log n) sweep: same results, and immune
     # to the O(n * skyline) blow-up the pairwise kernel hits on
@@ -513,14 +547,11 @@ def _skyline_rows(
             live = undominated if live is None else live[undominated]
         if live is not None:
             identities = [identity[live] for identity in identities]
-        _, first, inverse = np.unique(
-            _packed_key(np, identities),
-            return_index=True, return_inverse=True,
-        )
+        first, inverse = _distinct_keys(np, _packed_key(np, identities))
         distinct = np.stack([codes[first] for codes in encoded], axis=1)
         kept = np.zeros(len(first), dtype=bool)
         kept[run_kernel(distinct)] = True
-        hits = np.flatnonzero(kept[inverse.reshape(-1)])
+        hits = np.flatnonzero(kept[inverse])
         if live is not None:
             hits = live[hits]
         if incomparable is not None:

@@ -53,10 +53,17 @@ from typing import Any, Sequence
 
 from repro.engine.backend import DETECT, get_numpy
 
-#: Candidates compared per broadcasted batch.  The ``window x block`` and
-#: ``block x block`` boolean temporaries stay small enough to live in
-#: cache while each NumPy call stays large enough to amortize dispatch.
-DEFAULT_BLOCK = 256
+#: Candidates in the first broadcasted batch; later batches double up
+#: to :data:`MAX_BLOCK`.  The ``block x block`` check of a first block
+#: meets an empty window, so it is the whole cost of inputs of a few
+#: hundred rows (what pivot elimination leaves of most inputs): 64 rows
+#: cost it a sixteenth of the comparisons 256 do.
+DEFAULT_BLOCK = 64
+
+#: The largest batch.  The ``window x block`` and ``block x block``
+#: boolean temporaries stay small enough to live in cache while each
+#: NumPy call stays large enough to amortize dispatch.
+MAX_BLOCK = 8192
 
 #: Window rows per broadcasted window-vs-block comparison.  The window can
 #: grow to the full skyline (every row, on fully anti-correlated data), so
@@ -168,7 +175,7 @@ def _sfs_numpy(
             window = np.concatenate([window, block[alive]])
             kept.append(order[start : start + len(block)][alive])
         start += len(block)
-        size = min(size * 2, 32 * block_size)
+        size = max(size, min(size * 2, MAX_BLOCK))
     if not kept:
         return []
     out = np.concatenate(kept).tolist()

@@ -282,7 +282,10 @@ _MASK_OPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 def where_mask(
-    expr: HardExpr, array: Callable[[str], Any], np: Any
+    expr: HardExpr,
+    array: Callable[[str], Any],
+    np: Any,
+    codes: Callable[[str], Any] | None = None,
 ) -> Any:
     """:func:`translate_where` as a boolean vector, or None.
 
@@ -296,8 +299,15 @@ def where_mask(
     LIKE, NOT IN, an inexact column or literal — answers None, and the
     caller keeps the row closure.  An exact array holds no None, so the
     closure's NULL rule has nothing to exclude.
+
+    ``codes(attribute)``, when given, hands out ``(identity, lookup)``
+    for a column whose exact array holds strings (``U``), else None:
+    int64 identity codes over the same rows and the code of each
+    distinct value.  ``=`` and positive IN with exact ``str`` literals
+    then compare codes instead of strings — the same rows, since two
+    strings are equal iff their codes are.
     """
-    from repro.engine.columns import exact_literal
+    from repro.engine.columns import exact_literal, exact_text
 
     if isinstance(expr, BoolOp):
         if not expr.operands or expr.op not in ("AND", "OR"):
@@ -305,7 +315,7 @@ def where_mask(
         combine = operator.and_ if expr.op == "AND" else operator.or_
         out = None
         for operand in expr.operands:
-            mask = where_mask(operand, array, np)
+            mask = where_mask(operand, array, np, codes)
             if mask is None:
                 return None
             out = mask if out is None else combine(out, mask)
@@ -320,6 +330,22 @@ def where_mask(
         literals = ()
     else:
         return None
+    if (
+        codes is not None
+        and (isinstance(expr, InList)
+             or (isinstance(expr, Comparison) and expr.op == "="))
+        and all(exact_text(v) for v in literals)
+    ):
+        held = codes(expr.attribute)
+        if held is not None:
+            identity, lookup = held
+            out = None
+            for value in literals:
+                code = lookup.get(value)
+                if code is not None:
+                    hit = identity == code
+                    out = hit if out is None else out | hit
+            return np.zeros(len(identity), dtype=bool) if out is None else out
     column = array(expr.attribute)
     if column is None or not all(
         exact_literal(column, v) for v in literals

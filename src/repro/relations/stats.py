@@ -104,12 +104,16 @@ class TableStats:
     so a statistics pass never re-materializes rows.
     """
 
-    __slots__ = ("relation", "row_count", "_columns")
+    __slots__ = ("relation", "row_count", "_columns", "registries")
 
     def __init__(self, relation: "Relation"):
         self.relation = relation
         self.row_count = len(relation)
         self._columns: dict[str, ColumnStats] = {}
+        #: The constraint registries derived from these statistics, per
+        #: attribute tuple (None: every column); filled and read by
+        #: :func:`repro.analysis.constraints.constraint_registry`.
+        self.registries: dict[tuple[str, ...] | None, Any] = {}
 
     def column(self, attribute: str) -> ColumnStats:
         """Statistics of one column (computed on first access)."""

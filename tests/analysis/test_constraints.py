@@ -150,3 +150,76 @@ class TestConstraintSetQueries:
     def test_empty_set_is_falsy(self):
         assert not ConstraintSet()
         assert ConstraintSet([NotNull("a")])
+
+
+class TestRegistryMemo:
+    """``constraint_registry`` derives once per snapshot and attribute
+    tuple; a mutation makes a new snapshot, which derives afresh."""
+
+    def _spy(self):
+        from unittest import mock
+
+        from repro.analysis import constraints
+
+        calls = []
+        real = constraints.derive_column_constraints
+
+        def spy(stats, source):
+            calls.append(stats.attribute)
+            return real(stats, source)
+
+        return calls, mock.patch.object(
+            constraints, "derive_column_constraints", spy
+        )
+
+    def test_one_derivation_per_snapshot_and_attributes(self):
+        rel = _relation([{"a": i, "b": i % 2} for i in range(6)])
+        calls, spy = self._spy()
+        with spy:
+            first = constraint_registry(rel, ["a", "b"])
+            assert constraint_registry(rel, ["a", "b"]) is first
+            assert calls == ["a", "b"]
+            constraint_registry(rel, ["a"])  # another tuple: derived once
+            constraint_registry(rel, ["a"])
+            assert calls == ["a", "b", "a"]
+            everything = constraint_registry(rel)
+            assert constraint_registry(rel) is everything
+            assert calls == ["a", "b", "a", "a", "b"]
+
+    def test_a_declaration_is_a_new_snapshot(self):
+        rel = _relation([{"id": i} for i in range(4)])
+        assert constraint_registry(rel, ["id"]).key_within({"id"}).source \
+            == "statistics(t)"
+        declared = rel.declare(Key(("id",)))
+        assert constraint_registry(declared, ["id"]).key_within(
+            {"id"}).source == "declared"
+
+    def test_mutations_derive_fresh_bounds_and_keep_provenance(self):
+        from repro.core.base_numerical import HighestPreference
+        from repro.session import Session
+
+        rows = [{"rating": float(i), "v": i % 3} for i in range(8)]
+        session = Session({"t": rows})
+
+        def state():
+            registry = constraint_registry(session.catalog.get("t"),
+                                           ["rating"])
+            text = session.query("t").prefer(
+                HighestPreference("rating")).explain()
+            return registry.bounds("rating"), text
+
+        bounds, text = state()
+        assert bounds == (0.0, 7.0, "statistics(t)")
+        assert "key(rating) [statistics(t)]" in text
+        assert state()[1] == text  # the memo answers the same
+
+        session.insert_rows("t", [{"rating": 9.0, "v": 0},
+                                  {"rating": 9.0, "v": 1}])
+        bounds, after_insert = state()
+        assert bounds == (0.0, 9.0, "statistics(t)")
+        assert "key(rating)" not in after_insert  # 9.0 twice: no key
+
+        session.delete_rows("t", [{"rating": 9.0, "v": 1}])
+        bounds, after_delete = state()
+        assert bounds == (0.0, 9.0, "statistics(t)")
+        assert "key(rating) [statistics(t)]" in after_delete

@@ -44,6 +44,10 @@ settings.register_profile(
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
 )
+#: The same settings with ten times the examples, for a deeper search
+#: than every run can afford: ``pytest --hypothesis-profile=deep``.
+settings.register_profile("deep", settings.get_profile("repro"),
+                          max_examples=400)
 settings.load_profile("repro")
 
 #: The shared probe universe.

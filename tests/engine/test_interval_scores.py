@@ -13,7 +13,6 @@ array path.
 
 from __future__ import annotations
 
-import contextlib
 import datetime
 import random
 from decimal import Decimal
@@ -152,17 +151,6 @@ class TestAgainstTheOracle:
     @given(case=winnows(), picks=st.sets(st.integers(0, 119)))
     def test_winnow_matches_naive_on_both_legs(self, case, picks):
         pref, rows = case
-        np = engine_backend.get_numpy()
-        # Negating a uint64 distance wraps around (a NumPy scalar's own
-        # arithmetic); the row engines and the kernel's per-value path
-        # score with the same function, so they see the same numbers.
-        quiet = contextlib.nullcontext()
-        if np is not None:
-            quiet = np.errstate(over="ignore")
-        with quiet:
-            self._check(pref, rows, picks)
-
-    def _check(self, pref, rows, picks):
         expected = _bag(naive_nested_loop(pref, rows))
         index = sorted(i for i in picks if i < len(rows))
         on_index = _bag(naive_nested_loop(pref, [rows[i] for i in index]))
@@ -227,6 +215,36 @@ SPY_CASES = [
         id="dates",
     ),
 ]
+
+
+class TestUnsignedValues:
+    """A NumPy unsigned distance is scored as a Python int: negated as a
+    uint64 it wrapped around, and an exact match ranked first only
+    because 0 negates to 0."""
+
+    ROWS = [{"x": _uint64(3)}, {"x": _uint64(5)}]
+
+    def test_the_exact_match_wins_on_the_oracle(self):
+        assert naive_nested_loop(AroundPreference("x", 3), self.ROWS) == [
+            self.ROWS[0]
+        ]
+
+    @pytest.mark.parametrize("size", [2, 60])
+    def test_every_engine_agrees(self, size):
+        rows = [
+            {"x": _uint64(v), "h": 0, "tag": i}
+            for i, v in enumerate([3, 5, 1, 7] * (size // 2))
+        ][:size]
+        for pref in (
+            AroundPreference("x", 3),
+            pareto(AroundPreference("x", 3), HighestPreference("h")),
+            pareto(BetweenPreference("x", 2, 4), HighestPreference("h")),
+        ):
+            expected = _bag(naive_nested_loop(pref, rows))
+            assert {rows[t]["x"] for t in expected} == {3}
+            assert _bag(columnar_winnow(pref, rows)) == expected
+            with mock.patch.object(engine_backend, "_numpy", None):
+                assert _bag(columnar_winnow(pref, rows)) == expected
 
 
 @needs_numpy

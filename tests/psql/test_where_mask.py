@@ -172,3 +172,92 @@ def test_exact_conjuncts_never_call_the_closure():
 
     index = select_index(relation, [(refuse, e) for e in exprs])
     assert index.tolist() == _closure(relation, exprs)
+
+
+WORD_ROWS = [
+    {"a": i, "b": ["", "w1", "é", "w2", "w1"][i % 5], "c": f"x{i % 3}\x00"}
+    for i in range(30)
+]
+
+
+def _coded(store, calls):
+    def codes(attribute):
+        calls.append(attribute)
+        return store.text_codes(attribute, np)
+
+    return codes
+
+
+@needs_numpy
+class TestStringsByIdentityCode:
+    """``=`` and positive IN with a ``str`` literal on a ``U`` column
+    compare the column's identity codes: the rows ``column == value``
+    selects, and the mask applies exactly where the string compare did."""
+
+    @pytest.mark.parametrize("literal", ["w1", "zz", "", "é", "ß"],
+                             ids=["present", "absent", "empty", "non-ascii",
+                                  "absent-non-ascii"])
+    @pytest.mark.parametrize("shape", ["eq", "in", "and", "or-in"])
+    def test_the_code_mask_is_the_string_mask(self, literal, shape):
+        expr = {
+            "eq": Comparison("b", "=", literal),
+            "in": InList("b", (literal, "w2"), False),
+            "and": BoolOp("AND", (Comparison("a", ">=", 3),
+                                  Comparison("b", "=", literal))),
+            "or-in": BoolOp("OR", (InList("b", (literal,), False),
+                                   Comparison("a", "<", 2))),
+        }[shape]
+        relation = Relation("r", Schema(["a", "b", "c"]), WORD_ROWS)
+        store = relation.column_store()
+        calls = []
+        by_code = where_mask(expr, lambda a: store.array(a, np), np,
+                             _coded(store, calls))
+        by_string = where_mask(expr, lambda a: store.array(a, np), np)
+        assert calls == ["b"]
+        assert by_code.dtype == bool
+        assert by_code.tolist() == by_string.tolist()
+        assert np.flatnonzero(by_code).tolist() == _closure(relation, [expr])
+
+    @numpy_leg
+    def test_an_index_reads_the_codes_at_its_rows(self):
+        relation = Relation("r", Schema(["a", "b", "c"]), WORD_ROWS * 3)
+        exprs = [Comparison("a", ">=", 4), InList("b", ("é", "w1"), False),
+                 Comparison("b", "=", "w1")]
+        with mock.patch.object(columnar, "NUMPY_MIN_ROWS", 0):
+            index = select_index(
+                relation, [(translate_where(e), e) for e in exprs]
+            )
+        assert index.tolist() == _closure(relation, exprs)
+
+    @pytest.mark.parametrize("attribute, literal", [
+        ("b", "w1\x00"),  # a trailing-NUL literal: no exact compare
+        ("c", "x1\x00"),  # a column with trailing NULs has no exact array
+        ("a", "3"),  # a string literal against an int column
+        ("b", 3),  # an int literal against a string column
+    ])
+    def test_inexact_pairs_keep_todays_path(self, attribute, literal):
+        relation = Relation("r", Schema(["a", "b", "c"]), WORD_ROWS)
+        store = relation.column_store()
+        for expr in (Comparison(attribute, "=", literal),
+                     InList(attribute, (literal,), False)):
+            calls = []
+            by_code = where_mask(expr, lambda a: store.array(a, np), np,
+                                 _coded(store, calls))
+            assert by_code is None
+            assert where_mask(expr, lambda a: store.array(a, np), np) is None
+            assert store.text_codes(attribute, np) is None or calls == []
+            with mock.patch.object(columnar, "NUMPY_MIN_ROWS", 0):
+                assert list(select_index(
+                    relation, [(translate_where(expr), expr)]
+                )) == _closure(relation, [expr])
+
+    def test_other_comparisons_compare_strings(self):
+        relation = Relation("r", Schema(["a", "b", "c"]), WORD_ROWS)
+        store = relation.column_store()
+        for expr in (Comparison("b", "<", "w1"), Comparison("b", "<>", "w1"),
+                     HardBetween("b", "a", "w1")):
+            calls = []
+            mask = where_mask(expr, lambda a: store.array(a, np), np,
+                              _coded(store, calls))
+            assert calls == []
+            assert np.flatnonzero(mask).tolist() == _closure(relation, [expr])
