@@ -75,19 +75,18 @@ def main() -> None:
     print(query.explain())
     print(f"\nplan cache: {s.cache_info()}")
 
-    # -- 9. Execution backends: large Pareto/skyline winnows run on the
-    #    columnar engine (vectorized dominance over per-attribute score
-    #    vectors) — same results, picked automatically, or steered with
-    #    the .backend() knob ("auto" / "row" / "columnar").
+    # -- 9. Evaluators: Pareto/skyline winnows run on the columnar engine
+    #    (vectorized dominance over per-attribute code vectors), picked by
+    #    the planner; .using() forces another evaluator — same results.
     from repro.datasets.skyline_data import skyline_relation
 
     s.register("sky", skyline_relation("independent", 2000, 2))
     sky_wish = pareto(HIGHEST("d0"), LOWEST("d1"))
     sky_query = s.query("sky").prefer(sky_wish)
-    print("\nskyline plan at 2000 rows (backend chosen by the planner):")
+    print("\nskyline plan at 2000 rows (evaluator chosen by the planner):")
     print(sky_query.explain().splitlines()[0])
-    assert sky_query.run() == sky_query.backend("row").run()
-    print("columnar and row backends agree.")
+    assert sky_query.run() == sky_query.using("bnl").run()
+    print("columnar kernels and BNL agree.")
 
 
 if __name__ == "__main__":

@@ -10,11 +10,10 @@ integer code matrices, and dominance runs block-wise vectorized
 argmax pass over its column instead (the ``sort`` algorithm; its score is
 ``repro.query.algorithms.weak_score``).
 
-The planner (:mod:`repro.query.optimizer`) picks this backend for every
-such winnow, at any size and with or without NumPy;
-``PreferenceQuery.backend("columnar")`` also forces it onto weak orders and
-``.using("vsfs")`` names it directly.  See ``docs/architecture.md`` for
-where the engine sits in the layer map.
+The planner (:func:`repro.query.optimizer.choose_algorithm`) picks this
+engine for every such winnow, at any size and with or without NumPy;
+``PreferenceQuery.using("vsfs")`` names it directly.  See
+``docs/architecture.md`` for where the engine sits in the layer map.
 """
 
 from repro.engine.backend import backend_label, get_numpy, numpy_available

@@ -15,14 +15,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
-from repro.core.constructors import PrioritizedPreference
-from repro.core.preference import Preference
 from repro.psql.ast import Query
 from repro.psql.parser import parse
-from repro.psql.translate import (
-    render_where,
-    translate_preferring,
-)
 from repro.query.plan import Plan
 from repro.relations.catalog import Catalog
 from repro.relations.relation import Relation
@@ -61,23 +55,6 @@ class PreferenceSQL:
     def parse(self, text: str) -> Query:
         return parse(text)
 
-    def preference_of(self, query: Query) -> Preference | None:
-        """The full preference term of a query: PREFERRING & CASCADE ...
-
-        CASCADE expresses "then, among the survivors, prefer ..." — i.e.
-        prioritization of successive clauses ([KiK01]'s cascading
-        preferences).
-        """
-        if query.preferring is None:
-            return None
-        parts = [translate_preferring(query.preferring, self.functions)]
-        parts.extend(
-            translate_preferring(c, self.functions) for c in query.cascades
-        )
-        if len(parts) == 1:
-            return parts[0]
-        return PrioritizedPreference(tuple(parts))
-
     def query(self, text: str):
         """The statement as a fluent :class:`PreferenceQuery` (lazy)."""
         return self.session.sql_query(text)
@@ -111,7 +88,3 @@ class PreferenceSQL:
         except DiagnosticError as exc:
             return CheckResult((exc.diagnostic,))
 
-
-def _render_where(expr: Any) -> str:
-    """Deprecated alias; use :func:`repro.psql.translate.render_where`."""
-    return render_where(expr)

@@ -14,10 +14,11 @@ until a terminal is called:
 * :meth:`~PreferenceQuery.to_sql` — the plug-and-go SQL92 rewriting,
 * :meth:`~PreferenceQuery.iter` — iterate result rows.
 
-Execution backends are a planner concern, not a semantic one: the winnow
-runs on the row engine or — for large vector-skyline workloads — on the
-columnar engine (:mod:`repro.engine`), with identical results either way.
-:meth:`~PreferenceQuery.backend` overrides the automatic choice.
+The evaluator is a planner concern, not a semantic one: the planner
+(:func:`repro.query.optimizer.choose_algorithm`) runs each winnow on the
+row engine or — for terms that lower to integer code axes — on the code
+kernels (:mod:`repro.engine`), with identical results either way.
+:meth:`~PreferenceQuery.using` is the one override.
 
 All terminals funnel through one planning pipeline
 (:func:`repro.query.optimizer.plan` -> :class:`repro.query.plan.Plan`), the
@@ -94,7 +95,7 @@ class PreferenceQuery:
     __slots__ = (
         "_session", "_source", "_pref", "_cascades", "_wheres", "_groupby",
         "_quality", "_top", "_top_ties", "_select", "_order_by", "_limit",
-        "_algorithm", "_backend", "_use_rewriter", "_sql_ast",
+        "_algorithm", "_use_rewriter", "_sql_ast",
         "_revised_from",
     )
 
@@ -116,7 +117,6 @@ class PreferenceQuery:
         self._order_by: tuple[tuple[str, bool], ...] = ()
         self._limit: int | None = None
         self._algorithm: Any = None
-        self._backend: str = "auto"
         self._use_rewriter: bool = True
         self._sql_ast: Any = None  # original psql ast.Query, when parsed
         self._revised_from: Preference | None = None  # pre-revision term
@@ -449,34 +449,12 @@ class PreferenceQuery:
         """Force one evaluation engine (an ALGORITHMS name or a callable),
         bypassing automatic selection and cascade splitting.
 
-        The code kernels are reachable here by name too (``"vsfs"``); for
-        planner-driven backend choice use :meth:`backend` instead.
-        Mutually exclusive with a non-``"auto"`` backend hint.
+        The code kernels are reachable here by name too (``"vsfs"``).
+        Results are identical under every evaluator; :meth:`explain`
+        shows the one the planner would pick, and why, on its
+        ``decision:`` line.
         """
         return self._copy(algorithm=algorithm)
-
-    def backend(self, name: str) -> "PreferenceQuery":
-        """Steer the winnow between execution backends (default ``"auto"``).
-
-        * ``"auto"`` — a term that lowers to integer code axes runs on
-          the columnar engine, anything else on the row engine (see
-          :func:`repro.query.optimizer.choose_backend`),
-        * ``"columnar"`` — force the columnar engine, SCORE
-          terms included; planning raises ``ValueError`` if the preference
-          has no columnar form,
-        * ``"row"`` — never columnarize: the general row path
-          (``sort`` / ``sfs`` / ``bnl``).
-
-        Results are identical across backends; only the evaluation
-        representation changes.  The choice is visible in
-        :meth:`explain` (columnar plans print
-        ``backend=columnar kernel=...`` plus the decision).
-        """
-        from repro.query.optimizer import BACKENDS
-
-        if name not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
-        return self._copy(backend=name)
 
     def optimize(self, enabled: bool = True) -> "PreferenceQuery":
         """Toggle the algebraic rewriter (on by default)."""
@@ -524,7 +502,6 @@ class PreferenceQuery:
             self._order_by,
             self._limit,
             self._algorithm,
-            self._backend,
             self._use_rewriter,
             self._storage_identity(),
         )
@@ -536,12 +513,8 @@ class PreferenceQuery:
         that backend; a cache shared across differently-backed sessions
         must never replay one for the other.
         """
-        if self._session is None:
-            return "memory"
-        binding = getattr(self._session, "storage", None)
-        if binding is None:
-            return "memory"
-        return binding.backend.name
+        storage = self._storage()
+        return "memory" if storage is None else storage.name
 
     def _source_key(self) -> tuple:
         kind, payload = self._source
@@ -627,12 +600,12 @@ class PreferenceQuery:
             limit=self._limit,
             use_rewriter=self._use_rewriter,
             algorithm=self._algorithm,
-            backend=self._backend,
-            storage=self._storage_backend(),
+            storage=self._storage(),
             source_name=self._catalog_source_name(),
         )
 
-    def _storage_backend(self) -> Any:
+    def _storage(self) -> Any:
+        """The session's storage backend, or None (memory only)."""
         if self._session is None:
             return None
         binding = getattr(self._session, "storage", None)

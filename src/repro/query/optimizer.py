@@ -27,15 +27,14 @@ Given a preference term and a database set, the optimizer
    arm decomposition into composite skyline axes, constant-attribute
    pruning under equality selections, and trivial-winnow elimination.
 
-``explain()`` on the resulting plan shows the chosen algorithms, the
-backend (columnar nodes print ``backend=columnar kernel=...``), the
-compact ``rewrites: [...]`` rule summary, and every algebra law and plan
-rule that fired.
+``explain()`` on the resulting plan shows the chosen algorithms (columnar
+nodes print ``backend=columnar kernel=...``), each winnow's ``decision:``
+line (:func:`row_reason`), the compact ``rewrites: [...]`` rule summary,
+and every algebra law and plan rule that fired.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.algebra.rewriter import normalize
@@ -60,9 +59,6 @@ from repro.query.plan import (
 )
 from repro.query.quality import QualityCondition
 from repro.relations.relation import Relation
-
-#: Valid values of the ``backend`` planning hint.
-BACKENDS = ("auto", "row", "columnar")
 
 
 def row_reason(pref: Preference) -> str | None:
@@ -90,76 +86,39 @@ def row_reason(pref: Preference) -> str | None:
     return None
 
 
-def choose_algorithm(pref: Preference, backend: str = "auto") -> str:
+def choose_algorithm(pref: Preference) -> str:
     """The evaluator of one winnow, as a name in ``ALGORITHMS``.
 
     Weak orders over one column (:func:`~repro.query.algorithms.weak_score`)
     take the one-pass argmax ``sort``; terms with a code form take the
-    code kernels (``vsfs``) unless ``backend="row"`` asks for the general
-    row path; that path is ``sfs`` when a dominance-compatible key exists
-    and ``bnl`` — correct for any strict partial order — otherwise.
+    code kernels (``vsfs``); the rest take ``sfs`` when a
+    dominance-compatible key exists and ``bnl`` — correct for any strict
+    partial order — otherwise.  Input size and NumPy's presence do not
+    enter: the code engine picks between its own legs.
     """
     if weak_score(pref) is not None:
         return "sort"
-    if backend != "row" and row_reason(pref) is None:
+    if row_reason(pref) is None:
         return "vsfs"
     if compatible_sort_key(pref) is not None:
         return "sfs"
     return "bnl"
 
 
-@dataclass(frozen=True)
-class BackendChoice:
-    """The planner's backend decision plus its one-line rationale."""
-
-    backend: str  # "row" | "columnar"
-    reason: str
-
-    @property
-    def columnar(self) -> bool:
-        return self.backend == "columnar"
-
-
-def choose_backend(pref: Preference, hint: str = "auto") -> BackendChoice:
-    """Row or code-kernel ("columnar") execution of a winnow.
-
-    Under ``hint="auto"`` the backend is structural (:func:`row_reason`):
-    input size and NumPy's presence do not enter — the code engine picks
-    between its own legs.  ``hint="columnar"`` forces columnar execution
-    (weak orders included: the argmax path) and raises ``ValueError`` for
-    ineligible terms; ``hint="row"`` forces the general row path.
-    """
-    if hint not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {hint!r}")
-    if hint == "row":
-        return BackendChoice("row", "backend=row requested")
-    if hint == "columnar":
-        if columnar_profile(pref) is None:
-            raise ValueError(
-                f"{pref!r} has no columnar evaluation (needs a Pareto of "
-                "chains and weak orders, or a weak order); "
-                "drop the backend='columnar' hint"
-            )
-        return BackendChoice("columnar", "backend=columnar requested")
-    reason = row_reason(pref)
-    if reason is not None:
-        return BackendChoice("row", reason)
-    return BackendChoice("columnar", "lowers to code axes")
-
-
-def winnow_node(
-    child: PlanNode, pref: Preference, backend: str = "auto"
-) -> PlanNode:
+def winnow_node(child: PlanNode, pref: Preference) -> PlanNode:
     """The plan node of one plain winnow ``sigma[pref](child)``: the
-    :func:`choose_backend` decision turned into its operator.  The planner
-    and every rewrite rule that changes a winnow's term build through
-    here, so a rewritten node is decided on exactly what the original was.
+    :func:`choose_algorithm` decision turned into its operator, with the
+    :func:`row_reason` behind it for ``explain()``.  The planner and every
+    rewrite rule that changes a winnow's term build through here, so a
+    rewritten node is decided on exactly what the original was.
     """
-    choice = choose_backend(pref, backend)
-    if choice.columnar:
-        return ColumnarPreferenceSelect(child, pref, cost=choice)
+    algorithm = choose_algorithm(pref)
+    if algorithm == "vsfs":
+        return ColumnarPreferenceSelect(
+            child, pref, reason="lowers to code axes"
+        )
     return PreferenceSelect(
-        child, pref, algorithm=choose_algorithm(pref, "row"), cost=choice
+        child, pref, algorithm=algorithm, reason=row_reason(pref)
     )
 
 
@@ -179,32 +138,9 @@ def full_winnow(pref: Preference, rows: list[Row]) -> list[Row]:
     return rows
 
 
-def _conjuncts(
-    hard: Callable[[Row], bool] | None,
-    hard_label: str,
-    wheres: Sequence[Any] | None,
-) -> list[tuple[Callable[[Row], bool], str, Any]]:
-    """Normalize the two hard-selection inputs into (predicate, label, ast).
-
-    ``hard`` is the legacy single opaque callable; ``wheres`` carries
-    structured per-conjunct specs (anything with ``predicate`` / ``label``
-    / ``ast`` attributes, e.g. :class:`repro.query.api.WhereSpec`) whose
-    AST provenance feeds the rewrite engine's rigidity and
-    constant-propagation analyses.
-    """
-    out: list[tuple[Callable[[Row], bool], str, Any]] = []
-    if hard is not None:
-        out.append((hard, hard_label, None))
-    for spec in wheres or ():
-        out.append((spec.predicate, spec.label, getattr(spec, "ast", None)))
-    return out
-
-
 def plan(
     pref: Preference | None,
     relation: Relation,
-    hard: Callable[[Row], bool] | None = None,
-    hard_label: str = "<predicate>",
     wheres: Sequence[Any] | None = None,
     groupby: Sequence[str] | None = None,
     top_k: int | None = None,
@@ -215,7 +151,6 @@ def plan(
     limit: int | None = None,
     use_rewriter: bool = True,
     algorithm: Any | None = None,
-    backend: str = "auto",
     storage: Any = None,
     source_name: str | None = None,
 ) -> Plan:
@@ -224,10 +159,12 @@ def plan(
     ``pref=None`` plans a plain exact-match query (hard selection, ordering,
     projection, limit only).  ``algorithm`` forces one evaluation engine —
     a name from :data:`repro.query.algorithms.ALGORITHMS` or a callable —
-    bypassing both automatic selection and cascade splitting.  ``backend``
-    ("auto" / "row" / "columnar") steers the winnow between the row engine
-    and the columnar engine (see :func:`choose_backend`); it cannot be
-    combined with a forced ``algorithm``, which already names an engine.
+    bypassing both automatic selection (:func:`choose_algorithm`) and
+    cascade splitting.  ``wheres`` carries the hard selection as
+    per-conjunct specs (anything with ``predicate`` / ``label`` / ``ast``
+    attributes, e.g. :class:`repro.query.api.WhereSpec`) whose AST
+    provenance feeds the rewrite engine's rigidity and
+    constant-propagation analyses.
 
     With ``use_rewriter=True`` (the default) the plan is rewritten by
     :func:`repro.query.rewrite.rewrite_plan`: WHERE conjuncts proven rigid
@@ -237,14 +174,10 @@ def plan(
     :attr:`Plan.rewrites`.  ``use_rewriter=False`` plans the canonical
     (unrewritten) form: equivalent results, none of the speedups.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if algorithm is not None and backend != "auto":
-        raise ValueError(
-            "algorithm= already forces an engine; drop the backend= hint "
-            "(the code kernels are algorithm 'vsfs')"
-        )
-    conjuncts = _conjuncts(hard, hard_label, wheres)
+    conjuncts = [
+        (spec.predicate, spec.label, getattr(spec, "ast", None))
+        for spec in wheres or ()
+    ]
     node: PlanNode = Scan(relation)
 
     if pref is None:
@@ -327,29 +260,16 @@ def plan(
                 profiled |= _rewrite.fixed_attributes(conjunct_ast)
         constraints = constraint_registry(relation, sorted(profiled))
     if top_k is not None:
-        if backend == "columnar":
-            raise ValueError(
-                "top-k is ranked by scores, not dominance; the columnar "
-                "backend does not apply (drop the backend='columnar' hint)"
-            )
         node = TopK(node, pref, top_k, ties=top_ties)
     elif groupby:
-        group_algorithm = algorithm
-        if group_algorithm is None:
-            if backend == "columnar":
-                # Eligibility check; a forced hint also takes weak orders
-                # to the engine's argmax path.
-                choose_backend(pref, backend)
-                group_algorithm = "vsfs"
-            else:
-                group_algorithm = choose_algorithm(pref, backend)
         node = GroupedPreferenceSelect(
-            node, pref, tuple(groupby), algorithm=group_algorithm
+            node, pref, tuple(groupby),
+            algorithm=algorithm or choose_algorithm(pref),
         )
     elif algorithm is not None:
         node = PreferenceSelect(node, pref, algorithm=algorithm)
     else:
-        node = winnow_node(node, pref, backend)
+        node = winnow_node(node, pref)
     for predicate, label, ast in lifted:
         node = HardSelect(node, predicate, label, ast)
 
@@ -365,7 +285,6 @@ def plan(
     if use_rewriter:
         ctx = _rewrite.RewriteContext(
             forced_algorithm=algorithm,
-            backend=backend,
             constraints=constraints,
         )
         node, plan_steps = _rewrite.rewrite_plan(node, ctx)

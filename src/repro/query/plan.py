@@ -23,14 +23,11 @@ def _algorithm_label(algorithm: Any) -> str:
     return str(algorithm)
 
 
-def _cost_lines(cost: Any, pad: str) -> list[str]:
-    """Render a winnow node's backend decision for ``explain()``.
-
-    ``cost`` is the :class:`repro.query.optimizer.BackendChoice` the
-    planner attached (None when the decision was forced by ``using()`` or
-    never arose): one line, the decision rationale.
-    """
-    return [] if cost is None else [f"{pad}  decision: {cost.reason}"]
+def _decision_lines(reason: str | None, pad: str) -> list[str]:
+    """Render a winnow node's evaluator decision for ``explain()``: one
+    line, the planner's rationale (none when ``using()`` forced the
+    evaluator or the decision never arose)."""
+    return [] if reason is None else [f"{pad}  decision: {reason}"]
 
 
 class PlanNode:
@@ -162,9 +159,10 @@ class PreferenceSelect(PlanNode):
     child: PlanNode
     pref: Preference
     algorithm: Any = "bnl"
-    #: The planner's :class:`~repro.query.optimizer.BackendChoice`, when
-    #: the planner made the backend decision (explain() prints it).
-    cost: Any = None
+    #: Why the planner chose this evaluator
+    #: (:func:`~repro.query.optimizer.row_reason`), when it made the
+    #: decision; explain() prints it.
+    reason: str | None = None
 
     def execute(self) -> Relation:
         return winnow(self.pref, self.child.execute(), algorithm=self.algorithm)
@@ -174,7 +172,7 @@ class PreferenceSelect(PlanNode):
         return [
             f"{pad}PreferenceSelect[{self.pref!r}] "
             f"algorithm={_algorithm_label(self.algorithm)}",
-            *_cost_lines(self.cost, pad),
+            *_decision_lines(self.reason, pad),
             *self.child.lines(indent + 1),
         ]
 
@@ -183,8 +181,8 @@ class PreferenceSelect(PlanNode):
 class ColumnarPreferenceSelect(PlanNode):
     """``sigma[P](...)`` on the columnar backend (:mod:`repro.engine`).
 
-    Chosen by the planner for every Pareto winnow over chains and weak
-    orders (or forced via ``PreferenceQuery.backend("columnar")``):
+    Chosen by the planner for every winnow whose term lowers to integer
+    code axes (a Pareto over chains and weak orders):
     dominance is evaluated over integer-encoded column vectors — on the
     engine's NumPy leg or its interpreted leg, which the engine picks per
     winnow — instead of per-row-pair ``pref._lt`` calls.  Results are
@@ -205,9 +203,8 @@ class ColumnarPreferenceSelect(PlanNode):
     child: PlanNode
     pref: Preference
     strategy: str = "sfs"
-    #: The planner's :class:`~repro.query.optimizer.BackendChoice`
-    #: (explain() prints its reason).
-    cost: Any = None
+    #: Why the planner chose the code kernels; explain() prints it.
+    reason: str | None = None
 
     def execute(self) -> Relation:
         from repro.engine.columnar import columnar_winnow, select_index
@@ -233,7 +230,7 @@ class ColumnarPreferenceSelect(PlanNode):
         return [
             f"{pad}ColumnarPreferenceSelect[{self.pref!r}] "
             f"backend=columnar kernel=v{self.strategy}({backend_label()})",
-            *_cost_lines(self.cost, pad),
+            *_decision_lines(self.reason, pad),
             *self.child.lines(indent + 1),
         ]
 

@@ -371,7 +371,6 @@ class RewriteContext:
     """Planner facts the rules may consult, plus trace bookkeeping."""
 
     forced_algorithm: Any = None
-    backend: str = "auto"
     #: Integrity constraints proved for the planned relation (a
     #: :class:`repro.analysis.constraints.ConstraintSet`: declared schema
     #: constraints plus statistics-derived keys/constants/bounds).  The
@@ -623,27 +622,20 @@ def _rule_prune_constant(
         return None
     from repro.query.optimizer import winnow_node
 
-    try:
-        # The planner's own decision, re-made for the pruned term under
-        # the caller's own hint: a forced backend("columnar") must
-        # survive pruning.
-        new_node = winnow_node(node.child, pruned, ctx.backend)
-    except ValueError:
-        # The pruned term would lose its (user-forced) columnar form;
-        # honoring the hint beats the pruning win, so leave the node be.
-        return None
+    # The planner's own decision, re-made for the pruned term.
+    new_node = winnow_node(node.child, pruned)
     return new_node, _head(node), _head(new_node)
 
 
 def cascade_stages(
-    pref: Preference, backend: str = "auto"
+    pref: Preference,
 ) -> tuple[tuple[Preference, str], ...] | None:
     """Split ``P1 & ... & Pn`` into Proposition-11 cascade stages.
 
     Every stage except the last must be a (statically known) chain; the
     remaining suffix becomes one final stage.  Returns None when the head
-    is not a chain (no cascade advantage).  ``backend`` is the planning
-    hint each stage's evaluator is chosen under.
+    is not a chain (no cascade advantage).  Each stage's evaluator is
+    the planner's :func:`~repro.query.optimizer.choose_algorithm`.
     """
     from repro.query.optimizer import choose_algorithm
 
@@ -653,12 +645,12 @@ def cascade_stages(
     stages: list[tuple[Preference, str]] = []
     while len(children) > 1 and children[0].is_chain() is True:
         head = children.pop(0)
-        stages.append((head, choose_algorithm(head, backend)))
+        stages.append((head, choose_algorithm(head)))
     if not stages:
         return None
     rest: Preference
     rest = children[0] if len(children) == 1 else PrioritizedPreference(tuple(children))
-    stages.append((rest, choose_algorithm(rest, backend)))
+    stages.append((rest, choose_algorithm(rest)))
     return tuple(stages)
 
 
@@ -670,7 +662,7 @@ def _rule_split_prio(
         return None
     if not isinstance(node, PreferenceSelect):
         return None
-    stages = cascade_stages(node.pref, ctx.backend)
+    stages = cascade_stages(node.pref)
     if stages is None:
         return None
     cascade = Cascade(node.child, stages)
@@ -797,8 +789,6 @@ def _rule_winnow_to_sort(
     """Weak order under constraints ⇒ ORDER BY + first group."""
     if ctx.forced_algorithm is not None:
         return None
-    if ctx.backend == "columnar":
-        return None  # honor the caller's explicit engine hint
     constraints = ctx.constraints
     if not constraints:
         return None
@@ -823,7 +813,7 @@ def _rule_winnow_to_sort(
         )
     from repro.query.optimizer import winnow_node
 
-    new_node = winnow_node(node.child, reduction.pref, ctx.backend)
+    new_node = winnow_node(node.child, reduction.pref)
     ctx.noted.add(("winnow_to_sort", _head(new_node)))
     return (
         new_node,

@@ -264,8 +264,7 @@ class PreferenceService:
              "groupby": ["category"],
              "top": 5, "ties": "all",
              "but_only": [["distance", "price", "<=", 2000]],
-             "order_by": [["price", false]], "select": [...], "limit": 10,
-             "backend": "auto"}                       # or "row" / "columnar"
+             "order_by": [["price", false]], "select": [...], "limit": 10}
 
         Preference dicts use the :mod:`repro.engineering.serialization`
         format; SCORE / rank(F) function names resolve against the
@@ -289,7 +288,7 @@ class PreferenceService:
     def _query_from_spec(self, spec: Mapping[str, Any]) -> PreferenceQuery:
         known = {
             "relation", "where", "prefer", "cascade", "groupby", "top",
-            "ties", "but_only", "order_by", "select", "limit", "backend",
+            "ties", "but_only", "order_by", "select", "limit",
         }
         unknown = sorted(set(spec) - known)
         if unknown:
@@ -323,8 +322,6 @@ class PreferenceService:
             q = q.select(*spec["select"])
         if spec.get("limit") is not None:
             q = q.limit(int(spec["limit"]))
-        if spec.get("backend"):
-            q = q.backend(spec["backend"])
         return q
 
     def _pref(self, data: Any) -> Preference:
@@ -561,15 +558,13 @@ class PreferenceService:
 
         View-eligible queries have a preference term over the whole
         relation: no hard WHERE filters, no BUT ONLY supervision, no
-        forced algorithm/backend, rewriter untouched.  Presentation
+        forced algorithm, rewriter untouched.  Presentation
         clauses are fine — they are applied on top of the window.
         """
         pref = q.preference
         if pref is None or q._wheres or q._quality:
             return None
-        if q._algorithm is not None or q._backend != "auto":
-            return None
-        if not q._use_rewriter:
+        if q._algorithm is not None or not q._use_rewriter:
             return None
         if q._top is not None and not isinstance(pref, ScorePreference):
             return None

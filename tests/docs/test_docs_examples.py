@@ -30,7 +30,7 @@ def test_docs_exist():
 def test_readme_has_runnable_examples():
     checker = _load_checker()
     blocks = checker.python_blocks((REPO_ROOT / "README.md").read_text())
-    assert len(blocks) >= 2  # the 30-second example and the backend knob
+    assert len(blocks) >= 2  # the 30-second example and the evaluator choice
 
 
 def test_every_doc_block_runs():

@@ -1,9 +1,10 @@
-"""Planner backend choice: the structural rule, surfaced.
+"""Planner evaluator choice: the structural rule, surfaced.
 
-Covers :func:`repro.query.optimizer.choose_backend`, the ``backend=`` hint
-on the fluent API, the ColumnarPreferenceSelect plan node, explain()
-output (the decision rationale), plan-cache fingerprinting, and the
-session's columnar-store cache.
+Covers :func:`repro.query.optimizer.choose_algorithm` and
+:func:`~repro.query.optimizer.row_reason`, ``using()`` as the one
+override, the ColumnarPreferenceSelect plan node, explain() output (the
+decision rationale), plan-cache fingerprinting, and the session's
+columnar-store cache.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from repro.core.constructors import pareto, prioritized
 from repro.datasets.skyline_data import skyline_relation
 from repro.engine import backend as engine_backend
 from repro.query import optimizer
-from repro.query.optimizer import BackendChoice, choose_backend, plan
+from repro.query.optimizer import choose_algorithm, plan, row_reason
 from repro.query.plan import Cascade, ColumnarPreferenceSelect, PreferenceSelect
 from repro.session import Session
 
@@ -64,10 +65,16 @@ class TestCostModel:
         "RewriteContext.cardinality/stats",
         "storage cardinality",
         "storage.cardinality fault site",
+        "PreferenceQuery.backend",
+        "backend= parameters",
+        "plan(hard=, hard_label=)",
+        "RewriteContext.backend",
+        "optimizer.BACKENDS",
     ])
     def test_retired_option_is_gone(self, retired):
-        """Each option the serial kernel retired, absent from the API
-        rather than accepted and ignored."""
+        """Each option the serial kernel retired, and each evaluator knob
+        besides ``using()``, absent from the API rather than accepted and
+        ignored."""
         import dataclasses
         import importlib
         import inspect
@@ -75,7 +82,8 @@ class TestCostModel:
         from repro.engine import columnar
         from repro.engine.columnar import columnar_winnow
         from repro.faults.__main__ import SITES
-        from repro.query.rewrite import RewriteContext
+        from repro.query.api import PreferenceQuery
+        from repro.query.rewrite import RewriteContext, cascade_stages
         from repro.storage import MemoryBackend
         from repro.storage.backend import StorageBackend
         from repro.storage.breaker import GuardedBackend
@@ -105,12 +113,14 @@ class TestCostModel:
         elif retired == "ColumnarPreferenceSelect.partitions":
             assert "partitions" not in fields(ColumnarPreferenceSelect)
         elif retired == "BackendChoice.partitions/cost":
-            assert fields(BackendChoice) == ["backend", "reason"]
-            assert not hasattr(BackendChoice("columnar", "x"), "parallel")
+            # The whole decision record went: a node keeps only its reason.
+            assert not hasattr(optimizer, "BackendChoice")
+            assert "cost" not in fields(ColumnarPreferenceSelect)
+            assert "cost" not in fields(PreferenceSelect)
         elif retired.startswith("choose_backend"):
-            assert params(choose_backend) == ["pref", "hint"]
+            assert not hasattr(optimizer, "choose_backend")
         elif retired.startswith("winnow_node"):
-            assert params(optimizer.winnow_node) == ["child", "pref", "backend"]
+            assert params(optimizer.winnow_node) == ["child", "pref"]
         elif retired == "RewriteContext.cardinality/stats":
             for name in ("cardinality", "stats"):
                 assert name not in fields(RewriteContext)
@@ -118,41 +128,34 @@ class TestCostModel:
             for cls in (StorageBackend, MemoryBackend, SQLBackend,
                         GuardedBackend):
                 assert not hasattr(cls, "cardinality"), cls
-        else:
+        elif retired == "storage.cardinality fault site":
             assert "storage.cardinality" not in SITES
             assert "storage.prefilter" in SITES
+        elif retired == "PreferenceQuery.backend":
+            assert not hasattr(PreferenceQuery, "backend")
+            assert "_backend" not in PreferenceQuery.__slots__
+        elif retired == "backend= parameters":
+            for fn in (optimizer.plan, choose_algorithm, cascade_stages):
+                assert "backend" not in params(fn), fn
+            assert params(choose_algorithm) == ["pref"]
+            assert params(cascade_stages) == ["pref"]
+        elif retired == "plan(hard=, hard_label=)":
+            for name in ("hard", "hard_label"):
+                assert name not in params(optimizer.plan)
+            assert not hasattr(optimizer, "_conjuncts")
+        elif retired == "RewriteContext.backend":
+            assert "backend" not in fields(RewriteContext)
+        else:
+            assert not hasattr(optimizer, "BACKENDS")
 
 
-class TestChooseBackend:
-    def test_rejects_unknown_hint(self):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            choose_backend(SKY, hint="gpu")
-
-    def test_parallel_is_not_a_backend(self):
-        assert optimizer.BACKENDS == ("auto", "row", "columnar")
-        with pytest.raises(ValueError, match="backend must be one of"):
-            choose_backend(SKY, hint="parallel")
-
-    def test_row_hint_always_row(self):
-        assert choose_backend(SKY, "row") == BackendChoice(
-            "row", "backend=row requested"
-        )
-
-    def test_columnar_hint_forces(self):
-        assert choose_backend(SKY, "columnar").columnar
-
-    def test_columnar_hint_on_ineligible_raises(self):
-        with pytest.raises(ValueError, match="no columnar evaluation"):
-            choose_backend(EXPLICIT, "columnar")
-
+class TestChooseAlgorithm:
     def test_auto_goes_columnar_when_big(self):
-        choice = choose_backend(SKY3, "auto")
-        assert choice.columnar and choice.reason == "lowers to code axes"
+        assert choose_algorithm(SKY3) == "vsfs"
+        assert row_reason(SKY3) is None
 
     def test_auto_is_structural_not_sized(self, session):
-        assert choose_backend(SKY3, "auto") == BackendChoice(
-            "columnar", "lowers to code axes"
-        )
+        assert choose_algorithm(SKY3) == "vsfs"
         for name in ("big", "small"):
             node = plan(SKY, session.catalog.get(name)).root
             assert isinstance(node, ColumnarPreferenceSelect)
@@ -166,7 +169,7 @@ class TestChooseBackend:
         node = plan(SKY3, relation).root
         assert isinstance(node, ColumnarPreferenceSelect)
         assert node.strategy == "sfs"
-        assert node.cost == BackendChoice("columnar", "lowers to code axes")
+        assert node.reason == "lowers to code axes"
         assert node.execute().rows() == (
             PreferenceSelect(node.child, SKY3, "bnl").execute().rows()
         )
@@ -176,9 +179,8 @@ class TestChooseBackend:
         engine (31 ms there, 2.7 ms columnar): AROUND lowers to two code
         axes, HIGHEST to one."""
         pref = pareto(AroundPreference("d0", 0.5), HighestPreference("d1"))
-        assert choose_backend(pref, "auto") == BackendChoice(
-            "columnar", "lowers to code axes"
-        )
+        assert choose_algorithm(pref) == "vsfs"
+        assert row_reason(pref) is None
 
     def test_arms_without_code_axes_have_no_columnar_form(self):
         from repro.core.base_nonnumerical import ExplicitPreference
@@ -188,18 +190,44 @@ class TestChooseBackend:
             ExplicitPreference("d1", [(1, 2)]),
             ScorePreference(("d1", "d2"), sum, name="sum"),
         ):
-            choice = choose_backend(pareto(HighestPreference("d0"), arm))
-            assert choice == BackendChoice("row", "no columnar dominance form")
+            pref = pareto(HighestPreference("d0"), arm)
+            assert row_reason(pref) == "no columnar dominance form"
+            assert choose_algorithm(pref) != "vsfs"
 
     def test_score_terms_stay_row_on_auto(self):
-        choice = choose_backend(AroundPreference("d0", 1), "auto")
-        assert choice.backend == "row"
+        pref = AroundPreference("d0", 1)
+        assert choose_algorithm(pref) == "sort"
+        assert row_reason(pref) == "weak order: one argmax pass"
 
     def test_bare_chain_score_terms_stay_row_on_auto(self):
         # HIGHEST/LOWEST are 1-d skylines *and* argmaxes; the row `sort`
-        # path is already linear, so auto must not columnarize them.
+        # path is already linear, so the planner must not columnarize them.
         for pref in (HighestPreference("d0"), LowestPreference("d0")):
-            assert not choose_backend(pref, "auto").columnar
+            assert choose_algorithm(pref) == "sort"
+
+    def test_winnow_node_builds_what_choose_algorithm_names(self, session):
+        """One decider: the code-kernel node exactly when the planner says
+        ``vsfs``, else the row node with that evaluator and its reason."""
+        child = plan(None, session.catalog.get("small")).root
+        for pref in (
+            SKY, SKY3, EXPLICIT, HighestPreference("d0"),
+            AroundPreference("d0", 0.5), prioritized(SKY, EXPLICIT),
+            prioritized(HighestPreference("d0"), LowestPreference("d1")),
+        ):
+            node = optimizer.winnow_node(child, pref)
+            algorithm = choose_algorithm(pref)
+            if algorithm == "vsfs":
+                assert isinstance(node, ColumnarPreferenceSelect), pref
+                assert node.reason == "lowers to code axes"
+            else:
+                assert type(node) is PreferenceSelect, pref
+                assert node.algorithm == algorithm
+                assert node.reason == row_reason(pref)
+
+    def test_using_rejects_unknown_algorithm(self, session):
+        q = session.query("small").prefer(SKY).using("gpu")
+        with pytest.raises(ValueError, match="unknown algorithm 'gpu'"):
+            q.run()
 
 
 class TestPlannerIntegration:
@@ -264,7 +292,7 @@ class TestPlannerIntegration:
         ])
         for gone in ("cost:", "selectivity", "stats=", "partitions="):
             assert gone not in text
-        assert query.run() == query.backend("row").run()
+        assert query.run() == query.using("bnl").run()
 
     def test_paper_signature_query_plans_columnar_from_both_front_ends(self):
         """``price AROUND z AND HIGHEST(horsepower)`` (Def. 7a x Def. 8),
@@ -290,7 +318,7 @@ class TestPlannerIntegration:
                 text = q.explain()
                 assert "ColumnarPreferenceSelect" in text
                 assert "decision: lowers to code axes" in text
-            assert sql.run() == spec.run() == sql.backend("row").run()
+            assert sql.run() == spec.run() == sql.using("bnl").run()
         finally:
             service.close()
 
@@ -298,21 +326,21 @@ class TestPlannerIntegration:
         text = session.query("small").prefer(SKY).explain()
         assert "ColumnarPreferenceSelect" in text
         rows = session.query("small").prefer(SKY).run()
-        assert rows == session.query("small").prefer(SKY).backend("row").run()
+        assert rows == session.query("small").prefer(SKY).using("bnl").run()
 
-    def test_backend_row_overrides_auto(self, session):
-        text = session.query("big").prefer(SKY3).backend("row").explain()
+    def test_using_overrides_auto(self, session):
+        """``using()`` is the one override: the forced evaluator runs on
+        the row node, and no planner decision is printed."""
+        text = session.query("big").prefer(SKY3).using("sfs").explain()
         assert "ColumnarPreferenceSelect" not in text
         assert "algorithm=sfs" in text
-
-    def test_backend_columnar_forces_small(self, session):
-        text = session.query("small").prefer(SKY).backend("columnar").explain()
-        assert "backend=columnar" in text and "kernel=vsfs" in text
+        assert "decision:" not in text
 
     def test_results_identical_across_backends(self, session):
         base = session.query("big").prefer(SKY3)
-        rows = base.backend("row").run()
-        assert base.backend("columnar").run() == rows
+        rows = base.run()
+        assert base.using("sfs").run() == rows
+        assert base.using("bnl").run() == rows
 
     def test_key_headed_cascade_collapses_to_sorted_winnow(self, session):
         """``d0`` is continuous, so statistics derive ``key(d0)``: the
@@ -357,49 +385,32 @@ class TestPlannerIntegration:
 
         assert p.execute().rows() == winnow(pref, big, algorithm="bnl").rows()
 
-    def test_invalid_backend_name_rejected_early(self, session):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            session.query("big").prefer(SKY).backend("gpu")
-
-    def test_backend_with_forced_algorithm_rejected(self, session):
-        q = session.query("big").prefer(SKY).using("sfs").backend("row")
-        with pytest.raises(ValueError, match="algorithm= already forces"):
-            q.explain()
-
-    def test_columnar_with_top_rejected(self, session):
-        q = (
-            session.query("big")
-            .prefer(AroundPreference("d0", 0.5))
-            .top(3)
-            .backend("columnar")
-        )
-        with pytest.raises(ValueError, match="top-k"):
-            q.explain()
-
-    def test_groupby_columnar_hint_uses_vsfs(self, session):
-        q = session.query("big").prefer(SKY).groupby("d0").backend("columnar")
-        assert "algorithm=vsfs" in q.explain()
-        assert q.run() == session.query("big").prefer(SKY).groupby("d0").run()
-
     def test_auto_groupby_runs_the_code_kernels_per_group(self, session):
         base = session.query("big").prefer(SKY3).groupby("d0")
         assert "algorithm=vsfs" in base.explain()
-        assert "algorithm=sfs" in base.backend("row").explain()
-        assert base.run() == base.backend("row").run()
+        assert base.run() == base.using("bnl").run()
 
     def test_using_vsfs_names_columnar_kernel(self, session):
         q = session.query("small").prefer(SKY).using("vsfs")
         assert "algorithm=vsfs" in q.explain()
         assert q.run() == session.query("small").prefer(SKY).run()
 
-    def test_ineligible_forced_columnar_raises_at_plan_time(self, session):
-        q = (
-            session.query("big")
-            .prefer(EXPLICIT)
-            .backend("columnar")
-        )
-        with pytest.raises(ValueError, match="no columnar evaluation"):
-            q.explain()
+    def test_forced_vsfs_on_ineligible_term_raises(self, session):
+        """The planner never picks the code kernels for a term without a
+        code form; forcing them anyway fails loudly, not silently."""
+        from repro.engine.columnar import NotColumnarError
+
+        assert choose_algorithm(EXPLICIT) != "vsfs"
+        q = session.query("big").prefer(EXPLICIT).using("vsfs")
+        assert "algorithm=vsfs" in q.explain()
+        with pytest.raises(NotColumnarError, match="use another algorithm"):
+            q.run()
+
+    def test_groupby_using_vsfs(self, session):
+        base = session.query("big").prefer(SKY).groupby("d0")
+        forced = base.using("vsfs")
+        assert "algorithm=vsfs" in forced.explain()
+        assert forced.run() == base.run() == base.using("bnl").run()
 
 
 class TestOnePlanOnBothPlatforms:
@@ -419,8 +430,7 @@ class TestOnePlanOnBothPlatforms:
             assert "NumPy unavailable" not in plain.explain()
             node = plain.root
             return (
-                type(node), node.strategy,
-                node.cost.backend, node.cost.reason,
+                type(node), node.strategy, node.reason,
                 type(grouped.root), grouped.root.algorithm,
             )
 
@@ -432,14 +442,14 @@ class TestOnePlanOnBothPlatforms:
 
 
 class TestFingerprintAndCache:
-    def test_backend_in_fingerprint(self, session):
+    def test_forced_algorithm_in_fingerprint(self, session):
         q = session.query("big").prefer(SKY)
-        assert q.fingerprint() != q.backend("row").fingerprint()
-        assert q.fingerprint() == q.backend("auto").fingerprint()
+        assert q.fingerprint() != q.using("sfs").fingerprint()
+        assert q.using("sfs").fingerprint() == q.using("sfs").fingerprint()
 
-    def test_plans_cached_per_backend(self, session):
-        session.query("big").prefer(SKY).backend("row").run()
-        session.query("big").prefer(SKY).backend("row").run()
+    def test_plans_cached_per_forced_algorithm(self, session):
+        session.query("big").prefer(SKY).using("sfs").run()
+        session.query("big").prefer(SKY).using("sfs").run()
         info = session.cache_info()
         assert info.hits >= 1 and info.misses >= 1
 

@@ -13,6 +13,8 @@ from repro.core.base_numerical import (
     LowestPreference,
 )
 from repro.core.constructors import dual, pareto, prioritized, rank
+from repro.psql.ast import Comparison
+from repro.query.api import WhereSpec
 from repro.query.bmo import winnow
 from repro.datasets.cars import generate_cars
 from repro.query.algorithms import ALGORITHMS, naive_nested_loop
@@ -45,7 +47,6 @@ class TestChooseAlgorithm:
     def test_2d_skyline(self):
         pref = pareto(HighestPreference("x"), LowestPreference("y"))
         assert choose_algorithm(pref) == "vsfs"
-        assert choose_algorithm(pref, backend="row") == "sfs"
 
     def test_multi_d_skyline(self):
         assert choose_algorithm(
@@ -151,7 +152,9 @@ class TestExecute:
         out = execute(
             HighestPreference("b"),
             rel(rows),
-            hard=lambda r: r["a"] == 1,
+            wheres=[WhereSpec(
+                lambda r: r["a"] == 1, "a = 1", Comparison("a", "=", 1)
+            )],
         )
         assert out.rows() == [{"a": 1, "b": 5}]
 

@@ -360,7 +360,7 @@ class TestPlanRules:
         direct = winnow_node(select, pruned_node.pref)
         assert pruned_node.pref.attributes == ("b", "c", "d")
         assert pruned_node == direct
-        assert pruned_node.cost == direct.cost
+        assert pruned_node.reason == direct.reason
 
     def test_forced_algorithm_disables_plan_rules(self, session):
         q = (
@@ -459,18 +459,18 @@ class TestReviewRegressions:
         assert "push_select_below_winnow" in q2.explain()
         assert q2.run() == [{"price": 50}]
 
-    def test_prune_keeps_forced_columnar_backend(self, session):
+    def test_prune_skipped_under_forced_algorithm(self, session):
+        """A forced evaluator runs the user's whole term: the constant
+        ``price`` arm is not pruned, and the answer is still the winnow's."""
         pref = pareto(LOW_P, HIGH_W)
-        q = (
-            session.query("car")
-            .backend("columnar")
-            .where(price=7)
-            .prefer(pref)
-        )
+        q = session.query("car").where(price=7).prefer(pref).using("vsfs")
         text = q.explain()
-        assert "prune_constant_pref" in text
-        assert "backend=columnar" in text  # the forced hint survived
+        assert "prune_constant_pref" not in text
+        assert "algorithm=vsfs" in text
+        auto = session.query("car").where(price=7).prefer(pref)
+        assert "prune_constant_pref" in auto.explain()
         reference = winnow(
             pref, [r for r in rows() if r["price"] == 7], algorithm="naive"
         )
         assert row_set(q.run().rows()) == row_set(reference)
+        assert row_set(auto.run().rows()) == row_set(reference)

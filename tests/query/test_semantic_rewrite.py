@@ -18,7 +18,7 @@ from repro.core.base_numerical import (
     LowestPreference,
 )
 from repro.core.constructors import pareto, prioritized
-from repro.query.plan import ColumnarPreferenceSelect, PreferenceSelect
+from repro.query.plan import PreferenceSelect
 from repro.relations.schema import Key
 from repro.session import Session
 
@@ -80,6 +80,20 @@ class TestWinnowToSort:
         )
         assert "winnow_to_sort" not in q.explain()
 
+    def test_forced_code_kernel_keeps_the_term_whole(self):
+        """The constant ``n1`` reduces the automatic plan to an argmax;
+        ``using("vsfs")`` runs the unreduced Pareto term, same answer."""
+        rows = [{"a": a, "n1": 1} for a in (2.0, 1.0, 3.0, 3.0)]
+        pref = pareto(HighestPreference("a"), AroundPreference("n1", 0))
+        auto = _session(rows).query("t").prefer(pref)
+        _assert_rebuilt_as_argmax(auto.plan(), "n1 = 1")
+        forced = auto.using("vsfs").plan()
+        assert isinstance(forced.root, PreferenceSelect)
+        assert forced.root.algorithm == "vsfs"
+        assert forced.root.pref.attribute_set == {"a", "n1"}
+        assert "winnow_to_sort" not in forced.rewrite_rules()
+        assert auto.using("vsfs").run().rows() == auto.run().rows()
+
     @pytest.mark.parametrize("pref, kept", [
         # The constant n1 prunes each term to one arm proved a weak order;
         # the NaN row is comparable to nothing, so it is maximal beside
@@ -104,19 +118,6 @@ class TestWinnowToSort:
         ))
         _assert_rebuilt_as_argmax(q.plan(), "n1 = 1.0")
         assert q.count() == 3
-
-    def test_columnar_hint_suppresses_structural_change(self):
-        rows = [
-            {"a": float(i), "b": float(i * 7 % 97)} for i in range(40)
-        ]
-        q = (
-            _session(rows).query("t")
-            .prefer(pareto(HighestPreference("a"), LowestPreference("b")))
-            .backend("columnar")
-        )
-        plan = q.plan()
-        assert isinstance(plan.root, ColumnarPreferenceSelect)
-        assert "winnow_to_sort" not in plan.rewrite_rules()
 
 
 class TestRemoveRedundantWinnow:

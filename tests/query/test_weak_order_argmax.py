@@ -195,7 +195,6 @@ def test_every_weak_order_plans_the_argmax(name, dual):
     if dual:
         pref = DualPreference(pref)
     assert choose_algorithm(pref) == "sort"
-    assert choose_algorithm(pref, "row") == "sort"
 
 
 def test_bare_pos_explains_the_argmax():

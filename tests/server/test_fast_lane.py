@@ -146,8 +146,8 @@ class TestLaneChoice:
     @pytest.mark.parametrize("spec", [
         {"relation": "car", "prefer": THRIFTY},  # a first sighting
         {**SPEC, "where": [["category", "=", "suv"]]},
-        {**SPEC, "backend": "row"},
-    ], ids=["first_sighting", "where", "forced_backend"])
+        {**SPEC, "but_only": [["distance", "price", "<=", 5000]]},
+    ], ids=["first_sighting", "where", "but_only"])
     def test_everything_else_goes_to_the_pool_once(self, served, spec):
         with PreferenceClient(port=served.port) as client:
             _sight_twice(client, SPEC)  # a view exists; it must not matter
@@ -307,7 +307,7 @@ class TestInlineLaneKeepsTheContract:
     def test_fault_site_is_hit_once_on_either_lane(self, served):
         with PreferenceClient(port=served.port) as client:
             _sight_twice(client, SPEC)
-            for spec in (SPEC, {**SPEC, "backend": "row"}):
+            for spec in (SPEC, {**SPEC, "where": [["category", "=", "suv"]]}):
                 with FaultPlan() as plan:
                     client.query(spec=spec)
                 assert plan.hits == {"executor.task": 1, "conn.write": 1}

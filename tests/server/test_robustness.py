@@ -111,8 +111,9 @@ class TestMalformedWire:
 
 
 class TestRemovedExecutionHint:
-    """Partitioning is the planner's decision, not a spec field: both
-    spellings of the old hint are a ``bad_request`` naming what is valid."""
+    """Partitioning and the evaluator are the planner's decisions, not
+    spec fields: every spelling of the old hints is a ``bad_request``
+    naming what is valid."""
 
     def _error(self, served, **extra):
         with PreferenceClient(port=served.port) as client:
@@ -127,11 +128,15 @@ class TestRemovedExecutionHint:
     def test_partitions_field_is_unknown(self, served):
         message = self._error(served, partitions=4)
         assert "unknown spec field(s) ['partitions']" in message
-        assert "'backend'" in message and "'relation'" in message
+        assert "'limit'" in message and "'relation'" in message
 
-    def test_parallel_backend_is_unknown(self, served):
-        message = self._error(served, backend="parallel")
-        assert "('auto', 'row', 'columnar')" in message
+    @pytest.mark.parametrize("value", ["parallel", "row", "columnar", "auto"])
+    def test_parallel_backend_is_unknown(self, served, value):
+        message = self._error(served, backend=value)
+        assert "unknown spec field(s) ['backend']" in message
+        valid = message.split("valid fields: ", 1)[1]
+        assert "'relation'" in valid and "'limit'" in valid
+        assert "'backend'" not in valid
 
 
 class TestDeadlines:

@@ -85,9 +85,11 @@ class TestQueries:
     ], ids=["bare", "auto", "parallel", "row"])
     def test_spec_partitions_is_unknown(self, service, extra):
         """Partitioning is the planner's decision: every shape a spec gave
-        the field in is refused, whatever backend rides along."""
+        the field in is refused, and a retired backend hint riding along
+        is refused beside it."""
         with pytest.raises(
-            ServiceError, match=r"unknown spec field\(s\) \['partitions'\]"
+            ServiceError,
+            match=r"unknown spec field\(s\) \[('backend', )?'partitions'\]",
         ):
             service.query(
                 spec={"relation": "animal", "prefer": PARETO_SPEC, **extra}
