@@ -44,6 +44,17 @@ class Others:
 OTHERS = Others()
 
 
+def _members(values: Iterable[Hashable]) -> str:
+    """``{...}`` with the members sorted, so a term prints the same text
+    in every process (a set iterates in string-hash order).  Members of
+    mixed types order by (type name, repr)."""
+    try:
+        ordered = sorted(values)
+    except TypeError:
+        ordered = sorted(values, key=lambda v: (type(v).__name__, repr(v)))
+    return "{" + ", ".join(map(repr, ordered)) + "}"
+
+
 class LayeredPreference(Preference):
     """An ordered partition of a domain: earlier layers are better.
 
@@ -128,7 +139,7 @@ class LayeredPreference(Preference):
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            "OTHERS" if isinstance(l, Others) else repr(set(l)) for l in self._layers
+            "OTHERS" if isinstance(l, Others) else _members(l) for l in self._layers
         )
         return f"LayeredPreference({self.attribute}, [{inner}])"
 
@@ -153,7 +164,7 @@ class PosPreference(LayeredPreference):
         return ("pos", self.attribute, self.pos_set)
 
     def __repr__(self) -> str:
-        return f"POS({self.attribute}, {set(self.pos_set)!r})"
+        return f"POS({self.attribute}, {_members(self.pos_set)})"
 
 
 class NegPreference(LayeredPreference):
@@ -176,7 +187,7 @@ class NegPreference(LayeredPreference):
         return ("neg", self.attribute, self.neg_set)
 
     def __repr__(self) -> str:
-        return f"NEG({self.attribute}, {set(self.neg_set)!r})"
+        return f"NEG({self.attribute}, {_members(self.neg_set)})"
 
 
 class PosNegPreference(LayeredPreference):
@@ -203,7 +214,8 @@ class PosNegPreference(LayeredPreference):
 
     def __repr__(self) -> str:
         return (
-            f"POS/NEG({self.attribute}, {set(self.pos_set)!r}; {set(self.neg_set)!r})"
+            f"POS/NEG({self.attribute}, {_members(self.pos_set)}; "
+            f"{_members(self.neg_set)})"
         )
 
 
@@ -231,8 +243,8 @@ class PosPosPreference(LayeredPreference):
 
     def __repr__(self) -> str:
         return (
-            f"POS/POS({self.attribute}, {set(self.pos1_set)!r}; "
-            f"{set(self.pos2_set)!r})"
+            f"POS/POS({self.attribute}, {_members(self.pos1_set)}; "
+            f"{_members(self.pos2_set)})"
         )
 
 

@@ -214,8 +214,8 @@ def eval_pareto_decomposition(
 def eval_by_decomposition(pref: Preference, data: Relation | Sequence[Row]) -> Any:
     """Dispatch a binary compound preference to its decomposition theorem.
 
-    The entry point benchmarks use to compare decomposed evaluation against
-    the direct algorithms.
+    The one entry point for comparing decomposed evaluation against the
+    direct algorithms.
     """
     if isinstance(pref, DisjointUnionPreference) and len(pref.children) == 2:
         return eval_union(*pref.children, data)

@@ -71,10 +71,6 @@ class ThresholdStats:
     objects_seen: int = 0
     rounds: int = 0
 
-    @property
-    def objects_scored(self) -> int:
-        return self.objects_seen
-
 
 def threshold_topk(
     pref: RankPreference,

@@ -20,7 +20,7 @@ and ``supports_pushdown`` is ``False``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.relations.relation import Relation
 
@@ -113,8 +113,3 @@ class MemoryBackend(StorageBackend):
         self, name: str, conjuncts: Sequence[Any]
     ) -> tuple[str, tuple[Any, ...]]:
         raise StorageError("memory backend does not render SQL prefilters")
-
-
-def _iter_rows(rows: Iterable[Row]) -> list[dict[str, Any]]:
-    """Defensive-copy helper shared by the SQL backends."""
-    return [dict(row) for row in rows]

@@ -40,10 +40,6 @@ from collections import Counter
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.preference import Preference
-from repro.engineering.serialization import (
-    SerializationError,
-    preference_to_dict,
-)
 from repro.query.api import compose_terms
 from repro.query.incremental import _diff
 from repro.server.views import ContinuousView, ViewSpec
@@ -328,13 +324,6 @@ class TenantManager:
         if profile is None:
             raise TenancyError(f"tenant {tenant!r} has no profile")
         return profile.to_dict()
-
-    @staticmethod
-    def term_payload(pref: Preference) -> dict[str, Any] | None:
-        try:
-            return preference_to_dict(pref)
-        except SerializationError:
-            return None
 
     # -- introspection ----------------------------------------------------
 

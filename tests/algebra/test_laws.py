@@ -205,3 +205,34 @@ class TestLawRegistry:
     def test_arity_enforced(self):
         with pytest.raises(ValueError):
             law("dual_involution").sides()
+
+    def test_every_law_holds_on_fixed_operands(self):
+        """Every unary and binary law of the registry, over each pairing
+        of four fixed operands: a new law is checked without a test of
+        its own.  Union and linear sum need disjoint ranges or domains;
+        their tests above build such operands."""
+        import itertools
+
+        from repro.core.base_numerical import AroundPreference
+
+        operands = [
+            PosPreference("a", {1, 2}),
+            NegPreference("a", {0}),
+            AroundPreference("a", 2),
+            LowestPreference("a"),
+        ]
+        probe = [{"a": x, "b": y} for x in range(4) for y in range(4)]
+        checked = 0
+        for law_obj in ALL_LAWS:
+            if law_obj.arity > 2 or law_obj.name.startswith(
+                ("union", "linear_sum")
+            ):
+                continue
+            for args in itertools.product(operands, repeat=law_obj.arity):
+                try:
+                    lhs, rhs = law_obj.sides(*args)
+                except (ValueError, TypeError):
+                    continue
+                assert equivalent_on(lhs, rhs, probe), law_obj.name
+                checked += 1
+        assert checked > 50

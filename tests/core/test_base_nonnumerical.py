@@ -1,5 +1,10 @@
 """Tests for POS, NEG, POS/NEG, POS/POS, EXPLICIT (Definition 6)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.base_nonnumerical import (
@@ -107,6 +112,49 @@ class TestLayered:
     def test_needs_layers(self):
         with pytest.raises(ValueError):
             LayeredPreference("a", [])
+
+
+REPR_SCRIPT = """
+from repro.core.base_nonnumerical import (
+    OTHERS, LayeredPreference, NegPreference, PosNegPreference,
+    PosPosPreference, PosPreference,
+)
+from repro.session import Session
+
+colors = {"red", "green", "silver", "blue", "black", "white", "yellow"}
+terms = [
+    PosPreference("color", colors),
+    NegPreference("color", colors),
+    PosNegPreference("color", {"red", "green", "silver"}, {"blue", "black"}),
+    PosPosPreference("color", {"red", "green", "silver"}, {1, "blue", 2.5}),
+    LayeredPreference("color", [{"red", "green", "silver"}, OTHERS]),
+]
+for term in terms:
+    print(repr(term))
+rows = [{"color": c, "price": i} for i, c in enumerate(sorted(colors))]
+query = Session({"car": rows}, storage="memory").query("car")
+print(query.prefer(PosPreference("color", colors)).explain())
+"""
+
+
+def _repr_under_hash_seed(seed: str) -> str:
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+    done = subprocess.run(
+        [sys.executable, "-c", REPR_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_reprs_and_explain_do_not_depend_on_string_hashing():
+    """A layered term prints its sets sorted (mixed types by type name,
+    then repr), so one plan explains alike in every process."""
+    first = _repr_under_hash_seed("1")
+    assert first == _repr_under_hash_seed("2")
+    assert "POS(color, {'black', 'blue', 'green', " in first
+    assert "{2.5, 1, 'blue'}" in first
 
 
 class TestExplicit:

@@ -25,7 +25,11 @@ from repro.core.constructors import (
     union,
 )
 from repro.datasets.cars import example6_preferences, generate_cars
-from repro.query.algorithms import ComparisonCounter, naive_nested_loop
+from repro.query.algorithms import (
+    ComparisonCounter,
+    block_nested_loop,
+    naive_nested_loop,
+)
 from repro.query.bmo import result_size, winnow
 
 
@@ -118,6 +122,11 @@ class TestComplexityClaim:
         exponent = math.log(counts[400] / counts[50]) / math.log(400 / 50)
         assert exponent > 1.3
         assert counts[400] <= 400 * 399
+        # BNL's window never needs more tests than the nested loop.
+        bnl = ComparisonCounter()
+        block_nested_loop(bnl.wrap(pareto(HighestPreference("d0"),
+                                          HighestPreference("d1"))), rows)
+        assert bnl.comparisons <= counts[400]
 
 
 class TestResultSizeClaim:
@@ -143,6 +152,46 @@ class TestResultSizeClaim:
         for wish in wishes:
             size = result_size(wish, cars)
             assert 1 <= size <= 60, size  # "a few to a few dozens"
+
+    def test_sizes_grow_with_pareto_width(self):
+        # Each soft criterion added to a Pareto wish keeps or widens the
+        # answer (the skyline's curse of dimensionality).  Up to four
+        # criteria the sizes stay inside the band above, at a quarter of
+        # the catalog as at the whole, and six never return everything.
+        criteria = [
+            AroundPreference("price", 25000),
+            LowestPreference("mileage"),
+            PosPreference("color", {"red", "black"}),
+            HighestPreference("year"),
+            AroundPreference("horsepower", 110),
+            PosPreference("category", {"roadster", "cabriolet"}),
+        ]
+        for n in (500, 2000):
+            cars = generate_cars(n, seed=11).select(
+                lambda r: r["make"] == "Opel"
+            )
+            sizes = [
+                result_size(pareto(*criteria[:width]), cars)
+                for width in range(2, 7)
+            ]
+            assert sizes == sorted(sizes), (n, sizes)
+            assert all(1 <= size <= 60 for size in sizes[:3]), (n, sizes)
+            assert sizes[-1] < len(cars)
+        # The same over the projection onto every arm's attribute.
+        arms = [
+            AroundPreference("price", 25000),
+            LowestPreference("mileage"),
+            AroundPreference("horsepower", 110),
+        ]
+        cars = generate_cars(400, seed=11)
+        widths = [
+            result_size(
+                pareto(*arms[:width]) if width > 1 else arms[0], cars,
+                attributes=("price", "mileage", "horsepower"),
+            )
+            for width in (1, 2, 3)
+        ]
+        assert widths == sorted(widths) and widths[0] < widths[-1]
 
 
 class TestExample6Scenario:

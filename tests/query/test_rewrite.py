@@ -53,6 +53,12 @@ def row_set(result):
     return {tuple(sorted(r.items())) for r in result}
 
 
+def _winnow_node(node):
+    while not isinstance(node, (PreferenceSelect, ColumnarPreferenceSelect)):
+        node = node.child
+    return node
+
+
 @pytest.fixture
 def session():
     # Plan-shape assertions below describe the storage-less pipeline;
@@ -249,6 +255,12 @@ class TestPlanRules:
         assert row_set(plan.execute().rows()) == row_set(
             q.optimize(False).run().rows()
         )
+        # The work it saves: the winnow reads only the rows within the
+        # distance, where the unrewritten plan's winnow reads them all.
+        winnowed = len(_winnow_node(plan.root).child.execute())
+        assert 0 < winnowed < len(rows()) // 2
+        canonical = q.optimize(False).plan()
+        assert len(_winnow_node(canonical.root).child.execute()) == len(rows())
 
     def test_unpushable_quality_condition_stays(self, session):
         q = (

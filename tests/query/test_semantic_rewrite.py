@@ -18,7 +18,13 @@ from repro.core.base_numerical import (
     LowestPreference,
 )
 from repro.core.constructors import pareto, prioritized
-from repro.query.plan import PreferenceSelect
+from repro.query.plan import (
+    Cascade,
+    ColumnarPreferenceSelect,
+    GroupedPreferenceSelect,
+    PreferenceSelect,
+    TopK,
+)
 from repro.relations.schema import Key
 from repro.session import Session
 
@@ -137,6 +143,15 @@ class TestRemoveRedundantWinnow:
         assert "remove_redundant_winnow" in text
         assert "key(id)" in text
         assert "one tuple" in text
+        # The rule's work count: no winnow is left to run at all.
+        node, kinds = q.plan().root, []
+        while node is not None:
+            kinds.append(type(node))
+            node = getattr(node, "child", None)
+        assert not set(kinds) & {
+            PreferenceSelect, ColumnarPreferenceSelect, Cascade,
+            GroupedPreferenceSelect, TopK,
+        }
         result = q.run().rows()
         assert result == q.optimize(False).run().rows()
         assert len(result) == 1

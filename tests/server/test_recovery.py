@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.base_numerical import HighestPreference, LowestPreference
 from repro.core.constructors import pareto
+from repro.psql.ast import Comparison
 from repro.server import (
     ClientError,
     PreferenceClient,
@@ -70,6 +71,12 @@ class TestServiceRestart:
         try:
             assert session2.catalog.get("car").rows() == before_rows
             assert session2.catalog.version("car") == before_version
+            # The restored mirror is live: a selection is pushed into it.
+            pushed = (session2.query("car")
+                      .where(Comparison("make", "=", "opel"))
+                      .prefer(LowestPreference("price")))
+            assert "push_select_into_storage" in pushed.plan().rewrite_rules()
+            assert pushed.run().rows() == pushed.optimize(False).run().rows()
             recovery = service2.recovery
             assert recovery is not None
             assert recovery["snapshot_seq"] >= 1

@@ -2,11 +2,19 @@
 quota-fenced, and isolated — one tenant's churn never perturbs another's
 answers or pinned views."""
 
+import random
+
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.base_numerical import LowestPreference
+from repro.core.base_numerical import (
+    AroundPreference,
+    HighestPreference,
+    LowestPreference,
+)
+from repro.core.constructors import pareto, prioritized
+from repro.datasets.cars import generate_cars
 from repro.query.bmo import winnow
 from repro.server.service import PreferenceService
 from repro.tenancy import TenancyError
@@ -28,6 +36,37 @@ def _service(**kwargs):
 
 def _around(z):
     return {"type": "around", "attribute": "price", "z": z}
+
+
+def _spellings(z, chain):
+    """Three wire spellings of one term over ``generate_cars`` rows, and
+    the term: a Pareto of AROUND(price, z) and HIGHEST(horsepower), or a
+    prioritized chain of those two and LOWEST(mileage)."""
+    around = _around(z)
+    power = {"type": "highest", "attribute": "horsepower"}
+    if chain:
+        mileage = {"type": "lowest", "attribute": "mileage"}
+        spellings = [
+            {"type": "prioritized", "children": [
+                around, {"type": "prioritized", "children": [power, mileage]},
+            ]},
+            {"type": "prioritized", "children": [
+                {"type": "prioritized", "children": [around, power]}, mileage,
+            ]},
+            {"type": "prioritized", "children": [around, power, mileage]},
+        ]
+        return spellings, prioritized(
+            AroundPreference("price", z), HighestPreference("horsepower"),
+            LowestPreference("mileage"),
+        )
+    spellings = [
+        {"type": "pareto", "children": [around, power]},
+        {"type": "pareto", "children": [power, around]},
+        {"type": "pareto", "children": [around, power, around]},
+    ]
+    return spellings, pareto(
+        AroundPreference("price", z), HighestPreference("horsepower")
+    )
 
 
 class TestSharing:
@@ -72,6 +111,28 @@ class TestSharing:
         assert snapshot["total_queries"] == 10
         assert snapshot["total_view_hits"] == 9  # all but the seeding query
 
+    def test_syntactic_variants_share_one_view_per_shape(self):
+        """Six shapes, each spelled three ways (commuted Pareto arms, a
+        laundered duplicate arm, regrouped prioritized chains): every
+        spelling lands on its shape's one view, so only the first query
+        of each shape misses."""
+        cars = generate_cars(300, seed=11).rows()
+        service = PreferenceService({"car": cars}, shared_view_capacity=8)
+        t = service.tenancy
+        rng = random.Random(17)
+        shapes = [_spellings(10_000 + 1_000 * i, i % 2) for i in range(6)]
+        for user in range(72):
+            spellings, pref = shapes[user % 6]
+            t.set_profile(f"user-{user}", "deal", rng.choice(spellings))
+            answer = t.query(f"user-{user}", spec={"relation": "car"})
+            assert _canon(answer.rows) == _canon(winnow(pref, cars))
+        snapshot = t.metrics.snapshot()
+        assert snapshot["total_queries"] == 72
+        assert snapshot["total_view_hits"] == 72 - 6
+        assert snapshot["view_hit_rate"] >= 0.9
+        assert len(t.shared) == len(service.views) == 6
+        assert t.shared.evictions == 0
+
     def test_untenanted_service_path_still_works(self):
         service = _service()
         answer = service.query(spec={"relation": "car", "prefer": HI_PRICE})
@@ -97,8 +158,6 @@ class TestLRUAndResurrection:
             "alice", spec={"relation": "car", "prefer": _around(1)}
         )
         live = service.session.catalog.get("car").rows()
-        from repro.core.base_numerical import AroundPreference
-
         assert _canon(revived.rows) == _canon(
             winnow(AroundPreference("price", 1), live)
         )
