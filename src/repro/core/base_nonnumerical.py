@@ -52,6 +52,8 @@ def _members(values: Iterable[Hashable]) -> str:
         ordered = sorted(values)
     except TypeError:
         ordered = sorted(values, key=lambda v: (type(v).__name__, repr(v)))
+    if not ordered:
+        return "set()"
     return "{" + ", ".join(map(repr, ordered)) + "}"
 
 

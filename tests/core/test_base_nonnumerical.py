@@ -128,6 +128,7 @@ terms = [
     PosNegPreference("color", {"red", "green", "silver"}, {"blue", "black"}),
     PosPosPreference("color", {"red", "green", "silver"}, {1, "blue", 2.5}),
     LayeredPreference("color", [{"red", "green", "silver"}, OTHERS]),
+    PosPosPreference("color", {"red"}, frozenset()),
 ]
 for term in terms:
     print(repr(term))
@@ -155,6 +156,7 @@ def test_reprs_and_explain_do_not_depend_on_string_hashing():
     assert first == _repr_under_hash_seed("2")
     assert "POS(color, {'black', 'blue', 'green', " in first
     assert "{2.5, 1, 'blue'}" in first
+    assert "POS/POS(color, {'red'}; set())" in first
 
 
 class TestExplicit:

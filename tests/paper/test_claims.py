@@ -154,10 +154,13 @@ class TestResultSizeClaim:
             assert 1 <= size <= 60, size  # "a few to a few dozens"
 
     def test_sizes_grow_with_pareto_width(self):
-        # Each soft criterion added to a Pareto wish keeps or widens the
-        # answer (the skyline's curse of dimensionality).  Up to four
-        # criteria the sizes stay inside the band above, at a quarter of
-        # the catalog as at the whole, and six never return everything.
+        # On this seed each soft criterion added to a Pareto wish keeps or
+        # widens the answer (the skyline's curse of dimensionality).  That
+        # is not a law: when two maxima tie on every earlier arm, a new
+        # arm can drop one of them, and integer prices and mileage make
+        # such ties possible; the monotone asserts rely on seed 11.  Up to
+        # four criteria the sizes stay inside the band above, at a quarter
+        # of the catalog as at the whole, and six never return everything.
         criteria = [
             AroundPreference("price", 25000),
             LowestPreference("mileage"),
@@ -177,7 +180,8 @@ class TestResultSizeClaim:
             assert sizes == sorted(sizes), (n, sizes)
             assert all(1 <= size <= 60 for size in sizes[:3]), (n, sizes)
             assert sizes[-1] < len(cars)
-        # The same over the projection onto every arm's attribute.
+        # The same over the projection onto every arm's attribute (again
+        # a property of seed 11's data, not of Pareto composition).
         arms = [
             AroundPreference("price", 25000),
             LowestPreference("mileage"),
