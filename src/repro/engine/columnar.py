@@ -23,7 +23,8 @@ group in grouped winnows, with NumPy or without.  The pipeline for
    the same, which is Definition 8's clause for that arm: equidistant
    AROUND values stay unranked (Example 2), and distinct projections
    stay distinct vectors.  Either way vector dominance *is* the Pareto
-   order and vector equality *is* projection equality.
+   order and vector equality *is* projection equality.  (The two-arm
+   pass of step 4 reads a weak arm's score and identity as they are.)
 3. **Encode** from the input's :class:`ColumnStore`, whose entries are
    cached per attribute for the relation's lifetime: a plain chain
    gathers the column's dense rank codes at the index (restricted to a
@@ -32,21 +33,28 @@ group in grouped winnows, with NumPy or without.  The pipeline for
    (:func:`~repro.engine.columns.weak_codes`) — an AROUND or BETWEEN arm
    on the NumPy leg as one array expression over the cached distinct
    values where that is exact
-   (:func:`~repro.engine.columns.interval_scores`), any other arm one
-   call per value — and a keyed or composite chain encodes what its key
-   makes of the gathered values.
+   (:func:`~repro.engine.columns.interval_scores`; the two-arm pass
+   scores every cached value that way and skips the renumbering), any
+   other arm one call per value — and a keyed or composite chain
+   encodes what its key makes of the gathered values.
 4. **Eliminate, deduplicate, sweep** — rows with a NaN-like chain value
-   are set aside as maximal; on the NumPy leg, from
+   are set aside as maximal.  A Pareto of two arms with a chain among
+   them (weak order × chain in either order, chain × chain) then takes
+   one linear pass, :func:`~repro.engine.vectorized.skyline_two_arm`:
+   a row is beaten by a strictly better score at an equal or better
+   chain code, or by its own value at a better chain code — a
+   scatter-max and a suffix maximum, no dominance matrix, no
+   deduplication.  Any other term goes on: on the NumPy leg, from
    :data:`PIVOT_MIN_ROWS` rows, every row that one of two pivot rows
    strictly dominates is dropped
    (:func:`~repro.engine.vectorized.pivot_filter`): a few percent of the
    rows survive on independent and correlated inputs, most of them on
-   anti-correlated ones.  The rest is reduced to distinct
-   projections over ``P``'s attributes, with the inverse needed to fan
-   maximal projections back out to tuples (BMO keeps every tuple whose
-   projection is maximal), and the SFS kernel, or the 2-d sweep for two
-   code axes, of :mod:`repro.engine.vectorized` runs on those.  Dict rows
-   are gathered for the survivors only.
+   anti-correlated ones.  The rest is reduced to distinct projections
+   over ``P``'s attributes, with the inverse needed to fan maximal
+   projections back out to tuples (BMO keeps every tuple whose
+   projection is maximal), and the SFS kernel of
+   :mod:`repro.engine.vectorized` runs on those.  Dict rows are
+   gathered for the survivors only.
 
 Every stage but the pivot filter has a NumPy leg and a pure-Python leg
 with identical results, picked from NumPy's presence and the input size
@@ -88,8 +96,8 @@ from repro.engine.vectorized import (
     DEFAULT_BLOCK,
     KERNELS,
     pivot_filter,
-    skyline_2d,
     skyline_sfs,
+    skyline_two_arm,
 )
 from repro.query.algorithms import (
     ALGORITHMS,
@@ -386,18 +394,78 @@ def _present(identity: Any, distinct: Any, np: Any) -> tuple[Any, Any]:
     return [dense_of[code] for code in identity], [distinct[i] for i in held]
 
 
+def _chain_codes(
+    store: ColumnStore, index: Any, axis: ColumnAxis, cached: Any, np: Any
+) -> tuple[Any, list[bool] | None]:
+    """``(codes, incomparable)`` of a chain arm over the rows at ``index``:
+    its rank codes, sign not applied (:func:`_signed`), and the mask of rows
+    whose value is NaN-like (None when there is none).  A plain chain
+    gathers the store's cached rank codes; a keyed or composite chain
+    encodes what its key makes of the gathered values."""
+    attribute, fn = axis[:2]
+    if fn is None:
+        codes, incomparable = store.chain_codes(attribute, cached)
+        codes = take(codes, index, np)
+        if incomparable is not None:
+            incomparable = take(incomparable, index, None)
+    else:
+        values = [fn(v) for v in _gather(store, attribute, index)]
+        codes, incomparable = encode_axis(values, np)
+    return codes, incomparable
+
+
+def _signed(codes: Any, sign: int) -> Any:
+    """Rank codes made "bigger is better"."""
+    if sign > 0:
+        return codes
+    return [-c for c in codes] if isinstance(codes, list) else -codes
+
+
+def _weak_scores(
+    store: ColumnStore,
+    index: Any,
+    axis: ColumnAxis,
+    cached: Any,
+    np: Any,
+    whole: bool = False,
+) -> tuple[Any, Any]:
+    """``(identity, scores)`` of a weak arm over the rows at ``index``:
+    each row's identity code and the unsigned score of every distinct
+    value the codes index.
+
+    A BETWEEN / AROUND arm scores the distinct values' exact array in one
+    expression where every step is exact; any other arm, column or leg
+    calls the score per value, of the values the rows hold only
+    (:func:`_present`).  ``whole`` keeps the array expression over all of
+    the column's distinct values, un-renumbered."""
+    attribute, fn, _, _, interval = axis
+    identity, distinct = store.weak_identity(attribute, cached)
+    values = None
+    if np is not None and interval is not None and scorable_interval(*interval):
+        values = store.weak_values(attribute, np)
+    if values is not None:
+        distinct = values
+    identity = take(identity, index, np)
+    if index is not None and not (whole and values is not None):
+        identity, distinct = _present(identity, distinct, np)
+    if values is None:
+        return identity, [fn(v) for v in distinct]
+    return identity, interval_scores(distinct, *interval, np)
+
+
 def _encoded_axes(
     store: ColumnStore, index: Any, axes: list[ColumnAxis], np: Any
 ) -> tuple[list[Any], list[Any], list[bool] | None]:
     """``(code vectors, identity vectors, incomparable row mask)`` over
     the rows at ``index`` (None: all), on the ``np`` leg.
 
-    One int code vector per chain axis and two per weak axis, sign
-    applied; and per axis one *identity* vector — equal entries iff equal
-    attribute values — which is what deduplication keys on.  The mask
-    marks rows with a NaN-like value on a *chain* axis: such values are
-    unranked against everything, so those rows can neither dominate nor
-    be dominated — they are unconditionally BMO-maximal and must bypass
+    One int code vector per chain axis and two per weak axis
+    (:func:`~repro.engine.columns.weak_codes`), sign applied; and per
+    axis one *identity* vector — equal entries iff equal attribute
+    values — which is what deduplication keys on.  The mask marks rows
+    with a NaN-like value on a *chain* axis: such values are unranked
+    against everything, so those rows can neither dominate nor be
+    dominated — they are unconditionally BMO-maximal and must bypass
     the kernels (whose total integer codes cannot express
     incomparability).  ``None`` when no such value exists.  (A weak axis
     encodes its unranked values itself.)  Plain chains and weak arms read
@@ -408,50 +476,26 @@ def _encoded_axes(
     encoded: list[Any] = []
     identities: list[Any] = []
     combined: list[bool] | None = None
-    for attribute, fn, sign, weak, interval in axes:
-        if weak:
-            identity, distinct = store.weak_identity(attribute, cached)
-            # A BETWEEN / AROUND arm scores the distinct values' exact
-            # array in one expression where every step is exact; any
-            # other arm, column or leg calls the score per value.
-            values = None
-            if (
-                np is not None
-                and interval is not None
-                and scorable_interval(*interval)
-            ):
-                values = store.weak_values(attribute, np)
-            if values is not None:
-                distinct = values
-            identity = take(identity, index, np)
-            if index is not None:
-                identity, distinct = _present(identity, distinct, np)
-            if values is None:
-                scores: Any = [fn(v) for v in distinct]
-            else:
-                scores = interval_scores(distinct, *interval, np)
-            upper, lower = weak_codes(identity, scores, sign, np)
-            encoded += [upper, lower]
+    for axis in axes:
+        if axis.weak:
+            identity, scores = _weak_scores(store, index, axis, cached, np)
+            encoded += weak_codes(identity, scores, axis.sign, np)
             identities.append(identity)
             continue
-        if fn is None:
-            codes, incomparable = store.chain_codes(attribute, cached)
-            codes = take(codes, index, np)
-            if incomparable is not None:
-                incomparable = take(incomparable, index, None)
-        else:
-            values = [fn(v) for v in _gather(store, attribute, index)]
-            codes, incomparable = encode_axis(values, np)
-        identities.append(codes)  # dense ranks of an injective key
-        if sign < 0:
-            codes = [-c for c in codes] if isinstance(codes, list) else -codes
-        encoded.append(codes)
-        if incomparable is not None:
-            if combined is None:
-                combined = list(incomparable)
-            else:
-                combined = [a or b for a, b in zip(combined, incomparable)]
+        codes, incomparable = _chain_codes(store, index, axis, cached, np)
+        identities.append(codes)  # ranks of an injective key
+        encoded.append(_signed(codes, axis.sign))
+        combined = _either(combined, incomparable)
     return encoded, identities, combined
+
+
+def _either(
+    mask: list[bool] | None, other: list[bool] | None
+) -> list[bool] | None:
+    """The union of two incomparable-row masks (None: no row)."""
+    if mask is None or other is None:
+        return other if mask is None else mask
+    return [a or b for a, b in zip(mask, other)]
 
 
 def _packed_key(np: Any, identities: list[Any]) -> Any:
@@ -510,18 +554,15 @@ def _skyline_rows(
     one sort of a packed identity key (:func:`_distinct_keys`), of the
     rows that :func:`~repro.engine.vectorized.pivot_filter` keeps once
     there are :data:`PIVOT_MIN_ROWS` of them; the interpreted leg (``np``
-    is None) uses one dict pass over every row.
+    is None) uses one dict pass over every row.  A Pareto of two arms with
+    a chain among them takes none of that: :func:`_two_arm_rows`.
     """
-    # Two code axes take the O(n log n) sweep: same results, and immune
-    # to the O(n * skyline) blow-up the pairwise kernel hits on
-    # all-maximal (anti-correlated) data.
-    two_d = sum(axis.width for axis in axes) == 2
+    if len(axes) == 2 and not (axes[0].weak and axes[1].weak):
+        return _two_arm_rows(store, index, axes, np)
 
     def run_kernel(matrix: Any) -> list[int]:
         # Kernel output feeds a membership test, so the ascending-order
         # contract is paid for once at the end, not here.
-        if two_d:
-            return skyline_2d(matrix, ordered=False, np=np)
         return skyline_sfs(matrix, block_size, ordered=False, np=np)
 
     encoded, identities, incomparable = _encoded_axes(store, index, axes, np)
@@ -579,6 +620,49 @@ def _skyline_rows(
         or inverse_of.get(i) in kept_set
     ]
     return hits if index is None else [index[i] for i in hits]
+
+
+def _two_arm_rows(
+    store: ColumnStore, index: Any, axes: list[ColumnAxis], np: Any
+) -> list[int]:
+    """:func:`_skyline_rows` of a Pareto of two arms, at least one a
+    chain, in one :func:`~repro.engine.vectorized.skyline_two_arm` pass
+    over every row: no elimination, deduplication or presort.  It reads
+    a chain arm's codes, and the other arm's per-row rank (a weak arm's
+    signed score, NaN where it ranks nothing; a chain's codes) and value
+    identity; of two chains, the one with the smaller code range is the
+    chain.  Rows with a NaN-like chain value are set aside as maximal,
+    as there."""
+    cached = _leg(store.length)
+    first, other = axes if not axes[0].weak else axes[::-1]
+    chain, incomparable = _chain_codes(store, index, first, cached, np)
+    chain = _signed(chain, first.sign)
+    if other.weak:
+        identity, scores = _weak_scores(store, index, other, cached, np, True)
+        if not hasattr(scores, "dtype"):  # scored per value: rank the scores
+            ranks, unranked = encode_axis(scores, np)
+            scores = [
+                float("nan") if unranked and unranked[i] else code
+                for i, code in enumerate(ranks)
+            ]
+            if np is not None:
+                scores = np.asarray(scores, dtype=np.float64)
+        rank = _signed(take(scores, identity, np), other.sign)
+    else:
+        codes, more = _chain_codes(store, index, other, cached, np)
+        rank = identity = _signed(codes, other.sign)
+        incomparable = _either(incomparable, more)
+        if np is not None and np.ptp(rank) < np.ptp(chain):
+            chain, rank, identity = rank, chain, chain
+    vectors = [chain, rank, identity]
+    if incomparable is None:
+        hits = skyline_two_arm(*vectors, np=np)
+    else:
+        live = [i for i, bad in enumerate(incomparable) if not bad]
+        kept = skyline_two_arm(*(take(v, live, np) for v in vectors), np=np)
+        kept_rows = {live[i] for i in kept}
+        hits = [i for i, bad in enumerate(incomparable) if bad or i in kept_rows]
+    return hits if index is None else take(index, hits, None)
 
 
 def _argmax_rows(

@@ -181,7 +181,12 @@ def exact_array(values: Sequence[Any], np: Any) -> Any:
         return None
     if kind in "SU":
         text, nul = (str, "\x00") if kind == "U" else (bytes, b"\x00")
-        if all(type(v) is text and not v.endswith(nul) for v in values):
+        if set(map(type, values)) != {text}:
+            return None
+        # One scan for a NUL anywhere; only a hit pays the per-value test.
+        if nul not in text().join(values) or not any(
+            v.endswith(nul) for v in values
+        ):
             return arr
     return None
 

@@ -1,24 +1,23 @@
-"""Skyline kernels over rank-encoded integer matrices.
+"""Skyline kernels over rank-encoded integer codes.
 
-Input is an ``n x d`` matrix of integer codes (rows = distinct
-projections, columns = "bigger is better" axes) in which **rows are
-pairwise distinct** — the axis extraction in :mod:`repro.engine.columnar`
+The SFS kernel's input is an ``n x d`` matrix of integer codes (rows =
+distinct projections, columns = "bigger is better" axes) in which **rows
+are pairwise distinct** — the axis extraction in :mod:`repro.engine.columnar`
 encodes every Pareto arm injectively on its attribute (one rank code for a
 chain, a ``(score, +-id)`` code pair for a weak order), so distinct
 projections yield distinct vectors and vector dominance
 
     ``a`` dominates ``b``  iff  ``a >= b`` componentwise (and ``a != b``)
 
-is *exactly* the Pareto order of the preference.  That is the only
-dominance predicate here: what a term means is decided by its encoding,
-never by a kernel.  Distinctness lets the NumPy kernels drop the
-"somewhere strictly greater" term: componentwise ``>=`` against a
-*different* row already implies strict dominance.  Callers feeding these
-kernels directly must uphold it.  Codes need not be dense — the kernels
-only compare and add them.
+is *exactly* the Pareto order of the preference.  What a term means is
+decided by its encoding, never by a kernel.  Distinctness lets the NumPy
+kernel drop the "somewhere strictly greater" term: componentwise ``>=``
+against a *different* row already implies strict dominance.  Callers
+feeding it directly must uphold it.  Codes need not be dense — the
+kernels only compare and add them.
 
-One kernel and its two-dimensional special case, each with a NumPy leg
-and a pure-Python leg that return the same indices:
+Two kernels, each with a NumPy leg and a pure-Python leg that return
+the same indices:
 
 * :func:`skyline_sfs` — sort-filter-skyline: presort descending by the code
   sum (a dominance-compatible key: dominance strictly increases the sum),
@@ -27,9 +26,13 @@ and a pure-Python leg that return the same indices:
   ``window x block`` comparison each; only candidates that survive it are
   cross-checked among themselves (sound by transitivity: a candidate
   dominated by a window victim is dominated by the window too).
-* :func:`skyline_2d` — the O(n log n) sweep for two code axes.
+* :func:`skyline_two_arm` — the Pareto order of two arms, at least one a
+  chain, in one linear pass over the rows: a scatter-max and a suffix
+  maximum over the chain's codes, and a scatter-max per value of the
+  other arm.  It reads one arm's codes, the other's ranks and value
+  identities, not a code matrix, and its rows need not be distinct.
 
-In front of both, on the NumPy leg and before deduplication,
+In front of the SFS kernel, on the NumPy leg and before deduplication,
 :func:`pivot_filter` drops every row that one of two pivot rows strictly
 dominates (LESS's elimination filter with SaLSa's stop point as the
 second pivot); its rows need not be distinct.  Only what survives is
@@ -42,9 +45,9 @@ once per winnow and passes its decision to every stage.
 
 Both return the indices of maximal rows in ascending order, making results
 deterministic and directly comparable across legs and backends.  A caller
-that re-sorts anyway (the columnar winnow maps kernel output through a
-membership test) can pass ``ordered=False`` to skip the final sort and
-take the indices in kernel order.
+of :func:`skyline_sfs` that re-sorts anyway (the columnar winnow maps
+kernel output through a membership test) can pass ``ordered=False`` to
+skip the final sort and take the indices in kernel order.
 """
 
 from __future__ import annotations
@@ -197,63 +200,130 @@ def _sfs_python(matrix: Matrix, ordered: bool = True) -> list[int]:
     return sorted(kept) if ordered else kept
 
 
-# -- the two-dimensional sweep ------------------------------------------------------
+# -- two arms ----------------------------------------------------------------------
 
 
-def skyline_2d(
-    matrix: Matrix, ordered: bool = True, np: Any = DETECT
+def skyline_two_arm(
+    chain: Sequence[int],
+    rank: Sequence[Any],
+    identity: Sequence[int],
+    np: Any = DETECT,
 ) -> list[int]:
-    """Maxima of *distinct* 2-d code vectors by the classic [KLP75] sweep.
+    """Indices of the rows no other row dominates, ascending, where ``x``
+    dominates ``y`` iff
 
-    Sort lex-descending; within one axis-0 group only the max-axis-1 row
-    (the group's first, and unique since rows are distinct) can be
-    maximal, and it is iff its axis-1 value beats every strictly-greater
-    axis-0 group — one running maximum.  O(n log n), no pairwise matrix:
-    this is what makes all-maximal inputs (perfect anti-correlation)
-    cheap where the generic kernel degrades to O(n * skyline).
+    1. ``chain[x] >= chain[y]`` and ``rank[x] > rank[y]``, or
+    2. ``identity[x] == identity[y]`` and ``chain[x] > chain[y]``:
+
+    Definition 8's Pareto order of a chain (int codes, bigger is better)
+    and an arm whose value is ``identity`` (int codes spanning no more
+    than a column's values, as the engine's do; equal identities, equal
+    ranks) and whose score is ``rank`` — better there is a strictly
+    better score or the same value.  A rank not equal to itself (NaN)
+    takes no part in test 1, as dominator or as dominated.  A second
+    chain is such an arm, its codes both rank and identity.  Equal rows
+    never dominate each other, so duplicates stay together.
+
+    Test 1 is one scatter-max of the ranks per chain code and a suffix
+    maximum, test 2 one scatter-max of the chain codes per identity: no
+    sort and no pairwise comparison on the NumPy leg, unless codes range
+    far wider than the rows (:data:`SPREAD`).  A chain of
+    :data:`COARSE_MIN` codes or more first runs test 1 between blocks of
+    codes, and both tests on the rows that leaves.
     """
     if np is DETECT:
         np = get_numpy()
+    if not len(chain):
+        return []
     if np is not None:
-        return _sweep_2d_numpy(np, matrix, ordered)
-    return _sweep_2d_python(matrix, ordered)
+        return _two_arm_numpy(np, chain, rank, identity)
+    return _two_arm_python(chain, rank, identity)
 
 
-def _sweep_2d_numpy(np: Any, matrix: Matrix, ordered: bool = True) -> list[int]:
-    m = np.ascontiguousarray(matrix, dtype=np.int64)
-    if len(m) == 0:
-        return []
-    order = np.lexsort((-m[:, 1], -m[:, 0]))
-    s0 = m[order, 0]
-    s1 = m[order, 1]
-    group_starts = np.flatnonzero(np.r_[True, s0[1:] != s0[:-1]])
-    running_max = np.maximum.accumulate(s1)
-    # A group's first row is maximal iff its axis-1 value exceeds the max
-    # over all previous (strictly axis-0-greater) groups.
-    best_before = running_max[group_starts - 1]
-    maximal = s1[group_starts] > best_before
-    maximal[0] = True  # nothing precedes the first group
-    out = order[group_starts[maximal]].tolist()
-    return sorted(out) if ordered else out
+#: Chains with at least this many codes take a coarse round first: test 1
+#: between blocks of ``2**BLOCK_BITS`` consecutive codes, which drops all
+#: but the rows near the answer on most inputs, then both tests on what
+#: it leaves.
+COARSE_MIN = 4096
+BLOCK_BITS = 6
+
+#: Codes ranging over :data:`COARSE_MIN` values and more than this many
+#: times the row count are re-ranked densely before they index an array:
+#: one sort beats passes over a mostly empty range (a small index into a
+#: column of many values, or the few rows a coarse round leaves).
+SPREAD = 8
 
 
-def _sweep_2d_python(matrix: Matrix, ordered: bool = True) -> list[int]:
-    n = len(matrix)
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda i: (-matrix[i][0], -matrix[i][1]))
-    kept: list[int] = []
-    best1: int | None = None
-    position = 0
-    while position < n:
-        index = order[position]
-        group0, candidate1 = matrix[index][0], matrix[index][1]
-        if best1 is None or candidate1 > best1:
-            kept.append(index)
-            best1 = candidate1
-        while position < n and matrix[order[position]][0] == group0:
-            position += 1
-    return sorted(kept) if ordered else kept
+def _indices(np: Any, codes: Any) -> Any:
+    """Int ``codes`` as indices into an array of O(len(codes)) entries
+    (or fewer than :data:`COARSE_MIN`), in the same order."""
+    codes = np.asarray(codes, dtype=np.int64)
+    low = codes.min()
+    if codes.max() - low < max(SPREAD * len(codes), COARSE_MIN):
+        return codes - low if low else codes
+    return np.unique(codes, return_inverse=True)[1]
+
+
+def _outranked(np: Any, c: Any, r: Any, above: bool) -> Any:
+    """Mask of the rows that a ranked row with a chain code ``>=`` theirs
+    (``>`` when ``above``) outranks: a scatter-max of the ranks per code
+    and a suffix maximum."""
+    ranked_c, ranked_r = c, r
+    if r.dtype.kind == "f":
+        ranked = r == r
+        if not ranked.all():
+            ranked_c, ranked_r = c[ranked], r[ranked]
+    if not len(ranked_r):
+        return np.zeros(len(c), dtype=bool)
+    # Codes no ranked row holds keep the lowest rank: it beats none.
+    low = np.iinfo(r.dtype).min if r.dtype.kind in "iu" else -np.inf
+    best = np.full(int(c.max()) + 2, low, dtype=r.dtype)
+    np.maximum.at(best, ranked_c, ranked_r)
+    best = np.maximum.accumulate(best[::-1])[::-1]
+    return (best[1:] if above else best).take(c) > r
+
+
+def _two_arm_numpy(np: Any, chain: Any, rank: Any, identity: Any) -> list[int]:
+    c = _indices(np, chain)
+    r = np.asarray(rank)
+    v = np.asarray(identity, dtype=np.int64)
+    kept = None
+    if c.max() >= COARSE_MIN:
+        # Sound on its own (a row a higher block outranks is dominated),
+        # and what it drops cannot matter: every dominated row is
+        # dominated by a maximal one, which survives.
+        kept = np.flatnonzero(~_outranked(np, c >> BLOCK_BITS, r, True))
+        c, r, v = _indices(np, c[kept]), r[kept], v[kept]
+    dominated = _outranked(np, c, r, False)
+    # Identity codes range over a column's values at most: no re-ranking.
+    v = v - v.min()
+    top = np.zeros(int(v.max()) + 1, dtype=np.int64)
+    np.maximum.at(top, v, c)
+    dominated |= c < top.take(v)
+    out = np.flatnonzero(~dominated)
+    return (out if kept is None else kept[out]).tolist()
+
+
+def _two_arm_python(
+    chain: Sequence[int], rank: Sequence[Any], identity: Sequence[int]
+) -> list[int]:
+    best: dict[int, Any] = {}
+    top: dict[int, int] = {}
+    for c, r, v in zip(chain, rank, identity):
+        if r == r and (c not in best or r > best[c]):
+            best[c] = r
+        if v not in top or c > top[v]:
+            top[v] = c
+    running: Any = None
+    for c in sorted(best, reverse=True):
+        if running is None or best[c] > running:
+            running = best[c]
+        best[c] = running
+    return [
+        i
+        for i, (c, r, v) in enumerate(zip(chain, rank, identity))
+        if not ((r == r and best[c] > r) or c < top[v])
+    ]
 
 
 # -- pivot elimination --------------------------------------------------------------

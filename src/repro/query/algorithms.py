@@ -190,11 +190,6 @@ class ColumnAxis(NamedTuple):
     weak: bool = False
     interval: tuple[Any, Any] | None = None
 
-    @property
-    def width(self) -> int:
-        """Integer code axes this arm occupies in the kernel matrix."""
-        return 2 if self.weak else 1
-
 
 def weak_score(pref: Preference) -> ColumnAxis | None:
     """How ``pref`` ranks one column's values, when it is a weak order.

@@ -20,7 +20,7 @@ caches) and adds everything a long-running server needs:
 * **A worker pool** — CPU-bound winnows run on :attr:`executor` threads so
   the asyncio front end (:mod:`repro.server.server`) never blocks its
   event loop.  By default this is the process-global
-  :func:`shared_executor`, sized to the visible cores, so every service
+  :func:`shared_executor`, one worker per usable CPU, so every service
   in the process queues on one worker set instead of oversubscribing the
   machine with a pool each.
 
@@ -87,16 +87,22 @@ _executor_lock = threading.Lock()
 def shared_executor() -> ThreadPoolExecutor:
     """The process-global worker pool services share by default.
 
-    One pool, sized to the visible cores, lazily created, so concurrent
-    queries of every :class:`PreferenceService` in the process queue on
-    one set of workers.  Never shut down by library code (interpreter
-    exit joins it); a pool shut down from outside is replaced.
+    One pool, one worker per CPU the process may run on (its affinity
+    mask where the platform has one, else the machine's cores), lazily
+    created, so concurrent queries of every :class:`PreferenceService`
+    in the process queue on one set of workers.  Never shut down by
+    library code (interpreter exit joins it); a pool shut down from
+    outside is replaced.
     """
     global _executor
     with _executor_lock:
         if _executor is None or getattr(_executor, "_shutdown", False):
+            if hasattr(os, "sched_getaffinity"):
+                cores = len(os.sched_getaffinity(0))
+            else:
+                cores = os.cpu_count()
             _executor = ThreadPoolExecutor(
-                max_workers=os.cpu_count() or 1,
+                max_workers=cores or 1,
                 thread_name_prefix="prefserve-shared",
             )
         return _executor

@@ -247,6 +247,16 @@ def distinct_matrix(
     return sorted(seen)
 
 
+def two_arm(matrix, **leg) -> list[int]:
+    """:func:`~repro.engine.vectorized.skyline_two_arm` over a two-column
+    code matrix: column 0 is the chain, column 1 the other chain's rank
+    and identity — the Pareto order of the two columns."""
+    from repro.engine.vectorized import skyline_two_arm
+
+    second = [row[1] for row in matrix]
+    return skyline_two_arm([row[0] for row in matrix], second, second, **leg)
+
+
 @contextlib.contextmanager
 def normalizer_walks():
     """Yield the list of terms :func:`repro.algebra.rewriter.normalize`

@@ -29,6 +29,10 @@ ROWS = [
 ]
 
 
+class _Text(str):
+    """A ``str`` subclass: NumPy stores it as text, the rule rejects it."""
+
+
 def _built(store):
     """The attributes whose values a store has built so far."""
     return {key[1] for key in store._cache if key[0] == "values"}
@@ -127,6 +131,27 @@ class TestExactness:
         assert all(
             v == w or v != v for v, w in zip(arr.tolist(), values)
         )
+
+    @needs_numpy
+    @pytest.mark.parametrize("values, exact", [
+        (["ab", "cd"], True),
+        (["", "cd"], True),
+        (["a\x00b", "cd"], True),
+        (["\x00a", "\x00"], False),
+        (["ab", "cd\x00"], False),
+        (["a\x00b", "c\x00"], False),
+        ([b"ab", b"c\x00d"], True),
+        ([b"ab", b"cd\x00"], False),
+        (["ab", b"cd"], False),
+        ([b"ab", "cd"], False),
+        (["ab", 1], False),
+        ([_Text("ab"), "cd"], False),
+        ([b"ab", bytearray(b"cd")], False),
+    ])
+    def test_string_columns(self, values, exact):
+        """All ``str`` (or all ``bytes``, exact types) and no trailing
+        NUL: an inner NUL passes the one-scan check's second look."""
+        assert (exact_array(values, engine_backend._numpy) is not None) is exact
 
     def test_trailing_nuls_keep_distinct_codes(self):
         codes, _ = encode_axis(["a", "a\x00", "a"])

@@ -10,10 +10,10 @@ from functools import partial
 
 import pytest
 
-from tests.conftest import distinct_matrix
+from tests.conftest import distinct_matrix, two_arm
 
 from repro.engine import backend as engine_backend
-from repro.engine.vectorized import KERNELS, skyline_2d, skyline_sfs
+from repro.engine.vectorized import KERNELS, skyline_sfs
 
 
 def brute_force(matrix):
@@ -79,15 +79,15 @@ def test_registry_names():
 
 
 @pytest.mark.parametrize("use_numpy", [True, False])
-def test_2d_sweep_agrees_with_sfs_on_both_legs(monkeypatch, use_numpy):
+def test_two_arm_pass_agrees_with_sfs_on_both_legs(monkeypatch, use_numpy):
     if not use_numpy:
         monkeypatch.setattr(engine_backend, "_numpy", None)
     for seed in range(5):
         matrix = distinct_matrix(200, 2, 30, seed=seed, shuffle=True)
-        assert skyline_2d(matrix) == skyline_sfs(matrix) == brute_force(matrix)
+        assert two_arm(matrix) == skyline_sfs(matrix) == brute_force(matrix)
 
 
-def test_np_argument_names_the_leg_of_the_sweep():
+def test_np_argument_names_the_leg_of_the_two_arm_pass():
     """``np=None`` is the interpreted leg whatever is installed."""
     pairs = distinct_matrix(150, 2, 30, seed=3, shuffle=True)
-    assert skyline_2d(pairs, np=None) == skyline_2d(pairs) == brute_force(pairs)
+    assert two_arm(pairs, np=None) == two_arm(pairs) == brute_force(pairs)

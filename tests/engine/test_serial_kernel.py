@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import distinct_matrix
+from tests.conftest import distinct_matrix, two_arm
 
 from repro.core.base_numerical import (
     AroundPreference,
@@ -31,7 +31,7 @@ from repro.datasets.skyline_data import skyline_relation
 from repro.engine import backend as engine_backend
 from repro.engine import columnar
 from repro.engine.columnar import NotColumnarError, columnar_winnow
-from repro.engine.vectorized import KERNELS, skyline_2d, skyline_sfs
+from repro.engine.vectorized import KERNELS, skyline_sfs
 from repro.query import optimizer
 from repro.query.algorithms import block_nested_loop, naive_nested_loop
 from repro.query.bmo import winnow_groupby
@@ -73,17 +73,17 @@ class TestKernelMatrices:
         assert skyline_sfs(matrix, np=_np(leg)) == _bnl_indices(matrix)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_2d_sweep_strategy(self, seed):
+    def test_two_arm_pass(self, seed):
         matrix = distinct_matrix(500, 2, 60, seed=seed)
         expected = _bnl_indices(matrix)
         for leg in LEGS:
-            assert skyline_2d(matrix, np=_np(leg)) == expected
+            assert two_arm(matrix, np=_np(leg)) == expected
             assert skyline_sfs(matrix, np=_np(leg)) == expected
 
     def test_empty_and_tiny_inputs(self):
         for leg in LEGS:
             np = _np(leg)
-            for kernel in (skyline_sfs, skyline_2d):
+            for kernel in (skyline_sfs, two_arm):
                 assert kernel([], np=np) == []
                 assert kernel([(3, 1)], np=np) == [0]
                 assert kernel([(1, 2), (2, 1)], np=np) == [0, 1]

@@ -65,8 +65,8 @@ class TestAgreementProperties:
         )
 
     @given(nonempty_rows_st)
-    def test_2d_sweep_agrees(self, rows):
-        """Two code axes: ``vsfs`` runs the engine's 2-d sweep."""
+    def test_two_arm_pass_agrees(self, rows):
+        """Two chains: ``vsfs`` runs the engine's two-arm pass."""
         pref = pareto(HighestPreference("a"), LowestPreference("b"))
         assert _key(ALGORITHMS["vsfs"](pref, rows)) == _key(
             naive_nested_loop(pref, rows)

@@ -302,6 +302,26 @@ class TestIntrospection:
         assert shared_executor() is first.executor
         assert first.executor.submit(lambda: 7).result(timeout=10) == 7
 
+    def test_the_shared_pool_has_a_worker_per_usable_cpu(self, monkeypatch):
+        """A process pinned to one CPU gets one worker, however many
+        cores the machine has."""
+        import os
+
+        from repro.server import service as service_module
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(service_module, "_executor", None)
+        pool = service_module.shared_executor()
+        pool.shutdown()
+        assert pool._max_workers == 1
+        # Without an affinity mask, the machine's cores.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        pool = service_module.shared_executor()
+        pool.shutdown()
+        assert pool._max_workers == 64
+
     def test_close_detaches_from_a_shared_session(self):
         from repro.session import Session
 
