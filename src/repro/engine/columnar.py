@@ -134,11 +134,34 @@ def _leg(rows: int) -> Any:
 # -- axis extraction ----------------------------------------------------------------
 
 
+def nan_free(store: ColumnStore | None, attributes: Sequence[str]) -> bool:
+    """Whether no column of ``attributes`` holds a NaN-like value in
+    ``store`` (None: the data is not known yet, so nothing to refuse).
+
+    A chain over such a column is no chain on that data: its NaN-like
+    rows are unranked against every row, so neither one code per row nor
+    a Proposition-11 cascade stage can stand for it."""
+    return store is None or not any(store.holds_nan(a) for a in attributes)
+
+
+def lowers_on(axes: list[ColumnAxis], store: ColumnStore | None) -> bool:
+    """Whether ``axes`` stand for their arms over ``store``'s data: every
+    composite arm's stage columns are :func:`nan_free`.  A NaN-like stage
+    value breaks the composite code — such a row still loses on an
+    earlier stage, and is unranked only against the rows it ties there —
+    so the row engine evaluates the term instead."""
+    return nan_free(store, [
+        a for axis in axes if isinstance(axis.attribute, tuple)
+        for a in axis.attribute
+    ])
+
+
 def _value_axis(child: Preference) -> ColumnAxis | None:
     """The :class:`ColumnAxis` of one Pareto child, or None: a
     single-attribute :func:`weak_score` (weak orders are pair-encoded
     later, so the distinct values a score ties stay apart: Example 2 of
-    the paper), or a prioritization of disjoint chains, or a dual of
+    the paper), or a prioritization of disjoint chains (over data whose
+    stage columns are :func:`nan_free`: :func:`lowers_on`), or a dual of
     either.  Multi-attribute SCORE arms have no code-axis form.
     """
     if isinstance(child, DualPreference):
@@ -344,6 +367,8 @@ def lowered_winnow(pref: Preference) -> Callable[..., Any]:
 
         if score is not None:
             picked = _argmax_rows(store, index, score)
+        elif not lowers_on(axes, store):
+            picked = _row_engine_rows(pref, store, index)
         else:
             np = _leg(size)
             if np is None and index is not None and not isinstance(index, list):
@@ -358,6 +383,20 @@ def lowered_winnow(pref: Preference) -> Callable[..., Any]:
         return template._derive(rows)
 
     return run
+
+
+def _row_engine_rows(
+    pref: Preference, store: ColumnStore, index: Any
+) -> list[int]:
+    """The positions at ``index`` (None: all) that the row winnow the
+    planner picks over ``store``'s data keeps, ascending."""
+    from repro.query.optimizer import choose_algorithm
+
+    positions = range(store.length) if index is None else list(index)
+    rows = [store.rows[i] for i in positions]
+    winnow = ALGORITHMS[choose_algorithm(pref, store)]
+    kept = {id(row) for row in winnow(pref, rows)}
+    return [i for i, row in zip(positions, rows) if id(row) in kept]
 
 
 def _gather(store: ColumnStore, attribute: Any, index: Any) -> Sequence[Any]:

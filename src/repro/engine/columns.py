@@ -100,6 +100,19 @@ class ColumnStore:
             lambda: _identity_codes(self.column(attribute), np),
         )
 
+    def holds_nan(self, attribute: str) -> bool:
+        """Whether some value of the column is NaN-like — not equal to
+        itself (NaN, NaT), so unranked against everything in any order
+        over the column.  False for a column some row lacks."""
+
+        def build() -> bool:
+            try:
+                return any(v != v for v in self.column(attribute))
+            except KeyError:
+                return False
+
+        return self._cached(("nan", attribute), build)
+
     def text_codes(self, attribute: str, np: Any) -> tuple[Any, dict] | None:
         """``(identity, lookup)`` for a column whose exact array holds
         strings (``U``): :meth:`weak_identity`'s codes and the code of

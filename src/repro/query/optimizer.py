@@ -39,7 +39,7 @@ from typing import Any, Callable, Sequence
 
 from repro.algebra.rewriter import normalize
 from repro.core.preference import Preference, Row
-from repro.engine.columnar import columnar_profile
+from repro.engine.columnar import columnar_axes, lowers_on
 from repro.query import rewrite as _rewrite
 from repro.query.algorithms import ALGORITHMS, compatible_sort_key, weak_score
 from repro.query.plan import (
@@ -61,64 +61,82 @@ from repro.query.quality import QualityCondition
 from repro.relations.relation import Relation
 
 
-def row_reason(pref: Preference) -> str | None:
+def row_reason(pref: Preference, store: Any = None) -> str | None:
     """Why ``pref`` stays off the integer-code kernels, or None when it
     runs on them — the one question that picks a dominance evaluator.
 
     A term runs on the code kernels exactly when it lowers to code axes
-    (:func:`repro.engine.columnar.columnar_profile` says ``"skyline"``:
-    a Pareto of chains and single-attribute weak orders, or a bare
-    injective chain) — at every input size, with or without NumPy.  A
-    bare weak order (``"score"``) has a cheaper plan, one argmax pass.
+    (:func:`repro.engine.columnar.columnar_axes`: a Pareto of chains and
+    single-attribute weak orders, or a bare injective chain) — at every
+    input size, with or without NumPy.  A bare weak order has a cheaper
+    plan, one argmax pass.
     The one lowerable shape held back is a bare prioritization of chains,
     which has a better plan too: ``split_prio`` cascades it into linear
     argmax stages (its composite axis earns its keep as a Pareto *arm*).
+    Given the input's :class:`~repro.engine.columns.ColumnStore`, a
+    composite arm over a column holding a NaN-like value holds the term
+    back too (:func:`repro.engine.columnar.lowers_on`).
     """
     from repro.core.constructors import PrioritizedPreference
 
-    profile = columnar_profile(pref)
-    if profile == "score":
+    if weak_score(pref) is not None:
         return "weak order: one argmax pass"
-    if profile is None:
+    axes = columnar_axes(pref)
+    if axes is None:
         return "no columnar dominance form"
     if isinstance(pref, PrioritizedPreference):
         return "chain prioritization cascades on the row engine"
+    if not lowers_on(axes, store):
+        return "a composite chain arm's column holds NaN: no code axis"
     return None
 
 
-def choose_algorithm(pref: Preference) -> str:
+def choose_algorithm(pref: Preference, store: Any = None) -> str:
     """The evaluator of one winnow, as a name in ``ALGORITHMS``.
 
     Weak orders over one column (:func:`~repro.query.algorithms.weak_score`)
-    take the one-pass argmax ``sort``; terms with a code form take the
-    code kernels (``vsfs``); the rest take ``sfs`` when a
-    dominance-compatible key exists and ``bnl`` — correct for any strict
-    partial order — otherwise.  Input size and NumPy's presence do not
-    enter: the code engine picks between its own legs.
+    take the one-pass argmax ``sort``; terms with a code form (over
+    ``store``'s data, when given) take the code kernels (``vsfs``); the
+    rest take ``sfs`` when a dominance-compatible key exists and ``bnl``
+    — correct for any strict partial order — otherwise.  Input size and
+    NumPy's presence do not enter: the code engine picks between its own
+    legs.
     """
     if weak_score(pref) is not None:
         return "sort"
-    if row_reason(pref) is None:
+    if row_reason(pref, store) is None:
         return "vsfs"
     if compatible_sort_key(pref) is not None:
         return "sfs"
     return "bnl"
 
 
+def source_store(node: PlanNode) -> Any:
+    """The column store of the relation a plan subtree scans, or None
+    when it reads no single scanned relation."""
+    while not isinstance(node, (Scan, StorageScan)):
+        node = getattr(node, "child", None)
+        if node is None:
+            return None
+    return node.relation.column_store()
+
+
 def winnow_node(child: PlanNode, pref: Preference) -> PlanNode:
     """The plan node of one plain winnow ``sigma[pref](child)``: the
-    :func:`choose_algorithm` decision turned into its operator, with the
-    :func:`row_reason` behind it for ``explain()``.  The planner and every
-    rewrite rule that changes a winnow's term build through here, so a
-    rewritten node is decided on exactly what the original was.
+    :func:`choose_algorithm` decision over the scanned relation's data
+    turned into its operator, with the :func:`row_reason` behind it for
+    ``explain()``.  The planner and every rewrite rule that changes a
+    winnow's term build through here, so a rewritten node is decided on
+    exactly what the original was.
     """
-    algorithm = choose_algorithm(pref)
+    store = source_store(child)
+    algorithm = choose_algorithm(pref, store)
     if algorithm == "vsfs":
         return ColumnarPreferenceSelect(
             child, pref, reason="lowers to code axes"
         )
     return PreferenceSelect(
-        child, pref, algorithm=algorithm, reason=row_reason(pref)
+        child, pref, algorithm=algorithm, reason=row_reason(pref, store)
     )
 
 
@@ -132,7 +150,12 @@ def full_winnow(pref: Preference, rows: list[Row]) -> list[Row]:
     decides how a full winnow runs.  Returns the caller's own row objects,
     in input order.
     """
-    stages = _rewrite.cascade_stages(pref) or ((pref, choose_algorithm(pref)),)
+    from repro.engine.columns import ColumnStore
+
+    store = ColumnStore(rows)
+    stages = _rewrite.cascade_stages(pref, store) or (
+        (pref, choose_algorithm(pref, store)),
+    )
     for stage, algorithm in stages:
         rows = ALGORITHMS[algorithm](stage, rows)
     return rows

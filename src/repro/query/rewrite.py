@@ -628,29 +628,39 @@ def _rule_prune_constant(
 
 
 def cascade_stages(
-    pref: Preference,
+    pref: Preference, store: Any = None
 ) -> tuple[tuple[Preference, str], ...] | None:
-    """Split ``P1 & ... & Pn`` into Proposition-11 cascade stages.
+    """Split ``P1 & ... & Pn`` into Proposition-11 cascade stages over
+    the data of ``store`` (the input's column store; None: the term
+    alone decides).
 
-    Every stage except the last must be a (statically known) chain; the
-    remaining suffix becomes one final stage.  Returns None when the head
-    is not a chain (no cascade advantage).  Each stage's evaluator is
-    the planner's :func:`~repro.query.optimizer.choose_algorithm`.
+    Every stage except the last must be a chain (statically known, and
+    no column of it holding a NaN-like value in ``store``: such a row is
+    unranked by the stage, so the stage's survivors would not agree on
+    its attributes); the remaining suffix becomes one final stage.
+    Returns None when the head is not a chain (no cascade advantage).
+    Each stage's evaluator is the planner's
+    :func:`~repro.query.optimizer.choose_algorithm`.
     """
+    from repro.engine.columnar import nan_free
     from repro.query.optimizer import choose_algorithm
 
     if not isinstance(pref, PrioritizedPreference):
         return None
     children = list(pref.children)
     stages: list[tuple[Preference, str]] = []
-    while len(children) > 1 and children[0].is_chain() is True:
+    while (
+        len(children) > 1
+        and children[0].is_chain() is True
+        and nan_free(store, children[0].attributes)
+    ):
         head = children.pop(0)
-        stages.append((head, choose_algorithm(head)))
+        stages.append((head, choose_algorithm(head, store)))
     if not stages:
         return None
     rest: Preference
     rest = children[0] if len(children) == 1 else PrioritizedPreference(tuple(children))
-    stages.append((rest, choose_algorithm(rest)))
+    stages.append((rest, choose_algorithm(rest, store)))
     return tuple(stages)
 
 
@@ -662,7 +672,9 @@ def _rule_split_prio(
         return None
     if not isinstance(node, PreferenceSelect):
         return None
-    stages = cascade_stages(node.pref)
+    from repro.query.optimizer import source_store
+
+    stages = cascade_stages(node.pref, source_store(node.child))
     if stages is None:
         return None
     cascade = Cascade(node.child, stages)

@@ -5,18 +5,20 @@ document roots against a catalog.  Catalogs are deliberately simple: a
 mutable mapping with registration-time schema sanity, case-insensitive
 lookup (SQL style) and defensive copies on every read.
 
-Every registration (including replacement) and drop bumps a per-name
-monotonically increasing *version*.  Relations themselves are immutable, so
-``(name, version)`` uniquely identifies a relation's contents — the query
-layer keys its memoized plan cache on it for invalidation.
+Every registration (including replacement), row mutation and drop bumps a
+per-name monotonically increasing *version*.  Relations themselves are
+immutable, so ``(name, version)`` uniquely identifies a relation's
+contents — the query layer keys its memoized plan cache on it for
+invalidation.  Registrations and drops, but not row mutations, also bump
+the catalog-wide :attr:`Catalog.structure` generation: what a built query
+may depend on beyond the rows.
 
 Mutations are observable: the storage layer attaches an observer and
 receives one :class:`CatalogEvent` per logical mutation — the seam the
 write-ahead log and SQL mirrors hang off (see ``repro.storage.binding``).
-``insert_rows``/``delete_rows`` internally re-register the rebuilt
-relation, so notification is suppressed for that inner call and the
-precise row-level event is emitted instead; observers never see a
-full-relation ``register`` for what was a two-row insert.
+``insert_rows``/``delete_rows`` install the rebuilt relation without
+registering it, and emit the precise row-level event instead; observers
+never see a full-relation ``register`` for what was a two-row insert.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ class Catalog:
         # repeats an old (name, version) pair.
         self._versions: dict[str, int] = {}
         self._observers: list[CatalogObserver] = []
-        # Depth of notification suppression: >0 while a compound
-        # mutation (insert/delete) performs its internal re-register.
-        self._quiet = 0
+        #: Bumped by every registration, replacement and drop (recovery's
+        #: included), never by an insert or delete: equal generations mean
+        #: every name still holds the schema and constraints it held.
+        self.structure = 0
         if relations:
             for name, rel in relations.items():
                 self.register(rel.with_name(name))
@@ -82,8 +85,6 @@ class Catalog:
             self._observers.remove(observer)
 
     def _notify(self, event: CatalogEvent) -> None:
-        if self._quiet:
-            return
         for observer in self._observers:
             observer.on_catalog_event(event)
 
@@ -94,18 +95,25 @@ class Catalog:
                 f"relation {relation.name!r} already registered "
                 f"(pass replace=True to overwrite)"
             )
-        self._relations[key] = relation
-        self._versions[key] = self._versions.get(key, 0) + 1
+        self._install(relation)
+        self.structure += 1
         self._notify(CatalogEvent(
             "register", key, self._versions[key], relation=relation,
         ))
 
+    def _install(self, relation: Relation) -> None:
+        """Make ``relation`` its name's current snapshot, one version on."""
+        key = relation.name.lower()
+        self._relations[key] = relation
+        self._versions[key] = self._versions.get(key, 0) + 1
+
     def version(self, name: str) -> int:
         """The registration version of ``name`` (0 if never registered).
 
-        Bumped on every :meth:`register` (replacement included) and
-        :meth:`drop`; relations are immutable, so equal ``(name, version)``
-        implies identical contents.
+        Bumped on every :meth:`register` (replacement included),
+        :meth:`insert_rows`, :meth:`delete_rows` and :meth:`drop`;
+        relations are immutable, so equal ``(name, version)`` implies
+        identical contents.
         """
         return self._versions.get(name.lower(), 0)
 
@@ -187,14 +195,9 @@ class Catalog:
         self, op: str, old: Relation, rows: list[Row], changed: list[Row]
     ) -> Relation:
         """Install the snapshot of ``rows`` derived from ``old`` and notify
-        the observers of the ``changed`` rows only: the inner re-register
-        stays quiet."""
+        the observers of the ``changed`` rows only."""
         new = old._derive(rows)
-        self._quiet += 1
-        try:
-            self.register(new, replace=True)
-        finally:
-            self._quiet -= 1
+        self._install(new)
         key = new.name.lower()
         self._notify(CatalogEvent(
             op, key, self._versions[key], relation=new, rows=tuple(changed),
@@ -217,6 +220,7 @@ class Catalog:
         except KeyError:
             raise RelationError(f"unknown relation {name!r}") from None
         self._versions[key] = self._versions.get(key, 0) + 1
+        self.structure += 1
         self._notify(CatalogEvent("drop", key, self._versions[key]))
 
     # -- recovery (storage layer only) -----------------------------------
@@ -232,6 +236,7 @@ class Catalog:
         key = relation.name.lower()
         self._relations[key] = relation
         self._versions[key] = version
+        self.structure += 1
 
     def restore_version(self, name: str, version: int) -> None:
         """Force the version counter of ``name`` (recovery path only)."""
@@ -242,6 +247,7 @@ class Catalog:
         key = name.lower()
         self._relations.pop(key, None)
         self._versions[key] = version
+        self.structure += 1
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._relations

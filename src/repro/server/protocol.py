@@ -11,6 +11,14 @@ Request (client -> server)::
 ``id`` is the client's correlation token, echoed on every response to the
 request.  Known ops: :data:`OPS`.
 
+A ``query`` line that opens with ``{"id":<JSON integer>,"op":"query",``
+(as :class:`~repro.server.client.PreferenceClient` writes it) may take
+the server's fast path: once the bytes after the id have been seen
+twice, a line repeating them is answered from the memoized resolution
+without being decoded again.  The answer is the same, byte for byte.
+Lines without that opening — another member order, a string id —
+are served exactly as before.
+
 Any request may carry ``deadline_ms`` — the client's latency budget in
 milliseconds, measured from when the server parses the request.  A
 request that cannot finish inside its budget is shed with a structured

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import re
 import threading
+from collections import OrderedDict
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.faults import plan as faults
 from repro.query.incremental import BMODelta
@@ -39,7 +41,9 @@ from repro.server import protocol
 from repro.server.service import (
     PreferenceService,
     QueryAnswer,
+    ResolvedQuery,
     ServiceError,
+    Sightings,
 )
 from repro.server.views import ViewError
 from repro.storage.backend import StorageError
@@ -73,6 +77,23 @@ INLINE_STREAK = 8
 DEFAULT_WRITE_BUFFER_CAP = 4 * 1024 * 1024
 
 
+#: Prepared request lines one server keeps.  An entry holds its line's
+#: bytes and the resolved query, ~4 KB measured, most of it the built
+#: query's term.  A standing workload repeats a few hundred distinct
+#: lines (216 in the ``standing`` benchmark), so 1024 entries hold such a
+#: working set several times over in ~4 MB; one-off lines never get in
+#: (admission is on the second sighting), and past the cap the oldest
+#: entry goes.
+PREPARED_CAP = 1024
+
+#: A ``query`` line's leading ``{"id":<JSON integer>,"op":"query",``
+#: (the id in JSON's own integer grammar, so ``json.loads`` reads the
+#: same integer); the prepared key starts after the id's comma.  Lines
+#: that open otherwise — every other op, too — are decoded as usual, and
+#: their bytes are neither copied nor hashed.
+_ID_PREFIX = re.compile(rb'\{"id":(-?(?:0|[1-9][0-9]*)),(?="op":"query",)')
+
+
 class DeadlineExceeded(Exception):
     """A request's ``deadline_ms`` budget ran out server-side."""
 
@@ -82,6 +103,107 @@ class DeadlineExceeded(Exception):
 _DEADLINE: contextvars.ContextVar[float | None] = contextvars.ContextVar(
     "repro_request_deadline", default=None
 )
+
+
+class _Prepared(NamedTuple):
+    """One admitted ``query`` line: its request fields but the id, its
+    resolution, and the guard the resolution was taken under."""
+
+    params: dict[str, Any]
+    resolved: ResolvedQuery
+    guard: tuple
+
+
+class _Line(NamedTuple):
+    """A request line with an id prefix: the id, the cache key (the
+    bytes after the prefix and the connection's ``login`` tenant), and
+    the prepared entry it hit (None: a miss, decoded as usual)."""
+
+    id: int
+    key: tuple[bytes, str | None]
+    hit: _Prepared | None
+
+
+class PreparedLines:
+    """One server's prepared ``query`` lines: a line whose bytes after its
+    ``{"id":N,`` prefix repeat an admitted line skips decoding, parsing
+    and :meth:`~repro.server.service.PreferenceService.resolve`, and is
+    answered from the memoized resolution exactly as a fresh one would
+    be.
+
+    A resolution depends on the request text, the login tenant (both in
+    the key) and what :meth:`~repro.server.service.PreferenceService
+    .resolution_guard` reads; an entry whose guard moved is a miss, and
+    the fresh resolution replaces it.  Lines are admitted on their second
+    sighting, so one-off lines never take an entry.  Event-loop thread
+    only.
+    """
+
+    def __init__(self, service: PreferenceService):
+        self._service = service
+        self._entries: OrderedDict[tuple[bytes, str | None], _Prepared] = (
+            OrderedDict()
+        )
+        # Keyed by the key's hash: the counter never holds a line, and a
+        # collision only admits a line one sighting early.
+        self._sightings = Sightings()
+        self.hits = 0
+        self.misses = 0
+        self.admissions = 0
+
+    def find(self, line: bytes, tenant: str | None) -> _Line | None:
+        """The line's id and key, and the entry it hits; None for a line
+        without an id prefix."""
+        match = _ID_PREFIX.match(line)
+        if match is None:
+            return None
+        try:
+            rid = int(match.group(1))
+        except ValueError:  # past int's digit limit: decode it as usual
+            return None
+        key = (line[match.end():], tenant)
+        entry = self._entries.get(key)
+        if entry is not None:
+            guard = self._service.resolution_guard(entry.resolved.tenant)
+            if entry.guard == guard:
+                self.hits += 1
+            else:
+                entry = None
+        return _Line(rid, key, entry)
+
+    def resolved(
+        self,
+        line: _Line,
+        params: dict[str, Any],
+        resolved: ResolvedQuery,
+        guard: tuple,
+    ) -> None:
+        """Count a freshly resolved ``query`` line; admit it on its second
+        sighting (at once when it replaces a stale entry).
+
+        A duplicate ``"id"`` member after the prefix is what
+        ``json.loads`` keeps, so a line holding one is never admitted: its
+        hits would answer under the prefix's id."""
+        self.misses += 1
+        key = line.key
+        stale = key in self._entries
+        if not stale and not self._sightings.sight(hash(key), 2):
+            return
+        # The line decoded, so its body without the id member does too.
+        if "id" in protocol.decode_message(b"{" + key[0]):
+            return
+        if not stale and len(self._entries) >= PREPARED_CAP:
+            self._entries.popitem(last=False)
+        self._entries[key] = _Prepared(params, resolved, guard)
+        self.admissions += 1
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "admissions": self.admissions,
+            "entries": len(self._entries),
+        }
 
 
 class _Connection:
@@ -173,6 +295,7 @@ class _Connection:
             pass
 
     async def run(self) -> None:
+        prepared = self.server.prepared
         try:
             while not self.closed:
                 try:
@@ -186,16 +309,22 @@ class _Connection:
                     break
                 if not line.strip():
                     continue
-                try:
-                    request = protocol.parse_request(
-                        protocol.decode_message(line)
+                found = prepared.find(line, self.tenant)
+                if found is not None and found.hit is not None:
+                    request = protocol.Request(
+                        found.id, "query", found.hit.params
                     )
-                except protocol.ProtocolError as exc:
-                    await self.send(protocol.error_response(
-                        None, str(exc), code="protocol"
-                    ))
-                    continue
-                await self.server.handle_request(self, request)
+                else:
+                    try:
+                        request = protocol.parse_request(
+                            protocol.decode_message(line)
+                        )
+                    except protocol.ProtocolError as exc:
+                        await self.send(protocol.error_response(
+                            None, str(exc), code="protocol"
+                        ))
+                        continue
+                await self.server.handle_request(self, request, found)
         finally:
             await self.server.forget_connection(self)
             await self.close()
@@ -230,6 +359,9 @@ class PreferenceServer:
         self._subscribers: dict[int, _Connection] = {}
         self._stopped: asyncio.Event | None = None
         self._listener: Any = None
+        #: This server's prepared ``query`` lines (per server: a
+        #: resolution belongs to one service's session).
+        self.prepared = PreparedLines(service)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -375,11 +507,15 @@ class PreferenceServer:
         return result
 
     async def _query(
-        self, connection: _Connection, params: dict[str, Any]
+        self,
+        connection: _Connection,
+        params: dict[str, Any],
+        line: _Line | None,
     ) -> QueryAnswer:
-        """Answer one ``query``: resolve it here on the loop, then let the
-        service answer on the spot if a current, uncontended view holds
-        the rows — a lookup does not pay for a worker-pool round trip.
+        """Answer one ``query``: resolve it here on the loop (or take the
+        resolution of its prepared ``line``), then let the service answer
+        on the spot if a current, uncontended view holds the rows — a
+        lookup does not pay for a worker-pool round trip.
 
         Anything else — a first sighting, a ``WHERE``, a forced backend,
         a stale or poisoned view, a view mid-refresh — is dispatched to
@@ -389,11 +525,17 @@ class PreferenceServer:
         """
         service = self.service
         self._shed_if_expired("before")
-        resolved = service.resolve(
-            sql=params.get("sql"), spec=params.get("spec"),
-            tenant=self._tenant_of(connection, params),
-            term=params.get("term"),
-        )
+        if line is not None and line.hit is not None:
+            resolved = line.hit.resolved
+        else:
+            tenant = self._tenant_of(connection, params)
+            guard = service.resolution_guard(tenant)
+            resolved = service.resolve(
+                sql=params.get("sql"), spec=params.get("spec"),
+                tenant=tenant, term=params.get("term"),
+            )
+            if line is not None:
+                self.prepared.resolved(line, params, resolved, guard)
         answer = service.answer_resident(resolved)
         if answer is None:
             connection.inline_streak = 0
@@ -409,8 +551,13 @@ class PreferenceServer:
         return answer
 
     async def handle_request(
-        self, connection: _Connection, request: protocol.Request
+        self,
+        connection: _Connection,
+        request: protocol.Request,
+        line: _Line | None = None,
     ) -> None:
+        """Route one request; ``line``: its id-prefixed line, if it had
+        one (see :class:`PreparedLines`)."""
         assert self._loop is not None
         deadline: float | None = None
         deadline_ms = request.params.get("deadline_ms")
@@ -437,7 +584,7 @@ class PreferenceServer:
             return
         token = _DEADLINE.set(deadline)
         try:
-            await self._route(connection, request)
+            await self._route(connection, request, line)
         except DeadlineExceeded as exc:
             self.service.metrics.record_shed("deadline")
             await connection.send(protocol.error_response(
@@ -462,7 +609,10 @@ class PreferenceServer:
             _DEADLINE.reset(token)
 
     async def _route(
-        self, connection: _Connection, request: protocol.Request
+        self,
+        connection: _Connection,
+        request: protocol.Request,
+        line: _Line | None = None,
     ) -> None:
         op, params, rid = request.op, request.params, request.id
         if op == "ping":
@@ -483,7 +633,7 @@ class PreferenceServer:
                 payload["profile"] = profile.summary()
             await connection.send(protocol.ok_response(rid, **payload))
         elif op == "query":
-            answer = await self._query(connection, params)
+            answer = await self._query(connection, params, line)
             for message in protocol.rows_chunks(
                 rid, answer.rows, self.chunk_rows,
                 source=answer.source, elapsed_ns=answer.elapsed_ns,
@@ -548,6 +698,7 @@ class PreferenceServer:
             await connection.send(protocol.ok_response(rid, checkpoint=info))
         elif op == "metrics":
             stats = await self._run(self.service.stats)
+            stats["prepared"] = self.prepared.stats()
             await connection.send(protocol.ok_response(rid, metrics=stats))
         elif op == "relations":
             await connection.send(protocol.ok_response(

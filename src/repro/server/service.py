@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -76,8 +77,8 @@ from repro.tenancy.profiles import valid_tenant
 #: Spec/wire comparison operators accepted by ``where`` triples.
 _SPEC_OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 
-#: Cap on the repeat-query sighting counter: one-off view-shaped specs
-#: (e.g. per-user AROUND targets) must not accumulate forever.
+#: Cap on a :class:`Sightings` counter: one-off keys (per-user AROUND
+#: targets, ad hoc request lines) must not accumulate forever.
 _SEEN_SPECS_CAP = 4096
 
 _executor: ThreadPoolExecutor | None = None
@@ -106,6 +107,36 @@ def shared_executor() -> ThreadPoolExecutor:
                 thread_name_prefix="prefserve-shared",
             )
         return _executor
+
+
+class Sightings:
+    """How often each key was seen, bounded: the repeat counter behind
+    admit-on-the-Nth-sighting caches (auto-materialized views, the
+    server's prepared request lines).
+
+    Recency-ordered: a key seen again moves to the back, and when
+    :data:`_SEEN_SPECS_CAP` keys are held the coldest goes, so an endless
+    stream of one-off keys costs constant memory and O(1) per sighting.
+    """
+
+    def __init__(self) -> None:
+        self._counts: OrderedDict[Any, int] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def sight(self, key: Any, threshold: int) -> bool:
+        """Count one sighting of ``key``; True (and the count forgotten)
+        once it has been seen ``threshold`` times."""
+        with self._lock:
+            seen = self._counts.pop(key, 0) + 1
+            if seen >= threshold:
+                return True
+            if len(self._counts) >= _SEEN_SPECS_CAP:
+                self._counts.popitem(last=False)
+            self._counts[key] = seen
+            return False
+
+    def __len__(self) -> int:
+        return len(self._counts)
 
 
 class ServiceError(ValueError):
@@ -195,8 +226,7 @@ class PreferenceService:
         #: stay bounded.  Explicit ``materialize``/``subscribe`` are
         #: deliberate capacity decisions and are not capped.
         self.max_auto_views = max_auto_views
-        self._seen_specs: dict[tuple, int] = {}
-        self._seen_lock = threading.Lock()
+        self._seen_specs = Sightings()
         self._delta_listeners: list[DeltaListener] = []
         # The session's mutation lock, shared: mutations, hook delivery,
         # and view seeding all serialize on this one lock, so a view is
@@ -384,6 +414,25 @@ class PreferenceService:
         q, composed = self.tenancy.compose(q, tenant, term)
         return self._resolved(q, tenant, composed)
 
+    def resolution_guard(self, tenant: str | None) -> tuple:
+        """What :meth:`resolve` read besides the request itself, as a
+        value that changes whenever any of it does: the catalog's
+        structure generation (registrations, replacements and drops — not
+        inserts or deletes, which a built query never reads), the
+        function registry's generation, and the current profile snapshot
+        of ``tenant``.  A resolution taken while the guard reads ``g`` is
+        still the request's resolution while it reads ``g`` (read the
+        guard *before* resolving, so a change racing the resolve fails
+        it).  O(1), and it never waits on a lock.
+        """
+        session = self.session
+        return (
+            session.catalog.structure,
+            session.functions_generation,
+            None if tenant is None
+            else self.tenancy.profiles.snapshot(tenant),
+        )
+
     def _resolved(
         self,
         q: PreferenceQuery,
@@ -508,16 +557,8 @@ class PreferenceService:
             or len(self.views) >= self.max_auto_views
         ):
             return None
-        with self._seen_lock:
-            seen = self._seen_specs.pop(spec.key, 0) + 1
-            if seen < self.auto_view_threshold:
-                # Reinsertion keeps the counter recency-ordered; when
-                # full, the coldest sighting goes (bounded memory
-                # under an endless stream of one-off specs).
-                if len(self._seen_specs) >= _SEEN_SPECS_CAP:
-                    self._seen_specs.pop(next(iter(self._seen_specs)))
-                self._seen_specs[spec.key] = seen
-                return None
+        if not self._seen_specs.sight(spec.key, self.auto_view_threshold):
+            return None
         return self._materialize(spec)
 
     def explain(

@@ -191,24 +191,32 @@ class ContinuousView:
     def rows(self) -> list[Row]:
         """A snapshot of the current view result (counts as a serve)."""
         with self._lock:
-            self.served += 1
-            return self._live.result()
+            return self._serve()
+
+    def _serve(self) -> list[Row]:
+        # Callers hold the lock.
+        self.served += 1
+        return self._live.result()
+
+    def _serve_if_current(self, key: tuple, version: int) -> list[Row] | None:
+        # Callers hold the lock, so the check cannot go stale before the
+        # read.
+        if (
+            self.poisoned is not None
+            or self.version != version
+            or self.spec.key != key
+        ):
+            return None
+        return self._serve()
 
     def rows_at(self, key: tuple, version: int) -> list[Row] | None:
         """:meth:`rows`, if the view can answer a query keyed ``key`` at
         catalog ``version``: healthy, current, and not revised to another
         preference since the registry lookup.  Checked and read under
-        one hold of the lock, so the check cannot go stale before the
-        read; ``None`` otherwise.
+        one hold of the lock; ``None`` otherwise.
         """
         with self._lock:
-            if (
-                self.poisoned is not None
-                or self.version != version
-                or self.spec.key != key
-            ):
-                return None
-            return self.rows()
+            return self._serve_if_current(key, version)
 
     def rows_if_free(self, key: tuple, version: int) -> list[Row] | None:
         """:meth:`rows_at` without waiting: ``None`` at once when another
@@ -218,7 +226,7 @@ class ContinuousView:
         if not self._lock.acquire(blocking=False):
             return None
         try:
-            return self.rows_at(key, version)
+            return self._serve_if_current(key, version)
         finally:
             self._lock.release()
 
@@ -227,8 +235,7 @@ class ContinuousView:
         read atomically — subscribers use the version to discard delta
         pushes the snapshot already includes."""
         with self._lock:
-            self.served += 1
-            return self._live.result(), self.version
+            return self._serve(), self.version
 
     def stats(self) -> dict[str, Any]:
         """Maintenance statistics, including the maintainer's own honest

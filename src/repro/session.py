@@ -117,6 +117,9 @@ class Session:
         self.functions: dict[str, Callable[..., Any]] = dict(DEFAULT_FUNCTIONS)
         if functions:
             self.functions.update(functions)
+        #: Bumped by :meth:`register_function`: a query built before the
+        #: bump may have bound a function name to the previous callable.
+        self.functions_generation = 0
         self._plan_cache: OrderedDict[tuple, Plan] = OrderedDict()
         #: Per relation name, a version no cached plan of it is older
         #: than: :meth:`_evict_plans` scans only when it can find one.
@@ -164,6 +167,7 @@ class Session:
     def register_function(self, name: str, fn: Callable[..., Any]) -> None:
         """Register a scoring/combining function for SCORE / RANK atoms."""
         self.functions[name] = fn
+        self.functions_generation += 1
 
     def declare_constraints(self, name: str, *constraints: Any) -> Relation:
         """Attach declared integrity constraints to a catalog relation.

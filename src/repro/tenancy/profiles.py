@@ -136,6 +136,12 @@ class ProfileStore:
         with self._lock:
             return sorted(self._profiles)
 
+    def snapshot(self, tenant: str) -> TenantProfile | None:
+        """The tenant's current profile snapshot, read without the lock
+        (see :meth:`resolve`): every write installs a new one, so its
+        identity changes exactly when the profile does."""
+        return self._profiles.get(tenant)
+
     def resolve(
         self, tenant: str, term: str | None = None
     ) -> Preference | None:

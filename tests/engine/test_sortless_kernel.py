@@ -7,9 +7,10 @@ a presence mask instead of a stable sort and ``np.unique``.  The unit
 equivalences pin each piece against the expression it replaced; the
 property pins the whole winnow on an index against the one oracle,
 ``naive_nested_loop``, as bags of rows, over columns that hold
-duplicates, equidistant AROUND values, NaN on chain axes, ±0.0, mixed
-ints and floats, ints at 2**53 ± 1 and strings, at index sizes on both
-sides of ``NUMPY_MIN_ROWS`` and ``PIVOT_MIN_ROWS``.
+duplicates, equidistant AROUND values, NaN on chain axes (composite
+chains' stage columns included), ±0.0, mixed ints and floats, ints at
+2**53 ± 1 and strings, at index sizes on both sides of
+``NUMPY_MIN_ROWS`` and ``PIVOT_MIN_ROWS``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.core.base_numerical import (
     HighestPreference,
     LowestPreference,
 )
-from repro.core.constructors import DualPreference, pareto
+from repro.core.constructors import DualPreference, pareto, prioritized
 from repro.engine import backend as engine_backend
 from repro.engine import columnar
 from repro.engine.columnar import (
@@ -178,8 +179,16 @@ SIZES = (0, 1, 2, NUMPY_MIN_ROWS - 1, NUMPY_MIN_ROWS, NUMPY_MIN_ROWS + 1,
 
 @st.composite
 def arms(draw, attribute: str):
-    """One Pareto arm over ``attribute`` and the drawer of its column."""
-    shape = draw(st.sampled_from(("chain", "weak", "pos")))
+    """One Pareto arm over ``attribute`` (a composite chain: over it and
+    ``attribute + "s"``) and the drawers of its columns."""
+    shape = draw(st.sampled_from(("chain", "weak", "pos", "composite")))
+    if shape == "composite":
+        kinds = [draw(st.sampled_from(sorted(CHAIN_KINDS))) for _ in "ab"]
+        arm = prioritized(
+            HighestPreference(attribute), LowestPreference(attribute + "s")
+        )
+        return arm, {attribute: CHAIN_KINDS[kinds[0]],
+                     attribute + "s": CHAIN_KINDS[kinds[1]]}
     if shape == "chain":
         kind = draw(st.sampled_from(sorted(CHAIN_KINDS)))
         ctor = draw(st.sampled_from((HighestPreference, LowestPreference)))
@@ -196,7 +205,7 @@ def arms(draw, attribute: str):
         arm, column = PosPreference(attribute, picked), _words
     if draw(st.integers(0, 5)) == 0:
         arm = DualPreference(arm)
-    return arm, column
+    return arm, {attribute: column}
 
 
 @st.composite
@@ -208,8 +217,8 @@ def indexed_winnows(draw):
     n = size + draw(st.integers(0, 40))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     rows = [
-        dict({f"a{i}": column(rng) for i, (_, column) in enumerate(drawn)},
-             tag=t)
+        dict({attribute: column(rng) for _, columns in drawn
+              for attribute, column in columns.items()}, tag=t)
         for t in range(n)
     ]
     index = sorted(rng.sample(range(n), size))

@@ -7,7 +7,7 @@ against the one oracle, ``naive_nested_loop``, on both legs, whole and
 on an index, and in row order: AROUND, BETWEEN, POS, single-attribute
 SCORE and dual weak arms against LOWEST, HIGHEST and composite chains,
 over columns holding NaN objects (shared and fresh on a weak arm, fresh
-on a plain chain), infinities, equidistant AROUND values (Example 2),
+on a plain or composite chain), infinities, equidistant AROUND values (Example 2),
 duplicates, a single value, ints next to 2**52 and 2**53, bools, dates
 and strings.  Hand-made kernel cases pin each test and the coarse
 round; the spy pins the route: a two-arm term never reaches pivot
@@ -158,12 +158,9 @@ def two_arm_winnows(draw):
     n = draw(st.sampled_from(SIZES))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     # A chain ranks a NaN against nothing, the row engine takes one NaN
-    # object for equal to itself: chains draw fresh NaNs only.  And a
-    # composite chain does not lower a NaN in a stage to the row engine's
-    # order: its columns draw none.
-    composite = {a for arm in arms if len(arm.attributes) > 1
-                 for a in arm.attributes}
-    nans = [name not in composite and draw(st.booleans()) for name in "abc"]
+    # object for equal to itself: chains draw fresh NaNs only.  A NaN in
+    # a composite chain's stage column sends the term to the row engine.
+    nans = [draw(st.booleans()) for name in "abc"]
     shared = (weak, False, False)
     columns = {
         name: _column(rng, kind, nan, share_nan, n)

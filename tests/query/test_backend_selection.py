@@ -137,8 +137,8 @@ class TestCostModel:
         elif retired == "backend= parameters":
             for fn in (optimizer.plan, choose_algorithm, cascade_stages):
                 assert "backend" not in params(fn), fn
-            assert params(choose_algorithm) == ["pref"]
-            assert params(cascade_stages) == ["pref"]
+            assert params(choose_algorithm) == ["pref", "store"]
+            assert params(cascade_stages) == ["pref", "store"]
         elif retired == "plan(hard=, hard_label=)":
             for name in ("hard", "hard_label"):
                 assert name not in params(optimizer.plan)

@@ -19,6 +19,11 @@ revisions (live view migration), and subscriptions.  Asserts:
 * nothing outlives its connection: once every client has disconnected,
   ``subscriptions``, ``tenancy.subscriptions``, ``shared_views.pinned``
   and every tenant slot's ``subscriptions`` read 0,
+* a prepared query line follows its tenant's profile: the tenant's
+  identical query line, resent after each profile revision, answers
+  what the revised term (or, after a delete, no term) answers asked
+  anonymously, although the server answered the line from its prepared
+  resolution before,
 * clean profile recovery: after SIGKILL (no shutdown hooks) and a
   restart from the same data directory, every sampled tenant's profile
   version and query answer are exactly the pre-kill state.
@@ -100,6 +105,23 @@ def shape_variants(i: int) -> list[dict]:
     ]
 
 
+def follows_profile(
+    client, tenant: str | None, term: dict | None, failures: list[str]
+) -> None:
+    """Resend ``tenant``'s query line (``None``: the connection's login
+    tenant) and check it answers under the profile term ``term`` (None:
+    no profile) — the rows the term answers asked anonymously."""
+    got = canon(client.query(spec={"relation": "car"}, tenant=tenant))
+    spec: dict = {"relation": "car"}
+    if term is not None:
+        spec["prefer"] = term
+    if got != canon(client.query(spec=spec)):
+        failures.append(
+            f"{tenant or 'the login tenant'}'s repeated query line did not "
+            f"follow its profile revision to {term}"
+        )
+
+
 def subscription_counts(metrics: dict) -> dict[str, int]:
     """Every subscription count `/metrics` reports, by name."""
     tenancy = metrics["tenancy"]
@@ -149,19 +171,23 @@ def main() -> int:
                     "deal", rng.choice(shape_variants(shape)),
                     tenant=tenant,
                 )
-                rows = client.query(spec={"relation": "car"}, tenant=tenant)
-                if not rows:
-                    failures.append(f"{tenant}: empty answer")
+                # Twice: the second sighting of a line prepares it.
+                for _ in range(2):
+                    rows = client.query(
+                        spec={"relation": "car"}, tenant=tenant
+                    )
+                    if not rows:
+                        failures.append(f"{tenant}: empty answer")
             # ...and a revision wave: every 8th tenant moves one shape
             # over, migrating onto views the fleet already maintains.
             for user in range(0, N_USERS, 8):
                 tenant = f"user-{user}"
                 shape = (user + 1) % N_SHAPES
-                client.profile_set(
-                    "deal", rng.choice(shape_variants(shape)),
-                    tenant=tenant,
-                )
-                client.query(spec={"relation": "car"}, tenant=tenant)
+                term = rng.choice(shape_variants(shape))
+                client.profile_set("deal", term, tenant=tenant)
+                follows_profile(client, tenant, term, failures)
+            if not client.metrics()["prepared"]["hits"]:
+                failures.append("no query line was answered prepared")
 
             # -- shared-view collapse + hit rate -------------------------
             tenancy = client.metrics()["tenancy"]
@@ -195,11 +221,11 @@ def main() -> int:
             before = canon(client.query(
                 spec={"relation": "car"}, tenant=victim
             ))
-            client.profile_set(
-                "deal", {"type": "lowest", "attribute": "mileage"},
-                tenant=noisy,
-            )
+            mileage = {"type": "lowest", "attribute": "mileage"}
+            client.profile_set("deal", mileage, tenant=noisy)
+            follows_profile(client, noisy, mileage, failures)
             client.profile_delete(tenant=noisy)
+            follows_profile(client, noisy, None, failures)
             after = canon(client.query(
                 spec={"relation": "car"}, tenant=victim
             ))
@@ -216,12 +242,14 @@ def main() -> int:
             bob.login("user-28")  # same canonical shape as user-20
             alice.subscribe("car")
             bob.subscribe("car")
-            alice.profile_set(
-                "deal", {"type": "highest", "attribute": "price"}
-            )
+            for _ in range(2):
+                alice.query(spec={"relation": "car"})
+            pricey = {"type": "highest", "attribute": "price"}
+            alice.profile_set("deal", pricey)
             delta = alice.wait_delta(timeout=15)
             if not (delta.get("enter") or delta.get("exit")):
                 failures.append(f"revising tenant saw no migration: {delta}")
+            follows_profile(alice, None, pricey, failures)
             leaked = bob.deltas(timeout=0.5)
             if leaked:
                 failures.append(
